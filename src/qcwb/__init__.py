@@ -92,6 +92,7 @@ from .boundary import (
     LiftResidual,
     NoSpectralGap,
     NotOrthogonal,
+    PhaseStepTooLarge,
     WindingIllConditioned,
     boundary_unitary,
     builtin_scenario,

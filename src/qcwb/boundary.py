@@ -36,6 +36,7 @@ from .linalg import (
     DimMismatch,
     ToleranceProfile,
     _eigh_raw,
+    _threshold_half,
     frac_power,
     func_calc,
     hermitian_part,
@@ -56,6 +57,7 @@ __all__ = [
     "LiftResidual",
     "EndpointDefect",
     "WindingIllConditioned",
+    "PhaseStepTooLarge",
     "NoSpectralGap",
     "IntervalModel",
     "GridFunction",
@@ -89,6 +91,10 @@ class EndpointDefect(RuntimeError):
 
 class WindingIllConditioned(RuntimeError):
     """Phase steps too large for a trustworthy winding on this grid."""
+
+
+class PhaseStepTooLarge(WindingIllConditioned):
+    """A det phase step reached the limit; a finer grid may resolve it."""
 
 
 class NoSpectralGap(RuntimeError):
@@ -416,8 +422,9 @@ def winding_number(
     """Accumulated phase of det along a discrete path, as an integer count.
 
     Returns (winding, rounding residual, largest phase step).  Raises
-    :class:`WindingIllConditioned` when a step reaches ``max_step`` or the
-    total strays more than 0.1 turns from an integer.
+    :class:`PhaseStepTooLarge` when a step reaches ``max_step``, and
+    :class:`WindingIllConditioned` when a determinant vanishes or the total
+    strays more than 0.1 turns from an integer.
     """
     dets = [complex(np.linalg.det(m)) for m in mats]
     for i, d in enumerate(dets):
@@ -428,7 +435,7 @@ def winding_number(
     ]
     largest = max((abs(s) for s in steps), default=0.0)
     if largest >= max_step:
-        raise WindingIllConditioned(
+        raise PhaseStepTooLarge(
             f"phase step {largest:.3f} rad exceeds {max_step:.3f}; refine the grid"
         )
     total = sum(steps) / (2.0 * np.pi)
@@ -543,28 +550,27 @@ def exact_projection_lift(
 ) -> GridRepresentation:
     """Lift through the spectral threshold when a gap around 1/2 exists.
 
-    Scans the fiberwise spectrum of the unclamped path T; if any eigenvalue
+    Decomposes each fiber of the unclamped path T once.  If any eigenvalue
     falls inside (1/2 - gamma, 1/2 + gamma), :class:`NoSpectralGap` is raised
     (the winding of the boundary pipeline is the obstruction).  Otherwise
-    thresholding at 1/2 is continuous in the fibers and the blocks of the
-    resulting projection path form an exact representation lifting the input.
+    thresholding the same spectrum at 1/2 is continuous in the fibers and the
+    blocks of the resulting projection path form an exact representation
+    lifting the input.
     """
     lift = lift_T(rep, model, scheme, profile)
     n = model.fiber_dim
+    projections = []
     for i in range(model.grid_size + 1):
-        w = _eigh_raw(lift.t_raw.at(i), profile).eigenvalues
+        es = _eigh_raw(lift.t_raw.at(i), profile)
+        w = es.eigenvalues
         inside = w[(w > 0.5 - gamma) & (w < 0.5 + gamma)]
         if inside.size:
             raise NoSpectralGap(
                 f"fiber {i} has spectrum {inside.round(4).tolist()} within "
                 f"{gamma} of 1/2; no exact lift on this path"
             )
-
-    def threshold(v: np.ndarray) -> np.ndarray:
-        es = _eigh_raw(v, profile)
-        return hermitian_part(es.apply(np.where(es.eigenvalues >= 0.5, 1.0, 0.0)))
-
-    p = lift.t_raw.fiberwise(threshold)
+        projections.append(_threshold_half(es))
+    p = GridFunction(np.stack(projections))
     eye = np.eye(n, dtype=complex)
     h = p.fiberwise(lambda v: hermitian_part(eye - v[:n, :n]))
     x = p.fiberwise(lambda v: v[n:, :n])
@@ -675,7 +681,9 @@ def run_scenario(
 
     Doubles the grid until the largest det phase step drops below
     ``refine_until`` (or the grid cap is reached), then returns the boundary
-    result, the lift, and the model actually used.
+    result, the lift, and the model actually used.  A grid too coarse for
+    :func:`winding_number` (:class:`PhaseStepTooLarge`) is refined as well;
+    at ``max_grid`` the error propagates.
     """
     rep = (
         builtin_scenario(name_or_rep)
@@ -686,7 +694,12 @@ def run_scenario(
     while True:
         model = IntervalModel(grid_size=m, fiber_dim=rep.fiber_dim)
         lift = lift_T(rep, model, scheme, profile)
-        result = boundary_unitary(lift.t_prime, model, profile)
-        if result.phase_step_max < refine_until or m >= max_grid:
-            return result, lift, model
+        try:
+            result = boundary_unitary(lift.t_prime, model, profile)
+        except PhaseStepTooLarge:
+            if m >= max_grid:
+                raise
+        else:
+            if result.phase_step_max < refine_until or m >= max_grid:
+                return result, lift, model
         m *= 2

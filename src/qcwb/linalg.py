@@ -14,7 +14,7 @@ freshly allocated.  Numerical thresholds are collected in a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -86,9 +86,6 @@ class ToleranceProfile:
     clamp_tol: float = 1e-10         # most negative eigenvalue clamped to 0
     rank_tol: float = 1e-12          # singular values below rank_tol*smax are zero
     support_tol: float = 1e-10       # corner/support discipline checks
-
-    def with_method(self, method: str) -> "ToleranceProfile":
-        return replace(self, method=method)
 
 
 DEFAULT_PROFILE = ToleranceProfile()
@@ -231,15 +228,39 @@ def _eigh_raw(h: np.ndarray, profile: ToleranceProfile) -> EigenSystem:
     return EigenSystem(eigenvalues=w, basis=u)
 
 
+def _hermitian_defect(a: np.ndarray, tol: float, profile: ToleranceProfile) -> float | None:
+    """``None`` when ``||a - a*|| <= tol * max(1, ||a||)`` in operator norm, else the defect.
+
+    Frobenius first: ``||d||_2 <= ||d||_F`` and ``||a||_2 >= ||a||_F / sqrt(n)``,
+    so ``||a - a*||_F <= tol * max(1, ||a||_F / sqrt(n))`` accepts without a
+    decomposition.  Only otherwise are the two operator norms computed.  The
+    gate accepts exactly what the operator-norm check accepts; a non-finite
+    matrix is rejected.
+    """
+    with np.errstate(invalid="ignore"):  # inf - inf: rejected below as NaN
+        d = a - a.conj().T
+    d_frob = float(np.linalg.norm(d))
+    if not math.isfinite(d_frob):
+        return d_frob
+    if d_frob <= tol * max(1.0, float(np.linalg.norm(a)) / math.sqrt(max(a.shape[0], 1))):
+        return None
+    defect = op_norm(d, profile)
+    if not (defect <= tol * max(1.0, op_norm(a, profile))):
+        return defect
+    return None
+
+
 def herm_eig(h: np.ndarray, profile: ToleranceProfile = DEFAULT_PROFILE) -> EigenSystem:
     """Eigendecomposition of a Hermitian matrix, ascending eigenvalues.
 
     Raises :class:`NotHermitian` when ``||h - h*||`` exceeds
-    ``hermitian_tol * max(1, ||h||)`` in operator norm.
+    ``hermitian_tol * max(1, ||h||)`` in operator norm, or when ``h`` is not
+    finite.  The precondition is decided by Frobenius norms whenever they
+    settle it, so a Hermitian input costs one decomposition, not three.
     """
     a = _as_square(h, "herm_eig input")
-    defect = op_norm(a - a.conj().T, profile)
-    if defect > profile.hermitian_tol * max(1.0, op_norm(a, profile)):
+    defect = _hermitian_defect(a, profile.hermitian_tol, profile)
+    if defect is not None:
         raise NotHermitian(f"hermitian defect {defect:.3e} exceeds tolerance")
     return _eigh_raw(a, profile)
 
@@ -325,12 +346,29 @@ def unitary_exp(t: np.ndarray, profile: ToleranceProfile = DEFAULT_PROFILE) -> n
 
 
 def op_norm(m: np.ndarray, profile: ToleranceProfile = DEFAULT_PROFILE) -> float:
-    """Operator (spectral) norm: largest singular value via eigh of m* m."""
+    """Operator (spectral) norm: the largest singular value, values only.
+
+    The LAPACK method takes the top value of ``svd(m, compute_uv=False)``; it
+    never forms ``m* m``, so the result neither overflows nor underflows while
+    ``m`` itself is representable.  The Jacobi method stays self-contained:
+    Jacobi on the Gram matrix of ``m / max|m_ij|``, rescaled afterwards.
+    """
     a = _as_square(m, "op_norm input")
-    gram = hermitian_part(a.conj().T @ a)
-    es = _eigh_raw(gram, profile)
-    top = float(es.eigenvalues[-1]) if es.eigenvalues.size else 0.0
-    return math.sqrt(max(top, 0.0))
+    if a.size == 0:
+        return 0.0
+    if profile.method == "jacobi":
+        scale = float(np.max(np.abs(a)))
+        if scale == 0.0:
+            return 0.0
+        if not math.isfinite(scale):
+            raise NoConvergence("op_norm input is not finite")
+        b = a / scale
+        w, _ = jacobi_eigh(b.conj().T @ b, profile.sweep_budget, profile.off_diag_tol)
+        return scale * math.sqrt(max(float(w[-1]), 0.0))
+    try:
+        return float(np.linalg.svd(a, compute_uv=False)[0])
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
 
 
 def frac_power(
@@ -352,6 +390,17 @@ def frac_power(
     return hermitian_part(es.apply(np.power(np.maximum(w, 0.0), p)))
 
 
+def _idempotency_defect(es: EigenSystem) -> float:
+    """max |w^2 - w| over the eigenvalues: ``||a^2 - a||`` for the Hermitian ``a``."""
+    w = es.eigenvalues
+    return float(np.max(np.abs(w * w - w), initial=0.0))
+
+
+def _threshold_half(es: EigenSystem) -> np.ndarray:
+    """Spectral projection onto the eigenvalues at or above 1/2."""
+    return hermitian_part(es.apply(np.where(es.eigenvalues >= 0.5, 1.0, 0.0)))
+
+
 def nearest_projection(
     p: np.ndarray,
     profile: ToleranceProfile = DEFAULT_PROFILE,
@@ -359,15 +408,16 @@ def nearest_projection(
     """Exact projection nearest to an almost-idempotent Hermitian ``p``.
 
     Requires ``eta = ||p^2 - p|| < 1/4`` (so the spectrum stays clear of 1/2);
-    otherwise :class:`GapTooSmall` is raised.  The result thresholds the
-    spectrum at 1/2: eigenvalues below go to 0, the rest to 1.
+    otherwise :class:`GapTooSmall` is raised.  ``p`` is decomposed once:
+    ``eta = max|w^2 - w|`` is read off its eigenvalues ``w``, and the result
+    thresholds the same spectrum at 1/2 (eigenvalues below go to 0, the rest
+    to 1).
     """
-    a = _as_square(p, "nearest_projection input")
-    eta = op_norm(a @ a - a, profile)
-    if eta >= 0.25:
+    es = herm_eig(_as_square(p, "nearest_projection input"), profile)
+    eta = _idempotency_defect(es)
+    if not (eta < 0.25):
         raise GapTooSmall(f"||p^2 - p|| = {eta:.4f} >= 1/4; spectrum touches 1/2")
-    es = herm_eig(a, profile)
-    return hermitian_part(es.apply(np.where(es.eigenvalues >= 0.5, 1.0, 0.0)))
+    return _threshold_half(es)
 
 
 def _pinv_psd_action(m: np.ndarray, profile: ToleranceProfile) -> np.ndarray:

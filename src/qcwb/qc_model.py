@@ -24,6 +24,7 @@ from .linalg import (
     NotHermitian,
     ToleranceProfile,
     _eigh_raw,
+    _hermitian_defect,
     frac_power,
     hermitian_part,
     op_norm,
@@ -111,8 +112,8 @@ def t_matrix(
     h, x, k = triple.h, triple.x, triple.k
     if check_hermitian:
         for name, m in (("h", h), ("k", k)):
-            defect = op_norm(m - m.conj().T, profile)
-            if defect > profile.hermitian_tol * max(1.0, op_norm(m, profile)):
+            defect = _hermitian_defect(m, profile.hermitian_tol, profile)
+            if defect is not None:
                 raise NotHermitian(f"{name} has hermitian defect {defect:.3e}")
     eye = np.eye(triple.dim, dtype=complex)
     return np.block([[eye - h, x.conj().T], [x, k]])

@@ -35,6 +35,7 @@ from .linalg import (
     STEP_HALF,
     RealFunction,
     ToleranceProfile,
+    _hermitian_defect,
     func_calc,
     op_norm,
 )
@@ -640,8 +641,8 @@ def evaluate(
         return e.factor * evaluate(e.arg, env, registry, profile)
     if isinstance(e, FnApp):
         arg = evaluate(e.arg, env, registry, profile)
-        defect = op_norm(arg - arg.conj().T, profile)
-        if defect > 1e-8 * max(1.0, op_norm(arg, profile)):
+        defect = _hermitian_defect(arg, 1e-8, profile)
+        if defect is not None:
             raise NotHermitianAtFnApp(
                 f"{e.fname} received a matrix with hermitian defect {defect:.3e}"
             )

@@ -27,13 +27,12 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_PROFILE,
-    GapTooSmall,
     RealFunction,
     ToleranceProfile,
     _eigh_raw,
-    func_calc,
+    _idempotency_defect,
+    _threshold_half,
     hermitian_part,
-    nearest_projection,
     op_norm,
     smooth_step,
 )
@@ -254,28 +253,33 @@ def smooth_representation(
 
     h, x, k = triple.h, triple.x, triple.k
     s = hermitian_part(0.5 * (h + h.conj().T - k - k.conj().T))
-    s_eigs = _eigh_raw(s, profile).eigenvalues
-    gp = make_gplus(params.theta)
-    gm = make_gminus(params.theta)
-    qp = make_qplus(params.theta, params.ramp_width)
-    qm = make_qminus(params.theta, params.ramp_width)
+    # one decomposition of s serves its extreme eigenvalues and all four cutoffs
+    s_sys = _eigh_raw(s, profile)
+    s_eigs = s_sys.eigenvalues
 
-    h2 = func_calc(s, gp, profile)
-    k2 = func_calc(s, gm, profile)
-    x2 = func_calc(s, qm, profile) @ x @ func_calc(s, qp, profile)
+    def cutoff(f: RealFunction) -> np.ndarray:
+        return hermitian_part(s_sys.apply(f(s_eigs)))
 
+    h2 = cutoff(make_gplus(params.theta))
+    k2 = cutoff(make_gminus(params.theta))
+    x2 = (
+        cutoff(make_qminus(params.theta, params.ramp_width))
+        @ x
+        @ cutoff(make_qplus(params.theta, params.ramp_width))
+    )
+
+    # T2 is Hermitian by construction; one decomposition gives both
+    # ||T2^2 - T2|| = max|w^2 - w| and the threshold projection
     t2 = np.block(
         [[np.eye(n, dtype=complex) - h2, x2.conj().T], [x2, k2]]
     )
-    t2_defect = op_norm(t2 @ t2 - t2, profile)
-    if t2_defect >= 0.25:
+    t2_sys = _eigh_raw(t2, profile)
+    t2_defect = _idempotency_defect(t2_sys)
+    if not (t2_defect < 0.25):
         raise SpectralGapFailure(
             f"||T2^2 - T2|| = {t2_defect:.4f} >= 1/4; spectrum reaches 1/2"
         )
-    try:
-        p = nearest_projection(t2, profile)
-    except GapTooSmall as exc:  # same condition measured inside
-        raise SpectralGapFailure(str(exc)) from exc
+    p = _threshold_half(t2_sys)
 
     h_out = hermitian_part(np.eye(n, dtype=complex) - p[:n, :n])
     x_out = p[n:, :n]

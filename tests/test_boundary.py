@@ -10,6 +10,7 @@ from qcwb.boundary import (
     IntervalModel,
     NoSpectralGap,
     NotOrthogonal,
+    PhaseStepTooLarge,
     WindingIllConditioned,
     boundary_unitary,
     builtin_scenario,
@@ -322,3 +323,21 @@ class TestRunScenario:
         result, _, _ = run_scenario("zero", grid_size=8)
         assert result.winding == 0
         assert result.invariants_hold()
+
+    def test_refines_past_large_phase_step(self):
+        # 16 copies of eval-at-one: the det phase step on grid 64 is pi/2,
+        # which winding_number rejects; the run must refine, not raise
+        one = builtin_scenario("eval-at-one")
+        at0, at1 = one.at0, one.at1
+        for _ in range(15):
+            at0, at1 = at0.direct_sum(one.at0), at1.direct_sum(one.at1)
+        rep = BScenarioRep(at0, at1)
+        coarse, _, coarse_model = run_scenario(rep, grid_size=64)
+        fine, _, _ = run_scenario(rep, grid_size=256)
+        assert coarse_model.grid_size > 64
+        assert coarse.winding == fine.winding == 16
+        assert coarse.invariants_hold()
+
+    def test_refinement_stops_at_max_grid(self):
+        with pytest.raises(PhaseStepTooLarge):
+            run_scenario("eval-at-one", grid_size=2, max_grid=2)

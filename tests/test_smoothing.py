@@ -231,3 +231,23 @@ class TestAutoTheta:
         z = np.zeros((n, n), dtype=complex)
         with pytest.raises(NoWorkableTheta):
             auto_theta(QcTriple(h, z, z), epsilon=0.2)
+
+
+def test_smooth_representation_decomposes_once(rng, monkeypatch):
+    # s and T2 are decomposed once each; every other call is one norm
+    trip, _ = perturbed_generators(rng, m=16, size=1e-4)
+    params = SmoothingParams(epsilon=0.1, theta=0.05, delta=1e-3)
+    calls = []
+    for attr in ("eigh", "eigvalsh", "svd", "det", "eig", "eigvals", "qr",
+                 "solve", "inv", "pinv", "lstsq", "cholesky"):
+        fn = getattr(np.linalg, attr)
+
+        def counted(*args, _fn=fn, _attr=attr, **kwargs):
+            calls.append(_attr)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, attr, counted)
+    out, report = smooth_representation(trip, params)
+    assert report.success
+    assert len(calls) <= 20, calls
+    assert calls.count("eigh") == 2
