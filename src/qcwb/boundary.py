@@ -10,7 +10,7 @@ the pipeline
    (positive/negative parts of a linear interpolant),
 2. lifts x through the corner factorization x = k^(1/8) y h^(1/8), with y
    interpolated between its endpoint values,
-3. forms the blocked matrix T fiberwise and clamps its spectrum to [0, 1],
+3. forms the blocked matrix T and clamps its spectrum to [0, 1],
 4. exponentiates: U = exp(2 pi i T'), a unitary path equal to the identity
    at both endpoints,
 5. collapses the four blocks of U to the single unitary
@@ -20,6 +20,9 @@ the pipeline
 The resulting integer winding is the index obstruction carried by the input:
 it vanishes exactly when a spectral gap around 1/2 lets the fiberwise
 threshold produce an exact lift of the representation.
+
+Every path is one stacked ``(m+1, n, n)`` array, and each step is one call
+of the stacked kernel in :mod:`qcwb.linalg` on the whole path.
 """
 
 from __future__ import annotations
@@ -36,7 +39,9 @@ from .linalg import (
     DimMismatch,
     ToleranceProfile,
     _eigh_raw,
+    _first_fiber,
     _threshold_half,
+    adjoint,
     frac_power,
     func_calc,
     hermitian_part,
@@ -44,13 +49,14 @@ from .linalg import (
     unitary_exp,
 )
 from .qc_model import (
+    E11,
     QcTriple,
     canonical_fiber,
     factor_x,
     low_level_residuals,
     t_matrix,
 )
-from .structures import CornerQuad, SupportViolation, homotopy_theta, support_projection
+from .structures import CornerQuad, CornerSystem, homotopy_theta, support_projection
 
 __all__ = [
     "NotOrthogonal",
@@ -155,13 +161,7 @@ class GridFunction:
         if m == 0:
             return 0.0
         dt = 1.0 / m
-        return max(
-            op_norm(self.values[i + 1] - self.values[i], profile) / dt
-            for i in range(m)
-        )
-
-    def fiberwise(self, f) -> "GridFunction":
-        return GridFunction(np.stack([f(v) for v in self.values]))
+        return float(np.max(op_norm(np.diff(self.values, axis=0), profile))) / dt
 
 
 @dataclass(frozen=True)
@@ -188,10 +188,8 @@ def interpolate_pair(
         w0 = 0.5 * (1.0 + np.cos(np.pi * ts))
     else:
         raise ValueError(f"unknown interpolation scheme {scheme!r}")
-    vals = np.stack(
-        [w * pair.at0 + (1.0 - w) * pair.at1 for w in w0]
-    )
-    return GridFunction(vals)
+    w0 = w0[:, None, None]
+    return GridFunction(w0 * pair.at0 + (1.0 - w0) * pair.at1)
 
 
 @dataclass(frozen=True)
@@ -224,12 +222,11 @@ def builtin_scenario(name: str) -> BScenarioRep:
     of ``eval-at-one`` with itself.
     """
     z2 = np.zeros((2, 2), dtype=complex)
-    e11 = np.diag([1.0, 0.0]).astype(complex)
     zero2 = QcTriple(z2, z2, z2)
     if name == "zero":
         return BScenarioRep(zero2, zero2)
     if name == "eval-at-one":
-        return BScenarioRep(QcTriple(e11, z2, z2), zero2)
+        return BScenarioRep(QcTriple(E11, z2, z2), zero2)
     if name == "matched-endpoints":
         fiber = canonical_fiber(0.5)
         return BScenarioRep(fiber, fiber)
@@ -246,16 +243,6 @@ def builtin_scenario(name: str) -> BScenarioRep:
 # ---------------------------------------------------------------------------
 
 
-def _check_positive_contraction(
-    name: str, m: np.ndarray, profile: ToleranceProfile, tol: float = 1e-8
-) -> None:
-    w = _eigh_raw(hermitian_part(m), profile).eigenvalues
-    if w.size and (float(w[0]) < -tol or float(w[-1]) > 1.0 + tol):
-        raise NotOrthogonal(
-            f"{name} is not a positive contraction (spectrum [{w[0]:.3e}, {w[-1]:.3e}])"
-        )
-
-
 def lift_orthogonal_positive(
     hb: EndpointPair,
     kb: EndpointPair,
@@ -268,20 +255,26 @@ def lift_orthogonal_positive(
     parts recover the endpoints exactly (orthogonality makes pos(h - k) = h)
     and stay orthogonal at every grid point.
     """
-    for name, m in (("h(0)", hb.at0), ("h(1)", hb.at1), ("k(0)", kb.at0), ("k(1)", kb.at1)):
-        _check_positive_contraction(name, m, profile)
-    for label, (hh, kk) in {
-        "endpoint 0": (hb.at0, kb.at0),
-        "endpoint 1": (hb.at1, kb.at1),
-    }.items():
-        if op_norm(hh @ kk, profile) > 1e-10 * max(1.0, op_norm(hh) * op_norm(kk)):
-            raise NotOrthogonal(f"h and k fail orthogonality at {label}")
+    names = ("h(0)", "h(1)", "k(0)", "k(1)")
+    ends = np.stack([hb.at0, hb.at1, kb.at0, kb.at1])
+    w = _eigh_raw(ends, profile).eigenvalues
+    lo, hi = w.min(axis=-1, initial=0.0), w.max(axis=-1, initial=1.0)
+    idx = _first_fiber(~((lo >= -1e-8) & (hi <= 1.0 + 1e-8)))
+    if idx is not None:
+        raise NotOrthogonal(
+            f"{names[idx[0]]} is not a positive contraction "
+            f"(spectrum [{w[idx][0]:.3e}, {w[idx][-1]:.3e}])"
+        )
+    hs, ks = ends[:2], ends[2:]
+    defect = op_norm(hs @ ks, profile)
+    bound = 1e-10 * np.maximum(1.0, op_norm(hs, profile) * op_norm(ks, profile))
+    idx = _first_fiber(~(defect <= bound))
+    if idx is not None:
+        raise NotOrthogonal(f"h and k fail orthogonality at endpoint {idx[0]}")
     c = interpolate_pair(
         EndpointPair(hb.at0 - kb.at0, hb.at1 - kb.at1), model
-    )
-    h = c.fiberwise(lambda v: func_calc(v, POS, profile))
-    k = c.fiberwise(lambda v: func_calc(v, NEG, profile))
-    return h, k
+    ).values
+    return GridFunction(func_calc(c, POS, profile)), GridFunction(func_calc(c, NEG, profile))
 
 
 @dataclass(frozen=True)
@@ -313,28 +306,23 @@ def _scalar_parts(
     corner-leak defect observed.
     """
     n = h.fiber_dim
-    alphas: list[float] = []
-    betas: list[float] = []
-    leak = 0.0
-    for i in range(t_prime.grid_size + 1):
-        tp = t_prime.at(i)
-        t11, t12 = tp[:n, :n], tp[:n, n:]
-        t22 = tp[n:, n:]
-        ph = support_projection(h.at(i), profile)
-        pk = support_projection(k.at(i), profile)
-        compl_h = np.eye(n, dtype=complex) - ph
-        compl_k = np.eye(n, dtype=complex) - pk
-        rank_ch = round(float(np.trace(compl_h).real))
-        rank_ck = round(float(np.trace(compl_k).real))
-        if rank_ch > 0:
-            alphas.append(float((np.trace(compl_h @ t11) / rank_ch).real))
-        if rank_ck > 0:
-            betas.append(float((np.trace(compl_k @ t22) / rank_ck).real))
-        # corner discipline of the off-diagonal block
-        leak = max(leak, op_norm(t12 - ph @ t12 @ pk, profile))
-    alpha = float(np.median(alphas)) if alphas else 1.0
-    beta = float(np.median(betas)) if betas else 0.0
-    return complex(alpha), complex(beta), leak
+    tp = t_prime.values
+    ph = support_projection(h.values, profile)
+    pk = support_projection(k.values, profile)
+
+    def compressed_median(p: np.ndarray, block: np.ndarray, default: float) -> complex:
+        compl = np.eye(n, dtype=complex) - p
+        rank = np.rint(np.trace(compl, axis1=-2, axis2=-1).real)
+        has = rank > 0
+        vals = np.trace(compl[has] @ block[has], axis1=-2, axis2=-1).real / rank[has]
+        return complex(np.median(vals) if vals.size else default)
+
+    alpha = compressed_median(ph, tp[:, :n, :n], 1.0)
+    beta = compressed_median(pk, tp[:, n:, n:], 0.0)
+    # corner discipline of the off-diagonal block
+    t12 = tp[:, :n, n:]
+    leak = float(np.max(op_norm(t12 - ph @ t12 @ pk, profile)))
+    return alpha, beta, leak
 
 
 def lift_T(
@@ -361,7 +349,6 @@ def lift_T(
         raise DimMismatch(
             f"model fiber dim {model.fiber_dim} != representation dim {rep.fiber_dim}"
         )
-    n = rep.fiber_dim
     h, k = lift_orthogonal_positive(
         EndpointPair(rep.at0.h, rep.at1.h),
         EndpointPair(rep.at0.k, rep.at1.k),
@@ -372,29 +359,17 @@ def lift_T(
         factor_x(rep.at0, profile), factor_x(rep.at1, profile)
     )
     y = interpolate_pair(y_ends, model, scheme)
-
-    def x_at(i: int) -> np.ndarray:
-        k8 = frac_power(k.at(i), 0.125, profile)
-        h8 = frac_power(h.at(i), 0.125, profile)
-        return k8 @ y.at(i) @ h8
-
-    x = GridFunction(np.stack([x_at(i) for i in range(model.grid_size + 1)]))
-
-    def t_at(i: int) -> np.ndarray:
-        return t_matrix(
-            QcTriple(h.at(i), x.at(i), k.at(i)), profile, check_hermitian=False
-        )
-
-    t_raw = GridFunction(np.stack([t_at(i) for i in range(model.grid_size + 1)]))
-    t_prime = t_raw.fiberwise(lambda v: func_calc(v, CLAMP01, profile))
-
-    end0 = t_matrix(rep.at0, profile)
-    end1 = t_matrix(rep.at1, profile)
-    defect = max(
-        op_norm(t_prime.at(0) - end0, profile),
-        op_norm(t_prime.at(model.grid_size) - end1, profile),
+    x = GridFunction(
+        frac_power(k.values, 0.125, profile) @ y.values @ frac_power(h.values, 0.125, profile)
     )
-    if defect > endpoint_tol:
+    t_raw = GridFunction(
+        t_matrix(QcTriple(h.values, x.values, k.values), profile, check_hermitian=False)
+    )
+    t_prime = GridFunction(func_calc(t_raw.values, CLAMP01, profile))
+
+    ends = np.stack([t_matrix(rep.at0, profile), t_matrix(rep.at1, profile)])
+    defect = float(np.max(op_norm(t_prime.values[[0, -1]] - ends, profile)))
+    if not (defect <= endpoint_tol):
         raise LiftResidual(f"clamped path misses the endpoints by {defect:.3e}")
     alpha, beta, leak = _scalar_parts(t_prime, h, k, profile)
     return TLift(
@@ -423,22 +398,20 @@ def winding_number(
 
     Returns (winding, rounding residual, largest phase step).  Raises
     :class:`PhaseStepTooLarge` when a step reaches ``max_step``, and
-    :class:`WindingIllConditioned` when a determinant vanishes or the total
-    strays more than 0.1 turns from an integer.
+    :class:`WindingIllConditioned` when a determinant vanishes (or is not
+    finite) or the total strays more than 0.1 turns from an integer.
     """
-    dets = [complex(np.linalg.det(m)) for m in mats]
-    for i, d in enumerate(dets):
-        if abs(d) < 1e-12:
-            raise WindingIllConditioned(f"determinant vanishes at grid point {i}")
-    steps = [
-        float(np.angle(dets[i + 1] / dets[i])) for i in range(len(dets) - 1)
-    ]
-    largest = max((abs(s) for s in steps), default=0.0)
+    dets = np.linalg.det(np.asarray(mats))
+    idx = _first_fiber(~(np.abs(dets) >= 1e-12))
+    if idx is not None:
+        raise WindingIllConditioned(f"determinant vanishes at grid point {idx[0]}")
+    steps = np.angle(dets[1:] / dets[:-1])
+    largest = float(np.max(np.abs(steps), initial=0.0))
     if largest >= max_step:
         raise PhaseStepTooLarge(
             f"phase step {largest:.3f} rad exceeds {max_step:.3f}; refine the grid"
         )
-    total = sum(steps) / (2.0 * np.pi)
+    total = float(np.sum(steps)) / (2.0 * np.pi)
     winding = int(round(total))
     residual = abs(total - winding)
     if residual > 0.1:
@@ -488,30 +461,21 @@ def boundary_unitary(
             f"expected fibers of dim {2 * model.fiber_dim}, got {two_n}"
         )
     n = model.fiber_dim
-    u_big = t_prime.fiberwise(lambda v: unitary_exp(v, profile))
-    eye2n = np.eye(two_n, dtype=complex)
-    end_defect_big = max(
-        op_norm(u_big.at(0) - eye2n, profile),
-        op_norm(u_big.at(model.grid_size) - eye2n, profile),
+    u_big = unitary_exp(t_prime.values, profile)
+    end_defect_big = float(
+        np.max(op_norm(u_big[[0, -1]] - np.eye(two_n, dtype=complex), profile))
     )
-    if end_defect_big > endpoint_tol:
+    if not (end_defect_big <= endpoint_tol):
         raise EndpointDefect(
             f"exp path is not the identity at the endpoints (defect {end_defect_big:.3e})"
         )
     eye = np.eye(n, dtype=complex)
-
-    def collapse(v: np.ndarray) -> np.ndarray:
-        return -eye + v[:n, :n] + v[:n, n:] + v[n:, :n] + v[n:, n:]
-
-    u = u_big.fiberwise(collapse)
-    unit_defect = max(
-        op_norm(u.at(i) @ u.at(i).conj().T - eye, profile)
-        for i in range(model.grid_size + 1)
+    u = GridFunction(
+        -eye + u_big[:, :n, :n] + u_big[:, :n, n:] + u_big[:, n:, :n] + u_big[:, n:, n:]
     )
-    end_defect = max(
-        op_norm(u.at(0) - eye, profile),
-        op_norm(u.at(model.grid_size) - eye, profile),
-    )
+    del u_big
+    unit_defect = float(np.max(op_norm(u.values @ adjoint(u.values) - eye, profile)))
+    end_defect = float(np.max(op_norm(u.values[[0, -1]] - eye, profile)))
     winding, _, step_max = winding_number(u.values)
     return BoundaryResult(
         u=u,
@@ -559,37 +523,32 @@ def exact_projection_lift(
     """
     lift = lift_T(rep, model, scheme, profile)
     n = model.fiber_dim
-    projections = []
-    for i in range(model.grid_size + 1):
-        es = _eigh_raw(lift.t_raw.at(i), profile)
-        w = es.eigenvalues
-        inside = w[(w > 0.5 - gamma) & (w < 0.5 + gamma)]
-        if inside.size:
-            raise NoSpectralGap(
-                f"fiber {i} has spectrum {inside.round(4).tolist()} within "
-                f"{gamma} of 1/2; no exact lift on this path"
-            )
-        projections.append(_threshold_half(es))
-    p = GridFunction(np.stack(projections))
-    eye = np.eye(n, dtype=complex)
-    h = p.fiberwise(lambda v: hermitian_part(eye - v[:n, :n]))
-    x = p.fiberwise(lambda v: v[n:, :n])
-    k = p.fiberwise(lambda v: hermitian_part(v[n:, n:]))
-    worst = 0.0
-    for i in range(model.grid_size + 1):
-        trip = QcTriple(h.at(i), x.at(i), k.at(i))
-        worst = max(worst, max(low_level_residuals(trip, profile).values()))
+    es = _eigh_raw(lift.t_raw.values, profile)
+    w = es.eigenvalues
+    inside = (w > 0.5 - gamma) & (w < 0.5 + gamma)
+    idx = _first_fiber(inside.any(axis=-1))
+    if idx is not None:
+        raise NoSpectralGap(
+            f"fiber {idx[0]} has spectrum {w[idx][inside[idx]].round(4).tolist()} within "
+            f"{gamma} of 1/2; no exact lift on this path"
+        )
+    p = _threshold_half(es)
+    h = GridFunction(hermitian_part(np.eye(n, dtype=complex) - p[:, :n, :n]))
+    x = GridFunction(p[:, n:, :n])
+    k = GridFunction(hermitian_part(p[:, n:, n:]))
+    res = low_level_residuals(QcTriple(h.values, x.values, k.values), profile)
+    worst = float(max(np.max(v) for v in res.values()))
     end_defect = max(
-        op_norm(h.at(0) - rep.at0.h, profile),
-        op_norm(x.at(0) - rep.at0.x, profile),
-        op_norm(k.at(0) - rep.at0.k, profile),
-        op_norm(h.at(model.grid_size) - rep.at1.h, profile),
-        op_norm(x.at(model.grid_size) - rep.at1.x, profile),
-        op_norm(k.at(model.grid_size) - rep.at1.k, profile),
+        float(np.max(op_norm(g.values[[0, -1]] - np.stack([at0, at1]), profile)))
+        for g, at0, at1 in (
+            (h, rep.at0.h, rep.at1.h),
+            (x, rep.at0.x, rep.at1.x),
+            (k, rep.at0.k, rep.at1.k),
+        )
     )
-    if worst > 1e-10:
+    if not (worst <= 1e-10):
         raise LiftResidual(f"thresholded lift has residual {worst:.3e}")
-    if end_defect > 1e-9:
+    if not (end_defect <= 1e-9):
         raise LiftResidual(f"thresholded lift misses endpoints by {end_defect:.3e}")
     return GridRepresentation(
         h=h, x=x, k=k, max_residual=worst, endpoint_defect=end_defect
@@ -625,33 +584,17 @@ def homotopy_collapse(
         raise DimMismatch("u_prime fibers must be twice the size of h, k fibers")
     eye = np.eye(n, dtype=complex)
     eye2 = np.eye(two_n, dtype=complex)
-    out_vals = []
-    for i in range(u_prime.grid_size + 1):
-        v = u_prime.at(i)
-        quad = CornerQuad(
-            v[:n, :n] - eye, v[:n, n:], v[n:, :n], v[n:, n:] - eye
-        )
-        ph = support_projection(h.at(i), profile)
-        pk = support_projection(k.at(i), profile)
-        pairs = (
-            (ph, quad.x11, ph),
-            (ph, quad.x12, pk),
-            (pk, quad.x21, ph),
-            (pk, quad.x22, pk),
-        )
-        for pl, xx, pr in pairs:
-            defect = op_norm(pl @ xx @ pr - xx, profile)
-            if defect > profile.support_tol * max(1.0, op_norm(xx, profile)):
-                raise SupportViolation(
-                    f"fiber {i} block leaks outside its corner by {defect:.3e}"
-                )
-        out_vals.append(eye2 + homotopy_theta(quad, s))
-    out = GridFunction(np.stack(out_vals))
-    worst_unitary = max(
-        op_norm(out.at(i) @ out.at(i).conj().T - eye2, profile)
-        for i in range(out.grid_size + 1)
+    v = u_prime.values
+    quad = CornerQuad(v[:, :n, :n] - eye, v[:, :n, n:], v[:, n:, :n], v[:, n:, n:] - eye)
+    corners = CornerSystem(
+        h=h.values,
+        k=k.values,
+        p_h=support_projection(h.values, profile),
+        p_k=support_projection(k.values, profile),
     )
-    if worst_unitary > unitary_tol:
+    out = GridFunction(eye2 + homotopy_theta(quad, s, corners, profile))
+    worst_unitary = float(np.max(op_norm(out.values @ adjoint(out.values) - eye2, profile)))
+    if not (worst_unitary <= unitary_tol):
         raise WindingIllConditioned(
             f"homotopy image loses unitarity by {worst_unitary:.3e}"
         )
@@ -702,4 +645,7 @@ def run_scenario(
         else:
             if result.phase_step_max < refine_until or m >= max_grid:
                 return result, lift, model
+            del result
+        # nothing of the coarse grid is reused: free it before refining
+        del lift
         m *= 2

@@ -10,7 +10,8 @@ field.
 
 Exit codes: 0 success; 1 suite or invariant failure; 2 spectral-gap or
 winding conditioning failure; 3 residual precondition failure; 64 malformed
-input; 65 relation syntax or validation error.
+input; 65 relation syntax or validation error.  ``EXIT_CODES`` maps each
+library exception to one of them.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .linalg import DEFAULT_PROFILE, PROFILES, op_norm
+from .linalg import PROFILES, NoConvergence, func_calc, op_norm
 from .qc_model import (
+    FactorizationResidualTooLarge,
     QcTriple,
     canonical_generators,
     high_level_residuals,
@@ -33,11 +35,11 @@ from .qc_model import (
 )
 from .boundary import (
     BScenarioRep,
-    IntervalModel,
+    EndpointDefect,
+    LiftResidual,
     SCENARIO_NAMES,
     WindingIllConditioned,
-    boundary_unitary,
-    lift_T,
+    builtin_scenario,
     run_scenario,
 )
 from .relations import (
@@ -64,9 +66,11 @@ from .smoothing import (
     SmoothingParams,
     SpectralGapFailure,
     auto_theta,
+    make_gminus,
+    make_gplus,
     smooth_representation,
 )
-from .structures import theta_is_homomorphism
+from .structures import corner_ideal_equality, make_corner_system, theta_is_homomorphism
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -74,6 +78,26 @@ EXIT_GAP = 2
 EXIT_RESIDUAL = 3
 EXIT_BAD_INPUT = 64
 EXIT_BAD_RELATION = 65
+
+# Every library failure a command can meet, mapped to its exit code.  The
+# first matching class wins, so subclasses of ValueError (ResidualTooLarge,
+# the relation errors) come before the catch-all for malformed input.
+# NoWorkableTheta reports how its last attempt failed.
+EXIT_CODES = (
+    (NoWorkableTheta, lambda exc: EXIT_GAP if exc.last_failure == "gap" else EXIT_RESIDUAL),
+    (SpectralGapFailure, EXIT_GAP),
+    (WindingIllConditioned, EXIT_GAP),
+    (NoConvergence, EXIT_GAP),
+    (ResidualTooLarge, EXIT_RESIDUAL),
+    (LiftResidual, EXIT_RESIDUAL),
+    (EndpointDefect, EXIT_RESIDUAL),
+    (FactorizationResidualTooLarge, EXIT_RESIDUAL),
+    (RelationSyntaxError, EXIT_BAD_RELATION),
+    (ValidationError, EXIT_BAD_RELATION),
+    (SamplerExhausted, EXIT_FAIL),
+    # malformed files (FormatError), bad flag combinations, out-of-range parameters
+    ((OSError, ValueError), EXIT_BAD_INPUT),
+)
 
 
 def _resolve_seed(args) -> int:
@@ -118,23 +142,11 @@ def cmd_smooth(args) -> int:
     h, x, k = triple_from_obj(obj)
     triple = QcTriple(h, x, k)
     epsilon = args.epsilon if args.epsilon is not None else 0.1
-    try:
-        if args.theta is not None:
-            params = SmoothingParams(
-                epsilon=epsilon, theta=args.theta, profile=profile
-            )
-            out, report = smooth_representation(triple, params)
-        else:
-            params, out, report = auto_theta(triple, epsilon, profile)
-    except SpectralGapFailure as exc:
-        print(f"smooth: {exc}", file=sys.stderr)
-        return EXIT_GAP
-    except ResidualTooLarge as exc:
-        print(f"smooth: {exc}", file=sys.stderr)
-        return EXIT_RESIDUAL
-    except NoWorkableTheta as exc:
-        print(f"smooth: {exc}", file=sys.stderr)
-        return EXIT_GAP if exc.last_failure == "gap" else EXIT_RESIDUAL
+    if args.theta is not None:
+        params = SmoothingParams(epsilon=epsilon, theta=args.theta, profile=profile)
+        out, report = smooth_representation(triple, params)
+    else:
+        params, out, report = auto_theta(triple, epsilon, profile)
     result = report.to_obj()
     result["output_triple"] = triple_to_obj(out.h, out.x, out.k)
     _emit(args, "smooth", seed, result)
@@ -143,8 +155,6 @@ def cmd_smooth(args) -> int:
 
 def _load_boundary_rep(args) -> BScenarioRep:
     if args.scenario is not None:
-        from .boundary import builtin_scenario
-
         return builtin_scenario(args.scenario)
     if args.input is None:
         raise FormatError("boundary needs --scenario NAME or --input FILE")
@@ -162,11 +172,7 @@ def cmd_boundary(args) -> int:
     profile = _resolve_profile(args)
     rep = _load_boundary_rep(args)
     grid = args.grid if args.grid is not None else 64
-    try:
-        result, lift, model = run_scenario(rep, grid_size=grid, profile=profile)
-    except WindingIllConditioned as exc:
-        print(f"boundary: {exc}", file=sys.stderr)
-        return EXIT_GAP
+    result, _, _ = run_scenario(rep, grid_size=grid, profile=profile)
     _emit(args, "boundary", seed, result.to_obj())
     return EXIT_OK if result.invariants_hold() else EXIT_FAIL
 
@@ -214,8 +220,6 @@ def _check_suite(seed: int, grid: int, profile) -> list[dict]:
         worst_order = max(worst_order, margin_low, margin_high)
     record("relation presentations cross-bound each other", worst_order, 1e-12)
 
-    from .structures import make_corner_system, corner_ideal_equality
-
     n1, n2 = 3, 3
     n = n1 + n2
     h = np.zeros((n, n), dtype=complex)
@@ -253,9 +257,6 @@ def _check_suite(seed: int, grid: int, profile) -> list[dict]:
         worst_gap = max(worst_gap, gap)
     record("ideal meets sandwich subspace exactly", worst_gap, 1e-10)
 
-    from .smoothing import make_gminus, make_gplus
-    from .linalg import func_calc
-
     gp = make_gplus(0.2)
     gm = make_gminus(0.2)
     worst_orth = 0.0
@@ -289,43 +290,36 @@ def cmd_relations(args) -> int:
             source = fh.read()
     except OSError as exc:
         raise FormatError(f"cannot read {args.input}: {exc}")
-    try:
-        rs = parse(source)
-        if args.sweep is not None:
-            spec = load_json(args.sweep)
-            if not isinstance(spec, dict) or "consequence" not in spec:
-                raise FormatError("sweep spec must hold a 'consequence' expression")
-            consequence = parse_expression(str(spec["consequence"]), rs.variables)
-            deltas = [float(d) for d in spec.get("deltas", [1e-2, 1e-3, 1e-4, 1e-5])]
-            samples = int(spec.get("samples_per_delta", 5))
-            sampler = perturbation_sampler(m=int(spec.get("sampler_grid", 4)))
-            table = delta_eps_sweep(
-                rs,
-                consequence,
-                sampler,
-                deltas,
-                samples_per_delta=samples,
-                rng=np.random.default_rng(seed),
-                profile=profile,
-            )
-            result = {"sweep": [[d, v] for d, v in table]}
+    rs = parse(source)
+    if args.sweep is not None:
+        spec = load_json(args.sweep)
+        if not isinstance(spec, dict) or "consequence" not in spec:
+            raise FormatError("sweep spec must hold a 'consequence' expression")
+        consequence = parse_expression(str(spec["consequence"]), rs.variables)
+        deltas = [float(d) for d in spec.get("deltas", [1e-2, 1e-3, 1e-4, 1e-5])]
+        samples = int(spec.get("samples_per_delta", 5))
+        sampler = perturbation_sampler(m=int(spec.get("sampler_grid", 4)))
+        table = delta_eps_sweep(
+            rs,
+            consequence,
+            sampler,
+            deltas,
+            samples_per_delta=samples,
+            rng=np.random.default_rng(seed),
+            profile=profile,
+        )
+        result = {"sweep": [[d, v] for d, v in table]}
+    else:
+        if args.env is not None:
+            env = env_from_obj(load_json(args.env))
+        elif args.scenario == "canonical":
+            trip = canonical_generators(args.grid if args.grid is not None else 4)
+            env = {"h": trip.h, "x": trip.x, "k": trip.k}
         else:
-            if args.env is not None:
-                env = env_from_obj(load_json(args.env))
-            elif args.scenario == "canonical":
-                trip = canonical_generators(args.grid if args.grid is not None else 4)
-                env = {"h": trip.h, "x": trip.x, "k": trip.k}
-            else:
-                raise FormatError(
-                    "relations needs --env FILE or --scenario canonical"
-                )
-            result = {"residuals": residuals(rs, env, profile)}
-    except (RelationSyntaxError, ValidationError) as exc:
-        print(f"relations: {exc}", file=sys.stderr)
-        return EXIT_BAD_RELATION
-    except SamplerExhausted as exc:
-        print(f"relations: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+            raise FormatError(
+                "relations needs --env FILE or --scenario canonical"
+            )
+        result = {"residuals": residuals(rs, env, profile)}
     _emit(args, "relations", seed, result)
     return EXIT_OK
 
@@ -380,13 +374,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FormatError as exc:
-        print(f"qcwb: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except (OSError, ValueError) as exc:
-        # malformed files, bad flag combinations, out-of-range parameters
-        print(f"qcwb: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    except Exception as exc:
+        for cls, code in EXIT_CODES:
+            if isinstance(exc, cls):
+                print(f"{args.command}: {exc}", file=sys.stderr)
+                return code(exc) if callable(code) else code
+        raise
 
 
 if __name__ == "__main__":

@@ -1,6 +1,9 @@
 """Dense complex linear algebra kernel.
 
-Everything in the workbench runs on square ``complex128`` numpy arrays.  This
+Everything in the workbench runs on square ``complex128`` numpy arrays.  Each
+operation takes one matrix ``(n, n)`` or a stack ``(..., n, n)`` of them and
+works fiber by fiber over the leading axes; thresholds and gates stay
+relative to each fiber, and a gate fails when any one fiber fails.  This
 module supplies the Hermitian eigendecomposition (LAPACK by default, with a
 self-contained cyclic Jacobi as an independent alternative), functional
 calculus, operator norms, fractional powers of positive matrices, unitary
@@ -98,25 +101,27 @@ PROFILES = {
 
 
 def adjoint(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(m).conj().T
+    """Conjugate transpose of each fiber."""
+    return np.asarray(m).conj().swapaxes(-1, -2)
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
-    """(m + m*) / 2."""
+    """(m + m*) / 2 of each fiber."""
     m = np.asarray(m, dtype=complex)
-    return 0.5 * (m + m.conj().T)
+    out = m + adjoint(m)
+    out *= 0.5
+    return out
 
 
 def _as_square(m: np.ndarray, what: str = "matrix") -> np.ndarray:
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimMismatch(f"{what} must be square, got shape {a.shape}")
     return a
 
 
 def _same_dim(*mats: np.ndarray) -> int:
-    dims = {m.shape[0] for m in mats}
+    dims = {m.shape[-1] for m in mats}
     if len(dims) != 1:
         raise DimMismatch(f"operands have mixed dimensions {sorted(dims)}")
     return dims.pop()
@@ -136,12 +141,27 @@ class EigenSystem:
 
     @property
     def dim(self) -> int:
-        return self.basis.shape[0]
+        return self.basis.shape[-1]
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        """Assemble basis @ diag(values) @ basis*."""
-        u = self.basis
-        return (u * np.asarray(values)) @ u.conj().T
+        """Assemble basis @ diag(values) @ basis* for each fiber."""
+        # scaling a conjugated copy in place keeps one full-size temporary;
+        # the ufunc always copies (ndarray.conj returns a real array itself)
+        scaled = np.conjugate(self.basis, dtype=complex)
+        scaled *= np.asarray(values)[..., None, :]
+        return self.basis @ scaled.swapaxes(-1, -2)
+
+
+def _first_fiber(fails: np.ndarray) -> tuple[int, ...] | None:
+    """Index of the first fiber flagged in ``fails`` (``()`` for one matrix), or ``None``."""
+    if not np.any(fails):
+        return None
+    return tuple(int(i) for i in np.unravel_index(np.argmax(fails), np.shape(fails)))
+
+
+def _at_fiber(idx: tuple[int, ...]) -> str:
+    """`` at fiber i`` for a stack, nothing for a single matrix."""
+    return f" at fiber {', '.join(map(str, idx))}" if idx else ""
 
 
 def _offdiag_norm(a: np.ndarray) -> float:
@@ -174,13 +194,25 @@ def jacobi_eigh(
     sweep_budget: int = 64,
     off_tol: float = 1e-14,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi eigendecomposition of a Hermitian matrix.
+    """Cyclic Jacobi eigendecomposition of a Hermitian matrix or stack.
 
-    Returns ``(eigenvalues ascending, unitary basis)``.  Stops when the
-    off-diagonal Frobenius mass drops below ``off_tol * ||h||_F``; raises
-    :class:`NoConvergence` if the sweep budget is exhausted first.
+    Returns ``(eigenvalues ascending, unitary basis)``.  Each fiber stops when
+    its off-diagonal Frobenius mass drops below ``off_tol * ||h||_F``;
+    :class:`NoConvergence` is raised if the sweep budget is exhausted first.
     """
     a = hermitian_part(_as_square(h, "eigensolver input"))
+    w = np.empty(a.shape[:-1])
+    u = np.empty_like(a)
+    # the one loop over fibers: it keeps this backend free of LAPACK
+    for idx in np.ndindex(a.shape[:-2]):
+        w[idx], u[idx] = _jacobi_one(a[idx], sweep_budget, off_tol)
+    return w, u
+
+
+def _jacobi_one(
+    a: np.ndarray, sweep_budget: int, off_tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Jacobi on one Hermitian matrix ``a``, which is overwritten."""
     n = a.shape[0]
     u = np.eye(n, dtype=complex)
     scale = float(np.linalg.norm(a))
@@ -216,7 +248,7 @@ def jacobi_eigh(
 
 
 def _eigh_raw(h: np.ndarray, profile: ToleranceProfile) -> EigenSystem:
-    """Decompose the Hermitian part of ``h`` without precondition checks."""
+    """Decompose the Hermitian part of each fiber of ``h``, unchecked."""
     a = hermitian_part(h)
     if profile.method == "jacobi":
         w, u = jacobi_eigh(a, profile.sweep_budget, profile.off_diag_tol)
@@ -228,40 +260,44 @@ def _eigh_raw(h: np.ndarray, profile: ToleranceProfile) -> EigenSystem:
     return EigenSystem(eigenvalues=w, basis=u)
 
 
-def _hermitian_defect(a: np.ndarray, tol: float, profile: ToleranceProfile) -> float | None:
-    """``None`` when ``||a - a*|| <= tol * max(1, ||a||)`` in operator norm, else the defect.
+def _hermitian_defect(
+    a: np.ndarray, tol: float, profile: ToleranceProfile
+) -> tuple[float, str] | None:
+    """``None`` when every fiber has ``||a - a*|| <= tol * max(1, ||a||)``, else
+    the first failing fiber's defect and its :func:`_at_fiber` label.
 
     Frobenius first: ``||d||_2 <= ||d||_F`` and ``||a||_2 >= ||a||_F / sqrt(n)``,
-    so ``||a - a*||_F <= tol * max(1, ||a||_F / sqrt(n))`` accepts without a
-    decomposition.  Only otherwise are the two operator norms computed.  The
-    gate accepts exactly what the operator-norm check accepts; a non-finite
-    matrix is rejected.
+    so ``||a - a*||_F <= tol * max(1, ||a||_F / sqrt(n))`` accepts a fiber
+    without a decomposition.  Only the other finite fibers get the two
+    operator norms.  The gate accepts exactly what the operator-norm check
+    accepts; a non-finite fiber is rejected.
     """
-    with np.errstate(invalid="ignore"):  # inf - inf: rejected below as NaN
-        d = a - a.conj().T
-    d_frob = float(np.linalg.norm(d))
-    if not math.isfinite(d_frob):
-        return d_frob
-    if d_frob <= tol * max(1.0, float(np.linalg.norm(a)) / math.sqrt(max(a.shape[0], 1))):
-        return None
-    defect = op_norm(d, profile)
-    if not (defect <= tol * max(1.0, op_norm(a, profile))):
-        return defect
-    return None
+    with np.errstate(invalid="ignore"):  # inf - inf, inf * 0: rejected below as NaN
+        d = a - adjoint(a)
+        defect = np.asarray(np.linalg.norm(d, axis=(-2, -1)))
+        scale = np.linalg.norm(a, axis=(-2, -1)) / math.sqrt(max(a.shape[-1], 1))
+    ok = np.asarray(defect <= tol * np.maximum(1.0, scale))
+    exact = ~ok & np.isfinite(defect)
+    if np.any(exact):
+        defect[exact] = op_norm(d[exact], profile)
+        ok[exact] = defect[exact] <= tol * np.maximum(1.0, op_norm(a[exact], profile))
+    idx = _first_fiber(~ok)
+    return None if idx is None else (float(defect[idx]), _at_fiber(idx))
 
 
 def herm_eig(h: np.ndarray, profile: ToleranceProfile = DEFAULT_PROFILE) -> EigenSystem:
-    """Eigendecomposition of a Hermitian matrix, ascending eigenvalues.
+    """Eigendecomposition of each Hermitian fiber, ascending eigenvalues.
 
-    Raises :class:`NotHermitian` when ``||h - h*||`` exceeds
-    ``hermitian_tol * max(1, ||h||)`` in operator norm, or when ``h`` is not
-    finite.  The precondition is decided by Frobenius norms whenever they
-    settle it, so a Hermitian input costs one decomposition, not three.
+    Raises :class:`NotHermitian`, naming the first failing fiber, when
+    ``||h - h*||`` exceeds ``hermitian_tol * max(1, ||h||)`` in operator norm
+    or when ``h`` is not finite.  The precondition is decided by Frobenius
+    norms whenever they settle it, so a Hermitian input costs one
+    decomposition, not three.
     """
     a = _as_square(h, "herm_eig input")
-    defect = _hermitian_defect(a, profile.hermitian_tol, profile)
-    if defect is not None:
-        raise NotHermitian(f"hermitian defect {defect:.3e} exceeds tolerance")
+    bad = _hermitian_defect(a, profile.hermitian_tol, profile)
+    if bad is not None:
+        raise NotHermitian(f"hermitian defect {bad[0]:.3e}{bad[1]} exceeds tolerance")
     return _eigh_raw(a, profile)
 
 
@@ -345,30 +381,33 @@ def unitary_exp(t: np.ndarray, profile: ToleranceProfile = DEFAULT_PROFILE) -> n
     return es.apply(np.exp(2j * np.pi * es.eigenvalues))
 
 
-def op_norm(m: np.ndarray, profile: ToleranceProfile = DEFAULT_PROFILE) -> float:
+def op_norm(
+    m: np.ndarray, profile: ToleranceProfile = DEFAULT_PROFILE
+) -> float | np.ndarray:
     """Operator (spectral) norm: the largest singular value, values only.
 
-    The LAPACK method takes the top value of ``svd(m, compute_uv=False)``; it
+    A float for one matrix, an array of per-fiber norms for a stack.  The
+    LAPACK method takes the top value of ``svd(m, compute_uv=False)``; it
     never forms ``m* m``, so the result neither overflows nor underflows while
     ``m`` itself is representable.  The Jacobi method stays self-contained:
     Jacobi on the Gram matrix of ``m / max|m_ij|``, rescaled afterwards.
     """
     a = _as_square(m, "op_norm input")
-    if a.size == 0:
-        return 0.0
-    if profile.method == "jacobi":
-        scale = float(np.max(np.abs(a)))
-        if scale == 0.0:
-            return 0.0
-        if not math.isfinite(scale):
+    if a.shape[-1] == 0:
+        norms = np.zeros(a.shape[:-2])
+    elif profile.method == "jacobi":
+        scale = np.max(np.abs(a), axis=(-2, -1))
+        if not np.all(np.isfinite(scale)):
             raise NoConvergence("op_norm input is not finite")
-        b = a / scale
-        w, _ = jacobi_eigh(b.conj().T @ b, profile.sweep_budget, profile.off_diag_tol)
-        return scale * math.sqrt(max(float(w[-1]), 0.0))
-    try:
-        return float(np.linalg.svd(a, compute_uv=False)[0])
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
+        b = a / np.where(scale > 0.0, scale, 1.0)[..., None, None]
+        w, _ = jacobi_eigh(adjoint(b) @ b, profile.sweep_budget, profile.off_diag_tol)
+        norms = scale * np.sqrt(np.maximum(w[..., -1], 0.0))
+    else:
+        try:
+            norms = np.linalg.svd(a, compute_uv=False)[..., 0]
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergence(str(exc)) from exc
+    return float(norms) if a.ndim == 2 else norms
 
 
 def frac_power(
@@ -385,8 +424,13 @@ def frac_power(
         raise ValueError(f"exponent must be positive, got {p}")
     es = herm_eig(h, profile)
     w = es.eigenvalues
-    if w.size and float(w[0]) < -profile.clamp_tol:
-        raise NotPositive(f"lowest eigenvalue {w[0]:.3e} below -{profile.clamp_tol:.0e}")
+    lowest = w.min(axis=-1, initial=0.0)
+    idx = _first_fiber(lowest < -profile.clamp_tol)
+    if idx is not None:
+        raise NotPositive(
+            f"lowest eigenvalue {lowest[idx]:.3e}{_at_fiber(idx)} "
+            f"below -{profile.clamp_tol:.0e}"
+        )
     return hermitian_part(es.apply(np.power(np.maximum(w, 0.0), p)))
 
 
@@ -421,17 +465,14 @@ def nearest_projection(
 
 
 def _pinv_psd_action(m: np.ndarray, profile: ToleranceProfile) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse via the eigendecomposition of m* m."""
-    gram = hermitian_part(m.conj().T @ m)
-    es = _eigh_raw(gram, profile)
+    """Moore-Penrose pseudo-inverse via the eigendecomposition of m* m; zero for m = 0."""
+    mh = adjoint(m)
+    es = _eigh_raw(mh @ m, profile)
     w = np.maximum(es.eigenvalues, 0.0)
     sigma = np.sqrt(w)
-    smax = float(sigma[-1]) if sigma.size else 0.0
-    if smax == 0.0:
-        return np.zeros_like(m.conj().T)
-    keep = sigma > profile.rank_tol * smax
+    keep = sigma > profile.rank_tol * sigma[..., -1:]
     inv = np.where(keep, 1.0 / np.where(w > 0.0, w, 1.0), 0.0)
-    return es.apply(inv) @ m.conj().T
+    return es.apply(inv) @ mh
 
 
 def pseudo_solve(

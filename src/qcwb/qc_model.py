@@ -25,6 +25,7 @@ from .linalg import (
     ToleranceProfile,
     _eigh_raw,
     _hermitian_defect,
+    adjoint,
     frac_power,
     hermitian_part,
     op_norm,
@@ -42,6 +43,9 @@ __all__ = [
     "canonical_fiber",
     "factor_x",
     "LOW_LEVEL_LABELS",
+    "E11",
+    "E22",
+    "E21",
 ]
 
 
@@ -51,10 +55,21 @@ class FactorizationResidualTooLarge(RuntimeError):
 
 LOW_LEVEL_LABELS = ("h_quadratic", "k_quadratic", "intertwiner", "orthogonality")
 
+# the 2x2 matrix units of the model fiber
+E11 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+E22 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
+E21 = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
+for _unit in (E11, E22, E21):
+    _unit.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class QcTriple:
-    """An ordered triple of same-size complex matrices."""
+    """An ordered triple of same-shape complex matrices, or of stacks of them.
+
+    Components are ``(n, n)`` or ``(..., n, n)``; a stacked triple holds one
+    triple per fiber, and the functions of this module work fiber by fiber.
+    """
 
     h: np.ndarray
     x: np.ndarray
@@ -65,7 +80,7 @@ class QcTriple:
         x = np.asarray(self.x, dtype=complex)
         k = np.asarray(self.k, dtype=complex)
         for name, m in (("h", h), ("x", x), ("k", k)):
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
                 raise DimMismatch(f"{name} must be square, got shape {m.shape}")
         if not (h.shape == x.shape == k.shape):
             raise DimMismatch(
@@ -77,7 +92,7 @@ class QcTriple:
 
     @property
     def dim(self) -> int:
-        return self.h.shape[0]
+        return self.h.shape[-1]
 
     def direct_sum(self, other: "QcTriple") -> "QcTriple":
         def dsum(a, b):
@@ -104,29 +119,30 @@ def t_matrix(
     profile: ToleranceProfile = DEFAULT_PROFILE,
     check_hermitian: bool = True,
 ) -> np.ndarray:
-    """The 2n x 2n block matrix [[1 - h, x*], [x, k]].
+    """The 2n x 2n block matrix [[1 - h, x*], [x, k]] of each fiber.
 
     With Hermitian h, k this is self-adjoint; ``check_hermitian=False`` skips
-    the precondition for residual sweeps over arbitrary triples.
+    the precondition for residual sweeps over arbitrary triples and for
+    blocks Hermitian by construction.
     """
     h, x, k = triple.h, triple.x, triple.k
     if check_hermitian:
         for name, m in (("h", h), ("k", k)):
-            defect = _hermitian_defect(m, profile.hermitian_tol, profile)
-            if defect is not None:
-                raise NotHermitian(f"{name} has hermitian defect {defect:.3e}")
+            bad = _hermitian_defect(m, profile.hermitian_tol, profile)
+            if bad is not None:
+                raise NotHermitian(f"{name} has hermitian defect {bad[0]:.3e}{bad[1]}")
     eye = np.eye(triple.dim, dtype=complex)
-    return np.block([[eye - h, x.conj().T], [x, k]])
+    return np.block([[eye - h, adjoint(x)], [x, k]])
 
 
 def low_level_residuals(
     triple: QcTriple, profile: ToleranceProfile = DEFAULT_PROFILE
 ) -> dict[str, float]:
-    """Operator norms of the four defining relation defects."""
+    """Operator norms of the four defining relation defects, per fiber."""
     h, x, k = triple.h, triple.x, triple.k
     return {
-        "h_quadratic": op_norm(h.conj().T @ h + x.conj().T @ x - h, profile),
-        "k_quadratic": op_norm(k.conj().T @ k + x @ x.conj().T - k, profile),
+        "h_quadratic": op_norm(adjoint(h) @ h + adjoint(x) @ x - h, profile),
+        "k_quadratic": op_norm(adjoint(k) @ k + x @ adjoint(x) - k, profile),
         "intertwiner": op_norm(k @ x - x @ h, profile),
         "orthogonality": op_norm(h @ k, profile),
     }
@@ -159,10 +175,7 @@ def positivity_residuals(
 
 def canonical_fiber(t: float) -> QcTriple:
     """The 2x2 model representation at parameter t in (0, 1]."""
-    e11 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    e22 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
-    e21 = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
-    return QcTriple(t * e11, np.sqrt(t - t * t) * e21, t * e22)
+    return QcTriple(t * E11, np.sqrt(t - t * t) * E21, t * E22)
 
 
 def canonical_generators(m: int) -> QcTriple:
@@ -175,12 +188,9 @@ def canonical_generators(m: int) -> QcTriple:
     if m < 1:
         raise ValueError(f"grid size must be >= 1, got {m}")
     ts = np.arange(1, m + 1, dtype=float) / m
-    e11 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    e22 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
-    e21 = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
-    h = np.kron(np.diag(ts), e11)
-    k = np.kron(np.diag(ts), e22)
-    x = np.kron(np.diag(np.sqrt(ts - ts * ts)), e21)
+    h = np.kron(np.diag(ts), E11)
+    k = np.kron(np.diag(ts), E22)
+    x = np.kron(np.diag(np.sqrt(ts - ts * ts)), E21)
     return QcTriple(h, x, k)
 
 

@@ -641,10 +641,10 @@ def evaluate(
         return e.factor * evaluate(e.arg, env, registry, profile)
     if isinstance(e, FnApp):
         arg = evaluate(e.arg, env, registry, profile)
-        defect = _hermitian_defect(arg, 1e-8, profile)
-        if defect is not None:
+        bad = _hermitian_defect(arg, 1e-8, profile)
+        if bad is not None:
             raise NotHermitianAtFnApp(
-                f"{e.fname} received a matrix with hermitian defect {defect:.3e}"
+                f"{e.fname} received a matrix with hermitian defect {bad[0]:.3e}"
             )
         fn = registry.get(e.fname)
         if fn is None:

@@ -20,7 +20,6 @@ O(theta) plus the spectral displacement of the threshold step.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +35,7 @@ from .linalg import (
     op_norm,
     smooth_step,
 )
-from .qc_model import QcTriple, low_level_residuals
+from .qc_model import QcTriple, low_level_residuals, t_matrix
 
 __all__ = [
     "SpectralGapFailure",
@@ -270,9 +269,7 @@ def smooth_representation(
 
     # T2 is Hermitian by construction; one decomposition gives both
     # ||T2^2 - T2|| = max|w^2 - w| and the threshold projection
-    t2 = np.block(
-        [[np.eye(n, dtype=complex) - h2, x2.conj().T], [x2, k2]]
-    )
+    t2 = t_matrix(QcTriple(h2, x2, k2), profile, check_hermitian=False)
     t2_sys = _eigh_raw(t2, profile)
     t2_defect = _idempotency_defect(t2_sys)
     if not (t2_defect < 0.25):

@@ -27,7 +27,9 @@ from .linalg import (
     DimMismatch,
     NotPositive,
     ToleranceProfile,
+    _at_fiber,
     _eigh_raw,
+    _first_fiber,
     hermitian_part,
     op_norm,
 )
@@ -56,14 +58,14 @@ class SupportViolation(ValueError):
 def support_projection(
     h: np.ndarray, profile: ToleranceProfile = DEFAULT_PROFILE
 ) -> np.ndarray:
-    """Spectral projection onto the range of a positive matrix.
+    """Spectral projection onto the range of a positive matrix, per fiber.
 
-    Eigenvalues above ``support_tol * max(1, largest eigenvalue)`` count as
-    range directions.
+    Eigenvalues above ``support_tol * max(1, largest eigenvalue)`` of their
+    own fiber count as range directions.
     """
-    es = _eigh_raw(hermitian_part(h), profile)
+    es = _eigh_raw(h, profile)
     w = es.eigenvalues
-    thr = profile.support_tol * max(1.0, float(w[-1]) if w.size else 0.0)
+    thr = profile.support_tol * np.maximum(1.0, w[..., -1:])
     return hermitian_part(es.apply(np.where(w > thr, 1.0, 0.0)))
 
 
@@ -140,6 +142,10 @@ class CornerQuad:
     def check_supports(
         self, sys: CornerSystem, profile: ToleranceProfile = DEFAULT_PROFILE
     ) -> None:
+        """Raise :class:`SupportViolation` when a component leaks out of its corner.
+
+        On stacks each fiber is held to its own bound; the first failure is named.
+        """
         pairs = {
             "x11": (sys.p_h, self.x11, sys.p_h),
             "x12": (sys.p_h, self.x12, sys.p_k),
@@ -147,9 +153,13 @@ class CornerQuad:
             "x22": (sys.p_k, self.x22, sys.p_k),
         }
         for name, (pl, x, pr) in pairs.items():
-            defect = op_norm(pl @ x @ pr - x, profile)
-            if defect > profile.support_tol * max(1.0, op_norm(x, profile)):
-                raise SupportViolation(f"{name} leaks outside its corner by {defect:.3e}")
+            defect = np.asarray(op_norm(pl @ x @ pr - x, profile))
+            bound = profile.support_tol * np.maximum(1.0, op_norm(x, profile))
+            idx = _first_fiber(~(defect <= bound))
+            if idx is not None:
+                raise SupportViolation(
+                    f"{name} leaks outside its corner{_at_fiber(idx)} by {defect[idx]:.3e}"
+                )
 
 
 def _theta_frames(s: float) -> tuple[np.ndarray, ...]:

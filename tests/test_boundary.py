@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qcwb.linalg import op_norm
+from qcwb.linalg import PROFILES, op_norm, unitary_exp
 from qcwb.qc_model import QcTriple, canonical_fiber, low_level_residuals
 from qcwb.boundary import (
     BScenarioRep,
@@ -249,7 +249,7 @@ class TestHomotopyCollapse:
         lift = lift_T(rep, model)
         from qcwb.linalg import unitary_exp
 
-        u_big = lift.t_prime.fiberwise(unitary_exp)
+        u_big = GridFunction(unitary_exp(lift.t_prime.values))
         out, w_out, w_in = homotopy_collapse(u_big, lift.h, lift.k)
         assert w_out == w_in == 1
         # the s = 0 image is block diagonal with the collapsed unitary on top
@@ -263,7 +263,7 @@ class TestHomotopyCollapse:
         lift = lift_T(rep, model)
         from qcwb.linalg import unitary_exp
 
-        u_big = lift.t_prime.fiberwise(unitary_exp)
+        u_big = GridFunction(unitary_exp(lift.t_prime.values))
         _, w_out, w_in = homotopy_collapse(u_big, lift.h, lift.k)
         assert w_out == w_in == 2
 
@@ -273,7 +273,7 @@ class TestHomotopyCollapse:
         lift = lift_T(rep, model)
         from qcwb.linalg import unitary_exp
 
-        u_big = lift.t_prime.fiberwise(unitary_exp)
+        u_big = GridFunction(unitary_exp(lift.t_prime.values))
         for s in (0.25, 0.5, 0.75):
             out, _, _ = homotopy_collapse(u_big, lift.h, lift.k, s=s)
             for i in (0, 16, 32):
@@ -341,3 +341,39 @@ class TestRunScenario:
     def test_refinement_stops_at_max_grid(self):
         with pytest.raises(PhaseStepTooLarge):
             run_scenario("eval-at-one", grid_size=2, max_grid=2)
+
+
+class TestStackedPipeline:
+    def test_linalg_calls_do_not_grow_with_the_grid(self, monkeypatch):
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for attr in ("eigh", "eigvalsh", "svd", "det"):
+            monkeypatch.setattr(np.linalg, attr, counted(getattr(np.linalg, attr)))
+        rep = builtin_scenario("eval-at-one")
+        counts = []
+        for m in (64, 1024):
+            calls.clear()
+            model = IntervalModel(grid_size=m, fiber_dim=2)
+            boundary_unitary(lift_T(rep, model).t_prime, model)
+            counts.append(sorted(calls))
+        assert counts[0] == counts[1]
+
+    def test_jacobi_profile_skips_lapack(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("LAPACK reached under the jacobi profile")
+
+        for attr in ("eigh", "eigvalsh", "svd"):
+            monkeypatch.setattr(np.linalg, attr, forbidden)
+        jacobi = PROFILES["jacobi"]
+        result, lift, _ = run_scenario("doubled", grid_size=16, profile=jacobi)
+        assert result.winding == 2
+        u_big = GridFunction(unitary_exp(lift.t_prime.values, jacobi))
+        _, w_out, w_in = homotopy_collapse(u_big, lift.h, lift.k, profile=jacobi)
+        assert w_out == w_in == 2

@@ -6,7 +6,10 @@ import sys
 import numpy as np
 import pytest
 
-from qcwb.qc_model import QcTriple, canonical_generators
+from qcwb import cli
+from qcwb.boundary import EndpointDefect, LiftResidual, PhaseStepTooLarge
+from qcwb.linalg import NoConvergence
+from qcwb.qc_model import FactorizationResidualTooLarge, QcTriple, canonical_generators
 from qcwb.relations import QC_RELATION_SOURCE
 from qcwb.serialize import dump_json, matrix_to_obj, triple_to_obj
 
@@ -124,6 +127,37 @@ class TestBoundary:
     def test_missing_everything_exits_64(self):
         proc = run_cli("boundary")
         assert proc.returncode == 64
+
+    def test_inexact_input_exits_3(self, tmp_path):
+        z = np.zeros((2, 2), dtype=complex)
+        obj = {
+            "at0": triple_to_obj(np.diag([0.5, 0.0]).astype(complex), z, z),
+            "at1": triple_to_obj(z, z, z),
+        }
+        path = tmp_path / "inexact.json"
+        dump_json(obj, str(path))
+        proc = run_cli("boundary", "--input", str(path))
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "exc, code",
+    [
+        (LiftResidual("x"), 3),
+        (EndpointDefect("x"), 3),
+        (FactorizationResidualTooLarge("x"), 3),
+        (NoConvergence("x"), 2),
+        (PhaseStepTooLarge("x"), 2),
+    ],
+)
+def test_library_failures_map_to_exit_codes(monkeypatch, capsys, exc, code):
+    def failing(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "run_scenario", failing)
+    assert cli.main(["boundary", "--scenario", "zero"]) == code
+    assert capsys.readouterr().err == "boundary: x\n"
 
 
 class TestCheck:

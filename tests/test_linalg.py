@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from qcwb.linalg import (
     CLAMP01,
     DEFAULT_PROFILE,
+    SQRT0,
     GapTooSmall,
     NoConvergence,
     NotHermitian,
@@ -22,6 +23,7 @@ from qcwb.linalg import (
     smooth_step,
     unitary_exp,
 )
+from qcwb.structures import support_projection
 
 from conftest import (
     hermitian_with_spectrum,
@@ -383,7 +385,9 @@ class TestSpectralKernel:
         for attr in ("eigh", "eigvalsh", "svd"):
             monkeypatch.setattr(np.linalg, attr, forbidden)
         op_norm(random_matrix(rng, 6), JACOBI)
+        op_norm(np.stack([random_matrix(rng, 6) for _ in range(3)]), JACOBI)
         herm_eig(h, JACOBI)
+        herm_eig(np.stack([h, h.conj()]), JACOBI)
         herm_eig(np.eye(6) + 0.4 * tol * skew, JACOBI)
         with pytest.raises(NotHermitian):
             herm_eig(np.eye(6) + 0.6 * tol * skew, JACOBI)
@@ -400,3 +404,51 @@ class TestSpectralKernel:
         p = hermitian_with_spectrum(rng, [0.05, 0.1, 0.9, 0.95])
         nearest_projection(p)
         assert len(calls) == 1
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=2**31),
+    st.sampled_from(["default", "jacobi"]),
+)
+def test_stacked_kernel_matches_fiber_loop_property(fibers, n, seed, name):
+    # one call on a (fibers, n, n) stack equals the same call on each fiber
+    profile = PROFILES[name]
+    gen = np.random.default_rng(seed)
+    herm = np.stack([random_hermitian(gen, n) for _ in range(fibers)])
+    general = np.stack([random_matrix(gen, n) for _ in range(fibers)])
+    # rank-deficient positive fibers, so the support cut matters
+    low_rank = general[..., : max(n - 2, 1)]
+    positive = low_rank @ low_rank.conj().swapaxes(-1, -2)
+    cases = [
+        (lambda a: func_calc(a, SQRT0, profile), herm),
+        (lambda a: frac_power(a, 0.125, profile), positive),
+        (lambda a: unitary_exp(a, profile), herm),
+        (lambda a: op_norm(a, profile), general),
+        (lambda a: support_projection(a, profile), positive),
+    ]
+    for f, stack in cases:
+        looped = np.stack([f(a) for a in stack])
+        np.testing.assert_allclose(f(stack), looped, rtol=0, atol=1e-12)
+
+
+class TestStackedGates:
+    @pytest.mark.parametrize("name", ["default", "jacobi"])
+    @pytest.mark.parametrize("bad", ["skew", np.nan])
+    def test_herm_eig_rejects_one_bad_fiber(self, rng, name, bad):
+        stack = np.stack([random_hermitian(rng, 4) for _ in range(5)])
+        if bad == "skew":
+            stack[3, 0, 1] += 1e-3
+        else:
+            stack[3, 0, 1] = bad
+        with pytest.raises(NotHermitian, match="at fiber 3"):
+            herm_eig(stack, PROFILES[name])
+
+    @pytest.mark.parametrize("name", ["default", "jacobi"])
+    def test_frac_power_rejects_one_negative_fiber(self, rng, name):
+        stack = np.stack([hermitian_with_spectrum(rng, [0.0, 0.5, 1.0]) for _ in range(4)])
+        stack[2] = hermitian_with_spectrum(rng, [-0.1, 0.5, 1.0])
+        with pytest.raises(NotPositive, match="at fiber 2"):
+            frac_power(stack, 0.5, PROFILES[name])
