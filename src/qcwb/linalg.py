@@ -391,6 +391,7 @@ def op_norm(
     never forms ``m* m``, so the result neither overflows nor underflows while
     ``m`` itself is representable.  The Jacobi method stays self-contained:
     Jacobi on the Gram matrix of ``m / max|m_ij|``, rescaled afterwards.
+    Under either method a NaN or inf entry raises :class:`NoConvergence`.
     """
     a = _as_square(m, "op_norm input")
     if a.shape[-1] == 0:
@@ -399,14 +400,23 @@ def op_norm(
         scale = np.max(np.abs(a), axis=(-2, -1))
         if not np.all(np.isfinite(scale)):
             raise NoConvergence("op_norm input is not finite")
-        b = a / np.where(scale > 0.0, scale, 1.0)[..., None, None]
+        # real divisions: a complex one overflows on a subnormal scale
+        safe = np.where(scale > 0.0, scale, 1.0)[..., None, None]
+        b = a.real / safe + 1j * (a.imag / safe)
         w, _ = jacobi_eigh(adjoint(b) @ b, profile.sweep_budget, profile.off_diag_tol)
         norms = scale * np.sqrt(np.maximum(w[..., -1], 0.0))
     else:
         try:
             norms = np.linalg.svd(a, compute_uv=False)[..., 0]
         except np.linalg.LinAlgError as exc:
-            raise NoConvergence(str(exc)) from exc
+            # LAPACK fails on a NaN entry; only then is the input scanned
+            finite = np.all(np.isfinite(a))
+            raise NoConvergence(str(exc) if finite else "op_norm input is not finite") from exc
+        # an inf entry gives a NaN norm: testing the norms is O(1) per fiber,
+        # and math.isfinite keeps the test on one matrix below 0.1 us
+        finite = math.isfinite(norms) if a.ndim == 2 else np.isfinite(norms).all()
+        if not finite:
+            raise NoConvergence("op_norm input is not finite")
     return float(norms) if a.ndim == 2 else norms
 
 

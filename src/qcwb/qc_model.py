@@ -106,13 +106,6 @@ class QcTriple:
             dsum(self.h, other.h), dsum(self.x, other.x), dsum(self.k, other.k)
         )
 
-    def norms(self, profile: ToleranceProfile = DEFAULT_PROFILE) -> dict[str, float]:
-        return {
-            "h": op_norm(self.h, profile),
-            "x": op_norm(self.x, profile),
-            "k": op_norm(self.k, profile),
-        }
-
 
 def t_matrix(
     triple: QcTriple,

@@ -4,14 +4,27 @@ Given a triple (h, x, k) whose relation residuals are small, the algorithm
 uses only functional calculus with smooth cutoffs plus one spectral
 threshold:
 
-1.  s = (h + h* - k - k*) / 2, the balanced difference;
+1.  s = (h + h* - k - k*) / 2, the balanced difference, decomposed once as
+    s = U diag(lambda) U*;
 2.  h2 = g_plus(s), k2 = g_minus(s) with a smooth ramp g_plus that vanishes
-    on the negative axis and equals the identity above theta/2;
-3.  x2 = q_minus(s) x q_plus(s) with a smooth indicator q_plus rising from
+    on the negative axis and equals the identity above theta/2, and
+    x2 = q_minus(s) x q_plus(s) with a smooth indicator q_plus rising from
     0 to 1 over a narrow ramp, so x2 is squeezed into the k2-h2 corner;
-4.  T2 = [[1 - h2, x2*], [x2, k2]]; if ||T2^2 - T2|| < 1/4 the spectrum of
-    T2 avoids 1/2, and thresholding at 1/2 yields an exact projection P;
-5.  read the output triple off the blocks of P.
+3.  T2 = [[1 - h2, x2*], [x2, k2]] is not formed.  The cutoffs vanish
+    exactly off their supports, so in the basis diag(U, U), with P the
+    eigenvalues lambda > 0 and N those below 0, T2 is 1 on the top diagonal
+    outside P, 0 on the bottom diagonal outside N, and on the rest the
+    Hermitian corner block
+
+        B = [[1 - g_plus(lambda_P), Y*], [Y, g_minus(lambda_N)]],
+        Y = q_minus(lambda_N) (U_N* x U_P) q_plus(lambda_P),
+
+    of size |P| + |N| <= n.  So spec T2 = spec B u {0, 1}, and one
+    decomposition of B gives ||T2^2 - T2|| = max|mu^2 - mu| over spec B;
+4.  if that defect is below 1/4 the spectrum avoids 1/2.  Thresholding B at
+    1/2 yields a projection Pi, and the blocks of the exact projection that
+    thresholds T2 are the output triple: h_out = U_P (1 - Pi_PP) U_P*,
+    x_out = U_N Pi_NP U_P* and k_out = U_N Pi_NN U_N*.
 
 Support orthogonality of g_plus and g_minus makes the output orthogonality
 exact up to rounding, and the whole construction moves each component only
@@ -31,11 +44,12 @@ from .linalg import (
     _eigh_raw,
     _idempotency_defect,
     _threshold_half,
+    adjoint,
     hermitian_part,
     op_norm,
     smooth_step,
 )
-from .qc_model import QcTriple, low_level_residuals, t_matrix
+from .qc_model import QcTriple, low_level_residuals
 
 __all__ = [
     "SpectralGapFailure",
@@ -226,61 +240,77 @@ class SmoothingReport:
 RESIDUAL_SUCCESS_TOL = 1e-10
 
 
-def smooth_representation(
-    triple: QcTriple, params: SmoothingParams
-) -> tuple[QcTriple, SmoothingReport]:
-    """Run the cutoff-and-threshold pipeline on an approximate representation.
+def _checked_input(
+    triple: QcTriple, profile: ToleranceProfile, delta: float = np.inf
+) -> dict[str, float]:
+    """The input's relation residuals, once the input meets the preconditions.
 
-    Raises :class:`ResidualTooLarge` when the input misses the residual or
-    norm preconditions, :class:`SpectralGapFailure` when the blocked matrix
-    cannot be thresholded.  Success in the report means output residuals at
-    most 1e-10 and distances at most epsilon.
+    Raises :class:`ResidualTooLarge` when the worst residual exceeds
+    ``delta`` (infinite by default) or a component norm exceeds 2.  The
+    norm gate reads the bound sqrt(||A||_1 ||A||_inf) >= ||A|| first and
+    takes the exact operator norm only of a component the bound does not
+    settle.  Nothing here depends on theta, so :func:`auto_theta` checks once.
     """
-    profile = params.profile
-    n = triple.dim
     input_res = low_level_residuals(triple, profile)
     worst = max(input_res.values())
-    if worst > params.delta:
+    if not (worst <= delta):
         raise ResidualTooLarge(
-            f"input residual {worst:.3e} exceeds the budget delta={params.delta:.3e}"
+            f"input residual {worst:.3e} exceeds the budget delta={delta:.3e}"
         )
-    norms = triple.norms(profile)
-    if max(norms.values()) > 2.0:
-        raise ResidualTooLarge(
-            f"component norms {norms} exceed the bound 2 the cutoffs assume"
-        )
+    for name, a in (("h", triple.h), ("x", triple.x), ("k", triple.k)):
+        mag = np.abs(a)
+        one, inf = mag.sum(axis=0).max(initial=0.0), mag.sum(axis=1).max(initial=0.0)
+        bound = np.sqrt(one * inf)
+        if not (bound <= 2.0):
+            norm = op_norm(a, profile)
+            if not (norm <= 2.0):
+                raise ResidualTooLarge(
+                    f"component norm ||{name}|| = {norm:.3e} exceeds the bound 2 "
+                    "the cutoffs assume"
+                )
+    return input_res
 
+
+def _smooth_checked(
+    triple: QcTriple, params: SmoothingParams, input_res: dict[str, float]
+) -> tuple[QcTriple, SmoothingReport]:
+    """The pipeline on an input that :func:`_checked_input` accepted."""
+    profile = params.profile
+    theta, ramp = params.theta, params.ramp_width
     h, x, k = triple.h, triple.x, triple.k
     s = hermitian_part(0.5 * (h + h.conj().T - k - k.conj().T))
     # one decomposition of s serves its extreme eigenvalues and all four cutoffs
     s_sys = _eigh_raw(s, profile)
-    s_eigs = s_sys.eigenvalues
+    lam = s_sys.eigenvalues
+    pos, neg = lam > 0.0, lam < 0.0
+    u_p, u_n = s_sys.basis[:, pos], s_sys.basis[:, neg]
+    lam_p, lam_n = lam[pos], lam[neg]
 
-    def cutoff(f: RealFunction) -> np.ndarray:
-        return hermitian_part(s_sys.apply(f(s_eigs)))
-
-    h2 = cutoff(make_gplus(params.theta))
-    k2 = cutoff(make_gminus(params.theta))
-    x2 = (
-        cutoff(make_qminus(params.theta, params.ramp_width))
-        @ x
-        @ cutoff(make_qplus(params.theta, params.ramp_width))
+    # the corner block of T2 in the basis diag(U, U); outside it T2 is
+    # diagonal, 1 on the top half and 0 on the bottom half
+    y = (
+        make_qminus(theta, ramp)(lam_n)[:, None]
+        * (adjoint(u_n) @ x @ u_p)
+        * make_qplus(theta, ramp)(lam_p)
     )
-
-    # T2 is Hermitian by construction; one decomposition gives both
-    # ||T2^2 - T2|| = max|w^2 - w| and the threshold projection
-    t2 = t_matrix(QcTriple(h2, x2, k2), profile, check_hermitian=False)
-    t2_sys = _eigh_raw(t2, profile)
-    t2_defect = _idempotency_defect(t2_sys)
+    b = np.block(
+        [
+            [np.diag(1.0 - make_gplus(theta)(lam_p)), adjoint(y)],
+            [y, np.diag(make_gminus(theta)(lam_n))],
+        ]
+    )
+    b_sys = _eigh_raw(b, profile)
+    t2_defect = _idempotency_defect(b_sys)
     if not (t2_defect < 0.25):
         raise SpectralGapFailure(
             f"||T2^2 - T2|| = {t2_defect:.4f} >= 1/4; spectrum reaches 1/2"
         )
-    p = _threshold_half(t2_sys)
+    pi = _threshold_half(b_sys)
+    p = lam_p.size
 
-    h_out = hermitian_part(np.eye(n, dtype=complex) - p[:n, :n])
-    x_out = p[n:, :n]
-    k_out = hermitian_part(p[n:, n:])
+    h_out = hermitian_part(u_p @ (np.eye(p) - pi[:p, :p]) @ adjoint(u_p))
+    x_out = u_n @ pi[p:, :p] @ adjoint(u_p)
+    k_out = hermitian_part(u_n @ pi[p:, p:] @ adjoint(u_n))
     out = QcTriple(h_out, x_out, k_out)
     out_res = low_level_residuals(out, profile)
     dist_h = op_norm(h_out - h, profile)
@@ -291,8 +321,8 @@ def smooth_representation(
     ) <= params.epsilon
     report = SmoothingReport(
         input_residuals=input_res,
-        s_min=float(s_eigs[0]) if s_eigs.size else 0.0,
-        s_max=float(s_eigs[-1]) if s_eigs.size else 0.0,
+        s_min=float(lam[0]) if lam.size else 0.0,
+        s_max=float(lam[-1]) if lam.size else 0.0,
         t2_defect=t2_defect,
         t2_within_half_epsilon=t2_defect <= params.epsilon / 2.0 + 1e-6,
         output_residuals=out_res,
@@ -307,6 +337,20 @@ def smooth_representation(
     return out, report
 
 
+def smooth_representation(
+    triple: QcTriple, params: SmoothingParams
+) -> tuple[QcTriple, SmoothingReport]:
+    """Run the cutoff-and-threshold pipeline on an approximate representation.
+
+    Raises :class:`ResidualTooLarge` when the input misses the residual or
+    norm preconditions, :class:`SpectralGapFailure` when the blocked matrix
+    cannot be thresholded.  Success in the report means output residuals at
+    most 1e-10 and distances at most epsilon.
+    """
+    input_res = _checked_input(triple, params.profile, params.delta)
+    return _smooth_checked(triple, params, input_res)
+
+
 def auto_theta(
     triple: QcTriple,
     epsilon: float,
@@ -316,9 +360,14 @@ def auto_theta(
     """Search a workable cutoff width by halving theta downward from epsilon/2.
 
     Returns the successful parameters together with the run's output; raises
-    :class:`NoWorkableTheta` when the floor is reached without success.
+    :class:`NoWorkableTheta` when the floor is reached without success.  The
+    input is checked once, before the search: one that misses the norm
+    precondition fails at once, with last failure ``"residual"``.
     """
-    input_res = low_level_residuals(triple, profile)
+    try:
+        input_res = _checked_input(triple, profile)
+    except ResidualTooLarge as exc:
+        raise _no_workable_theta(theta_floor, "residual") from exc
     delta = max(max(input_res.values()) * 1.01, 1e-15)
     theta = epsilon / 2.0
     last_failure = "residual"
@@ -327,17 +376,19 @@ def auto_theta(
             epsilon=epsilon, theta=theta, delta=delta, profile=profile
         )
         try:
-            out, report = smooth_representation(triple, params)
+            out, report = _smooth_checked(triple, params, input_res)
         except SpectralGapFailure:
             last_failure = "gap"
-        except ResidualTooLarge:
-            last_failure = "residual"
         else:
             if report.success:
                 return params, out, report
             last_failure = "distance" if report.t2_defect < 0.25 else "gap"
         theta *= 0.5
-    raise NoWorkableTheta(
+    raise _no_workable_theta(theta_floor, last_failure)
+
+
+def _no_workable_theta(theta_floor: float, last_failure: str) -> NoWorkableTheta:
+    return NoWorkableTheta(
         f"no cutoff width above {theta_floor:.1e} smooths this triple "
         f"(last failure: {last_failure})",
         last_failure=last_failure,

@@ -329,6 +329,31 @@ def test_jacobi_op_norm_matches_lapack_property(n, seed):
     assert op_norm(a, JACOBI) == pytest.approx(op_norm(a), rel=1e-10)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=2**31),
+    st.sampled_from([np.nan, np.inf, -np.inf, 1j * np.inf, complex(np.nan, 1.0)]),
+    st.sampled_from(["default", "jacobi"]),
+)
+def test_op_norm_rejects_non_finite_property(n, fibers, seed, bad, name):
+    # one NaN or inf entry anywhere, in one matrix (fibers = 0) or a stack
+    gen = np.random.default_rng(seed)
+    a = np.stack([random_matrix(gen, n) for _ in range(max(fibers, 1))])
+    a[tuple(gen.integers(0, dim) for dim in a.shape)] = bad
+    with pytest.raises(NoConvergence, match="not finite"):
+        op_norm(a if fibers else a[0], PROFILES[name])
+
+
+@pytest.mark.parametrize("scale", [5e-324, 1e-310, 1e-300])
+def test_jacobi_op_norm_subnormal_scale(rng, scale):
+    # the Jacobi method normalizes by the largest entry; a subnormal one
+    # must not overflow the normalization into NaN
+    a = scale * random_matrix(rng, 4)
+    assert op_norm(a, JACOBI) == pytest.approx(op_norm(a), rel=1e-10)
+
+
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(
     st.integers(min_value=1, max_value=6),

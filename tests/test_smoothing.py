@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qcwb.linalg import func_calc, op_norm
+from qcwb import linalg
+from qcwb.linalg import (
+    PROFILES,
+    GapTooSmall,
+    func_calc,
+    hermitian_part,
+    nearest_projection,
+    op_norm,
+)
 from qcwb.qc_model import (
     QcTriple,
     canonical_generators,
@@ -23,7 +33,7 @@ from qcwb.smoothing import (
     smooth_representation,
 )
 
-from conftest import random_hermitian, random_matrix
+from conftest import random_hermitian, random_matrix, random_unitary
 
 
 def perturbed_generators(rng, m=8, size=1e-3):
@@ -251,3 +261,104 @@ def test_smooth_representation_decomposes_once(rng, monkeypatch):
     assert report.success
     assert len(calls) <= 20, calls
     assert calls.count("eigh") == 2
+
+
+def _count_decompositions(monkeypatch):
+    """Record (name, input shape) of each numpy.linalg or Jacobi decomposition."""
+    calls = []
+    targets = [(np.linalg, attr) for attr in (
+        "eigh", "eigvalsh", "svd", "det", "eig", "eigvals", "qr",
+        "solve", "inv", "pinv", "lstsq", "cholesky")]
+    for owner, attr in targets + [(linalg, "jacobi_eigh")]:
+        fn = getattr(owner, attr)
+
+        def counted(a, *args, _fn=fn, _attr=attr, **kwargs):
+            calls.append((_attr, np.shape(a)))
+            return _fn(a, *args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+    return calls
+
+
+def test_auto_theta_decomposes_the_corner_block(rng, monkeypatch):
+    # s and the corner block of T2 are decomposed once each, and the block
+    # is at most n x n; the input is checked once, not once per theta
+    trip, _ = perturbed_generators(rng, m=16, size=1e-4)
+    n = trip.dim
+    calls = _count_decompositions(monkeypatch)
+    params, out, report = auto_theta(trip, epsilon=0.1)
+    assert report.success
+    eighs = [shape for name, shape in calls if name == "eigh"]
+    assert len(eighs) == 2, calls
+    assert max(shape[-1] for shape in eighs) <= n
+    assert sum(name == "svd" for name, _ in calls) <= 11, calls
+
+
+@pytest.mark.parametrize("name", ["default", "jacobi"])
+def test_auto_theta_rejects_large_norm_at_once(name, monkeypatch):
+    # the norm gate does not depend on theta, so no theta is tried
+    n = 4
+    z = np.zeros((n, n), dtype=complex)
+    trip = QcTriple(3.0 * np.eye(n, dtype=complex), z, z)
+    calls = _count_decompositions(monkeypatch)
+    with pytest.raises(NoWorkableTheta) as info:
+        auto_theta(trip, epsilon=0.1, profile=PROFILES[name])
+    assert info.value.last_failure == "residual"
+    assert len(calls) <= 7, calls
+
+
+def _dense_reference(trip, theta, profile):
+    """The smoothing output built the long way: cutoffs of s, T2, threshold."""
+    s = hermitian_part(0.5 * (trip.h + trip.h.conj().T - trip.k - trip.k.conj().T))
+    h2 = func_calc(s, make_gplus(theta), profile)
+    k2 = func_calc(s, make_gminus(theta), profile)
+    x2 = func_calc(s, make_qminus(theta), profile) @ trip.x @ func_calc(
+        s, make_qplus(theta), profile
+    )
+    t2 = t_matrix(QcTriple(h2, x2, k2), profile)
+    w = np.linalg.eigvalsh(t2)
+    defect = float(np.max(np.abs(w * w - w)))
+    n = trip.dim
+    try:
+        p = nearest_projection(t2, profile)
+    except GapTooSmall:
+        return None, defect
+    return QcTriple(np.eye(n) - p[:n, :n], p[n:, :n], p[n:, n:]), defect
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(["perturbed"] * 4 + ["zero", "positive"]),
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=0, max_value=2**31),
+    st.floats(min_value=0.0, max_value=0.6),
+    st.floats(min_value=0.01, max_value=0.2),
+    st.sampled_from(["default", "jacobi"]),
+)
+def test_corner_block_matches_dense_reference_property(kind, m, seed, noise, theta, name):
+    profile = PROFILES[name]
+    gen = np.random.default_rng(seed)
+    n = 2 * m
+    if kind == "perturbed":
+        base = canonical_generators(m)
+        h = base.h + noise * random_hermitian(gen, n) / n
+        x = base.x + noise * random_matrix(gen, n) / n
+        k = base.k + noise * random_hermitian(gen, n) / n
+    elif kind == "zero":
+        h = x = k = np.zeros((n, n), dtype=complex)
+    else:  # s = h is positive definite, so the negative part N is empty
+        h = np.diag(gen.uniform(0.05, 1.0, n)).astype(complex)
+        x = noise * random_matrix(gen, n) / n
+        k = np.zeros((n, n), dtype=complex)
+    v = random_unitary(gen, n)
+    trip = QcTriple(v @ h @ v.conj().T, v @ x @ v.conj().T, v @ k @ v.conj().T)
+    params = SmoothingParams(epsilon=0.24, theta=theta, delta=10.0, profile=profile)
+    want, want_defect = _dense_reference(trip, theta, profile)
+    if want is None:
+        with pytest.raises(SpectralGapFailure):
+            smooth_representation(trip, params)
+        return
+    out, report = smooth_representation(trip, params)
+    for got, ref in ((out.h, want.h), (out.x, want.x), (out.k, want.k)):
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+    assert report.t2_defect == pytest.approx(want_defect, rel=0, abs=1e-12)
