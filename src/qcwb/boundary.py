@@ -39,7 +39,8 @@ from .linalg import (
     DimMismatch,
     ToleranceProfile,
     _eigh_raw,
-    _first_fiber,
+    _gate,
+    _positive_eig,
     _threshold_half,
     adjoint,
     frac_power,
@@ -255,22 +256,14 @@ def lift_orthogonal_positive(
     parts recover the endpoints exactly (orthogonality makes pos(h - k) = h)
     and stay orthogonal at every grid point.
     """
-    names = ("h(0)", "h(1)", "k(0)", "k(1)")
+    what = "(h(0), h(1), k(0), k(1))"
     ends = np.stack([hb.at0, hb.at1, kb.at0, kb.at1])
-    w = _eigh_raw(ends, profile).eigenvalues
-    lo, hi = w.min(axis=-1, initial=0.0), w.max(axis=-1, initial=1.0)
-    idx = _first_fiber(~((lo >= -1e-8) & (hi <= 1.0 + 1e-8)))
-    if idx is not None:
-        raise NotOrthogonal(
-            f"{names[idx[0]]} is not a positive contraction "
-            f"(spectrum [{w[idx][0]:.3e}, {w[idx][-1]:.3e}])"
-        )
+    w = _positive_eig(ends, 1e-8, profile, NotOrthogonal, what).eigenvalues
+    _gate(f"max eigenvalue of {what}", w.max(axis=-1, initial=1.0), 1.0 + 1e-8, NotOrthogonal)
     hs, ks = ends[:2], ends[2:]
     defect = op_norm(hs @ ks, profile)
     bound = 1e-10 * np.maximum(1.0, op_norm(hs, profile) * op_norm(ks, profile))
-    idx = _first_fiber(~(defect <= bound))
-    if idx is not None:
-        raise NotOrthogonal(f"h and k fail orthogonality at endpoint {idx[0]}")
+    _gate("||h k|| at the endpoints (0, 1)", defect, bound, NotOrthogonal)
     c = interpolate_pair(
         EndpointPair(hb.at0 - kb.at0, hb.at1 - kb.at1), model
     ).values
@@ -339,12 +332,8 @@ def lift_T(
     eighth roots of the lifted k and h.  The clamped path matches the
     endpoint block matrices to ``endpoint_tol``.
     """
-    for which, trip in (("0", rep.at0), ("1", rep.at1)):
-        worst = max(low_level_residuals(trip, profile).values())
-        if worst > 1e-10:
-            raise LiftResidual(
-                f"endpoint {which} is not an exact representation (residual {worst:.3e})"
-            )
+    worst = [max(low_level_residuals(trip, profile).values()) for trip in (rep.at0, rep.at1)]
+    _gate("relation residual at the endpoints (0, 1)", worst, 1e-10, LiftResidual)
     if model.fiber_dim != rep.fiber_dim:
         raise DimMismatch(
             f"model fiber dim {model.fiber_dim} != representation dim {rep.fiber_dim}"
@@ -368,9 +357,8 @@ def lift_T(
     t_prime = GridFunction(func_calc(t_raw.values, CLAMP01, profile))
 
     ends = np.stack([t_matrix(rep.at0, profile), t_matrix(rep.at1, profile)])
-    defect = float(np.max(op_norm(t_prime.values[[0, -1]] - ends, profile)))
-    if not (defect <= endpoint_tol):
-        raise LiftResidual(f"clamped path misses the endpoints by {defect:.3e}")
+    defects = op_norm(t_prime.values[[0, -1]] - ends, profile)
+    _gate("clamped path defect at the endpoints (0, 1)", defects, endpoint_tol, LiftResidual)
     alpha, beta, leak = _scalar_parts(t_prime, h, k, profile)
     return TLift(
         t_prime=t_prime,
@@ -379,7 +367,7 @@ def lift_T(
         x=x,
         y=y,
         t_raw=t_raw,
-        endpoint_defect=defect,
+        endpoint_defect=float(np.max(defects)),
         corner_defect=leak,
         rho=(alpha, beta),
     )
@@ -402,23 +390,17 @@ def winding_number(
     finite) or the total strays more than 0.1 turns from an integer.
     """
     dets = np.linalg.det(np.asarray(mats))
-    idx = _first_fiber(~(np.abs(dets) >= 1e-12))
-    if idx is not None:
-        raise WindingIllConditioned(f"determinant vanishes at grid point {idx[0]}")
+    vanishing = ~(np.abs(dets) >= 1e-12)  # NaN included
+    if vanishing.any():
+        raise WindingIllConditioned(f"determinant vanishes at grid point {np.argmax(vanishing)}")
     steps = np.angle(dets[1:] / dets[:-1])
-    largest = float(np.max(np.abs(steps), initial=0.0))
-    if largest >= max_step:
-        raise PhaseStepTooLarge(
-            f"phase step {largest:.3f} rad exceeds {max_step:.3f}; refine the grid"
-        )
+    sizes = np.abs(steps)
+    _gate("phase step (rad)", sizes, np.nextafter(max_step, 0.0), PhaseStepTooLarge)
     total = float(np.sum(steps)) / (2.0 * np.pi)
     winding = int(round(total))
     residual = abs(total - winding)
-    if residual > 0.1:
-        raise WindingIllConditioned(
-            f"accumulated phase {total:.4f} turns is not close to an integer"
-        )
-    return winding, residual, largest
+    _gate(f"distance of {total:.4f} turns from an integer", residual, 0.1, WindingIllConditioned)
+    return winding, residual, float(np.max(sizes, initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -462,13 +444,12 @@ def boundary_unitary(
         )
     n = model.fiber_dim
     u_big = unitary_exp(t_prime.values, profile)
-    end_defect_big = float(
-        np.max(op_norm(u_big[[0, -1]] - np.eye(two_n, dtype=complex), profile))
+    _gate(
+        "||exp(2 pi i T') - 1|| at the endpoints (0, 1)",
+        op_norm(u_big[[0, -1]] - np.eye(two_n, dtype=complex), profile),
+        endpoint_tol,
+        EndpointDefect,
     )
-    if not (end_defect_big <= endpoint_tol):
-        raise EndpointDefect(
-            f"exp path is not the identity at the endpoints (defect {end_defect_big:.3e})"
-        )
     eye = np.eye(n, dtype=complex)
     u = GridFunction(
         -eye + u_big[:, :n, :n] + u_big[:, :n, n:] + u_big[:, n:, :n] + u_big[:, n:, n:]
@@ -526,10 +507,10 @@ def exact_projection_lift(
     es = _eigh_raw(lift.t_raw.values, profile)
     w = es.eigenvalues
     inside = (w > 0.5 - gamma) & (w < 0.5 + gamma)
-    idx = _first_fiber(inside.any(axis=-1))
-    if idx is not None:
+    if inside.any():
+        i = np.argmax(inside.any(axis=-1))
         raise NoSpectralGap(
-            f"fiber {idx[0]} has spectrum {w[idx][inside[idx]].round(4).tolist()} within "
+            f"fiber {i} has spectrum {w[i][inside[i]].round(4).tolist()} within "
             f"{gamma} of 1/2; no exact lift on this path"
         )
     p = _threshold_half(es)
@@ -537,21 +518,20 @@ def exact_projection_lift(
     x = GridFunction(p[:, n:, :n])
     k = GridFunction(hermitian_part(p[:, n:, n:]))
     res = low_level_residuals(QcTriple(h.values, x.values, k.values), profile)
-    worst = float(max(np.max(v) for v in res.values()))
-    end_defect = max(
-        float(np.max(op_norm(g.values[[0, -1]] - np.stack([at0, at1]), profile)))
-        for g, at0, at1 in (
-            (h, rep.at0.h, rep.at1.h),
-            (x, rep.at0.x, rep.at1.x),
-            (k, rep.at0.k, rep.at1.k),
-        )
+    worst = np.max(list(res.values()), axis=0)
+    pairs = ((h, rep.at0.h, rep.at1.h), (x, rep.at0.x, rep.at1.x), (k, rep.at0.k, rep.at1.k))
+    end_defects = np.max(
+        [op_norm(g.values[[0, -1]] - np.stack([at0, at1]), profile) for g, at0, at1 in pairs],
+        axis=0,
     )
-    if not (worst <= 1e-10):
-        raise LiftResidual(f"thresholded lift has residual {worst:.3e}")
-    if not (end_defect <= 1e-9):
-        raise LiftResidual(f"thresholded lift misses endpoints by {end_defect:.3e}")
+    _gate("thresholded lift residual", worst, 1e-10, LiftResidual)
+    _gate("thresholded lift defect at the endpoints (0, 1)", end_defects, 1e-9, LiftResidual)
     return GridRepresentation(
-        h=h, x=x, k=k, max_residual=worst, endpoint_defect=end_defect
+        h=h,
+        x=x,
+        k=k,
+        max_residual=float(np.max(worst)),
+        endpoint_defect=float(np.max(end_defects)),
     )
 
 
@@ -593,11 +573,12 @@ def homotopy_collapse(
         p_k=support_projection(k.values, profile),
     )
     out = GridFunction(eye2 + homotopy_theta(quad, s, corners, profile))
-    worst_unitary = float(np.max(op_norm(out.values @ adjoint(out.values) - eye2, profile)))
-    if not (worst_unitary <= unitary_tol):
-        raise WindingIllConditioned(
-            f"homotopy image loses unitarity by {worst_unitary:.3e}"
-        )
+    _gate(
+        "homotopy image unitarity defect",
+        op_norm(out.values @ adjoint(out.values) - eye2, profile),
+        unitary_tol,
+        WindingIllConditioned,
+    )
     w_out, _, _ = winding_number(out.values)
     w_in, _, _ = winding_number(u_prime.values)
     if w_out != w_in:

@@ -298,7 +298,7 @@ def cmd_relations(args) -> int:
         consequence = parse_expression(str(spec["consequence"]), rs.variables)
         deltas = [float(d) for d in spec.get("deltas", [1e-2, 1e-3, 1e-4, 1e-5])]
         samples = int(spec.get("samples_per_delta", 5))
-        sampler = perturbation_sampler(m=int(spec.get("sampler_grid", 4)))
+        sampler = perturbation_sampler(m=int(spec.get("sampler_grid", 4)), profile=profile)
         table = delta_eps_sweep(
             rs,
             consequence,

@@ -152,16 +152,24 @@ class EigenSystem:
         return self.basis @ scaled.swapaxes(-1, -2)
 
 
-def _first_fiber(fails: np.ndarray) -> tuple[int, ...] | None:
-    """Index of the first fiber flagged in ``fails`` (``()`` for one matrix), or ``None``."""
-    if not np.any(fails):
-        return None
-    return tuple(int(i) for i in np.unravel_index(np.argmax(fails), np.shape(fails)))
+def _gate(name: str, value, bound, error: type[Exception]) -> None:
+    """Pass when ``value <= bound`` holds in every fiber; raise ``error`` otherwise.
 
-
-def _at_fiber(idx: tuple[int, ...]) -> str:
-    """`` at fiber i`` for a stack, nothing for a single matrix."""
-    return f" at fiber {', '.join(map(str, idx))}" if idx else ""
+    ``value`` and ``bound`` are scalars or per-fiber arrays that broadcast
+    together, and a NaN fails.  The message names the quantity, the first
+    failing fiber of a stack, and that fiber's value and bound.  A strict
+    gate ``value < b`` passes ``np.nextafter(b, 0)`` as its bound.
+    """
+    fails = ~(np.asarray(value) <= bound)
+    if not fails.any():
+        return
+    value, bound = np.broadcast_arrays(value, bound)
+    idx = np.unravel_index(np.argmax(fails), fails.shape)
+    v, b = float(value[idx]), float(bound[idx])
+    # a strict bound sits one ulp below the value that reaches it
+    digits = 3 if f"{v:.3e}" != f"{b:.3e}" else 16
+    at = f" at fiber {', '.join(map(str, idx))}" if idx else ""
+    raise error(f"{name} = {v:.{digits}e}{at} exceeds the bound {b:.{digits}e}")
 
 
 def _offdiag_norm(a: np.ndarray) -> float:
@@ -262,27 +270,27 @@ def _eigh_raw(h: np.ndarray, profile: ToleranceProfile) -> EigenSystem:
 
 def _hermitian_defect(
     a: np.ndarray, tol: float, profile: ToleranceProfile
-) -> tuple[float, str] | None:
-    """``None`` when every fiber has ``||a - a*|| <= tol * max(1, ||a||)``, else
-    the first failing fiber's defect and its :func:`_at_fiber` label.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-fiber ``||a - a*||`` and its bound ``tol * max(1, ||a||)``, for :func:`_gate`.
 
     Frobenius first: ``||d||_2 <= ||d||_F`` and ``||a||_2 >= ||a||_F / sqrt(n)``,
     so ``||a - a*||_F <= tol * max(1, ||a||_F / sqrt(n))`` accepts a fiber
     without a decomposition.  Only the other finite fibers get the two
-    operator norms.  The gate accepts exactly what the operator-norm check
-    accepts; a non-finite fiber is rejected.
+    operator norms, which accept exactly what the operator-norm check
+    accepts; a non-finite fiber gets a NaN defect, so it fails.
     """
-    with np.errstate(invalid="ignore"):  # inf - inf, inf * 0: rejected below as NaN
+    with np.errstate(invalid="ignore", over="ignore"):  # NaN, or overflow: settled below
         d = a - adjoint(a)
         defect = np.asarray(np.linalg.norm(d, axis=(-2, -1)))
         scale = np.linalg.norm(a, axis=(-2, -1)) / math.sqrt(max(a.shape[-1], 1))
-    ok = np.asarray(defect <= tol * np.maximum(1.0, scale))
-    exact = ~ok & np.isfinite(defect)
+    bound = np.asarray(tol * np.maximum(1.0, scale))
+    exact = ~((defect <= bound) & np.isfinite(defect))
     if np.any(exact):
-        defect[exact] = op_norm(d[exact], profile)
-        ok[exact] = defect[exact] <= tol * np.maximum(1.0, op_norm(a[exact], profile))
-    idx = _first_fiber(~ok)
-    return None if idx is None else (float(defect[idx]), _at_fiber(idx))
+        finite = exact & np.isfinite(a).all(axis=(-2, -1))
+        defect[exact & ~finite] = np.nan
+        defect[finite] = op_norm(d[finite], profile)
+        bound[finite] = tol * np.maximum(1.0, op_norm(a[finite], profile))
+    return defect, bound
 
 
 def herm_eig(h: np.ndarray, profile: ToleranceProfile = DEFAULT_PROFILE) -> EigenSystem:
@@ -295,10 +303,21 @@ def herm_eig(h: np.ndarray, profile: ToleranceProfile = DEFAULT_PROFILE) -> Eige
     decomposition, not three.
     """
     a = _as_square(h, "herm_eig input")
-    bad = _hermitian_defect(a, profile.hermitian_tol, profile)
-    if bad is not None:
-        raise NotHermitian(f"hermitian defect {bad[0]:.3e}{bad[1]} exceeds tolerance")
+    _gate("hermitian defect", *_hermitian_defect(a, profile.hermitian_tol, profile), NotHermitian)
     return _eigh_raw(a, profile)
+
+
+def _positive_eig(
+    h: np.ndarray,
+    tol: float,
+    profile: ToleranceProfile,
+    error: type[Exception] = NotPositive,
+    what: str = "h",
+) -> EigenSystem:
+    """:func:`herm_eig` of ``h``, each fiber's lowest eigenvalue gated at ``-tol``."""
+    es = herm_eig(h, profile)
+    _gate(f"-min eigenvalue of {what}", -es.eigenvalues.min(axis=-1, initial=0.0), tol, error)
+    return es
 
 
 # ---------------------------------------------------------------------------
@@ -311,16 +330,13 @@ class RealFunction:
     """A named real -> real map usable in functional calculus.
 
     ``smoothness`` is one of ``"continuous"``, ``"smooth"`` or ``"step"``.
-    ``vanishes_at_zero`` records f(0) = 0, the discipline required for
-    relation expressions over non-unital inputs; ``unital_only`` flags maps
-    (the clamp, the half-step) that do not decay at infinity and therefore
-    only make sense where a unit is present.
+    ``unital_only`` flags maps (the clamp, the half-step) that do not decay
+    at infinity and therefore only make sense where a unit is present.
     """
 
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
     smoothness: str = "continuous"
-    vanishes_at_zero: bool = True
     unital_only: bool = False
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
@@ -432,22 +448,14 @@ def frac_power(
     """
     if p <= 0:
         raise ValueError(f"exponent must be positive, got {p}")
-    es = herm_eig(h, profile)
-    w = es.eigenvalues
-    lowest = w.min(axis=-1, initial=0.0)
-    idx = _first_fiber(lowest < -profile.clamp_tol)
-    if idx is not None:
-        raise NotPositive(
-            f"lowest eigenvalue {lowest[idx]:.3e}{_at_fiber(idx)} "
-            f"below -{profile.clamp_tol:.0e}"
-        )
-    return hermitian_part(es.apply(np.power(np.maximum(w, 0.0), p)))
+    es = _positive_eig(h, profile.clamp_tol, profile)
+    return hermitian_part(es.apply(np.power(np.maximum(es.eigenvalues, 0.0), p)))
 
 
-def _idempotency_defect(es: EigenSystem) -> float:
-    """max |w^2 - w| over the eigenvalues: ``||a^2 - a||`` for the Hermitian ``a``."""
+def _idempotency_defect(es: EigenSystem) -> np.ndarray:
+    """Per-fiber max |w^2 - w| over the eigenvalues: ``||a^2 - a||`` for the Hermitian ``a``."""
     w = es.eigenvalues
-    return float(np.max(np.abs(w * w - w), initial=0.0))
+    return np.max(np.abs(w * w - w), axis=-1, initial=0.0)
 
 
 def _threshold_half(es: EigenSystem) -> np.ndarray:
@@ -468,9 +476,7 @@ def nearest_projection(
     to 1).
     """
     es = herm_eig(_as_square(p, "nearest_projection input"), profile)
-    eta = _idempotency_defect(es)
-    if not (eta < 0.25):
-        raise GapTooSmall(f"||p^2 - p|| = {eta:.4f} >= 1/4; spectrum touches 1/2")
+    _gate("||p^2 - p||", _idempotency_defect(es), np.nextafter(0.25, 0.0), GapTooSmall)
     return _threshold_half(es)
 
 

@@ -24,6 +24,7 @@ from .linalg import (
     NotHermitian,
     ToleranceProfile,
     _eigh_raw,
+    _gate,
     _hermitian_defect,
     adjoint,
     frac_power,
@@ -121,9 +122,8 @@ def t_matrix(
     h, x, k = triple.h, triple.x, triple.k
     if check_hermitian:
         for name, m in (("h", h), ("k", k)):
-            bad = _hermitian_defect(m, profile.hermitian_tol, profile)
-            if bad is not None:
-                raise NotHermitian(f"{name} has hermitian defect {bad[0]:.3e}{bad[1]}")
+            defect, bound = _hermitian_defect(m, profile.hermitian_tol, profile)
+            _gate(f"hermitian defect of {name}", defect, bound, NotHermitian)
     eye = np.eye(triple.dim, dtype=complex)
     return np.block([[eye - h, adjoint(x)], [x, k]])
 
@@ -203,19 +203,15 @@ def factor_x(
     x to ``reconstruction_tol * max(1, ||x||)``.
     """
     if check_pre:
-        res = positivity_residuals(triple, profile)
-        worst = max(res.values())
-        if worst > pre_tol:
-            raise ValueError(
-                f"triple violates the corner relations (residual {worst:.3e} > {pre_tol:.0e})"
-            )
+        worst = max(positivity_residuals(triple, profile).values())
+        _gate("corner relation residual", worst, pre_tol, ValueError)
     h8 = frac_power(hermitian_part(triple.h), 0.125, profile)
     k8 = frac_power(hermitian_part(triple.k), 0.125, profile)
     y = pseudo_solve(k8, h8, triple.x, profile)
-    recon = op_norm(k8 @ y @ h8 - triple.x, profile)
-    bound = reconstruction_tol * max(1.0, op_norm(triple.x, profile))
-    if recon > bound:
-        raise FactorizationResidualTooLarge(
-            f"corner sandwich misses x by {recon:.3e} (allowed {bound:.3e})"
-        )
+    _gate(
+        "corner sandwich reconstruction defect",
+        op_norm(k8 @ y @ h8 - triple.x, profile),
+        reconstruction_tol * max(1.0, op_norm(triple.x, profile)),
+        FactorizationResidualTooLarge,
+    )
     return y

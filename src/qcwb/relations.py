@@ -35,6 +35,7 @@ from .linalg import (
     STEP_HALF,
     RealFunction,
     ToleranceProfile,
+    _gate,
     _hermitian_defect,
     func_calc,
     op_norm,
@@ -170,9 +171,14 @@ def default_registry(theta: float = 0.25, ramp_width: float | None = None) -> di
     ]
     registry = {f.name: f for f in fns}
     for f in registry.values():
-        if not f.unital_only and abs(float(f(np.array([0.0]))[0])) > 0.0:
+        if not f.unital_only and not _vanishes_at_zero(f):
             raise ValueError(f"registry function {f.name} must vanish at 0")
     return registry
+
+
+def _vanishes_at_zero(f: RealFunction) -> bool:
+    """f(0) = 0, measured: the discipline relations over non-unital inputs need."""
+    return float(f(np.array([0.0]))[0]) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +486,7 @@ def _validate(e, variables: set[str], registry: Mapping[str, RealFunction]) -> N
                 raise ValidationError(
                     f"function {e.fname!r} is not continuous; it cannot appear in relations"
                 )
-            if not fn.vanishes_at_zero:
+            if not _vanishes_at_zero(fn):
                 raise ValidationError(
                     f"function {e.fname!r} does not vanish at 0"
                 )
@@ -641,11 +647,8 @@ def evaluate(
         return e.factor * evaluate(e.arg, env, registry, profile)
     if isinstance(e, FnApp):
         arg = evaluate(e.arg, env, registry, profile)
-        bad = _hermitian_defect(arg, 1e-8, profile)
-        if bad is not None:
-            raise NotHermitianAtFnApp(
-                f"{e.fname} received a matrix with hermitian defect {bad[0]:.3e}"
-            )
+        defect, bound = _hermitian_defect(arg, 1e-8, profile)
+        _gate(f"hermitian defect of the argument of {e.fname}", defect, bound, NotHermitianAtFnApp)
         fn = registry.get(e.fname)
         if fn is None:
             raise ValidationError(f"function {e.fname!r} is not registered")
@@ -681,6 +684,7 @@ rel orthogonality: h*k = 0;
 def perturbation_sampler(
     m: int = 4,
     max_bisection: int = 60,
+    profile: ToleranceProfile = DEFAULT_PROFILE,
 ) -> Callable[[float, np.random.Generator], dict[str, np.ndarray]]:
     """Sampler producing environments within a target residual of exactness.
 
@@ -688,7 +692,7 @@ def perturbation_sampler(
     a random perturbation direction (Hermitian for h and k, arbitrary for x),
     and bisects its amplitude until the worst relation residual lands in
     (delta/2, delta].  A zero-amplitude fallback keeps the residual <= delta
-    even for extreme targets.
+    even for extreme targets.  Norms and residuals are taken under ``profile``.
     """
     base = canonical_generators(m)
 
@@ -703,12 +707,12 @@ def perturbation_sampler(
         dk = rnd()
         dk = 0.5 * (dk + dk.conj().T)
         dx = rnd()
-        scale = max(op_norm(dh), op_norm(dk), op_norm(dx))
+        scale = max(op_norm(dh, profile), op_norm(dk, profile), op_norm(dx, profile))
         dh, dk, dx = dh / scale, dk / scale, dx / scale
 
         def worst(amp: float) -> float:
             trip = QcTriple(base.h + amp * dh, base.x + amp * dx, base.k + amp * dk)
-            return max(low_level_residuals(trip).values())
+            return max(low_level_residuals(trip, profile).values())
 
         lo, hi = 0.0, delta
         for _ in range(max_bisection):
@@ -761,10 +765,7 @@ def delta_eps_sweep(
         for _ in range(samples_per_delta):
             env = sampler(delta, rng)
             res = residuals(rs, env, profile)
-            if res and max(res.values()) > delta:
-                raise SamplerExhausted(
-                    f"sampler exceeded the residual budget at delta={delta:.3e}"
-                )
+            _gate("sample residual", max(res.values(), default=0.0), delta, SamplerExhausted)
             value = op_norm(evaluate(consequence, env, rs.registry, profile), profile)
             worst_s = max(worst_s, value)
         table.append((delta, worst_s))

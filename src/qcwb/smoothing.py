@@ -42,6 +42,7 @@ from .linalg import (
     RealFunction,
     ToleranceProfile,
     _eigh_raw,
+    _gate,
     _idempotency_defect,
     _threshold_half,
     adjoint,
@@ -252,22 +253,12 @@ def _checked_input(
     settle.  Nothing here depends on theta, so :func:`auto_theta` checks once.
     """
     input_res = low_level_residuals(triple, profile)
-    worst = max(input_res.values())
-    if not (worst <= delta):
-        raise ResidualTooLarge(
-            f"input residual {worst:.3e} exceeds the budget delta={delta:.3e}"
-        )
+    _gate("input residual", max(input_res.values()), delta, ResidualTooLarge)
     for name, a in (("h", triple.h), ("x", triple.x), ("k", triple.k)):
         mag = np.abs(a)
         one, inf = mag.sum(axis=0).max(initial=0.0), mag.sum(axis=1).max(initial=0.0)
-        bound = np.sqrt(one * inf)
-        if not (bound <= 2.0):
-            norm = op_norm(a, profile)
-            if not (norm <= 2.0):
-                raise ResidualTooLarge(
-                    f"component norm ||{name}|| = {norm:.3e} exceeds the bound 2 "
-                    "the cutoffs assume"
-                )
+        if not (np.sqrt(one * inf) <= 2.0):
+            _gate(f"component norm ||{name}||", op_norm(a, profile), 2.0, ResidualTooLarge)
     return input_res
 
 
@@ -300,11 +291,8 @@ def _smooth_checked(
         ]
     )
     b_sys = _eigh_raw(b, profile)
-    t2_defect = _idempotency_defect(b_sys)
-    if not (t2_defect < 0.25):
-        raise SpectralGapFailure(
-            f"||T2^2 - T2|| = {t2_defect:.4f} >= 1/4; spectrum reaches 1/2"
-        )
+    t2_defect = float(_idempotency_defect(b_sys))
+    _gate("||T2^2 - T2||", t2_defect, np.nextafter(0.25, 0.0), SpectralGapFailure)
     pi = _threshold_half(b_sys)
     p = lam_p.size
 

@@ -1,0 +1,134 @@
+"""Every certificate in ``src/qcwb`` compares its defect with its bound through ``linalg._gate``.
+
+Two AST checks keep it that way: the fiber-naming internals of the gate stay
+in ``linalg``, and no certificate exception is raised straight from an ``if``
+that tests a comparison, apart from the checks listed in ``ALLOWED``, which do
+not compare a measured defect with a stated bound.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qcwb"
+MODULES = sorted(PACKAGE.glob("*.py"))
+TREES = {p.name: ast.parse(p.read_text()) for p in MODULES}
+
+GATE_INTERNALS = {"_first_fiber", "_at_fiber"}
+
+# exceptions for malformed input, not for a failed certificate
+INPUT_ERRORS = {
+    "DimMismatch",
+    "FormatError",
+    "RelationSyntaxError",
+    "ValidationError",
+    "UnboundVariable",
+}
+
+# (module, function, exception) raised from a comparison on purpose
+ALLOWED = {
+    # convergence: the Jacobi sweep budget ran out; a count, not a defect
+    ("linalg.py", "_jacobi_one", "NoConvergence"),
+    # convergence: LAPACK failed or the input is not finite
+    ("linalg.py", "op_norm", "NoConvergence"),
+    # determinant: a vanishing determinant has no phase to bound
+    ("boundary.py", "winding_number", "WindingIllConditioned"),
+    # spectral window: eigenvalues inside (1/2 - gamma, 1/2 + gamma), not a defect
+    ("boundary.py", "exact_projection_lift", "NoSpectralGap"),
+    # winding equality: two integers that must agree
+    ("boundary.py", "homotopy_collapse", "WindingIllConditioned"),
+}
+
+
+def _exception_classes() -> set[str]:
+    """Every exception class the package defines, through any chain of bases."""
+    known = {"Exception", "ValueError", "RuntimeError", "KeyError"}
+    classes = [n for tree in TREES.values() for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
+    found: set[str] = set()
+    grew = True
+    while grew:
+        grew = False
+        for c in classes:
+            bases = {b.id for b in c.bases if isinstance(b, ast.Name)}
+            if c.name not in found and bases & (known | found):
+                found.add(c.name)
+                grew = True
+    return found
+
+
+CERTIFICATE_ERRORS = _exception_classes() - INPUT_ERRORS
+
+
+def _has_compare(node: ast.AST) -> bool:
+    return any(isinstance(n, ast.Compare) for n in ast.walk(node))
+
+
+def _raised_class(stmt: ast.Raise) -> str | None:
+    exc = stmt.exc.func if isinstance(stmt.exc, ast.Call) else stmt.exc
+    return exc.id if isinstance(exc, ast.Name) else None
+
+
+def _raises_from_comparisons(tree: ast.Module) -> set[tuple[str, str, int]]:
+    """(function, exception, line) of each certificate exception raised directly
+    under an ``if`` whose test holds a comparison, or a name the function
+    assigns from one (``fails = ~(x <= tol)``; ``if fails.any(): raise``)."""
+    found = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        tainted = {
+            t.id
+            for node in ast.walk(func)
+            if isinstance(node, ast.Assign) and _has_compare(node.value)
+            for t in node.targets
+            if isinstance(t, ast.Name)
+        }
+        for node in ast.walk(func):
+            if not isinstance(node, ast.If):
+                continue
+            names = {n.id for n in ast.walk(node.test) if isinstance(n, ast.Name)}
+            if not (_has_compare(node.test) or names & tainted):
+                continue
+            for stmt in node.body + node.orelse:
+                if isinstance(stmt, ast.Raise) and _raised_class(stmt) in CERTIFICATE_ERRORS:
+                    found.add((func.name, _raised_class(stmt), stmt.lineno))
+    return found
+
+
+def test_certificate_errors_are_found():
+    assert {"NotHermitian", "GapTooSmall", "SupportViolation", "LiftResidual"} <= CERTIFICATE_ERRORS
+    assert not CERTIFICATE_ERRORS & INPUT_ERRORS
+
+
+@pytest.mark.parametrize("name", [n for n in TREES if n != "linalg.py"])
+def test_gate_internals_stay_in_linalg(name):
+    used = {
+        n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute) else n.name
+        for n in ast.walk(TREES[name])
+        if isinstance(n, (ast.Name, ast.Attribute, ast.alias))
+    }
+    assert not used & GATE_INTERNALS, f"{name} uses {sorted(used & GATE_INTERNALS)}"
+
+
+@pytest.mark.parametrize("name", sorted(TREES))
+def test_certificates_go_through_the_gate(name):
+    hand_written = {
+        (func, exc, line)
+        for func, exc, line in _raises_from_comparisons(TREES[name])
+        if (name, func, exc) not in ALLOWED
+    }
+    assert not hand_written, (
+        f"{name} raises a certificate error from a hand-written comparison "
+        f"(function, exception, line): {sorted(hand_written)}; use linalg._gate"
+    )
+
+
+def test_every_allowed_site_exists():
+    # a stale entry would let a new hand-written check in under its name
+    seen = {
+        (name, func, exc)
+        for name, tree in TREES.items()
+        for func, exc, _ in _raises_from_comparisons(tree)
+    }
+    assert ALLOWED <= seen, f"allowlist entries with no such site: {sorted(ALLOWED - seen)}"

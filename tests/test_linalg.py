@@ -23,7 +23,8 @@ from qcwb.linalg import (
     smooth_step,
     unitary_exp,
 )
-from qcwb.structures import support_projection
+from qcwb.linalg import _gate
+from qcwb.structures import CornerQuad, CornerSystem, SupportViolation, support_projection
 
 from conftest import (
     hermitian_with_spectrum,
@@ -477,3 +478,100 @@ class TestStackedGates:
         stack[2] = hermitian_with_spectrum(rng, [-0.1, 0.5, 1.0])
         with pytest.raises(NotPositive, match="at fiber 2"):
             frac_power(stack, 0.5, PROFILES[name])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=2, max_value=5),
+    st.data(),
+    st.integers(min_value=0, max_value=2**31),
+    st.sampled_from(["push", np.nan, np.inf]),
+    st.sampled_from(["default", "jacobi"]),
+)
+def test_gates_name_the_one_bad_fiber_property(fibers, n, data, seed, bad, name):
+    # one fiber of a stack pushed past its bound, or given one non-finite
+    # entry, fails the gate, which names that fiber
+    profile = PROFILES[name]
+    at = data.draw(st.integers(min_value=0, max_value=fibers - 1))
+    label = f"at fiber {at} "
+    gen = np.random.default_rng(seed)
+    spectrum = np.linspace(0.0, 1.0, n)
+    positive = np.stack([hermitian_with_spectrum(gen, spectrum) for _ in range(fibers)])
+    if bad == "push":
+        skewed = positive.copy()
+        skewed[at, 0, 1] += 1e-3
+        with pytest.raises(NotHermitian, match=label):
+            herm_eig(skewed, profile)
+        positive[at] = hermitian_with_spectrum(gen, np.r_[-0.1, spectrum[1:]])
+        with pytest.raises(NotPositive, match=label):
+            frac_power(positive, 0.5, profile)
+        rounded = spectrum.round()
+        projections = np.stack([hermitian_with_spectrum(gen, rounded) for _ in range(fibers)])
+        projections[at] = hermitian_with_spectrum(gen, np.r_[-0.4, rounded[1:]])
+        with pytest.raises(GapTooSmall, match=label):
+            nearest_projection(projections, profile)
+    else:
+        # off the diagonal and on one side only: the skew part is not finite
+        positive[at, 0, 1] = bad
+        with pytest.raises(NotHermitian, match=label):
+            herm_eig(positive, profile)
+        with pytest.raises(NotHermitian, match=label):
+            frac_power(positive, 0.5, profile)
+
+    # the support check on a stacked corner system: h on the first half of
+    # the coordinates, k on the second; x11 leaks into the k corner at one fiber
+    half = n // 2
+    p_h = np.zeros((fibers, n, n), dtype=complex)
+    p_h[:, :half, :half] = np.eye(half)
+    p_k = np.zeros((fibers, n, n), dtype=complex)
+    p_k[:, half:, half:] = np.eye(n - half)
+    corners = CornerSystem(h=p_h, k=p_k, p_h=p_h, p_k=p_k)
+    x11 = p_h @ np.stack([random_matrix(gen, n) for _ in range(fibers)]) @ p_h
+    zero = np.zeros_like(x11)
+    CornerQuad(x11, zero, zero, zero).check_supports(corners, profile)
+    if bad == "push":
+        x11[at, -1, 0] = 1e-3
+        with pytest.raises(SupportViolation, match=label):
+            CornerQuad(x11, zero, zero, zero).check_supports(corners, profile)
+    else:
+        # op_norm, which measures the leak, rejects a non-finite entry first
+        x11[at, 0, 0] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(NoConvergence, match="not finite"):
+            CornerQuad(x11, zero, zero, zero).check_supports(corners, profile)
+
+
+class TestGate:
+    def test_passes_at_the_bound(self):
+        _gate("q", 1.0, 1.0, ValueError)
+        _gate("q", np.zeros((2, 3)), np.ones(3), ValueError)
+
+    def test_nan_fails(self):
+        with pytest.raises(ValueError, match="q = nan exceeds the bound 1.000e\\+00"):
+            _gate("q", np.nan, 1.0, ValueError)
+
+    def test_names_the_first_failing_fiber(self):
+        value = np.zeros((2, 3))
+        value[1, 2] = 5.0
+        value[1, 0] = np.nan
+        want = "^q = nan at fiber 1, 0 exceeds the bound 1.000e\\+00$"
+        with pytest.raises(NotPositive, match=want):
+            _gate("q", value, np.array([1.0, 2.0, 3.0]), NotPositive)
+
+    def test_strict_bound(self):
+        # a strict gate x < 1/4 passes nextafter(1/4, 0); the message keeps
+        # enough digits to tell the value from the bound
+        strict = np.nextafter(0.25, 0.0)
+        _gate("eta", strict, strict, GapTooSmall)
+        want = "eta = 2.5000000000000000e-01 exceeds the bound 2.4999999999999997e-01"
+        with pytest.raises(GapTooSmall, match=want):
+            _gate("eta", 0.25, strict, GapTooSmall)
+
+    def test_large_finite_hermitian_accepted(self, rng):
+        # the Frobenius norms overflow; the exact check still decides
+        h = 1e200 * random_hermitian(rng, 4)
+        herm_eig(h)
+        skew = h.copy()
+        skew[0, 1] *= 1.5
+        with pytest.raises(NotHermitian):
+            herm_eig(skew)

@@ -1,8 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcwb import cli
+from qcwb.linalg import RealFunction
 from qcwb.qc_model import canonical_generators, low_level_residuals
 from qcwb.relations import (
     QC_RELATION_SOURCE,
@@ -317,3 +321,43 @@ class TestRegistry:
         g = reg["gplus"]
         assert g(np.array([-1.0]))[0] == 0.0
         assert g(np.array([0.2]))[0] == pytest.approx(0.2)
+
+    def test_function_not_vanishing_at_zero_rejected(self):
+        # f(0) is measured: a registry function with f(0) = 1 would give a
+        # relation that reads 1 on the zero assignment
+        reg = dict(default_registry(), shift=RealFunction("shift", lambda t: t + 1.0))
+        with pytest.raises(ValidationError, match="does not vanish at 0"):
+            parse("vars h;\nrel r: shift(sym(h)) = 0;", reg)
+        with pytest.raises(ValidationError, match="does not vanish at 0"):
+            parse_expression("shift(h'*h)", ("h",), reg)
+        parse("vars h;\nrel r: pos(sym(h)) = 0;", reg)
+
+
+def test_jacobi_sweep_is_self_contained(tmp_path, monkeypatch):
+    # relations --sweep under the jacobi profile draws its samples with that
+    # profile too, so LAPACK is never reached
+    rel = tmp_path / "qc.rel"
+    rel.write_text(QC_RELATION_SOURCE)
+    spec = tmp_path / "sweep.json"
+    spec.write_text(
+        json.dumps(
+            {
+                "consequence": "x*h - k*x",
+                "deltas": [1e-2, 1e-3],
+                "samples_per_delta": 2,
+                "sampler_grid": 2,
+            }
+        )
+    )
+    out = tmp_path / "out.json"
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("LAPACK reached under the jacobi profile")
+
+    for attr in ("eigh", "eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, attr, forbidden)
+    argv = ["relations", "--input", str(rel), "--sweep", str(spec), "--output", str(out)]
+    assert cli.main([*argv, "--tolerance-profile", "jacobi"]) == 0
+    table = json.loads(out.read_text())["result"]["sweep"]
+    assert [d for d, _ in table] == [1e-2, 1e-3]
+    assert all(v <= d for d, v in table)

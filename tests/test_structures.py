@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from qcwb.linalg import op_norm, unitary_exp
+from qcwb.linalg import NotHermitian, NotPositive, op_norm, unitary_exp
 from qcwb.structures import (
     CornerQuad,
+    CornerSystem,
     LinkingElement,
     SupportViolation,
     corner_ideal_equality,
@@ -38,6 +39,29 @@ class TestCornerSystem:
         h = np.eye(3, dtype=complex)
         with pytest.raises(SupportViolation):
             make_corner_system(h, h)
+
+    def test_non_hermitian_h_rejected(self):
+        # the Hermitian part of h = [[1, 1], [-1, 1]] (+) 0 is positive; h is not
+        h = np.zeros((4, 4), dtype=complex)
+        h[:2, :2] = [[1.0, 1.0], [-1.0, 1.0]]
+        k = np.zeros((4, 4), dtype=complex)
+        k[2, 2] = 1.0
+        with pytest.raises(NotHermitian, match="hermitian defect"):
+            make_corner_system(h, k)
+
+    def test_negative_k_rejected(self):
+        h = np.diag([1.0, 0.0, 0.0]).astype(complex)
+        k = np.diag([0.0, 1.0, -0.5]).astype(complex)
+        with pytest.raises(NotPositive, match="of k = 5.000e-01"):
+            make_corner_system(h, k)
+
+    def test_dim_of_stacked_objects_is_the_fiber_dim(self):
+        # a 5-point path of 2x2 fibers, as homotopy_collapse builds
+        z = np.zeros((5, 2, 2), dtype=complex)
+        assert CornerSystem(z, z, z, z).dim == 2
+        assert CornerQuad(z, z, z, z).dim == 2
+        assert LinkingElement(1.0, 0.0, z, z, z, z).dim == 2
+        assert CornerSystem(z[0], z[0], z[0], z[0]).dim == 2
 
     def test_supports_are_projections(self, rng):
         sys = block_corner_system(rng)
