@@ -26,7 +26,6 @@ from .linalg import (
     jacobi_eigh,
     nearest_projection,
     op_norm,
-    pseudo_solve,
     unitary_exp,
 )
 from .qc_model import (

@@ -7,15 +7,16 @@ quadratic relation system in the quotient (one matrix triple per endpoint),
 the pipeline
 
 1. lifts h and k to orthogonal positive contractions over the grid
-   (positive/negative parts of a linear interpolant),
+   (positive/negative parts of a linear interpolant c of h - k),
 2. lifts x through the corner factorization x = k^(1/8) y h^(1/8), with y
-   interpolated between its endpoint values,
+   interpolated between its endpoint values; h, k, both eighth roots and
+   both support projections are read off the one decomposition of c,
 3. forms the blocked matrix T and clamps its spectrum to [0, 1],
 4. exponentiates: U = exp(2 pi i T'), a unitary path equal to the identity
    at both endpoints,
 5. collapses the four blocks of U to the single unitary
    u = -1 + u11 + u12 + u21 + u22 and accumulates the phase of det u across
-   the grid.
+   the grid (U itself is formed only at the endpoints).
 
 The resulting integer winding is the index obstruction carried by the input:
 it vanishes exactly when a spectral gap around 1/2 lets the fiberwise
@@ -34,20 +35,19 @@ import numpy as np
 from .linalg import (
     CLAMP01,
     DEFAULT_PROFILE,
-    POS,
-    NEG,
     DimMismatch,
+    EigenSystem,
     ToleranceProfile,
     _eigh_raw,
     _gate,
     _positive_eig,
+    _support_projection,
     _threshold_half,
     adjoint,
-    frac_power,
     func_calc,
+    herm_eig,
     hermitian_part,
     op_norm,
-    unitary_exp,
 )
 from .qc_model import (
     E11,
@@ -157,13 +157,6 @@ class GridFunction:
     def endpoints(self) -> tuple[np.ndarray, np.ndarray]:
         return self.values[0], self.values[-1]
 
-    def lipschitz_estimate(self, profile: ToleranceProfile = DEFAULT_PROFILE) -> float:
-        m = self.grid_size
-        if m == 0:
-            return 0.0
-        dt = 1.0 / m
-        return float(np.max(op_norm(np.diff(self.values, axis=0), profile))) / dt
-
 
 @dataclass(frozen=True)
 class EndpointPair:
@@ -249,12 +242,13 @@ def lift_orthogonal_positive(
     kb: EndpointPair,
     model: IntervalModel,
     profile: ToleranceProfile = DEFAULT_PROFILE,
-) -> tuple[GridFunction, GridFunction]:
+) -> EigenSystem:
     """Lift orthogonal positive contraction pairs to the whole grid.
 
-    The difference h - k is interpolated linearly; its positive and negative
-    parts recover the endpoints exactly (orthogonality makes pos(h - k) = h)
-    and stay orthogonal at every grid point.
+    The difference c = h - k is interpolated linearly, and the decomposition
+    of c is returned: its positive and negative parts h = pos(c), k = neg(c)
+    recover the endpoints exactly (orthogonality makes pos(h - k) = h) and
+    stay orthogonal at every grid point.
     """
     what = "(h(0), h(1), k(0), k(1))"
     ends = np.stack([hb.at0, hb.at1, kb.at0, kb.at1])
@@ -267,7 +261,7 @@ def lift_orthogonal_positive(
     c = interpolate_pair(
         EndpointPair(hb.at0 - kb.at0, hb.at1 - kb.at1), model
     ).values
-    return GridFunction(func_calc(c, POS, profile)), GridFunction(func_calc(c, NEG, profile))
+    return herm_eig(c, profile)
 
 
 @dataclass(frozen=True)
@@ -277,8 +271,6 @@ class TLift:
     t_prime: GridFunction
     h: GridFunction
     k: GridFunction
-    x: GridFunction
-    y: GridFunction
     t_raw: GridFunction
     endpoint_defect: float
     corner_defect: float
@@ -287,21 +279,19 @@ class TLift:
 
 def _scalar_parts(
     t_prime: GridFunction,
-    h: GridFunction,
-    k: GridFunction,
+    ph: np.ndarray,
+    pk: np.ndarray,
     profile: ToleranceProfile,
 ) -> tuple[complex, complex, float]:
     """Extract the two scalar slots of the linking decomposition.
 
-    At every fiber whose h (resp. k) support has a complement, the scalar is
-    the compression of the diagonal block to that complement; fibers with
-    full support contribute nothing.  Returns the medians and the largest
-    corner-leak defect observed.
+    At every fiber whose h (resp. k) support ``ph`` (``pk``) has a
+    complement, the scalar is the compression of the diagonal block to that
+    complement; fibers with full support contribute nothing.  Returns the
+    medians and the largest corner-leak defect observed.
     """
-    n = h.fiber_dim
+    n = ph.shape[-1]
     tp = t_prime.values
-    ph = support_projection(h.values, profile)
-    pk = support_projection(k.values, profile)
 
     def compressed_median(p: np.ndarray, block: np.ndarray, default: float) -> complex:
         compl = np.eye(n, dtype=complex) - p
@@ -327,10 +317,11 @@ def lift_T(
 ) -> TLift:
     """Lift an exact quotient representation to a clamped path T' of blocks.
 
-    The corner factor y is computed at each endpoint with the pseudo-inverse
-    sandwich, interpolated across the grid, and re-sandwiched between the
-    eighth roots of the lifted k and h.  The clamped path matches the
-    endpoint block matrices to ``endpoint_tol``.
+    The corner factor y is computed at each endpoint by :func:`factor_x`,
+    interpolated across the grid, and re-sandwiched between the eighth roots
+    of the lifted k and h.  h, k, their eighth roots and supports all come
+    off the one decomposition of the path c = h - k.  The clamped path
+    matches the endpoint block matrices to ``endpoint_tol``.
     """
     worst = [max(low_level_residuals(trip, profile).values()) for trip in (rep.at0, rep.at1)]
     _gate("relation residual at the endpoints (0, 1)", worst, 1e-10, LiftResidual)
@@ -338,34 +329,37 @@ def lift_T(
         raise DimMismatch(
             f"model fiber dim {model.fiber_dim} != representation dim {rep.fiber_dim}"
         )
-    h, k = lift_orthogonal_positive(
+    c = lift_orthogonal_positive(
         EndpointPair(rep.at0.h, rep.at1.h),
         EndpointPair(rep.at0.k, rep.at1.k),
         model,
         profile,
     )
+    # h = pos(c) and k = neg(c) share the eigenbasis of c
+    hs = EigenSystem(np.maximum(c.eigenvalues, 0.0), c.basis)
+    ks = EigenSystem(np.maximum(-c.eigenvalues, 0.0), c.basis)
+    h = GridFunction(hermitian_part(hs.apply(hs.eigenvalues)))
+    k = GridFunction(hermitian_part(ks.apply(ks.eigenvalues)))
     y_ends = EndpointPair(
         factor_x(rep.at0, profile), factor_x(rep.at1, profile)
     )
-    y = interpolate_pair(y_ends, model, scheme)
-    x = GridFunction(
-        frac_power(k.values, 0.125, profile) @ y.values @ frac_power(h.values, 0.125, profile)
-    )
+    y = interpolate_pair(y_ends, model, scheme).values
+    x = ks.apply(ks.eigenvalues**0.125) @ y @ hs.apply(hs.eigenvalues**0.125)
     t_raw = GridFunction(
-        t_matrix(QcTriple(h.values, x.values, k.values), profile, check_hermitian=False)
+        t_matrix(QcTriple(h.values, x, k.values), profile, check_hermitian=False)
     )
+    del x, y  # only t_raw needs them: free them before the clamp
     t_prime = GridFunction(func_calc(t_raw.values, CLAMP01, profile))
 
     ends = np.stack([t_matrix(rep.at0, profile), t_matrix(rep.at1, profile)])
     defects = op_norm(t_prime.values[[0, -1]] - ends, profile)
     _gate("clamped path defect at the endpoints (0, 1)", defects, endpoint_tol, LiftResidual)
-    alpha, beta, leak = _scalar_parts(t_prime, h, k, profile)
+    ph, pk = _support_projection(hs, profile), _support_projection(ks, profile)
+    alpha, beta, leak = _scalar_parts(t_prime, ph, pk, profile)
     return TLift(
         t_prime=t_prime,
         h=h,
         k=k,
-        x=x,
-        y=y,
         t_raw=t_raw,
         endpoint_defect=float(np.max(defects)),
         corner_defect=leak,
@@ -435,7 +429,8 @@ def boundary_unitary(
     U = exp(2 pi i T') fiberwise must be the identity at both endpoints
     (:class:`EndpointDefect` otherwise); the four n x n blocks collapse to
     u = -1 + u11 + u12 + u21 + u22, whose det phase is accumulated across
-    the grid.
+    the grid.  U is formed only at the endpoints: with T' = B diag(w) B*,
+    the block sum is C diag(e^(2 pi i w)) C* for C = B[:n] + B[n:].
     """
     two_n = t_prime.fiber_dim
     if two_n % 2 != 0 or two_n != 2 * model.fiber_dim:
@@ -443,18 +438,18 @@ def boundary_unitary(
             f"expected fibers of dim {2 * model.fiber_dim}, got {two_n}"
         )
     n = model.fiber_dim
-    u_big = unitary_exp(t_prime.values, profile)
+    es = herm_eig(t_prime.values, profile)
+    w, b = es.eigenvalues, es.basis
+    phase = np.exp(2j * np.pi * w)
+    u_ends = EigenSystem(w[[0, -1]], b[[0, -1]]).apply(phase[[0, -1]])
     _gate(
         "||exp(2 pi i T') - 1|| at the endpoints (0, 1)",
-        op_norm(u_big[[0, -1]] - np.eye(two_n, dtype=complex), profile),
+        op_norm(u_ends - np.eye(two_n, dtype=complex), profile),
         endpoint_tol,
         EndpointDefect,
     )
     eye = np.eye(n, dtype=complex)
-    u = GridFunction(
-        -eye + u_big[:, :n, :n] + u_big[:, :n, n:] + u_big[:, n:, :n] + u_big[:, n:, n:]
-    )
-    del u_big
+    u = GridFunction(EigenSystem(w, b[:, :n] + b[:, n:]).apply(phase) - eye)
     unit_defect = float(np.max(op_norm(u.values @ adjoint(u.values) - eye, profile)))
     end_defect = float(np.max(op_norm(u.values[[0, -1]] - eye, profile)))
     winding, _, step_max = winding_number(u.values)
@@ -481,9 +476,6 @@ class GridRepresentation:
     k: GridFunction
     max_residual: float
     endpoint_defect: float
-
-    def triple_at(self, i: int) -> QcTriple:
-        return QcTriple(self.h.at(i), self.x.at(i), self.k.at(i))
 
 
 def exact_projection_lift(

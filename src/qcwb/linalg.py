@@ -7,7 +7,9 @@ relative to each fiber, and a gate fails when any one fiber fails.  This
 module supplies the Hermitian eigendecomposition (LAPACK by default, with a
 self-contained cyclic Jacobi as an independent alternative), functional
 calculus, operator norms, fractional powers of positive matrices, unitary
-exponentials, the nearest-projection map, and a minimum-norm sandwich solver.
+exponentials, the nearest-projection map, and the support cutoff of a positive
+spectrum.  One decomposition serves every function of the same matrix:
+:meth:`EigenSystem.apply` assembles each one from the shared basis.
 
 All operations are pure functions: inputs are never mutated, results are
 freshly allocated.  Numerical thresholds are collected in a
@@ -42,7 +44,6 @@ __all__ = [
     "op_norm",
     "frac_power",
     "nearest_projection",
-    "pseudo_solve",
     "smooth_step",
     "POS",
     "NEG",
@@ -120,13 +121,6 @@ def _as_square(m: np.ndarray, what: str = "matrix") -> np.ndarray:
     return a
 
 
-def _same_dim(*mats: np.ndarray) -> int:
-    dims = {m.shape[-1] for m in mats}
-    if len(dims) != 1:
-        raise DimMismatch(f"operands have mixed dimensions {sorted(dims)}")
-    return dims.pop()
-
-
 # ---------------------------------------------------------------------------
 # eigendecomposition
 # ---------------------------------------------------------------------------
@@ -144,7 +138,7 @@ class EigenSystem:
         return self.basis.shape[-1]
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        """Assemble basis @ diag(values) @ basis* for each fiber."""
+        """Assemble basis @ diag(values) @ basis* for each fiber (basis may be a block of rows)."""
         # scaling a conjugated copy in place keeps one full-size temporary;
         # the ufunc always copies (ndarray.conj returns a real array itself)
         scaled = np.conjugate(self.basis, dtype=complex)
@@ -307,6 +301,18 @@ def herm_eig(h: np.ndarray, profile: ToleranceProfile = DEFAULT_PROFILE) -> Eige
     return _eigh_raw(a, profile)
 
 
+def _support(w: np.ndarray, profile: ToleranceProfile) -> np.ndarray:
+    """Mask of the eigenvalues ``w`` of a positive matrix that span its range:
+    those above ``support_tol * max(1, largest eigenvalue)`` of their fiber."""
+    top = np.max(w, axis=-1, keepdims=True, initial=0.0)
+    return w > profile.support_tol * np.maximum(1.0, top)
+
+
+def _support_projection(es: EigenSystem, profile: ToleranceProfile) -> np.ndarray:
+    """Projection onto the range of the positive matrix that ``es`` decomposes."""
+    return hermitian_part(es.apply(_support(es.eigenvalues, profile)))
+
+
 def _positive_eig(
     h: np.ndarray,
     tol: float,
@@ -407,7 +413,8 @@ def op_norm(
     never forms ``m* m``, so the result neither overflows nor underflows while
     ``m`` itself is representable.  The Jacobi method stays self-contained:
     Jacobi on the Gram matrix of ``m / max|m_ij|``, rescaled afterwards.
-    Under either method a NaN or inf entry raises :class:`NoConvergence`.
+    Under either method a NaN or inf entry raises :class:`NoConvergence`,
+    which names the first such fiber of a stack.
     """
     a = _as_square(m, "op_norm input")
     if a.shape[-1] == 0:
@@ -415,7 +422,7 @@ def op_norm(
     elif profile.method == "jacobi":
         scale = np.max(np.abs(a), axis=(-2, -1))
         if not np.all(np.isfinite(scale)):
-            raise NoConvergence("op_norm input is not finite")
+            raise NoConvergence(_not_finite(scale))
         # real divisions: a complex one overflows on a subnormal scale
         safe = np.where(scale > 0.0, scale, 1.0)[..., None, None]
         b = a.real / safe + 1j * (a.imag / safe)
@@ -426,14 +433,25 @@ def op_norm(
             norms = np.linalg.svd(a, compute_uv=False)[..., 0]
         except np.linalg.LinAlgError as exc:
             # LAPACK fails on a NaN entry; only then is the input scanned
-            finite = np.all(np.isfinite(a))
-            raise NoConvergence(str(exc) if finite else "op_norm input is not finite") from exc
+            scale = np.max(np.abs(a), axis=(-2, -1))
+            if np.all(np.isfinite(scale)):
+                raise NoConvergence(str(exc)) from exc
+            raise NoConvergence(_not_finite(scale)) from exc
         # an inf entry gives a NaN norm: testing the norms is O(1) per fiber,
         # and math.isfinite keeps the test on one matrix below 0.1 us
         finite = math.isfinite(norms) if a.ndim == 2 else np.isfinite(norms).all()
         if not finite:
-            raise NoConvergence("op_norm input is not finite")
+            raise NoConvergence(_not_finite(norms))
     return float(norms) if a.ndim == 2 else norms
+
+
+def _not_finite(per_fiber: np.ndarray) -> str:
+    """The :func:`op_norm` error message; it names the first fiber whose
+    ``per_fiber`` value is not finite."""
+    bad = ~np.isfinite(per_fiber)
+    idx = np.unravel_index(np.argmax(bad), bad.shape)
+    at = f" at fiber {', '.join(map(str, idx))}" if idx else ""
+    return f"op_norm input is not finite{at}"
 
 
 def frac_power(
@@ -478,32 +496,3 @@ def nearest_projection(
     es = herm_eig(_as_square(p, "nearest_projection input"), profile)
     _gate("||p^2 - p||", _idempotency_defect(es), np.nextafter(0.25, 0.0), GapTooSmall)
     return _threshold_half(es)
-
-
-def _pinv_psd_action(m: np.ndarray, profile: ToleranceProfile) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse via the eigendecomposition of m* m; zero for m = 0."""
-    mh = adjoint(m)
-    es = _eigh_raw(mh @ m, profile)
-    w = np.maximum(es.eigenvalues, 0.0)
-    sigma = np.sqrt(w)
-    keep = sigma > profile.rank_tol * sigma[..., -1:]
-    inv = np.where(keep, 1.0 / np.where(w > 0.0, w, 1.0), 0.0)
-    return es.apply(inv) @ mh
-
-
-def pseudo_solve(
-    a: np.ndarray,
-    b: np.ndarray,
-    x: np.ndarray,
-    profile: ToleranceProfile = DEFAULT_PROFILE,
-) -> np.ndarray:
-    """Minimum-norm y minimizing ||a @ y @ b - x||.
-
-    Rank deficiency is handled by discarding singular values below
-    ``rank_tol`` times the largest one, so a = 0 or b = 0 yields y = 0.
-    """
-    a = _as_square(a, "left factor")
-    b = _as_square(b, "right factor")
-    x = _as_square(x, "target")
-    _same_dim(a, b, x)
-    return _pinv_psd_action(a, profile) @ x @ _pinv_psd_action(b, profile)

@@ -26,11 +26,11 @@ from .linalg import (
     _eigh_raw,
     _gate,
     _hermitian_defect,
+    _positive_eig,
+    _support,
     adjoint,
-    frac_power,
     hermitian_part,
     op_norm,
-    pseudo_solve,
 )
 
 __all__ = [
@@ -194,20 +194,29 @@ def factor_x(
     reconstruction_tol: float = 1e-7,
     check_pre: bool = True,
 ) -> np.ndarray:
-    """Factor x = k^(1/8) y h^(1/8), returning the minimum-norm y.
+    """Factor x = k^(1/8) y h^(1/8), returning y = k^(-1/8) x h^(-1/8).
 
-    Requires the weak relation residuals to be below ``pre_tol`` (so x lives
-    in the k-h corner up to tolerance); ``check_pre=False`` skips that gate
-    and relies on the reconstruction bound alone.  Raises
-    :class:`FactorizationResidualTooLarge` when the sandwich cannot reproduce
-    x to ``reconstruction_tol * max(1, ||x||)``.
+    h and k are decomposed once each; both eighth roots come off that one
+    spectrum, the inverse root on the support only (see ``linalg._support``),
+    so y lives in the k-h corner.  Requires the weak relation residuals to be
+    below ``pre_tol`` (so x lives in that corner up to tolerance);
+    ``check_pre=False`` skips that gate and relies on the reconstruction
+    bound alone.  Raises :class:`FactorizationResidualTooLarge` when the
+    sandwich cannot reproduce x to ``reconstruction_tol * max(1, ||x||)``.
     """
     if check_pre:
         worst = max(positivity_residuals(triple, profile).values())
         _gate("corner relation residual", worst, pre_tol, ValueError)
-    h8 = frac_power(hermitian_part(triple.h), 0.125, profile)
-    k8 = frac_power(hermitian_part(triple.k), 0.125, profile)
-    y = pseudo_solve(k8, h8, triple.x, profile)
+
+    def eighth_roots(m: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+        es = _positive_eig(hermitian_part(m), profile.clamp_tol, profile, what=what)
+        w = np.maximum(es.eigenvalues, 0.0)
+        inverse = np.power(w, -0.125, out=np.zeros_like(w), where=_support(w, profile))
+        return es.apply(w**0.125), es.apply(inverse)
+
+    h8, h8_inv = eighth_roots(triple.h, "h")
+    k8, k8_inv = eighth_roots(triple.k, "k")
+    y = k8_inv @ triple.x @ h8_inv
     _gate(
         "corner sandwich reconstruction defect",
         op_norm(k8 @ y @ h8 - triple.x, profile),

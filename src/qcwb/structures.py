@@ -29,6 +29,7 @@ from .linalg import (
     _eigh_raw,
     _gate,
     _positive_eig,
+    _support_projection,
     hermitian_part,
     op_norm,
 )
@@ -62,10 +63,7 @@ def support_projection(
     Eigenvalues above ``support_tol * max(1, largest eigenvalue)`` of their
     own fiber count as range directions.
     """
-    es = _eigh_raw(h, profile)
-    w = es.eigenvalues
-    thr = profile.support_tol * np.maximum(1.0, w[..., -1:])
-    return hermitian_part(es.apply(np.where(w > thr, 1.0, 0.0)))
+    return _support_projection(_eigh_raw(h, profile), profile)
 
 
 @dataclass(frozen=True)
@@ -88,19 +86,20 @@ def make_corner_system(
     """Validate positivity and orthogonality, derive the support projections.
 
     A non-Hermitian h or k raises :class:`NotHermitian`, one with an
-    eigenvalue below ``-support_tol`` :class:`NotPositive`.
+    eigenvalue below ``-support_tol`` :class:`NotPositive`.  The support
+    projections come off the spectra the positivity check computed.
     """
     h = np.asarray(h, dtype=complex)
     k = np.asarray(k, dtype=complex)
     if h.shape != k.shape:
         raise DimMismatch(f"h and k differ in shape: {h.shape} vs {k.shape}")
     tol = profile.support_tol
-    for name, m in (("h", h), ("k", k)):
-        _positive_eig(m, tol, profile, what=name)
+    hs = _positive_eig(h, tol, profile, what="h")
+    ks = _positive_eig(k, tol, profile, what="k")
     scale = np.maximum(1.0, op_norm(h, profile) * op_norm(k, profile))
     _gate("||h k||", op_norm(h @ k, profile), tol * scale, SupportViolation)
-    p_h = support_projection(h, profile)
-    p_k = support_projection(k, profile)
+    p_h = _support_projection(hs, profile)
+    p_k = _support_projection(ks, profile)
     _gate("support overlap ||p_h p_k||", op_norm(p_h @ p_k, profile), tol, SupportViolation)
     return CornerSystem(h=h, k=k, p_h=p_h, p_k=p_k)
 

@@ -1,10 +1,28 @@
+import functools
+
 import numpy as np
 import pytest
+
+from qcwb.qc_model import E11, QcTriple, canonical_fiber
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def eigh_shapes(monkeypatch):
+    """The input shape of every numpy.linalg.eigh call made during the test."""
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return shapes
 
 
 def random_hermitian(rng, n, scale=1.0):
@@ -27,6 +45,29 @@ def hermitian_with_spectrum(rng, eigenvalues):
     n = len(eigenvalues)
     u = random_unitary(rng, n)
     return (u * np.asarray(eigenvalues, dtype=float)) @ u.conj().T
+
+
+def exact_endpoint(rng, n):
+    """A Haar-conjugated exact representation of dimension n.
+
+    A direct sum of canonical fibers canonical_fiber(t) with t in (0, 1], E11
+    blocks (E11, 0, 0) and 1x1 zero blocks, in random order, conjugated by
+    one random unitary.
+    """
+    z1, z2 = np.zeros((1, 1), dtype=complex), np.zeros((2, 2), dtype=complex)
+    blocks, size = [], 0
+    while size < n:
+        kind = rng.integers(3) if n - size >= 2 else 2
+        if kind == 0:
+            blocks.append(canonical_fiber(1.0 - rng.random()))
+        elif kind == 1:
+            blocks.append(QcTriple(E11, z2, z2))
+        else:
+            blocks.append(QcTriple(z1, z1, z1))
+        size += blocks[-1].dim
+    trip = functools.reduce(QcTriple.direct_sum, blocks)
+    u = random_unitary(rng, n)
+    return QcTriple(*(u @ m @ u.conj().T for m in (trip.h, trip.x, trip.k)))
 
 
 def power_iteration_norm(m, iterations=500, seed=0):

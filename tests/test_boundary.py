@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qcwb.linalg import PROFILES, op_norm, unitary_exp
-from qcwb.qc_model import QcTriple, canonical_fiber, low_level_residuals
+from qcwb.linalg import DEFAULT_PROFILE, PROFILES, frac_power, op_norm, unitary_exp
+from qcwb.qc_model import QcTriple, canonical_fiber, factor_x, low_level_residuals, t_matrix
 from qcwb.boundary import (
     BScenarioRep,
     EndpointPair,
@@ -22,6 +24,8 @@ from qcwb.boundary import (
     run_scenario,
     winding_number,
 )
+
+from conftest import exact_endpoint
 
 E11 = np.diag([1.0, 0.0]).astype(complex)
 E22 = np.diag([0.0, 1.0]).astype(complex)
@@ -46,43 +50,37 @@ class TestIntervalModel:
         k0, k1 = kern.endpoints()
         assert op_norm(k0) <= 1e-10 and op_norm(k1) <= 1e-10
 
-    def test_lipschitz_estimate(self):
-        model = IntervalModel(grid_size=10, fiber_dim=1)
-        g = interpolate_pair(
-            EndpointPair(np.zeros((1, 1)), np.ones((1, 1))), model
-        )
-        assert g.lipschitz_estimate() == pytest.approx(1.0)
+
+def lifted_pair(hb, kb, model):
+    """h = pos(c) and k = neg(c), read off the decomposition of c = h - k."""
+    c = lift_orthogonal_positive(hb, kb, model)
+    w = c.eigenvalues
+    return c.apply(np.maximum(w, 0.0)), c.apply(np.maximum(-w, 0.0))
 
 
 class TestLiftOrthogonalPositive:
     def test_constant_pair(self):
         model = IntervalModel(grid_size=6, fiber_dim=2)
-        h, k = lift_orthogonal_positive(
-            EndpointPair(E11, E11), EndpointPair(E22, E22), model
-        )
+        h, k = lifted_pair(EndpointPair(E11, E11), EndpointPair(E22, E22), model)
         for i in range(7):
-            np.testing.assert_allclose(h.at(i), E11, atol=1e-12)
-            np.testing.assert_allclose(k.at(i), E22, atol=1e-12)
+            np.testing.assert_allclose(h[i], E11, atol=1e-12)
+            np.testing.assert_allclose(k[i], E22, atol=1e-12)
 
     def test_interpolating_pair(self):
         model = IntervalModel(grid_size=8, fiber_dim=2)
-        h, k = lift_orthogonal_positive(
-            EndpointPair(E11, Z2), EndpointPair(E22, Z2), model
-        )
-        np.testing.assert_allclose(h.at(0), E11, atol=1e-12)
-        np.testing.assert_allclose(h.at(8), Z2, atol=1e-12)
-        np.testing.assert_allclose(k.at(0), E22, atol=1e-12)
+        h, k = lifted_pair(EndpointPair(E11, Z2), EndpointPair(E22, Z2), model)
+        np.testing.assert_allclose(h[0], E11, atol=1e-12)
+        np.testing.assert_allclose(h[8], Z2, atol=1e-12)
+        np.testing.assert_allclose(k[0], E22, atol=1e-12)
         for i in range(9):
-            assert op_norm(h.at(i) @ k.at(i)) <= 1e-12
-            wh = np.linalg.eigvalsh(h.at(i))
+            assert op_norm(h[i] @ k[i]) <= 1e-12
+            wh = np.linalg.eigvalsh(h[i])
             assert wh[0] >= -1e-12 and wh[-1] <= 1 + 1e-12
 
     def test_zero_pair(self):
         model = IntervalModel(grid_size=4, fiber_dim=2)
-        h, k = lift_orthogonal_positive(
-            EndpointPair(Z2, Z2), EndpointPair(Z2, Z2), model
-        )
-        assert op_norm(h.at(2)) == 0.0 and op_norm(k.at(2)) == 0.0
+        h, k = lifted_pair(EndpointPair(Z2, Z2), EndpointPair(Z2, Z2), model)
+        assert op_norm(h[2]) == 0.0 and op_norm(k[2]) == 0.0
 
     def test_not_orthogonal_raises(self):
         model = IntervalModel(grid_size=4, fiber_dim=2)
@@ -289,7 +287,8 @@ class TestExactProjectionLift:
         assert grid_rep.max_residual <= 1e-10
         assert grid_rep.endpoint_defect <= 1e-9
         for i in range(17):
-            res = low_level_residuals(grid_rep.triple_at(i))
+            triple = QcTriple(grid_rep.h.at(i), grid_rep.x.at(i), grid_rep.k.at(i))
+            res = low_level_residuals(triple)
             assert max(res.values()) <= 1e-10
 
     def test_constant_fiber_scenario(self):
@@ -343,14 +342,38 @@ class TestRunScenario:
             run_scenario("eval-at-one", grid_size=2, max_grid=2)
 
 
+def check_exact_endpoints(gen, n, profile):
+    """factor_x reconstructs x at both ends of a random exact endpoint pair,
+    and run_scenario's winding is the index tr T(1) - tr T(0)."""
+    rep = BScenarioRep(exact_endpoint(gen, n), exact_endpoint(gen, n))
+    for trip in (rep.at0, rep.at1):
+        y = factor_x(trip, profile)
+        k8, h8 = frac_power(trip.k, 0.125, profile), frac_power(trip.h, 0.125, profile)
+        assert op_norm(k8 @ y @ h8 - trip.x) <= 1e-7 * max(1.0, op_norm(trip.x))
+    result, _, _ = run_scenario(rep, profile=profile)
+    index = np.trace(t_matrix(rep.at1)) - np.trace(t_matrix(rep.at0))
+    assert result.winding == round(index.real)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=2**31))
+def test_exact_endpoints_property(n, seed):
+    check_exact_endpoints(np.random.default_rng(seed), n, DEFAULT_PROFILE)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_exact_endpoints_under_jacobi(seed):
+    check_exact_endpoints(np.random.default_rng(seed), 6, PROFILES["jacobi"])
+
+
 class TestStackedPipeline:
     def test_linalg_calls_do_not_grow_with_the_grid(self, monkeypatch):
         calls = []
 
         def counted(fn):
-            def wrapper(*args, **kwargs):
-                calls.append(fn.__name__)
-                return fn(*args, **kwargs)
+            def wrapper(a, *args, **kwargs):
+                calls.append((fn.__name__, np.shape(a)))
+                return fn(a, *args, **kwargs)
 
             return wrapper
 
@@ -362,7 +385,9 @@ class TestStackedPipeline:
             calls.clear()
             model = IntervalModel(grid_size=m, fiber_dim=2)
             boundary_unitary(lift_T(rep, model).t_prime, model)
-            counts.append(sorted(calls))
+            counts.append(sorted(name for name, _ in calls))
+            # h, k, their eighth roots and supports share one decomposition
+            assert calls.count(("eigh", (m + 1, 2, 2))) == 1
         assert counts[0] == counts[1]
 
     def test_jacobi_profile_skips_lapack(self, monkeypatch):

@@ -14,7 +14,7 @@ from qcwb.qc_model import (
     t_matrix,
 )
 
-from conftest import random_matrix
+from conftest import exact_endpoint, random_matrix
 
 E11 = np.diag([1.0, 0.0]).astype(complex)
 E22 = np.diag([0.0, 1.0]).astype(complex)
@@ -201,6 +201,12 @@ class TestFactorX:
         trip = QcTriple(h, x, k)
         with pytest.raises(FactorizationResidualTooLarge):
             factor_x(trip, check_pre=False)
+
+    @pytest.mark.parametrize("check_pre", [True, False])
+    def test_one_decomposition_per_factor(self, rng, eigh_shapes, check_pre):
+        # one eigh of h, one of k, plus the pre-gate's eigh of T
+        factor_x(exact_endpoint(rng, 6), check_pre=check_pre)
+        assert eigh_shapes == [(12, 12)] * check_pre + [(6, 6), (6, 6)]
 
     def test_pre_gate_rejects_order_violations(self):
         # norm-one x breaks 0 <= T <= 1, which the default gate reports

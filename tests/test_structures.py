@@ -69,6 +69,11 @@ class TestCornerSystem:
             assert op_norm(p @ p - p) <= 1e-12
         assert op_norm(sys.p_h @ sys.p_k) <= 1e-12
 
+    def test_decomposes_h_and_k_once_each(self, rng, eigh_shapes):
+        # the support projections come off the positivity check's spectra
+        block_corner_system(rng, 2, 2)
+        assert eigh_shapes == [(4, 4), (4, 4)]
+
     def test_support_projection_threshold(self):
         p = support_projection(np.diag([1.0, 1e-14, 0.0]).astype(complex))
         np.testing.assert_allclose(p, np.diag([1.0, 0.0, 0.0]), atol=1e-12)
