@@ -11,24 +11,29 @@ the pipeline
 2. lifts x through the corner factorization x = k^(1/8) y h^(1/8), with y
    interpolated between its endpoint values; h, k, both eighth roots and
    both support projections are read off the one decomposition of c,
-3. forms the blocked matrix T and clamps its spectrum to [0, 1],
+3. forms the blocked matrix T, decomposes it once, T = B diag(w) B*, and
+   clamps that spectrum to [0, 1]: T' = B diag(clip(w, 0, 1)) B*,
 4. exponentiates: U = exp(2 pi i T'), a unitary path equal to the identity
-   at both endpoints,
+   at both endpoints, read off the same decomposition (U itself is formed
+   only at the endpoints),
 5. collapses the four blocks of U to the single unitary
-   u = -1 + u11 + u12 + u21 + u22 and accumulates the phase of det u across
-   the grid (U itself is formed only at the endpoints).
+   u = -1 + u11 + u12 + u21 + u22 = C diag(e^(2 pi i clip(w))) C* - 1 with
+   C = B[:n] + B[n:], and accumulates the phase of det u across the grid.
 
 The resulting integer winding is the index obstruction carried by the input:
 it vanishes exactly when a spectral gap around 1/2 lets the fiberwise
 threshold produce an exact lift of the representation.
 
 Every path is one stacked ``(m+1, n, n)`` array, and each step is one call
-of the stacked kernel in :mod:`qcwb.linalg` on the whole path.
+of the stacked kernel in :mod:`qcwb.linalg` on the whole path.  The endpoint
+data are checked once per run; when :func:`run_scenario` doubles the grid it
+keeps the coarse points and evaluates the paths at the new odd points only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,13 +43,11 @@ from .linalg import (
     DimMismatch,
     EigenSystem,
     ToleranceProfile,
-    _eigh_raw,
     _gate,
     _positive_eig,
     _support_projection,
     _threshold_half,
     adjoint,
-    func_calc,
     herm_eig,
     hermitian_part,
     op_norm,
@@ -106,6 +109,10 @@ class PhaseStepTooLarge(WindingIllConditioned):
 
 class NoSpectralGap(RuntimeError):
     """The lifted path's spectrum crosses 1/2: no exact projection lift here."""
+
+
+# bound on ||exp(2 pi i T') - 1|| at the endpoints, for boundary_unitary and run_scenario
+_UNIT_ENDS_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +182,11 @@ def interpolate_pair(
     weights (1 + cos(pi t))/2, which agree at the endpoints but differ in
     between (used to confirm winding does not depend on the lift).
     """
-    ts = model.points
+    return GridFunction(_interpolate(pair, model.points, scheme))
+
+
+def _interpolate(pair: EndpointPair, ts: np.ndarray, scheme: str = "linear") -> np.ndarray:
+    """The :func:`interpolate_pair` path at the points ``ts``, stacked."""
     if scheme == "linear":
         w0 = 1.0 - ts
     elif scheme == "cosine":
@@ -183,7 +194,7 @@ def interpolate_pair(
     else:
         raise ValueError(f"unknown interpolation scheme {scheme!r}")
     w0 = w0[:, None, None]
-    return GridFunction(w0 * pair.at0 + (1.0 - w0) * pair.at1)
+    return w0 * pair.at0 + (1.0 - w0) * pair.at1
 
 
 @dataclass(frozen=True)
@@ -237,6 +248,21 @@ def builtin_scenario(name: str) -> BScenarioRep:
 # ---------------------------------------------------------------------------
 
 
+def _orthogonal_difference(
+    hb: EndpointPair, kb: EndpointPair, profile: ToleranceProfile
+) -> EndpointPair:
+    """c = h - k at both endpoints, once h and k pass as positive contractions with h k = 0."""
+    what = "(h(0), h(1), k(0), k(1))"
+    ends = np.stack([hb.at0, hb.at1, kb.at0, kb.at1])
+    w = _positive_eig(ends, 1e-8, profile, NotOrthogonal, what).eigenvalues
+    _gate(f"max eigenvalue of {what}", w.max(axis=-1, initial=1.0), 1.0 + 1e-8, NotOrthogonal)
+    hs, ks = ends[:2], ends[2:]
+    defect = op_norm(hs @ ks, profile)
+    bound = 1e-10 * np.maximum(1.0, op_norm(hs, profile) * op_norm(ks, profile))
+    _gate("||h k|| at the endpoints (0, 1)", defect, bound, NotOrthogonal)
+    return EndpointPair(hb.at0 - kb.at0, hb.at1 - kb.at1)
+
+
 def lift_orthogonal_positive(
     hb: EndpointPair,
     kb: EndpointPair,
@@ -250,62 +276,143 @@ def lift_orthogonal_positive(
     recover the endpoints exactly (orthogonality makes pos(h - k) = h) and
     stay orthogonal at every grid point.
     """
-    what = "(h(0), h(1), k(0), k(1))"
-    ends = np.stack([hb.at0, hb.at1, kb.at0, kb.at1])
-    w = _positive_eig(ends, 1e-8, profile, NotOrthogonal, what).eigenvalues
-    _gate(f"max eigenvalue of {what}", w.max(axis=-1, initial=1.0), 1.0 + 1e-8, NotOrthogonal)
-    hs, ks = ends[:2], ends[2:]
-    defect = op_norm(hs @ ks, profile)
-    bound = 1e-10 * np.maximum(1.0, op_norm(hs, profile) * op_norm(ks, profile))
-    _gate("||h k|| at the endpoints (0, 1)", defect, bound, NotOrthogonal)
-    c = interpolate_pair(
-        EndpointPair(hb.at0 - kb.at0, hb.at1 - kb.at1), model
-    ).values
-    return herm_eig(c, profile)
+    c = _orthogonal_difference(hb, kb, profile)
+    return herm_eig(_interpolate(c, model.points), profile)
+
+
+@dataclass(frozen=True)
+class _LiftEnds:
+    """The checked endpoint data a lift interpolates: c = h - k, the corner
+    factor y, and the block matrices T(0), T(1) stacked."""
+
+    c: EndpointPair
+    y: EndpointPair
+    t: np.ndarray
+
+
+class _Fibers(NamedTuple):
+    """The per-grid-point data of a lift, every field stacked along axis 0."""
+
+    w: np.ndarray  # eigenvalues of the unclamped T
+    basis: np.ndarray  # its eigenbasis
+    t_prime: np.ndarray
+    h: np.ndarray
+    k: np.ndarray
+    scalars: np.ndarray  # (alpha, beta, corner leak); see _scalar_parts
 
 
 @dataclass(frozen=True)
 class TLift:
-    """The lifted path T' together with the data used to build it."""
+    """The lifted path T' together with the data used to build it.
 
-    t_prime: GridFunction
-    h: GridFunction
-    k: GridFunction
-    t_raw: GridFunction
+    ``fibers`` holds one entry per grid point of every path; ``ends`` holds
+    the endpoint data the paths interpolate, checked once.
+    """
+
+    fibers: _Fibers
+    ends: _LiftEnds
     endpoint_defect: float
-    corner_defect: float
-    rho: tuple[complex, complex]
+
+    @property
+    def t(self) -> EigenSystem:
+        """The one decomposition of the unclamped path T; T' clamps its spectrum."""
+        return EigenSystem(self.fibers.w, self.fibers.basis)
+
+    @property
+    def t_prime(self) -> GridFunction:
+        return GridFunction(self.fibers.t_prime)
+
+    @property
+    def h(self) -> GridFunction:
+        return GridFunction(self.fibers.h)
+
+    @property
+    def k(self) -> GridFunction:
+        return GridFunction(self.fibers.k)
+
+    @property
+    def rho(self) -> tuple[complex, complex]:
+        """Medians of the two scalar slots over the fibers that have them."""
+        alpha, beta = self.fibers.scalars[:, 0], self.fibers.scalars[:, 1]
+        return _median(alpha, 1.0), _median(beta, 0.0)
+
+    @property
+    def corner_defect(self) -> float:
+        return float(np.max(self.fibers.scalars[:, 2]))
+
+
+def _median(vals: np.ndarray, default: float) -> complex:
+    vals = vals[~np.isnan(vals)]
+    return complex(np.median(vals) if vals.size else default)
 
 
 def _scalar_parts(
-    t_prime: GridFunction,
+    t_prime: np.ndarray,
     ph: np.ndarray,
     pk: np.ndarray,
     profile: ToleranceProfile,
-) -> tuple[complex, complex, float]:
-    """Extract the two scalar slots of the linking decomposition.
+) -> np.ndarray:
+    """The two scalar slots of the linking decomposition and the corner leak, per fiber.
 
     At every fiber whose h (resp. k) support ``ph`` (``pk``) has a
     complement, the scalar is the compression of the diagonal block to that
-    complement; fibers with full support contribute nothing.  Returns the
-    medians and the largest corner-leak defect observed.
+    complement; it is NaN at fibers with full support.  Returns an
+    ``(m+1, 3)`` array of (alpha, beta, leak).
     """
     n = ph.shape[-1]
-    tp = t_prime.values
 
-    def compressed_median(p: np.ndarray, block: np.ndarray, default: float) -> complex:
+    def compressed(p: np.ndarray, block: np.ndarray) -> np.ndarray:
         compl = np.eye(n, dtype=complex) - p
         rank = np.rint(np.trace(compl, axis1=-2, axis2=-1).real)
         has = rank > 0
-        vals = np.trace(compl[has] @ block[has], axis1=-2, axis2=-1).real / rank[has]
-        return complex(np.median(vals) if vals.size else default)
+        vals = np.full(rank.shape, np.nan)
+        # tr(compl @ block) without the product: O(n^2) per fiber
+        vals[has] = np.einsum("...ij,...ji->...", compl[has], block[has]).real / rank[has]
+        return vals
 
-    alpha = compressed_median(ph, tp[:, :n, :n], 1.0)
-    beta = compressed_median(pk, tp[:, n:, n:], 0.0)
-    # corner discipline of the off-diagonal block
-    t12 = tp[:, :n, n:]
-    leak = float(np.max(op_norm(t12 - ph @ t12 @ pk, profile)))
-    return alpha, beta, leak
+    t12 = t_prime[:, :n, n:]
+    leak = op_norm(t12 - ph @ t12 @ pk, profile)
+    return np.stack(
+        [compressed(ph, t_prime[:, :n, :n]), compressed(pk, t_prime[:, n:, n:]), leak], axis=-1
+    )
+
+
+def _lift_ends(rep: BScenarioRep, profile: ToleranceProfile) -> _LiftEnds:
+    """The endpoint half of :func:`lift_T`: every endpoint gate, and y by :func:`factor_x`."""
+    worst = [max(low_level_residuals(trip, profile).values()) for trip in (rep.at0, rep.at1)]
+    _gate("relation residual at the endpoints (0, 1)", worst, 1e-10, LiftResidual)
+    return _LiftEnds(
+        c=_orthogonal_difference(
+            EndpointPair(rep.at0.h, rep.at1.h), EndpointPair(rep.at0.k, rep.at1.k), profile
+        ),
+        y=EndpointPair(factor_x(rep.at0, profile), factor_x(rep.at1, profile)),
+        t=np.stack([t_matrix(rep.at0, profile), t_matrix(rep.at1, profile)]),
+    )
+
+
+def _lift_fibers(
+    ends: _LiftEnds, ts: np.ndarray, scheme: str, profile: ToleranceProfile
+) -> _Fibers:
+    """The path half of :func:`lift_T`: the lift at the points ``ts``.
+
+    Every per-fiber gate runs here, on each point.  h, k, their eighth roots
+    and supports come off the one decomposition of c = h - k, and T' off the
+    one decomposition of T.
+    """
+    c = herm_eig(_interpolate(ends.c, ts), profile)
+    # h = pos(c) and k = neg(c) share the eigenbasis of c
+    hs = EigenSystem(np.maximum(c.eigenvalues, 0.0), c.basis)
+    ks = EigenSystem(np.maximum(-c.eigenvalues, 0.0), c.basis)
+    h = hermitian_part(hs.apply(hs.eigenvalues))
+    k = hermitian_part(ks.apply(ks.eigenvalues))
+    y = _interpolate(ends.y, ts, scheme)
+    x = ks.apply(ks.eigenvalues**0.125) @ y @ hs.apply(hs.eigenvalues**0.125)
+    t = herm_eig(t_matrix(QcTriple(h, x, k), profile, check_hermitian=False), profile)
+    del x, y  # only T needs them: free them before the clamp
+    t_prime = hermitian_part(t.apply(CLAMP01(t.eigenvalues)))
+    ph, pk = _support_projection(hs, profile), _support_projection(ks, profile)
+    scalars = _scalar_parts(t_prime, ph, pk, profile)
+    return _Fibers(t.eigenvalues, t.basis, t_prime, h, k, scalars)
 
 
 def lift_T(
@@ -320,51 +427,19 @@ def lift_T(
     The corner factor y is computed at each endpoint by :func:`factor_x`,
     interpolated across the grid, and re-sandwiched between the eighth roots
     of the lifted k and h.  h, k, their eighth roots and supports all come
-    off the one decomposition of the path c = h - k.  The clamped path
-    matches the endpoint block matrices to ``endpoint_tol``.
+    off the one decomposition of the path c = h - k; T is decomposed once,
+    and T' clamps that spectrum to [0, 1].  The clamped path matches the
+    endpoint block matrices to ``endpoint_tol``.
     """
-    worst = [max(low_level_residuals(trip, profile).values()) for trip in (rep.at0, rep.at1)]
-    _gate("relation residual at the endpoints (0, 1)", worst, 1e-10, LiftResidual)
     if model.fiber_dim != rep.fiber_dim:
         raise DimMismatch(
             f"model fiber dim {model.fiber_dim} != representation dim {rep.fiber_dim}"
         )
-    c = lift_orthogonal_positive(
-        EndpointPair(rep.at0.h, rep.at1.h),
-        EndpointPair(rep.at0.k, rep.at1.k),
-        model,
-        profile,
-    )
-    # h = pos(c) and k = neg(c) share the eigenbasis of c
-    hs = EigenSystem(np.maximum(c.eigenvalues, 0.0), c.basis)
-    ks = EigenSystem(np.maximum(-c.eigenvalues, 0.0), c.basis)
-    h = GridFunction(hermitian_part(hs.apply(hs.eigenvalues)))
-    k = GridFunction(hermitian_part(ks.apply(ks.eigenvalues)))
-    y_ends = EndpointPair(
-        factor_x(rep.at0, profile), factor_x(rep.at1, profile)
-    )
-    y = interpolate_pair(y_ends, model, scheme).values
-    x = ks.apply(ks.eigenvalues**0.125) @ y @ hs.apply(hs.eigenvalues**0.125)
-    t_raw = GridFunction(
-        t_matrix(QcTriple(h.values, x, k.values), profile, check_hermitian=False)
-    )
-    del x, y  # only t_raw needs them: free them before the clamp
-    t_prime = GridFunction(func_calc(t_raw.values, CLAMP01, profile))
-
-    ends = np.stack([t_matrix(rep.at0, profile), t_matrix(rep.at1, profile)])
-    defects = op_norm(t_prime.values[[0, -1]] - ends, profile)
+    ends = _lift_ends(rep, profile)
+    fibers = _lift_fibers(ends, model.points, scheme, profile)
+    defects = op_norm(fibers.t_prime[[0, -1]] - ends.t, profile)
     _gate("clamped path defect at the endpoints (0, 1)", defects, endpoint_tol, LiftResidual)
-    ph, pk = _support_projection(hs, profile), _support_projection(ks, profile)
-    alpha, beta, leak = _scalar_parts(t_prime, ph, pk, profile)
-    return TLift(
-        t_prime=t_prime,
-        h=h,
-        k=k,
-        t_raw=t_raw,
-        endpoint_defect=float(np.max(defects)),
-        corner_defect=leak,
-        rho=(alpha, beta),
-    )
+    return TLift(fibers, ends, float(np.max(defects)))
 
 
 # ---------------------------------------------------------------------------
@@ -419,44 +494,66 @@ class BoundaryResult:
 
 
 def boundary_unitary(
-    t_prime: GridFunction,
+    lift: TLift,
     model: IntervalModel,
     profile: ToleranceProfile = DEFAULT_PROFILE,
-    endpoint_tol: float = 1e-8,
+    endpoint_tol: float = _UNIT_ENDS_TOL,
 ) -> BoundaryResult:
     """Exponentiate the lifted path and extract the collapsed winding unitary.
 
     U = exp(2 pi i T') fiberwise must be the identity at both endpoints
     (:class:`EndpointDefect` otherwise); the four n x n blocks collapse to
     u = -1 + u11 + u12 + u21 + u22, whose det phase is accumulated across
-    the grid.  U is formed only at the endpoints: with T' = B diag(w) B*,
-    the block sum is C diag(e^(2 pi i w)) C* for C = B[:n] + B[n:].
+    the grid.  Nothing is decomposed here: T' = B diag(clip(w, 0, 1)) B*
+    comes off the lift's decomposition T = B diag(w) B*, so U is formed only
+    at the endpoints and the block sum is C diag(e^(2 pi i clip(w))) C* for
+    C = B[:n] + B[n:].
     """
-    two_n = t_prime.fiber_dim
+    _check_unit_ends(lift.t, model, profile, endpoint_tol)
+    return _certify(*_collapse(lift.t, profile), profile)
+
+
+def _check_unit_ends(
+    t: EigenSystem, model: IntervalModel, profile: ToleranceProfile, endpoint_tol: float
+) -> None:
+    """Gate exp(2 pi i T') = 1 at both endpoints of the path T decomposes."""
+    two_n = t.dim
     if two_n % 2 != 0 or two_n != 2 * model.fiber_dim:
         raise DimMismatch(
             f"expected fibers of dim {2 * model.fiber_dim}, got {two_n}"
         )
-    n = model.fiber_dim
-    es = herm_eig(t_prime.values, profile)
-    w, b = es.eigenvalues, es.basis
-    phase = np.exp(2j * np.pi * w)
-    u_ends = EigenSystem(w[[0, -1]], b[[0, -1]]).apply(phase[[0, -1]])
+    w = CLAMP01(t.eigenvalues[[0, -1]])
+    u_ends = EigenSystem(w, t.basis[[0, -1]]).apply(np.exp(2j * np.pi * w))
     _gate(
         "||exp(2 pi i T') - 1|| at the endpoints (0, 1)",
         op_norm(u_ends - np.eye(two_n, dtype=complex), profile),
         endpoint_tol,
         EndpointDefect,
     )
+
+
+def _collapse(t: EigenSystem, profile: ToleranceProfile) -> tuple[np.ndarray, np.ndarray]:
+    """The collapsed unitary u of every fiber of the path T decomposes, and
+    each fiber's unitarity defect ||u u* - 1||."""
+    n = t.dim // 2
     eye = np.eye(n, dtype=complex)
-    u = GridFunction(EigenSystem(w, b[:, :n] + b[:, n:]).apply(phase) - eye)
-    unit_defect = float(np.max(op_norm(u.values @ adjoint(u.values) - eye, profile)))
-    end_defect = float(np.max(op_norm(u.values[[0, -1]] - eye, profile)))
-    winding, _, step_max = winding_number(u.values)
+    b = t.basis
+    u = EigenSystem(t.eigenvalues, b[..., :n, :] + b[..., n:, :]).apply(
+        np.exp(2j * np.pi * CLAMP01(t.eigenvalues))
+    )
+    u -= eye
+    return u, op_norm(u @ adjoint(u) - eye, profile)
+
+
+def _certify(u: np.ndarray, unit_defect: np.ndarray, profile: ToleranceProfile) -> BoundaryResult:
+    """The endpoint defect and the winding of a whole path u."""
+    eye = np.eye(u.shape[-1], dtype=complex)
+    end_defect = float(np.max(op_norm(u[[0, -1]] - eye, profile)))
+    winding, _, step_max = winding_number(u)
     return BoundaryResult(
-        u=u,
+        u=GridFunction(u),
         winding=winding,
-        unitarity_defect=unit_defect,
+        unitarity_defect=float(np.max(unit_defect)),
         endpoint_defect=end_defect,
         phase_step_max=step_max,
     )
@@ -487,16 +584,16 @@ def exact_projection_lift(
 ) -> GridRepresentation:
     """Lift through the spectral threshold when a gap around 1/2 exists.
 
-    Decomposes each fiber of the unclamped path T once.  If any eigenvalue
-    falls inside (1/2 - gamma, 1/2 + gamma), :class:`NoSpectralGap` is raised
-    (the winding of the boundary pipeline is the obstruction).  Otherwise
-    thresholding the same spectrum at 1/2 is continuous in the fibers and the
-    blocks of the resulting projection path form an exact representation
-    lifting the input.
+    Reads the spectrum of the unclamped path T off the lift's one
+    decomposition.  If any eigenvalue falls inside (1/2 - gamma, 1/2 + gamma),
+    :class:`NoSpectralGap` is raised (the winding of the boundary pipeline is
+    the obstruction).  Otherwise thresholding the same spectrum at 1/2 is
+    continuous in the fibers and the blocks of the resulting projection path
+    form an exact representation lifting the input.
     """
     lift = lift_T(rep, model, scheme, profile)
     n = model.fiber_dim
-    es = _eigh_raw(lift.t_raw.values, profile)
+    es = lift.t
     w = es.eigenvalues
     inside = (w > 0.5 - gamma) & (w < 0.5 + gamma)
     if inside.any():
@@ -600,25 +697,52 @@ def run_scenario(
     result, the lift, and the model actually used.  A grid too coarse for
     :func:`winding_number` (:class:`PhaseStepTooLarge`) is refined as well;
     at ``max_grid`` the error propagates.
+
+    The points i/m of grid m are the even points 2i/2m of grid 2m, bit for
+    bit, so a refinement evaluates the lift and u at the m new odd points
+    only and weaves them into the coarse paths.  Every per-fiber gate runs on
+    every new fiber; the endpoint gates run once, since both grids share
+    their endpoints.  The result equals that of :func:`lift_T` and
+    :func:`boundary_unitary` run directly on the final grid.
     """
     rep = (
         builtin_scenario(name_or_rep)
         if isinstance(name_or_rep, str)
         else name_or_rep
     )
-    m = grid_size
+    model = IntervalModel(grid_size=grid_size, fiber_dim=rep.fiber_dim)
+    lift = lift_T(rep, model, scheme, profile)
+    _check_unit_ends(lift.t, model, profile, _UNIT_ENDS_TOL)
+    u, unit_defect = _collapse(lift.t, profile)
     while True:
-        model = IntervalModel(grid_size=m, fiber_dim=rep.fiber_dim)
-        lift = lift_T(rep, model, scheme, profile)
         try:
-            result = boundary_unitary(lift.t_prime, model, profile)
+            result = _certify(u, unit_defect, profile)
         except PhaseStepTooLarge:
-            if m >= max_grid:
+            if model.grid_size >= max_grid:
                 raise
         else:
-            if result.phase_step_max < refine_until or m >= max_grid:
+            if result.phase_step_max < refine_until or model.grid_size >= max_grid:
                 return result, lift, model
             del result
-        # nothing of the coarse grid is reused: free it before refining
-        del lift
-        m *= 2
+        model = IntervalModel(grid_size=2 * model.grid_size, fiber_dim=rep.fiber_dim)
+        odd = _lift_fibers(lift.ends, model.points[1::2], scheme, profile)
+        coarse = [*lift.fibers, u, unit_defect]
+        new = [*odd, *_collapse(EigenSystem(odd.w, odd.basis), profile)]
+        ends, endpoint_defect = lift.ends, lift.endpoint_defect
+        del lift, odd, u, unit_defect  # the two lists hold the only references
+        *fibers, u, unit_defect = _weave(coarse, new)
+        lift = TLift(_Fibers(*fibers), ends, endpoint_defect)
+
+
+def _weave(coarse: list[np.ndarray], odd: list[np.ndarray]) -> list[np.ndarray]:
+    """Interleave per-fiber arrays field by field: ``[0::2]`` from ``coarse``,
+    ``[1::2]`` from ``odd``.  Both lists are emptied as the fields are woven,
+    so each pair of parts is freed once its woven array is filled."""
+    woven = []
+    while coarse:
+        a, b = coarse.pop(0), odd.pop(0)
+        out = np.empty((len(a) + len(b),) + a.shape[1:], dtype=a.dtype)
+        out[0::2], out[1::2] = a, b
+        woven.append(out)
+        del a, b
+    return woven

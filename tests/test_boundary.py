@@ -1,10 +1,13 @@
+from collections import Counter
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcwb.linalg import DEFAULT_PROFILE, PROFILES, frac_power, op_norm, unitary_exp
 from qcwb.qc_model import QcTriple, canonical_fiber, factor_x, low_level_residuals, t_matrix
+from qcwb import boundary
 from qcwb.boundary import (
     BScenarioRep,
     EndpointPair,
@@ -24,8 +27,9 @@ from qcwb.boundary import (
     run_scenario,
     winding_number,
 )
+from qcwb.structures import support_projection
 
-from conftest import exact_endpoint
+from conftest import exact_endpoint, random_unitary
 
 E11 = np.diag([1.0, 0.0]).astype(complex)
 E22 = np.diag([0.0, 1.0]).astype(complex)
@@ -36,6 +40,13 @@ class TestIntervalModel:
     def test_points_uniform(self):
         model = IntervalModel(grid_size=4, fiber_dim=2)
         np.testing.assert_allclose(model.points, [0.0, 0.25, 0.5, 0.75, 1.0])
+
+    def test_refined_grid_keeps_the_coarse_points(self):
+        # refinement reuses the coarse fibers, so i/m must equal 2i/2m bit for bit
+        for m in range(1, 4097):
+            coarse = IntervalModel(grid_size=m, fiber_dim=1).points
+            fine = IntervalModel(grid_size=2 * m, fiber_dim=1).points
+            assert np.array_equal(fine[0::2], coarse), m
 
     def test_quotient_map_surjective_and_kernel(self, rng):
         # pi = endpoint evaluation reaches any endpoint pair, and the lifted
@@ -142,6 +153,21 @@ class TestLiftT:
         assert abs(beta) <= 1e-9
         assert lift.corner_defect <= 1e-9
 
+    def test_scalar_parts_match_the_matmul_trace(self, rng):
+        # rho contracts tr((1 - p) block) elementwise; the full product is the reference
+        n = 4
+        rep = BScenarioRep(exact_endpoint(rng, n), exact_endpoint(rng, n))
+        lift = lift_T(rep, IntervalModel(grid_size=16, fiber_dim=n))
+        tp = lift.t_prime.values
+        expected = []
+        for g, block, default in ((lift.h, tp[:, :n, :n], 1.0), (lift.k, tp[:, n:, n:], 0.0)):
+            compl = np.eye(n) - support_projection(g.values)
+            rank = np.rint(np.trace(compl, axis1=-2, axis2=-1).real)
+            has = rank > 0
+            vals = np.trace(compl[has] @ block[has], axis1=-2, axis2=-1).real / rank[has]
+            expected.append(np.median(vals) if vals.size else default)
+        np.testing.assert_allclose(np.real(lift.rho), expected, rtol=0, atol=1e-14)
+
     def test_rejects_inexact_endpoint(self, rng):
         bad = QcTriple(0.5 * E11 + 0.1 * E22, Z2, Z2)  # violates h^2 + ... = h
         rep = BScenarioRep(bad, QcTriple(Z2, Z2, Z2))
@@ -157,7 +183,7 @@ class TestBoundaryUnitary:
         rep = builtin_scenario(name)
         model = IntervalModel(grid_size=m, fiber_dim=rep.fiber_dim)
         lift = lift_T(rep, model, scheme)
-        return boundary_unitary(lift.t_prime, model), lift, model
+        return boundary_unitary(lift, model), lift, model
 
     def test_zero_scenario_winding_zero(self):
         result, _, _ = self.run("zero")
@@ -202,7 +228,7 @@ class TestBoundaryUnitary:
         rep = BScenarioRep(a.at0.direct_sum(b.at0), a.at1.direct_sum(b.at1))
         model = IntervalModel(grid_size=64, fiber_dim=4)
         lift = lift_T(rep, model)
-        result = boundary_unitary(lift.t_prime, model)
+        result = boundary_unitary(lift, model)
         assert result.winding == 1
 
     def test_coarse_grid_detected(self):
@@ -210,7 +236,7 @@ class TestBoundaryUnitary:
         model = IntervalModel(grid_size=2, fiber_dim=2)
         lift = lift_T(rep, model)
         with pytest.raises(WindingIllConditioned):
-            boundary_unitary(lift.t_prime, model)
+            boundary_unitary(lift, model)
 
 
 class TestWindingNumber:
@@ -251,7 +277,7 @@ class TestHomotopyCollapse:
         out, w_out, w_in = homotopy_collapse(u_big, lift.h, lift.k)
         assert w_out == w_in == 1
         # the s = 0 image is block diagonal with the collapsed unitary on top
-        result = boundary_unitary(lift.t_prime, model)
+        result = boundary_unitary(lift, model)
         top = out.at(32)[:2, :2]
         np.testing.assert_allclose(top, result.u.at(32), atol=1e-10)
 
@@ -384,10 +410,12 @@ class TestStackedPipeline:
         for m in (64, 1024):
             calls.clear()
             model = IntervalModel(grid_size=m, fiber_dim=2)
-            boundary_unitary(lift_T(rep, model).t_prime, model)
+            boundary_unitary(lift_T(rep, model), model)
             counts.append(sorted(name for name, _ in calls))
-            # h, k, their eighth roots and supports share one decomposition
+            # h, k, their eighth roots and supports share one decomposition,
+            # and T, T' and u share another
             assert calls.count(("eigh", (m + 1, 2, 2))) == 1
+            assert calls.count(("eigh", (m + 1, 4, 4))) == 1
         assert counts[0] == counts[1]
 
     def test_jacobi_profile_skips_lapack(self, monkeypatch):
@@ -402,3 +430,65 @@ class TestStackedPipeline:
         u_big = GridFunction(unitary_exp(lift.t_prime.values, jacobi))
         _, w_out, w_in = homotopy_collapse(u_big, lift.h, lift.k, profile=jacobi)
         assert w_out == w_in == 2
+
+    def test_refinement_decomposes_only_the_new_points(self, rng, eigh_shapes):
+        # grid 64 -> 128: the 65 coarse fibers are kept, the 64 odd ones added
+        result, _, model = run_scenario(conjugated_copies(rng, 12), grid_size=64)
+        assert model.grid_size == 128 and result.winding == 12
+        stacks = Counter(shape for shape in eigh_shapes if len(shape) == 3)
+        for fibers in (65, 64):
+            for dim in (24, 48):
+                assert stacks[(fibers, dim, dim)] == 1
+        assert not any(shape[0] == 129 for shape in stacks)
+
+    def test_factor_x_runs_once_per_endpoint(self, rng, monkeypatch):
+        calls = []
+
+        def counted(trip, profile):
+            calls.append(trip)
+            return factor_x(trip, profile)
+
+        monkeypatch.setattr(boundary, "factor_x", counted)
+        _, _, model = run_scenario(conjugated_copies(rng, 2), grid_size=4)
+        assert model.grid_size >= 16
+        assert len(calls) == 2
+
+    def test_exact_projection_lift_decomposes_t_once(self, eigh_shapes):
+        exact_projection_lift(builtin_scenario("matched-endpoints"), IntervalModel(8, 2))
+        assert eigh_shapes.count((9, 4, 4)) == 1
+
+
+def conjugated_copies(gen, k):
+    """The direct sum of k copies of eval-at-one, conjugated by a Haar unitary."""
+    n = 2 * k
+    v = random_unitary(gen, n)
+    h0 = v @ np.kron(np.eye(k), E11) @ v.conj().T
+    z = np.zeros((n, n), dtype=complex)
+    return BScenarioRep(QcTriple(h0, z, z), QcTriple(z, z, z))
+
+
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=1, max_value=32),
+    st.sampled_from([3, 6]),
+    st.integers(min_value=0, max_value=2**31),
+)
+# grid 128 makes a phase step of pi/2: PhaseStepTooLarge, then refined twice
+@example(32, 4, 0)
+def test_refinement_matches_a_direct_run(k, start, seed):
+    """A refined run returns what lift_T and boundary_unitary give directly
+    on its final grid.  A start at 6k steps pi/3 and doubles once; a start
+    at 3k steps 2pi/3 (PhaseStepTooLarge) and doubles twice."""
+    rep = conjugated_copies(np.random.default_rng(seed), k)
+    grid = start * k
+    result, lift, model = run_scenario(rep, grid_size=grid)
+    assert model.grid_size in (2 * grid, 4 * grid)
+    direct_lift = lift_T(rep, model)
+    direct = boundary_unitary(direct_lift, model)
+    assert result.winding == direct.winding == k
+    assert result.unitarity_defect == direct.unitarity_defect
+    assert result.endpoint_defect == direct.endpoint_defect
+    assert result.phase_step_max == direct.phase_step_max
+    assert lift.rho == direct_lift.rho
+    assert lift.corner_defect == direct_lift.corner_defect
+    np.testing.assert_allclose(result.u.values, direct.u.values, rtol=0, atol=1e-12)
