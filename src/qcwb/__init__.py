@@ -93,12 +93,12 @@ from .boundary import (
     NotOrthogonal,
     PhaseStepTooLarge,
     WindingIllConditioned,
+    WindingIndexMismatch,
     boundary_unitary,
     builtin_scenario,
     exact_projection_lift,
     homotopy_collapse,
     lift_T,
-    lift_orthogonal_positive,
     run_scenario,
     winding_number,
 )

@@ -9,16 +9,18 @@ the pipeline
 1. lifts h and k to orthogonal positive contractions over the grid
    (positive/negative parts of a linear interpolant c of h - k),
 2. lifts x through the corner factorization x = k^(1/8) y h^(1/8), with y
-   interpolated between its endpoint values; h, k, both eighth roots and
-   both support projections are read off the one decomposition of c,
-3. forms the blocked matrix T, decomposes it once, T = B diag(w) B*, and
-   clamps that spectrum to [0, 1]: T' = B diag(clip(w, 0, 1)) B*,
+   interpolated between its endpoint values; h, k and both eighth roots are
+   read off the one decomposition of c,
+3. forms the blocked matrix T and decomposes it once, T = B diag(w) B*; the
+   clamped path T' = B diag(clip(w, 0, 1)) B* is formed only at the two
+   endpoints, to check it against the endpoint data,
 4. exponentiates: U = exp(2 pi i T'), a unitary path equal to the identity
    at both endpoints, read off the same decomposition (U itself is formed
    only at the endpoints),
 5. collapses the four blocks of U to the single unitary
    u = -1 + u11 + u12 + u21 + u22 = C diag(e^(2 pi i clip(w))) C* - 1 with
-   C = B[:n] + B[n:], and accumulates the phase of det u across the grid.
+   C = B[:n] + B[n:], accumulates the phase of det u across the grid, and
+   checks the count against the index tr T(1) - tr T(0).
 
 The resulting integer winding is the index obstruction carried by the input:
 it vanishes exactly when a spectral gap around 1/2 lets the fiberwise
@@ -32,8 +34,7 @@ keeps the coarse points and evaluates the paths at the new odd points only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -68,6 +69,7 @@ __all__ = [
     "EndpointDefect",
     "WindingIllConditioned",
     "PhaseStepTooLarge",
+    "WindingIndexMismatch",
     "NoSpectralGap",
     "IntervalModel",
     "GridFunction",
@@ -77,7 +79,6 @@ __all__ = [
     "EndpointPair",
     "builtin_scenario",
     "SCENARIO_NAMES",
-    "lift_orthogonal_positive",
     "lift_T",
     "boundary_unitary",
     "exact_projection_lift",
@@ -105,6 +106,10 @@ class WindingIllConditioned(RuntimeError):
 
 class PhaseStepTooLarge(WindingIllConditioned):
     """A det phase step reached the limit; a finer grid may resolve it."""
+
+
+class WindingIndexMismatch(WindingIllConditioned):
+    """The winding disagrees with the index; a finer grid may resolve it."""
 
 
 class NoSpectralGap(RuntimeError):
@@ -173,20 +178,13 @@ class EndpointPair:
     at1: np.ndarray
 
 
-def interpolate_pair(
-    pair: EndpointPair, model: IntervalModel, scheme: str = "linear"
-) -> GridFunction:
-    """A grid path joining the endpoint values.
+def _interpolate(pair: EndpointPair, ts: np.ndarray, scheme: str = "linear") -> np.ndarray:
+    """A path joining the endpoint values, at the points ``ts``, stacked.
 
     ``linear`` uses straight-line weights; ``cosine`` uses the smoothed
     weights (1 + cos(pi t))/2, which agree at the endpoints but differ in
     between (used to confirm winding does not depend on the lift).
     """
-    return GridFunction(_interpolate(pair, model.points, scheme))
-
-
-def _interpolate(pair: EndpointPair, ts: np.ndarray, scheme: str = "linear") -> np.ndarray:
-    """The :func:`interpolate_pair` path at the points ``ts``, stacked."""
     if scheme == "linear":
         w0 = 1.0 - ts
     elif scheme == "cosine":
@@ -237,9 +235,7 @@ def builtin_scenario(name: str) -> BScenarioRep:
         return BScenarioRep(fiber, fiber)
     if name == "doubled":
         base = builtin_scenario("eval-at-one")
-        return BScenarioRep(
-            base.at0.direct_sum(base.at0), base.at1.direct_sum(base.at1)
-        )
+        return BScenarioRep(base.at0.direct_sum(base.at0), base.at1.direct_sum(base.at1))
     raise ValueError(f"unknown scenario {name!r}; choose from {SCENARIO_NAMES}")
 
 
@@ -263,23 +259,6 @@ def _orthogonal_difference(
     return EndpointPair(hb.at0 - kb.at0, hb.at1 - kb.at1)
 
 
-def lift_orthogonal_positive(
-    hb: EndpointPair,
-    kb: EndpointPair,
-    model: IntervalModel,
-    profile: ToleranceProfile = DEFAULT_PROFILE,
-) -> EigenSystem:
-    """Lift orthogonal positive contraction pairs to the whole grid.
-
-    The difference c = h - k is interpolated linearly, and the decomposition
-    of c is returned: its positive and negative parts h = pos(c), k = neg(c)
-    recover the endpoints exactly (orthogonality makes pos(h - k) = h) and
-    stay orthogonal at every grid point.
-    """
-    c = _orthogonal_difference(hb, kb, profile)
-    return herm_eig(_interpolate(c, model.points), profile)
-
-
 @dataclass(frozen=True)
 class _LiftEnds:
     """The checked endpoint data a lift interpolates: c = h - k, the corner
@@ -290,55 +269,66 @@ class _LiftEnds:
     t: np.ndarray
 
 
-class _Fibers(NamedTuple):
-    """The per-grid-point data of a lift, every field stacked along axis 0."""
-
-    w: np.ndarray  # eigenvalues of the unclamped T
-    basis: np.ndarray  # its eigenbasis
-    t_prime: np.ndarray
-    h: np.ndarray
-    k: np.ndarray
-    scalars: np.ndarray  # (alpha, beta, corner leak); see _scalar_parts
-
-
 @dataclass(frozen=True)
 class TLift:
-    """The lifted path T' together with the data used to build it.
+    """The lifted path, kept as its two decompositions.
 
-    ``fibers`` holds one entry per grid point of every path; ``ends`` holds
-    the endpoint data the paths interpolate, checked once.
+    ``c`` decomposes the path c = h - k and ``t`` the unclamped block path T,
+    one fiber per grid point; ``ends`` holds the endpoint data the paths
+    interpolate, checked once.  T', h, k and the scalar parts of the linking
+    decomposition are derived from ``c`` and ``t`` on demand, under the
+    ``profile`` the lift was built with.
     """
 
-    fibers: _Fibers
+    c: EigenSystem
+    t: EigenSystem
     ends: _LiftEnds
     endpoint_defect: float
-
-    @property
-    def t(self) -> EigenSystem:
-        """The one decomposition of the unclamped path T; T' clamps its spectrum."""
-        return EigenSystem(self.fibers.w, self.fibers.basis)
+    profile: ToleranceProfile
 
     @property
     def t_prime(self) -> GridFunction:
-        return GridFunction(self.fibers.t_prime)
+        """T' = B diag(clip(w, 0, 1)) B* for T = B diag(w) B*."""
+        return GridFunction(_clamped(self.t))
 
     @property
     def h(self) -> GridFunction:
-        return GridFunction(self.fibers.h)
+        return GridFunction(_matrix(_parts(self.c)[0]))
 
     @property
     def k(self) -> GridFunction:
-        return GridFunction(self.fibers.k)
+        return GridFunction(_matrix(_parts(self.c)[1]))
 
     @property
     def rho(self) -> tuple[complex, complex]:
         """Medians of the two scalar slots over the fibers that have them."""
-        alpha, beta = self.fibers.scalars[:, 0], self.fibers.scalars[:, 1]
+        alpha, beta, _ = _scalar_parts(self).T
         return _median(alpha, 1.0), _median(beta, 0.0)
 
     @property
     def corner_defect(self) -> float:
-        return float(np.max(self.fibers.scalars[:, 2]))
+        return float(np.max(_scalar_parts(self)[:, 2]))
+
+
+def _parts(c: EigenSystem) -> tuple[EigenSystem, EigenSystem]:
+    """h = pos(c) and k = neg(c), which share the eigenbasis of c."""
+    w = c.eigenvalues
+    return EigenSystem(np.maximum(w, 0.0), c.basis), EigenSystem(np.maximum(-w, 0.0), c.basis)
+
+
+def _matrix(es: EigenSystem) -> np.ndarray:
+    """The Hermitian matrix that ``es`` decomposes."""
+    return hermitian_part(es.apply(es.eigenvalues))
+
+
+def _clamped(t: EigenSystem) -> np.ndarray:
+    """T' = B diag(clip(w, 0, 1)) B* for each fiber T = B diag(w) B* of ``t``."""
+    return hermitian_part(t.apply(CLAMP01(t.eigenvalues)))
+
+
+def _ends(es: EigenSystem) -> EigenSystem:
+    """The first and last fibers of a decomposed path."""
+    return EigenSystem(es.eigenvalues[[0, -1]], es.basis[[0, -1]])
 
 
 def _median(vals: np.ndarray, default: float) -> complex:
@@ -346,19 +336,18 @@ def _median(vals: np.ndarray, default: float) -> complex:
     return complex(np.median(vals) if vals.size else default)
 
 
-def _scalar_parts(
-    t_prime: np.ndarray,
-    ph: np.ndarray,
-    pk: np.ndarray,
-    profile: ToleranceProfile,
-) -> np.ndarray:
+def _scalar_parts(lift: TLift) -> np.ndarray:
     """The two scalar slots of the linking decomposition and the corner leak, per fiber.
 
-    At every fiber whose h (resp. k) support ``ph`` (``pk``) has a
+    T' and the supports p_h, p_k of h and k are rebuilt from the lift's two
+    decompositions.  At every fiber whose h (resp. k) support has a
     complement, the scalar is the compression of the diagonal block to that
     complement; it is NaN at fibers with full support.  Returns an
     ``(m+1, 3)`` array of (alpha, beta, leak).
     """
+    profile = lift.profile
+    t_prime = _clamped(lift.t)
+    ph, pk = (_support_projection(part, profile) for part in _parts(lift.c))
     n = ph.shape[-1]
 
     def compressed(p: np.ndarray, block: np.ndarray) -> np.ndarray:
@@ -392,27 +381,19 @@ def _lift_ends(rep: BScenarioRep, profile: ToleranceProfile) -> _LiftEnds:
 
 def _lift_fibers(
     ends: _LiftEnds, ts: np.ndarray, scheme: str, profile: ToleranceProfile
-) -> _Fibers:
-    """The path half of :func:`lift_T`: the lift at the points ``ts``.
+) -> tuple[EigenSystem, EigenSystem]:
+    """The path half of :func:`lift_T`: the decompositions of c and T at the points ``ts``.
 
-    Every per-fiber gate runs here, on each point.  h, k, their eighth roots
-    and supports come off the one decomposition of c = h - k, and T' off the
-    one decomposition of T.
+    Every per-fiber gate runs here, on each point.  h, k and their eighth
+    roots come off the one decomposition of c = h - k; they and x serve only
+    to form T.
     """
     c = herm_eig(_interpolate(ends.c, ts), profile)
-    # h = pos(c) and k = neg(c) share the eigenbasis of c
-    hs = EigenSystem(np.maximum(c.eigenvalues, 0.0), c.basis)
-    ks = EigenSystem(np.maximum(-c.eigenvalues, 0.0), c.basis)
-    h = hermitian_part(hs.apply(hs.eigenvalues))
-    k = hermitian_part(ks.apply(ks.eigenvalues))
+    hs, ks = _parts(c)
     y = _interpolate(ends.y, ts, scheme)
     x = ks.apply(ks.eigenvalues**0.125) @ y @ hs.apply(hs.eigenvalues**0.125)
-    t = herm_eig(t_matrix(QcTriple(h, x, k), profile, check_hermitian=False), profile)
-    del x, y  # only T needs them: free them before the clamp
-    t_prime = hermitian_part(t.apply(CLAMP01(t.eigenvalues)))
-    ph, pk = _support_projection(hs, profile), _support_projection(ks, profile)
-    scalars = _scalar_parts(t_prime, ph, pk, profile)
-    return _Fibers(t.eigenvalues, t.basis, t_prime, h, k, scalars)
+    t = t_matrix(QcTriple(_matrix(hs), x, _matrix(ks)), profile, check_hermitian=False)
+    return c, herm_eig(t, profile)
 
 
 def lift_T(
@@ -422,24 +403,24 @@ def lift_T(
     profile: ToleranceProfile = DEFAULT_PROFILE,
     endpoint_tol: float = 1e-9,
 ) -> TLift:
-    """Lift an exact quotient representation to a clamped path T' of blocks.
+    """Lift an exact quotient representation to a path of block matrices T.
 
     The corner factor y is computed at each endpoint by :func:`factor_x`,
     interpolated across the grid, and re-sandwiched between the eighth roots
-    of the lifted k and h.  h, k, their eighth roots and supports all come
-    off the one decomposition of the path c = h - k; T is decomposed once,
-    and T' clamps that spectrum to [0, 1].  The clamped path matches the
-    endpoint block matrices to ``endpoint_tol``.
+    of the lifted k and h.  h, k and their eighth roots all come off the one
+    decomposition of the path c = h - k; T is decomposed once.  T' clamps
+    that spectrum to [0, 1], and is formed here only at the two endpoints,
+    where it must match the endpoint block matrices to ``endpoint_tol``.
     """
     if model.fiber_dim != rep.fiber_dim:
         raise DimMismatch(
             f"model fiber dim {model.fiber_dim} != representation dim {rep.fiber_dim}"
         )
     ends = _lift_ends(rep, profile)
-    fibers = _lift_fibers(ends, model.points, scheme, profile)
-    defects = op_norm(fibers.t_prime[[0, -1]] - ends.t, profile)
+    c, t = _lift_fibers(ends, model.points, scheme, profile)
+    defects = op_norm(_clamped(_ends(t)) - ends.t, profile)
     _gate("clamped path defect at the endpoints (0, 1)", defects, endpoint_tol, LiftResidual)
-    return TLift(fibers, ends, float(np.max(defects)))
+    return TLift(c, t, ends, float(np.max(defects)), profile)
 
 
 # ---------------------------------------------------------------------------
@@ -504,13 +485,14 @@ def boundary_unitary(
     U = exp(2 pi i T') fiberwise must be the identity at both endpoints
     (:class:`EndpointDefect` otherwise); the four n x n blocks collapse to
     u = -1 + u11 + u12 + u21 + u22, whose det phase is accumulated across
-    the grid.  Nothing is decomposed here: T' = B diag(clip(w, 0, 1)) B*
-    comes off the lift's decomposition T = B diag(w) B*, so U is formed only
-    at the endpoints and the block sum is C diag(e^(2 pi i clip(w))) C* for
-    C = B[:n] + B[n:].
+    the grid and must equal the index tr T(1) - tr T(0)
+    (:class:`WindingIndexMismatch` otherwise).  Nothing is decomposed here:
+    T' = B diag(clip(w, 0, 1)) B* comes off the lift's decomposition
+    T = B diag(w) B*, so U is formed only at the endpoints and the block sum
+    is C diag(e^(2 pi i clip(w))) C* for C = B[:n] + B[n:].
     """
     _check_unit_ends(lift.t, model, profile, endpoint_tol)
-    return _certify(*_collapse(lift.t, profile), profile)
+    return _certify(*_collapse(lift.t, profile), lift.ends.t, profile)
 
 
 def _check_unit_ends(
@@ -519,11 +501,9 @@ def _check_unit_ends(
     """Gate exp(2 pi i T') = 1 at both endpoints of the path T decomposes."""
     two_n = t.dim
     if two_n % 2 != 0 or two_n != 2 * model.fiber_dim:
-        raise DimMismatch(
-            f"expected fibers of dim {2 * model.fiber_dim}, got {two_n}"
-        )
-    w = CLAMP01(t.eigenvalues[[0, -1]])
-    u_ends = EigenSystem(w, t.basis[[0, -1]]).apply(np.exp(2j * np.pi * w))
+        raise DimMismatch(f"expected fibers of dim {2 * model.fiber_dim}, got {two_n}")
+    ends = _ends(t)
+    u_ends = ends.apply(np.exp(2j * np.pi * CLAMP01(ends.eigenvalues)))
     _gate(
         "||exp(2 pi i T') - 1|| at the endpoints (0, 1)",
         op_norm(u_ends - np.eye(two_n, dtype=complex), profile),
@@ -545,18 +525,19 @@ def _collapse(t: EigenSystem, profile: ToleranceProfile) -> tuple[np.ndarray, np
     return u, op_norm(u @ adjoint(u) - eye, profile)
 
 
-def _certify(u: np.ndarray, unit_defect: np.ndarray, profile: ToleranceProfile) -> BoundaryResult:
-    """The endpoint defect and the winding of a whole path u."""
-    eye = np.eye(u.shape[-1], dtype=complex)
-    end_defect = float(np.max(op_norm(u[[0, -1]] - eye, profile)))
+def _certify(
+    u: np.ndarray, unit_defect: np.ndarray, t_ends: np.ndarray, profile: ToleranceProfile
+) -> BoundaryResult:
+    """The endpoint defect and the winding of a whole path u, the winding
+    gated against the index tr T(1) - tr T(0) of the endpoint blocks ``t_ends``."""
+    end_defect = float(np.max(op_norm(u[[0, -1]] - np.eye(u.shape[-1]), profile)))
     winding, _, step_max = winding_number(u)
-    return BoundaryResult(
-        u=GridFunction(u),
-        winding=winding,
-        unitarity_defect=float(np.max(unit_defect)),
-        endpoint_defect=end_defect,
-        phase_step_max=step_max,
-    )
+    tr = np.trace(t_ends, axis1=-2, axis2=-1).real
+    index = int(np.rint(tr[1] - tr[0]))
+    name = f"distance of the winding {winding} from the index {index}"
+    _gate(name, abs(winding - index), 0, WindingIndexMismatch)
+    unit = float(np.max(unit_defect))
+    return BoundaryResult(GridFunction(u), winding, unit, end_defect, step_max)
 
 
 # ---------------------------------------------------------------------------
@@ -615,13 +596,7 @@ def exact_projection_lift(
     )
     _gate("thresholded lift residual", worst, 1e-10, LiftResidual)
     _gate("thresholded lift defect at the endpoints (0, 1)", end_defects, 1e-9, LiftResidual)
-    return GridRepresentation(
-        h=h,
-        x=x,
-        k=k,
-        max_residual=float(np.max(worst)),
-        endpoint_defect=float(np.max(end_defects)),
-    )
+    return GridRepresentation(h, x, k, float(np.max(worst)), float(np.max(end_defects)))
 
 
 # ---------------------------------------------------------------------------
@@ -671,9 +646,7 @@ def homotopy_collapse(
     w_out, _, _ = winding_number(out.values)
     w_in, _, _ = winding_number(u_prime.values)
     if w_out != w_in:
-        raise WindingIllConditioned(
-            f"homotopy changed the winding: {w_in} -> {w_out}"
-        )
+        raise WindingIllConditioned(f"homotopy changed the winding: {w_in} -> {w_out}")
     return out, w_out, w_in
 
 
@@ -695,54 +668,46 @@ def run_scenario(
     Doubles the grid until the largest det phase step drops below
     ``refine_until`` (or the grid cap is reached), then returns the boundary
     result, the lift, and the model actually used.  A grid too coarse for
-    :func:`winding_number` (:class:`PhaseStepTooLarge`) is refined as well;
-    at ``max_grid`` the error propagates.
+    :func:`winding_number` (:class:`PhaseStepTooLarge`), or one whose
+    winding misses the index (:class:`WindingIndexMismatch`), is refined as
+    well; at ``max_grid`` the error propagates.
 
     The points i/m of grid m are the even points 2i/2m of grid 2m, bit for
-    bit, so a refinement evaluates the lift and u at the m new odd points
-    only and weaves them into the coarse paths.  Every per-fiber gate runs on
-    every new fiber; the endpoint gates run once, since both grids share
-    their endpoints.  The result equals that of :func:`lift_T` and
-    :func:`boundary_unitary` run directly on the final grid.
+    bit, so a refinement evaluates the decompositions of c and T and the
+    path u at the m new odd points only, and weaves them into the coarse
+    paths.  Every per-fiber gate runs on every new fiber; the endpoint gates
+    run once, since both grids share their endpoints.  The result equals
+    that of :func:`lift_T` and :func:`boundary_unitary` run directly on the
+    final grid.
     """
-    rep = (
-        builtin_scenario(name_or_rep)
-        if isinstance(name_or_rep, str)
-        else name_or_rep
-    )
+    rep = builtin_scenario(name_or_rep) if isinstance(name_or_rep, str) else name_or_rep
     model = IntervalModel(grid_size=grid_size, fiber_dim=rep.fiber_dim)
     lift = lift_T(rep, model, scheme, profile)
     _check_unit_ends(lift.t, model, profile, _UNIT_ENDS_TOL)
     u, unit_defect = _collapse(lift.t, profile)
     while True:
         try:
-            result = _certify(u, unit_defect, profile)
-        except PhaseStepTooLarge:
+            result = _certify(u, unit_defect, lift.ends.t, profile)
+        except (PhaseStepTooLarge, WindingIndexMismatch):
             if model.grid_size >= max_grid:
                 raise
         else:
             if result.phase_step_max < refine_until or model.grid_size >= max_grid:
                 return result, lift, model
-            del result
         model = IntervalModel(grid_size=2 * model.grid_size, fiber_dim=rep.fiber_dim)
-        odd = _lift_fibers(lift.ends, model.points[1::2], scheme, profile)
-        coarse = [*lift.fibers, u, unit_defect]
-        new = [*odd, *_collapse(EigenSystem(odd.w, odd.basis), profile)]
-        ends, endpoint_defect = lift.ends, lift.endpoint_defect
-        del lift, odd, u, unit_defect  # the two lists hold the only references
-        *fibers, u, unit_defect = _weave(coarse, new)
-        lift = TLift(_Fibers(*fibers), ends, endpoint_defect)
+        c, t = _lift_fibers(lift.ends, model.points[1::2], scheme, profile)
+        odd_u, odd_defect = _collapse(t, profile)
+        lift = replace(lift, c=_weave(lift.c, c), t=_weave(lift.t, t))
+        u, unit_defect = _weave(u, odd_u), _weave(unit_defect, odd_defect)
 
 
-def _weave(coarse: list[np.ndarray], odd: list[np.ndarray]) -> list[np.ndarray]:
-    """Interleave per-fiber arrays field by field: ``[0::2]`` from ``coarse``,
-    ``[1::2]`` from ``odd``.  Both lists are emptied as the fields are woven,
-    so each pair of parts is freed once its woven array is filled."""
-    woven = []
-    while coarse:
-        a, b = coarse.pop(0), odd.pop(0)
-        out = np.empty((len(a) + len(b),) + a.shape[1:], dtype=a.dtype)
-        out[0::2], out[1::2] = a, b
-        woven.append(out)
-        del a, b
-    return woven
+def _weave(coarse, odd):
+    """Interleave two paths fiber by fiber: ``[0::2]`` from ``coarse``,
+    ``[1::2]`` from ``odd``.  Decompositions are woven field by field."""
+    if isinstance(coarse, EigenSystem):
+        return EigenSystem(
+            _weave(coarse.eigenvalues, odd.eigenvalues), _weave(coarse.basis, odd.basis)
+        )
+    out = np.empty((len(coarse) + len(odd),) + coarse.shape[1:], dtype=coarse.dtype)
+    out[0::2], out[1::2] = coarse, odd
+    return out

@@ -398,38 +398,23 @@ def _make_scale(factor: complex, arg):
     return Scale(factor, arg)
 
 
-def _push_adjoints(node) -> Expr:
-    """Normal form with adjoints applied only to variables."""
+def _normal(node, adjoint: bool = False) -> Expr:
+    """Normal form of ``node``, or of its adjoint, with adjoints applied only to variables."""
     if isinstance(node, Var):
-        return node
+        return Adj(node) if adjoint else node
     if isinstance(node, Adj):
-        return _adjoint_of(_push_adjoints(node.arg))
-    if isinstance(node, (Sum, Diff, Prod)):
-        cls = type(node)
-        return cls(_push_adjoints(node.left), _push_adjoints(node.right))
-    if isinstance(node, Scale):
-        return Scale(node.factor, _push_adjoints(node.arg))
-    if isinstance(node, FnApp):
-        return FnApp(node.fname, _push_adjoints(node.arg))
-    raise TypeError(f"unknown node {node!r}")
-
-
-def _adjoint_of(node) -> Expr:
-    if isinstance(node, Var):
-        return Adj(node)
-    if isinstance(node, Adj):
-        return node.arg
-    if isinstance(node, Sum):
-        return Sum(_adjoint_of(node.left), _adjoint_of(node.right))
-    if isinstance(node, Diff):
-        return Diff(_adjoint_of(node.left), _adjoint_of(node.right))
+        return _normal(node.arg, not adjoint)
+    if isinstance(node, (Sum, Diff)):
+        return type(node)(_normal(node.left, adjoint), _normal(node.right, adjoint))
     if isinstance(node, Prod):
-        return Prod(_adjoint_of(node.right), _adjoint_of(node.left))
+        left, right = (node.right, node.left) if adjoint else (node.left, node.right)
+        return Prod(_normal(left, adjoint), _normal(right, adjoint))
     if isinstance(node, Scale):
-        return Scale(np.conj(node.factor), _adjoint_of(node.arg))
+        factor = np.conj(node.factor) if adjoint else node.factor
+        return Scale(factor, _normal(node.arg, adjoint))
     if isinstance(node, FnApp):
         # registry functions are real-valued, so f(a)* = f(a*)
-        return FnApp(node.fname, _adjoint_of(node.arg))
+        return FnApp(node.fname, _normal(node.arg, adjoint))
     raise TypeError(f"unknown node {node!r}")
 
 
@@ -455,8 +440,7 @@ def _equal_mod_sum(a: Expr, b: Expr) -> bool:
 
 
 def is_formally_self_adjoint(e: Expr) -> bool:
-    normal = _push_adjoints(e)
-    return _equal_mod_sum(normal, _adjoint_of(normal))
+    return _equal_mod_sum(_normal(e), _normal(e, adjoint=True))
 
 
 def _validate(e, variables: set[str], registry: Mapping[str, RealFunction]) -> None:

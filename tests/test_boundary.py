@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qcwb.linalg import DEFAULT_PROFILE, PROFILES, frac_power, op_norm, unitary_exp
+from qcwb.linalg import DEFAULT_PROFILE, PROFILES, EigenSystem, frac_power, op_norm, unitary_exp
 from qcwb.qc_model import QcTriple, canonical_fiber, factor_x, low_level_residuals, t_matrix
 from qcwb import boundary
 from qcwb.boundary import (
@@ -17,13 +17,12 @@ from qcwb.boundary import (
     NotOrthogonal,
     PhaseStepTooLarge,
     WindingIllConditioned,
+    WindingIndexMismatch,
     boundary_unitary,
     builtin_scenario,
     exact_projection_lift,
     homotopy_collapse,
-    interpolate_pair,
     lift_T,
-    lift_orthogonal_positive,
     run_scenario,
     winding_number,
 )
@@ -54,7 +53,7 @@ class TestIntervalModel:
         model = IntervalModel(grid_size=8, fiber_dim=3)
         a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        g = interpolate_pair(EndpointPair(a, b), model)
+        g = GridFunction(boundary._interpolate(EndpointPair(a, b), model.points))
         v0, v1 = g.endpoints()
         assert np.allclose(v0, a) and np.allclose(v1, b)
         kern = GridFunction(g.values - g.values)  # the zero function
@@ -63,10 +62,10 @@ class TestIntervalModel:
 
 
 def lifted_pair(hb, kb, model):
-    """h = pos(c) and k = neg(c), read off the decomposition of c = h - k."""
-    c = lift_orthogonal_positive(hb, kb, model)
-    w = c.eigenvalues
-    return c.apply(np.maximum(w, 0.0)), c.apply(np.maximum(-w, 0.0))
+    """h = pos(c) and k = neg(c) of the lift of the exact triples (h, 0, k)."""
+    rep = BScenarioRep(QcTriple(hb.at0, Z2, kb.at0), QcTriple(hb.at1, Z2, kb.at1))
+    lift = lift_T(rep, model)
+    return lift.h.values, lift.k.values
 
 
 class TestLiftOrthogonalPositive:
@@ -94,17 +93,15 @@ class TestLiftOrthogonalPositive:
         assert op_norm(h[2]) == 0.0 and op_norm(k[2]) == 0.0
 
     def test_not_orthogonal_raises(self):
-        model = IntervalModel(grid_size=4, fiber_dim=2)
         with pytest.raises(NotOrthogonal):
-            lift_orthogonal_positive(
-                EndpointPair(E11, E11), EndpointPair(E11, E11), model
+            boundary._orthogonal_difference(
+                EndpointPair(E11, E11), EndpointPair(E11, E11), DEFAULT_PROFILE
             )
 
     def test_not_contraction_raises(self):
-        model = IntervalModel(grid_size=4, fiber_dim=2)
         with pytest.raises(NotOrthogonal):
-            lift_orthogonal_positive(
-                EndpointPair(2.0 * E11, Z2), EndpointPair(E22, Z2), model
+            boundary._orthogonal_difference(
+                EndpointPair(2.0 * E11, Z2), EndpointPair(E22, Z2), DEFAULT_PROFILE
             )
 
 
@@ -430,6 +427,30 @@ class TestStackedPipeline:
         u_big = GridFunction(unitary_exp(lift.t_prime.values, jacobi))
         _, w_out, w_in = homotopy_collapse(u_big, lift.h, lift.k, profile=jacobi)
         assert w_out == w_in == 2
+        # the on-demand scalar parts run under the lift's own profile as well
+        assert len(lift.rho) == 2 and np.isfinite(lift.corner_defect)
+
+    def test_pipeline_forms_no_derived_path(self, rng, monkeypatch):
+        # T', h, k and the scalar parts are derived on demand: a refined run
+        # takes no support projection and clamps T at the two endpoints only
+        def forbidden(*args, **kwargs):
+            raise AssertionError("derived data formed by the pipeline")
+
+        monkeypatch.setattr(boundary, "_scalar_parts", forbidden)
+        monkeypatch.setattr(boundary, "_support_projection", forbidden)
+        shapes = []
+        apply = EigenSystem.apply
+
+        def recorded(self, values):
+            out = apply(self, values)
+            shapes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(EigenSystem, "apply", recorded)
+        _, _, model = run_scenario(conjugated_copies(rng, 3), grid_size=6)
+        assert model.grid_size > 6
+        block_paths = [s for s in shapes if len(s) == 3 and s[-1] == 12]
+        assert block_paths and all(s[0] == 2 for s in block_paths)
 
     def test_refinement_decomposes_only_the_new_points(self, rng, eigh_shapes):
         # grid 64 -> 128: the 65 coarse fibers are kept, the 64 odd ones added
@@ -456,6 +477,18 @@ class TestStackedPipeline:
     def test_exact_projection_lift_decomposes_t_once(self, eigh_shapes):
         exact_projection_lift(builtin_scenario("matched-endpoints"), IntervalModel(8, 2))
         assert eigh_shapes.count((9, 4, 4)) == 1
+
+
+def test_coarse_grid_winds_as_the_index():
+    # grids 1 and 2 see no phase step in doubled, whose index is 2
+    for grid in (1, 2):
+        result, _, model = run_scenario("doubled", grid_size=grid)
+        assert result.winding == 2 and model.grid_size > 2
+    lift = lift_T(builtin_scenario("doubled"), IntervalModel(1, 4))
+    with pytest.raises(WindingIndexMismatch, match="winding 0 from the index 2"):
+        boundary_unitary(lift, IntervalModel(1, 4))
+    with pytest.raises(WindingIndexMismatch):
+        run_scenario("doubled", grid_size=1, max_grid=1)
 
 
 def conjugated_copies(gen, k):
@@ -492,3 +525,24 @@ def test_refinement_matches_a_direct_run(k, start, seed):
     assert lift.rho == direct_lift.rho
     assert lift.corner_defect == direct_lift.corner_defect
     np.testing.assert_allclose(result.u.values, direct.u.values, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=1, max_value=16),
+    st.integers(min_value=1, max_value=64),
+    st.integers(min_value=0, max_value=2**31),
+)
+# steps of 2 pi k / grid alias to no phase at all: winding 0 on these grids
+@example(2, 1, 0)
+@example(4, 4, 0)
+@example(16, 16, 1)
+def test_winding_is_the_index_or_raises(k, grid, seed):
+    """k conjugated copies of eval-at-one have index k: a run from any grid
+    returns winding k or raises, and never returns another integer."""
+    rep = conjugated_copies(np.random.default_rng(seed), k)
+    try:
+        result, _, _ = run_scenario(rep, grid_size=grid)
+    except WindingIllConditioned:
+        return
+    assert result.winding == k

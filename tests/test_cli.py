@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qcwb import cli
-from qcwb.boundary import EndpointDefect, LiftResidual, PhaseStepTooLarge
+from qcwb.boundary import EndpointDefect, LiftResidual, PhaseStepTooLarge, WindingIndexMismatch
 from qcwb.linalg import NoConvergence
 from qcwb.qc_model import FactorizationResidualTooLarge, QcTriple, canonical_generators
 from qcwb.relations import QC_RELATION_SOURCE
@@ -124,6 +124,12 @@ class TestBoundary:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["result"]["winding"] == 0
 
+    def test_coarse_doubled_winds_twice(self):
+        # at grid 1 the two turns of doubled show no phase step; the index gate refines
+        proc = run_cli("boundary", "--scenario", "doubled", "--grid", "1")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["result"]["winding"] == 2
+
     def test_missing_everything_exits_64(self):
         proc = run_cli("boundary")
         assert proc.returncode == 64
@@ -149,6 +155,7 @@ class TestBoundary:
         (FactorizationResidualTooLarge("x"), 3),
         (NoConvergence("x"), 2),
         (PhaseStepTooLarge("x"), 2),
+        (WindingIndexMismatch("x"), 2),
     ],
 )
 def test_library_failures_map_to_exit_codes(monkeypatch, capsys, exc, code):
