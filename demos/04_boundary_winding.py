@@ -21,7 +21,7 @@ for name in ("zero", "eval-at-one", "matched-endpoints", "doubled"):
     rep = builtin_scenario(name)
     model = IntervalModel(grid_size=64, fiber_dim=rep.fiber_dim)
     lift = lift_T(rep, model)
-    result = boundary_unitary(lift, model)
+    result = boundary_unitary(lift)
     print(
         f"{name:18s} winding = {result.winding:+d}   "
         f"unitarity defect {result.unitarity_defect:.1e}   "
@@ -33,11 +33,11 @@ rep = builtin_scenario("eval-at-one")
 for m in (64, 128, 256):
     model = IntervalModel(grid_size=m, fiber_dim=2)
     lift = lift_T(rep, model)
-    print(f"grid {m:4d}: winding {boundary_unitary(lift, model).winding:+d}")
+    print(f"grid {m:4d}: winding {boundary_unitary(lift).winding:+d}")
 for scheme in ("linear", "cosine"):
     model = IntervalModel(grid_size=64, fiber_dim=2)
     lift = lift_T(rep, model, scheme=scheme)
-    print(f"{scheme:6s} lift: winding {boundary_unitary(lift, model).winding:+d}")
+    print(f"{scheme:6s} lift: winding {boundary_unitary(lift).winding:+d}")
 
 # nonzero winding blocks the exact projection lift; zero winding allows it
 model = IntervalModel(grid_size=64, fiber_dim=2)

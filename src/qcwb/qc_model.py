@@ -21,6 +21,7 @@ import numpy as np
 from .linalg import (
     DEFAULT_PROFILE,
     DimMismatch,
+    EigenSystem,
     NotHermitian,
     ToleranceProfile,
     _eigh_raw,
@@ -55,6 +56,10 @@ class FactorizationResidualTooLarge(RuntimeError):
 
 
 LOW_LEVEL_LABELS = ("h_quadratic", "k_quadratic", "intertwiner", "orthogonality")
+
+# factor_x's bounds: weak relation residual, and reconstruction defect / max(1, ||x||)
+_PRE_TOL = 1e-8
+_RECONSTRUCTION_TOL = 1e-7
 
 # the 2x2 matrix units of the model fiber
 E11 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -149,20 +154,21 @@ def high_level_residuals(
     return {
         "orthogonality": op_norm(triple.h @ triple.k, profile),
         "idempotent": op_norm(t @ t - t, profile),
-        "self_adjoint": op_norm(t.conj().T - t, profile),
+        "self_adjoint": op_norm(adjoint(t) - t, profile),
     }
 
 
 def positivity_residuals(
     triple: QcTriple, profile: ToleranceProfile = DEFAULT_PROFILE
 ) -> dict[str, float]:
-    """Residuals of the weak system: orthogonality plus 0 <= T <= 1."""
+    """Residuals of the weak system: orthogonality plus 0 <= T <= 1, per fiber."""
     t = t_matrix(triple, profile)
     w = _eigh_raw(t, profile).eigenvalues
     return {
         "orthogonality": op_norm(triple.h @ triple.k, profile),
-        "below_zero": max(0.0, -float(w[0])),
-        "above_one": max(0.0, float(w[-1]) - 1.0),
+        # 0.0 - min(w, 0) rather than max(0, -w), which leaves -0.0 for w = 0
+        "below_zero": 0.0 - np.minimum(w[..., 0], 0.0),
+        "above_one": np.maximum(0.0, w[..., -1] - 1.0),
     }
 
 
@@ -190,37 +196,46 @@ def canonical_generators(m: int) -> QcTriple:
 def factor_x(
     triple: QcTriple,
     profile: ToleranceProfile = DEFAULT_PROFILE,
-    pre_tol: float = 1e-8,
-    reconstruction_tol: float = 1e-7,
     check_pre: bool = True,
 ) -> np.ndarray:
-    """Factor x = k^(1/8) y h^(1/8), returning y = k^(-1/8) x h^(-1/8).
+    """Factor x = k^(1/8) y h^(1/8), returning y = k^(-1/8) x h^(-1/8), per fiber.
 
-    h and k are decomposed once each; both eighth roots come off that one
-    spectrum, the inverse root on the support only (see ``linalg._support``),
-    so y lives in the k-h corner.  Requires the weak relation residuals to be
-    below ``pre_tol`` (so x lives in that corner up to tolerance);
-    ``check_pre=False`` skips that gate and relies on the reconstruction
-    bound alone.  Raises :class:`FactorizationResidualTooLarge` when the
-    sandwich cannot reproduce x to ``reconstruction_tol * max(1, ||x||)``.
+    h and k are decomposed once each for :func:`_corner_sandwich`.  Requires
+    the weak relation residuals below ``_PRE_TOL`` (so x lives in the k-h
+    corner up to tolerance); ``check_pre=False`` skips that gate.
     """
     if check_pre:
-        worst = max(positivity_residuals(triple, profile).values())
-        _gate("corner relation residual", worst, pre_tol, ValueError)
+        _check_corner_relations(triple, profile)
+    hs = _positive_eig(hermitian_part(triple.h), profile.clamp_tol, profile, what="h")
+    ks = _positive_eig(hermitian_part(triple.k), profile.clamp_tol, profile, what="k")
+    return _corner_sandwich(hs, ks, triple.x, profile)
 
-    def eighth_roots(m: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
-        es = _positive_eig(hermitian_part(m), profile.clamp_tol, profile, what=what)
+
+def _check_corner_relations(triple: QcTriple, profile: ToleranceProfile) -> None:
+    """The pre-gate of :func:`factor_x`: each fiber's weak relation residual below ``_PRE_TOL``."""
+    worst = np.max(list(positivity_residuals(triple, profile).values()), axis=0)
+    _gate("corner relation residual", worst, _PRE_TOL, ValueError)
+
+
+def _corner_sandwich(
+    hs: EigenSystem, ks: EigenSystem, x: np.ndarray, profile: ToleranceProfile
+) -> np.ndarray:
+    """y = k^(-1/8) x h^(-1/8) off the decompositions of h and k, the inverse root on the
+    support only; :class:`FactorizationResidualTooLarge` unless k^(1/8) y h^(1/8) gives
+    back x to ``_RECONSTRUCTION_TOL * max(1, ||x||)``."""
+
+    def eighth_roots(es: EigenSystem) -> tuple[np.ndarray, np.ndarray]:
         w = np.maximum(es.eigenvalues, 0.0)
         inverse = np.power(w, -0.125, out=np.zeros_like(w), where=_support(w, profile))
         return es.apply(w**0.125), es.apply(inverse)
 
-    h8, h8_inv = eighth_roots(triple.h, "h")
-    k8, k8_inv = eighth_roots(triple.k, "k")
-    y = k8_inv @ triple.x @ h8_inv
+    h8, h8_inv = eighth_roots(hs)
+    k8, k8_inv = eighth_roots(ks)
+    y = k8_inv @ x @ h8_inv
     _gate(
         "corner sandwich reconstruction defect",
-        op_norm(k8 @ y @ h8 - triple.x, profile),
-        reconstruction_tol * max(1.0, op_norm(triple.x, profile)),
+        op_norm(k8 @ y @ h8 - x, profile),
+        _RECONSTRUCTION_TOL * np.maximum(1.0, op_norm(x, profile)),
         FactorizationResidualTooLarge,
     )
     return y

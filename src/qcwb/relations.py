@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Mapping
 
 import numpy as np
@@ -665,9 +666,11 @@ rel orthogonality: h*k = 0;
 """
 
 
+_MAX_BISECTION = 60
+
+
 def perturbation_sampler(
     m: int = 4,
-    max_bisection: int = 60,
     profile: ToleranceProfile = DEFAULT_PROFILE,
 ) -> Callable[[float, np.random.Generator], dict[str, np.ndarray]]:
     """Sampler producing environments within a target residual of exactness.
@@ -694,12 +697,13 @@ def perturbation_sampler(
         scale = max(op_norm(dh, profile), op_norm(dk, profile), op_norm(dx, profile))
         dh, dk, dx = dh / scale, dk / scale, dx / scale
 
+        @cache
         def worst(amp: float) -> float:
             trip = QcTriple(base.h + amp * dh, base.x + amp * dx, base.k + amp * dk)
             return max(low_level_residuals(trip, profile).values())
 
         lo, hi = 0.0, delta
-        for _ in range(max_bisection):
+        for _ in range(_MAX_BISECTION):
             if worst(hi) > delta:
                 break
             hi *= 2.0
@@ -707,7 +711,7 @@ def perturbation_sampler(
                 break
         else:
             raise SamplerExhausted(f"no amplitude exceeds residual {delta:.3e}")
-        for _ in range(max_bisection):
+        for _ in range(_MAX_BISECTION):
             mid = 0.5 * (lo + hi)
             if worst(mid) <= delta:
                 lo = mid

@@ -239,6 +239,7 @@ class SmoothingReport:
 
 
 RESIDUAL_SUCCESS_TOL = 1e-10
+_THETA_FLOOR = 1e-6
 
 
 def _checked_input(
@@ -343,23 +344,22 @@ def auto_theta(
     triple: QcTriple,
     epsilon: float,
     profile: ToleranceProfile = DEFAULT_PROFILE,
-    theta_floor: float = 1e-6,
 ) -> tuple[SmoothingParams, QcTriple, SmoothingReport]:
     """Search a workable cutoff width by halving theta downward from epsilon/2.
 
     Returns the successful parameters together with the run's output; raises
-    :class:`NoWorkableTheta` when the floor is reached without success.  The
+    :class:`NoWorkableTheta` when ``_THETA_FLOOR`` is reached without success.  The
     input is checked once, before the search: one that misses the norm
     precondition fails at once, with last failure ``"residual"``.
     """
     try:
         input_res = _checked_input(triple, profile)
     except ResidualTooLarge as exc:
-        raise _no_workable_theta(theta_floor, "residual") from exc
+        raise _no_workable_theta("residual") from exc
     delta = max(max(input_res.values()) * 1.01, 1e-15)
     theta = epsilon / 2.0
     last_failure = "residual"
-    while theta >= theta_floor:
+    while theta >= _THETA_FLOOR:
         params = SmoothingParams(
             epsilon=epsilon, theta=theta, delta=delta, profile=profile
         )
@@ -372,12 +372,12 @@ def auto_theta(
                 return params, out, report
             last_failure = "distance" if report.t2_defect < 0.25 else "gap"
         theta *= 0.5
-    raise _no_workable_theta(theta_floor, last_failure)
+    raise _no_workable_theta(last_failure)
 
 
-def _no_workable_theta(theta_floor: float, last_failure: str) -> NoWorkableTheta:
+def _no_workable_theta(last_failure: str) -> NoWorkableTheta:
     return NoWorkableTheta(
-        f"no cutoff width above {theta_floor:.1e} smooths this triple "
+        f"no cutoff width above {_THETA_FLOOR:.1e} smooths this triple "
         f"(last failure: {last_failure})",
         last_failure=last_failure,
     )

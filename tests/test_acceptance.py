@@ -153,7 +153,7 @@ def test_criterion_5_boundary_map():
             rep = builtin_scenario(name)
             model = IntervalModel(grid_size=m, fiber_dim=rep.fiber_dim)
             lift = lift_T(rep, model, scheme)
-            result = boundary_unitary(lift, model)
+            result = boundary_unitary(lift)
             assert result.unitarity_defect <= 1e-8
             assert result.endpoint_defect <= 1e-8
             return result.winding

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qcwb.linalg import DEFAULT_PROFILE, PROFILES, EigenSystem, frac_power, op_norm, unitary_exp
+from qcwb.linalg import DEFAULT_PROFILE, PROFILES, EigenSystem, frac_power, op_norm
 from qcwb.qc_model import QcTriple, canonical_fiber, factor_x, low_level_residuals, t_matrix
 from qcwb import boundary
 from qcwb.boundary import (
     BScenarioRep,
-    EndpointPair,
     GridFunction,
     IntervalModel,
     NoSpectralGap,
@@ -53,7 +52,7 @@ class TestIntervalModel:
         model = IntervalModel(grid_size=8, fiber_dim=3)
         a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        g = GridFunction(boundary._interpolate(EndpointPair(a, b), model.points))
+        g = GridFunction(boundary._interpolate(np.stack([a, b]), model.points))
         v0, v1 = g.endpoints()
         assert np.allclose(v0, a) and np.allclose(v1, b)
         kern = GridFunction(g.values - g.values)  # the zero function
@@ -63,7 +62,7 @@ class TestIntervalModel:
 
 def lifted_pair(hb, kb, model):
     """h = pos(c) and k = neg(c) of the lift of the exact triples (h, 0, k)."""
-    rep = BScenarioRep(QcTriple(hb.at0, Z2, kb.at0), QcTriple(hb.at1, Z2, kb.at1))
+    rep = BScenarioRep(QcTriple(hb[0], Z2, kb[0]), QcTriple(hb[1], Z2, kb[1]))
     lift = lift_T(rep, model)
     return lift.h.values, lift.k.values
 
@@ -71,14 +70,14 @@ def lifted_pair(hb, kb, model):
 class TestLiftOrthogonalPositive:
     def test_constant_pair(self):
         model = IntervalModel(grid_size=6, fiber_dim=2)
-        h, k = lifted_pair(EndpointPair(E11, E11), EndpointPair(E22, E22), model)
+        h, k = lifted_pair((E11, E11), (E22, E22), model)
         for i in range(7):
             np.testing.assert_allclose(h[i], E11, atol=1e-12)
             np.testing.assert_allclose(k[i], E22, atol=1e-12)
 
     def test_interpolating_pair(self):
         model = IntervalModel(grid_size=8, fiber_dim=2)
-        h, k = lifted_pair(EndpointPair(E11, Z2), EndpointPair(E22, Z2), model)
+        h, k = lifted_pair((E11, Z2), (E22, Z2), model)
         np.testing.assert_allclose(h[0], E11, atol=1e-12)
         np.testing.assert_allclose(h[8], Z2, atol=1e-12)
         np.testing.assert_allclose(k[0], E22, atol=1e-12)
@@ -89,19 +88,19 @@ class TestLiftOrthogonalPositive:
 
     def test_zero_pair(self):
         model = IntervalModel(grid_size=4, fiber_dim=2)
-        h, k = lifted_pair(EndpointPair(Z2, Z2), EndpointPair(Z2, Z2), model)
+        h, k = lifted_pair((Z2, Z2), (Z2, Z2), model)
         assert op_norm(h[2]) == 0.0 and op_norm(k[2]) == 0.0
 
     def test_not_orthogonal_raises(self):
         with pytest.raises(NotOrthogonal):
             boundary._orthogonal_difference(
-                EndpointPair(E11, E11), EndpointPair(E11, E11), DEFAULT_PROFILE
+                np.stack([E11, E11]), np.stack([E11, E11]), DEFAULT_PROFILE
             )
 
     def test_not_contraction_raises(self):
         with pytest.raises(NotOrthogonal):
             boundary._orthogonal_difference(
-                EndpointPair(2.0 * E11, Z2), EndpointPair(E22, Z2), DEFAULT_PROFILE
+                np.stack([2.0 * E11, Z2]), np.stack([E22, Z2]), DEFAULT_PROFILE
             )
 
 
@@ -180,7 +179,7 @@ class TestBoundaryUnitary:
         rep = builtin_scenario(name)
         model = IntervalModel(grid_size=m, fiber_dim=rep.fiber_dim)
         lift = lift_T(rep, model, scheme)
-        return boundary_unitary(lift, model), lift, model
+        return boundary_unitary(lift), lift, model
 
     def test_zero_scenario_winding_zero(self):
         result, _, _ = self.run("zero")
@@ -225,7 +224,7 @@ class TestBoundaryUnitary:
         rep = BScenarioRep(a.at0.direct_sum(b.at0), a.at1.direct_sum(b.at1))
         model = IntervalModel(grid_size=64, fiber_dim=4)
         lift = lift_T(rep, model)
-        result = boundary_unitary(lift, model)
+        result = boundary_unitary(lift)
         assert result.winding == 1
 
     def test_coarse_grid_detected(self):
@@ -233,7 +232,7 @@ class TestBoundaryUnitary:
         model = IntervalModel(grid_size=2, fiber_dim=2)
         lift = lift_T(rep, model)
         with pytest.raises(WindingIllConditioned):
-            boundary_unitary(lift, model)
+            boundary_unitary(lift)
 
 
 class TestWindingNumber:
@@ -256,10 +255,8 @@ class TestWindingNumber:
 class TestHomotopyCollapse:
     def test_identity_path(self):
         model = IntervalModel(grid_size=4, fiber_dim=2)
-        vals = np.stack([np.eye(4, dtype=complex)] * 5)
-        h = GridFunction(np.stack([E11] * 5))
-        k = GridFunction(np.stack([E22] * 5))
-        out, w_out, w_in = homotopy_collapse(GridFunction(vals), h, k)
+        lift = lift_T(builtin_scenario("matched-endpoints"), model)
+        out, w_out, w_in = homotopy_collapse(lift)
         assert w_out == w_in == 0
         for i in range(5):
             np.testing.assert_allclose(out.at(i), np.eye(4), atol=1e-12)
@@ -268,13 +265,10 @@ class TestHomotopyCollapse:
         rep = builtin_scenario("eval-at-one")
         model = IntervalModel(grid_size=64, fiber_dim=2)
         lift = lift_T(rep, model)
-        from qcwb.linalg import unitary_exp
-
-        u_big = GridFunction(unitary_exp(lift.t_prime.values))
-        out, w_out, w_in = homotopy_collapse(u_big, lift.h, lift.k)
+        out, w_out, w_in = homotopy_collapse(lift)
         assert w_out == w_in == 1
         # the s = 0 image is block diagonal with the collapsed unitary on top
-        result = boundary_unitary(lift, model)
+        result = boundary_unitary(lift)
         top = out.at(32)[:2, :2]
         np.testing.assert_allclose(top, result.u.at(32), atol=1e-10)
 
@@ -282,21 +276,15 @@ class TestHomotopyCollapse:
         rep = builtin_scenario("doubled")
         model = IntervalModel(grid_size=64, fiber_dim=4)
         lift = lift_T(rep, model)
-        from qcwb.linalg import unitary_exp
-
-        u_big = GridFunction(unitary_exp(lift.t_prime.values))
-        _, w_out, w_in = homotopy_collapse(u_big, lift.h, lift.k)
+        _, w_out, w_in = homotopy_collapse(lift)
         assert w_out == w_in == 2
 
     def test_intermediate_s_unitary(self):
         rep = builtin_scenario("eval-at-one")
         model = IntervalModel(grid_size=32, fiber_dim=2)
         lift = lift_T(rep, model)
-        from qcwb.linalg import unitary_exp
-
-        u_big = GridFunction(unitary_exp(lift.t_prime.values))
         for s in (0.25, 0.5, 0.75):
-            out, _, _ = homotopy_collapse(u_big, lift.h, lift.k, s=s)
+            out, _, _ = homotopy_collapse(lift, s=s)
             for i in (0, 16, 32):
                 sv = np.linalg.svd(out.at(i), compute_uv=False)
                 assert np.all(np.abs(sv - 1.0) <= 1e-8)
@@ -407,7 +395,7 @@ class TestStackedPipeline:
         for m in (64, 1024):
             calls.clear()
             model = IntervalModel(grid_size=m, fiber_dim=2)
-            boundary_unitary(lift_T(rep, model), model)
+            boundary_unitary(lift_T(rep, model))
             counts.append(sorted(name for name, _ in calls))
             # h, k, their eighth roots and supports share one decomposition,
             # and T, T' and u share another
@@ -424,8 +412,7 @@ class TestStackedPipeline:
         jacobi = PROFILES["jacobi"]
         result, lift, _ = run_scenario("doubled", grid_size=16, profile=jacobi)
         assert result.winding == 2
-        u_big = GridFunction(unitary_exp(lift.t_prime.values, jacobi))
-        _, w_out, w_in = homotopy_collapse(u_big, lift.h, lift.k, profile=jacobi)
+        _, w_out, w_in = homotopy_collapse(lift)
         assert w_out == w_in == 2
         # the on-demand scalar parts run under the lift's own profile as well
         assert len(lift.rho) == 2 and np.isfinite(lift.corner_defect)
@@ -462,17 +449,42 @@ class TestStackedPipeline:
                 assert stacks[(fibers, dim, dim)] == 1
         assert not any(shape[0] == 129 for shape in stacks)
 
-    def test_factor_x_runs_once_per_endpoint(self, rng, monkeypatch):
+    def test_endpoint_factorization_runs_once(self, rng, monkeypatch):
+        # both endpoints share one corner sandwich, and refinement reuses it
         calls = []
+        sandwich = boundary._corner_sandwich
 
-        def counted(trip, profile):
-            calls.append(trip)
-            return factor_x(trip, profile)
+        def counted(hs, ks, x, profile):
+            calls.append(x.shape)
+            return sandwich(hs, ks, x, profile)
 
-        monkeypatch.setattr(boundary, "factor_x", counted)
+        monkeypatch.setattr(boundary, "_corner_sandwich", counted)
         _, _, model = run_scenario(conjugated_copies(rng, 2), grid_size=4)
         assert model.grid_size >= 16
-        assert len(calls) == 2
+        assert calls == [(2, 4, 4)]
+
+    def test_lift_decomposes_the_endpoints_once(self, rng, eigh_shapes):
+        # one eigh of [h(0), h(1), k(0), k(1)], at most one of the stacked
+        # T(0), T(1) for the weak-relation gate, and none per endpoint
+        rep = BScenarioRep(exact_endpoint(rng, 6), exact_endpoint(rng, 6))
+        lift = lift_T(rep, IntervalModel(grid_size=16, fiber_dim=6))
+        assert eigh_shapes.count((4, 6, 6)) == 1
+        assert eigh_shapes.count((2, 12, 12)) <= 1
+        assert (6, 6) not in eigh_shapes and (12, 12) not in eigh_shapes
+        eigh_shapes.clear()
+        boundary_unitary(lift)
+        homotopy_collapse(lift)
+        assert eigh_shapes == []
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_endpoint_factor_is_factor_x(self, n):
+        # the stacked endpoint sandwich gives what the public factor_x gives
+        gen = np.random.default_rng(n)
+        for _ in range(5):
+            rep = BScenarioRep(exact_endpoint(gen, n), exact_endpoint(gen, n))
+            lift = lift_T(rep, IntervalModel(grid_size=4, fiber_dim=n))
+            np.testing.assert_array_equal(lift.ends.y[0], factor_x(rep.at0))
+            np.testing.assert_array_equal(lift.ends.y[1], factor_x(rep.at1))
 
     def test_exact_projection_lift_decomposes_t_once(self, eigh_shapes):
         exact_projection_lift(builtin_scenario("matched-endpoints"), IntervalModel(8, 2))
@@ -486,9 +498,20 @@ def test_coarse_grid_winds_as_the_index():
         assert result.winding == 2 and model.grid_size > 2
     lift = lift_T(builtin_scenario("doubled"), IntervalModel(1, 4))
     with pytest.raises(WindingIndexMismatch, match="winding 0 from the index 2"):
-        boundary_unitary(lift, IntervalModel(1, 4))
+        boundary_unitary(lift)
     with pytest.raises(WindingIndexMismatch):
         run_scenario("doubled", grid_size=1, max_grid=1)
+
+
+def test_homotopy_collapse_gates_the_index():
+    # both det windings alias to 0 on grids 1 and 2 of doubled, whose index is 2
+    rep = builtin_scenario("doubled")
+    for grid in (1, 2):
+        lift = lift_T(rep, IntervalModel(grid, 4))
+        with pytest.raises(WindingIndexMismatch, match="from the index 2"):
+            homotopy_collapse(lift)
+    _, w_out, w_in = homotopy_collapse(lift_T(rep, IntervalModel(64, 4)))
+    assert (w_out, w_in) == (2, 2)
 
 
 def conjugated_copies(gen, k):
@@ -517,7 +540,7 @@ def test_refinement_matches_a_direct_run(k, start, seed):
     result, lift, model = run_scenario(rep, grid_size=grid)
     assert model.grid_size in (2 * grid, 4 * grid)
     direct_lift = lift_T(rep, model)
-    direct = boundary_unitary(direct_lift, model)
+    direct = boundary_unitary(direct_lift)
     assert result.winding == direct.winding == k
     assert result.unitarity_defect == direct.unitarity_defect
     assert result.endpoint_defect == direct.endpoint_defect

@@ -36,8 +36,6 @@ ALLOWED = {
     ("boundary.py", "winding_number", "WindingIllConditioned"),
     # spectral window: eigenvalues inside (1/2 - gamma, 1/2 + gamma), not a defect
     ("boundary.py", "exact_projection_lift", "NoSpectralGap"),
-    # winding equality: two integers that must agree
-    ("boundary.py", "homotopy_collapse", "WindingIllConditioned"),
 }
 
 

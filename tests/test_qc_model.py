@@ -117,6 +117,24 @@ class TestPositivityResiduals:
         assert res["orthogonality"] == 0.0
 
 
+@pytest.mark.parametrize(
+    "fn", [low_level_residuals, high_level_residuals, positivity_residuals, factor_x]
+)
+def test_stacked_triple_is_per_fiber(rng, fn):
+    # a (2, n, n) triple gives, fiber by fiber, what each (n, n) triple gives
+    trips = [exact_endpoint(rng, 5), exact_endpoint(rng, 5)]
+    stacked = QcTriple(*(np.stack([getattr(t, f) for t in trips]) for f in "hxk"))
+    out = fn(stacked)
+    for i, trip in enumerate(trips):
+        one = fn(trip)
+        if isinstance(one, dict):
+            assert out.keys() == one.keys()
+            for key in one:
+                np.testing.assert_allclose(out[key][i], one[key], rtol=1e-12, atol=1e-15)
+        else:
+            np.testing.assert_allclose(out[i], one, rtol=1e-12, atol=1e-15)
+
+
 class TestCanonicalGenerators:
     def test_m1_is_the_diagonal_fiber(self):
         trip = canonical_generators(1)

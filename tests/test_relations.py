@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcwb import cli
+from qcwb import cli, relations
 from qcwb.linalg import RealFunction
 from qcwb.qc_model import canonical_generators, low_level_residuals
 from qcwb.relations import (
@@ -298,6 +298,22 @@ class TestSweep:
         # constants only exist as (re,im) literals; a bare digit fails to lex
         with pytest.raises(RelationSyntaxError):
             parse("vars h;\nrel bad: h + 1 = 0;")
+
+    def test_sampler_evaluates_each_triple_once(self, rng, monkeypatch):
+        # the bisection keeps the residuals it measured instead of measuring again
+        seen = []
+
+        def recorded(trip, profile):
+            seen.append(trip.h.tobytes() + trip.x.tobytes() + trip.k.tobytes())
+            return low_level_residuals(trip, profile)
+
+        monkeypatch.setattr(relations, "low_level_residuals", recorded)
+        sampler = perturbation_sampler(m=4)
+        for delta in (1e-2, 1e-3, 1e-4, 1e-5):
+            for _ in range(3):
+                seen.clear()
+                sampler(delta, rng)
+                assert seen and len(set(seen)) == len(seen), delta
 
     def test_sampler_norm_bounds_near_exactness(self, rng):
         # outputs that pass a tight residual budget satisfy the norm
