@@ -11,16 +11,17 @@ the pipeline
 2. lifts x through the corner factorization x = k^(1/8) y h^(1/8), with y
    interpolated between its endpoint values; h, k and both eighth roots are
    read off the one decomposition of c,
-3. forms the blocked matrix T and decomposes it once, T = B diag(w) B*; the
-   clamped path T' = B diag(clip(w, 0, 1)) B* is formed only at the two
-   endpoints, to check it against the endpoint data,
+3. decomposes the blocked matrix T = [[1 - h, x*], [x, k]] once, through
+   its n x n corner block B = Z diag(mu) Z* in the eigenbasis V of c (the
+   rest of T's spectrum is exactly 0 or 1); T and the clamped path T' are
+   assembled only at the two endpoints, to check them against the data,
 4. exponentiates: U = exp(2 pi i T'), a unitary path equal to the identity
-   at both endpoints, read off the same decomposition (U itself is formed
+   at both endpoints, read off the same decompositions (U itself is formed
    only at the endpoints),
 5. collapses the four blocks of U to the single unitary
-   u = -1 + u11 + u12 + u21 + u22 = C diag(e^(2 pi i clip(w))) C* - 1 with
-   C = B[:n] + B[n:], accumulates the phase of det u across the grid, and
-   checks the count against the index tr T(1) - tr T(0).
+   u = -1 + u11 + u12 + u21 + u22 = (VZ) diag(e^(2 pi i clip(mu))) (VZ)*,
+   accumulates the phase of det u across the grid, and checks the count
+   against the index tr T(1) - tr T(0).
 
 The resulting integer winding is the index obstruction carried by the input:
 it vanishes exactly when a spectral gap around 1/2 lets the fiberwise
@@ -243,17 +244,18 @@ def builtin_scenario(name: str) -> BScenarioRep:
 
 
 def _orthogonal_difference(
-    h: np.ndarray, k: np.ndarray, profile: ToleranceProfile
+    h: np.ndarray, k: np.ndarray, hk_norm: np.ndarray, profile: ToleranceProfile
 ) -> tuple[np.ndarray, EigenSystem]:
     """c = h - k of the stacked endpoint values, once h and k pass as positive contractions
-    with h k = 0; returned with the one decomposition of [h(0), h(1), k(0), k(1)]."""
+    with ||h k|| = ``hk_norm`` small; returned with the one decomposition of
+    [h(0), h(1), k(0), k(1)], which gives ||h|| and ||k||."""
     what = "(h(0), h(1), k(0), k(1))"
     es = _positive_eig(np.concatenate([h, k]), 1e-8, profile, NotOrthogonal, what)
     w = es.eigenvalues
     _gate(f"max eigenvalue of {what}", w.max(axis=-1, initial=1.0), 1.0 + 1e-8, NotOrthogonal)
-    defect = op_norm(h @ k, profile)
-    bound = 1e-10 * np.maximum(1.0, op_norm(h, profile) * op_norm(k, profile))
-    _gate("||h k|| at the endpoints (0, 1)", defect, bound, NotOrthogonal)
+    norms = np.max(np.abs(w), axis=-1, initial=0.0)
+    bound = 1e-10 * np.maximum(1.0, norms[: len(h)] * norms[len(h) :])
+    _gate("||h k|| at the endpoints (0, 1)", hk_norm, bound, NotOrthogonal)
     return h - k, es
 
 
@@ -268,24 +270,29 @@ class _LiftEnds:
 
 @dataclass(frozen=True)
 class TLift:
-    """The lifted path, kept as its two decompositions.
+    """The lifted path, kept as two n x n decompositions.
 
-    ``c`` decomposes the path c = h - k and ``t`` the unclamped block path T,
-    one fiber per grid point; ``ends`` holds the endpoint data the paths
-    interpolate, checked once.  T', h, k and the scalar parts of the linking
-    decomposition are derived from ``c`` and ``t`` on demand, under the
-    ``profile`` the lift was built with.
+    ``c`` decomposes the path c = h - k and ``b`` the corner block B of the
+    unclamped block path T (see :func:`_lift_fibers`), one fiber per grid
+    point; ``ends`` holds the endpoint data the paths interpolate, checked
+    once.  T, T', h, k and the scalar parts of the linking decomposition are
+    derived from ``c`` and ``b`` on demand, under the lift's ``profile``.
     """
 
     c: EigenSystem
-    t: EigenSystem
+    b: EigenSystem
     ends: _LiftEnds
     endpoint_defect: float
     profile: ToleranceProfile
 
     @property
+    def t(self) -> EigenSystem:
+        """The decomposition T = W diag(w) W* of the unclamped block path, w ascending."""
+        return _t_system(self.c, self.b)
+
+    @property
     def t_prime(self) -> GridFunction:
-        """T' = B diag(clip(w, 0, 1)) B* for T = B diag(w) B*."""
+        """T' = W diag(clip(w, 0, 1)) W* for T = W diag(w) W*."""
         return GridFunction(_clamped(self.t))
 
     @property
@@ -319,13 +326,27 @@ def _matrix(es: EigenSystem) -> np.ndarray:
 
 
 def _clamped(t: EigenSystem) -> np.ndarray:
-    """T' = B diag(clip(w, 0, 1)) B* for each fiber T = B diag(w) B* of ``t``."""
+    """T' = W diag(clip(w, 0, 1)) W* for each fiber T = W diag(w) W* of ``t``."""
     return hermitian_part(t.apply(CLAMP01(t.eigenvalues)))
 
 
-def _ends(es: EigenSystem) -> EigenSystem:
-    """The first and last fibers of a decomposed path."""
-    return EigenSystem(es.eigenvalues[[0, -1]], es.basis[[0, -1]])
+def _t_system(c: EigenSystem, b: EigenSystem) -> EigenSystem:
+    """T's decomposition, eigenvalues ascending, off those of c = V diag(lam) V* and of
+    B = Z diag(mu) Z*: an eigenvector z of B lifts to (V_top z, V_bottom z), and the slot
+    B leaves out of each j is an eigenvector for 0 (bottom, lam_j > 0) or 1 (top)."""
+    top = c.eigenvalues > 0.0
+    v_top, v_bottom = c.basis * top[..., None, :], c.basis * ~top[..., None, :]
+    basis = np.block([[v_top @ b.basis, v_bottom], [v_bottom @ b.basis, v_top]])
+    w = np.concatenate([b.eigenvalues, 1.0 - top], axis=-1)
+    order = np.argsort(w, axis=-1, kind="stable")
+    return EigenSystem(
+        np.take_along_axis(w, order, -1), np.take_along_axis(basis, order[..., None, :], -1)
+    )
+
+
+def _t_ends(c: EigenSystem, b: EigenSystem) -> EigenSystem:
+    """The decomposition of T at the first and last fibers of a lifted path."""
+    return _t_system(*(EigenSystem(es.eigenvalues[[0, -1]], es.basis[[0, -1]]) for es in (c, b)))
 
 
 def _median(vals: np.ndarray, default: float) -> complex:
@@ -369,9 +390,10 @@ def _lift_ends(rep: BScenarioRep, profile: ToleranceProfile) -> _LiftEnds:
     every gate on h and k, and the corner sandwich of :func:`qc_model.factor_x`."""
     a, b = rep.at0, rep.at1
     trip = QcTriple(np.stack([a.h, b.h]), np.stack([a.x, b.x]), np.stack([a.k, b.k]))
-    worst = np.max(list(low_level_residuals(trip, profile).values()), axis=0)
+    res = low_level_residuals(trip, profile)
+    worst = np.max(list(res.values()), axis=0)
     _gate("relation residual at the endpoints (0, 1)", worst, 1e-10, LiftResidual)
-    c, es = _orthogonal_difference(trip.h, trip.k, profile)
+    c, es = _orthogonal_difference(trip.h, trip.k, res["orthogonality"], profile)
     _check_corner_relations(trip, profile)
     w, v = es.eigenvalues, es.basis
     _gate("-min eigenvalue of h, k", -w.min(axis=-1, initial=0.0), profile.clamp_tol, NotPositive)
@@ -382,18 +404,24 @@ def _lift_ends(rep: BScenarioRep, profile: ToleranceProfile) -> _LiftEnds:
 def _lift_fibers(
     ends: _LiftEnds, ts: np.ndarray, scheme: str, profile: ToleranceProfile
 ) -> tuple[EigenSystem, EigenSystem]:
-    """The path half of :func:`lift_T`: the decompositions of c and T at the points ``ts``.
+    """The path half of :func:`lift_T`: the decompositions of c and of T's corner
+    block B at the points ``ts``; both pass :func:`herm_eig`'s per-fiber gate.
 
-    Every per-fiber gate runs here, on each point.  h, k and their eighth
-    roots come off the one decomposition of c = h - k; they and x serve only
-    to form T.
+    With c = V diag(lam) V*, h and k are V diag(lam+) V* and V diag(lam-) V*,
+    so in the basis V, T = [[1 - diag(lam+), X*], [X, diag(lam-)]] with
+    X = V* x V = diag((lam-)^(1/8)) V* y V diag((lam+)^(1/8)), which vanishes
+    outside rows {lam < 0} x columns {lam > 0}.  Taking slot j of T's top
+    half where lam_j > 0 and of its bottom half otherwise (d_j = 1 - lam_j
+    or lam-_j), T is B = diag(d) + X + X* plus n eigenvalues exactly 0 or 1.
     """
     c = herm_eig(_interpolate(ends.c, ts), profile)
-    hs, ks = _parts(c)
-    y = _interpolate(ends.y, ts, scheme)
-    x = ks.apply(ks.eigenvalues**0.125) @ y @ hs.apply(hs.eigenvalues**0.125)
-    t = t_matrix(QcTriple(_matrix(hs), x, _matrix(ks)), profile, check_hermitian=False)
-    return c, herm_eig(t, profile)
+    hw, kw = (part.eigenvalues for part in _parts(c))
+    vyv = adjoint(c.basis) @ _interpolate(ends.y, ts, scheme) @ c.basis
+    x = kw[..., :, None] ** 0.125 * vyv * hw[..., None, :] ** 0.125
+    b = x + adjoint(x)
+    # d onto the diagonal, through einsum's writable view of it
+    np.einsum("...jj->...j", b)[...] += np.where(c.eigenvalues > 0.0, 1.0 - hw, kw)
+    return c, herm_eig(b, profile)
 
 
 def lift_T(
@@ -408,19 +436,20 @@ def lift_T(
     computed at both endpoints at once, interpolated across the grid, and
     re-sandwiched between the eighth roots of the lifted k and h.  h, k and
     their eighth roots all come off the one decomposition of the path
-    c = h - k; T is decomposed once.  T' clamps that spectrum to [0, 1], and
-    is formed here only at the two endpoints, where it must match the
-    endpoint block matrices to ``_LIFT_ENDS_TOL``.
+    c = h - k; T is decomposed once, through its n x n corner block B (see
+    :func:`_lift_fibers`).  T' clamps that spectrum to [0, 1], and is
+    formed here only at the two endpoints, where it must match the endpoint
+    block matrices to ``_LIFT_ENDS_TOL``.
     """
     if model.fiber_dim != rep.fiber_dim:
         raise DimMismatch(
             f"model fiber dim {model.fiber_dim} != representation dim {rep.fiber_dim}"
         )
     ends = _lift_ends(rep, profile)
-    c, t = _lift_fibers(ends, model.points, scheme, profile)
-    defects = op_norm(_clamped(_ends(t)) - ends.t, profile)
+    c, b = _lift_fibers(ends, model.points, scheme, profile)
+    defects = op_norm(_clamped(_t_ends(c, b)) - ends.t, profile)
     _gate("clamped path defect at the endpoints (0, 1)", defects, _LIFT_ENDS_TOL, LiftResidual)
-    return TLift(c, t, ends, float(np.max(defects)), profile)
+    return TLift(c, b, ends, float(np.max(defects)), profile)
 
 
 # ---------------------------------------------------------------------------
@@ -479,16 +508,15 @@ def boundary_unitary(lift: TLift) -> BoundaryResult:
     u = -1 + u11 + u12 + u21 + u22, whose det phase is accumulated across
     the grid and must equal the index tr T(1) - tr T(0)
     (:class:`WindingIndexMismatch` otherwise).  Nothing is decomposed here:
-    T' = B diag(clip(w, 0, 1)) B* comes off the lift's decomposition
-    T = B diag(w) B*, so U is formed only at the endpoints and the block sum
-    is C diag(e^(2 pi i clip(w))) C* for C = B[:n] + B[n:].
+    U is formed only at the endpoints, and the block sum comes off the
+    lift's decompositions of c and of T's corner block (see :func:`_collapse`).
     """
     _check_unit_ends(lift)
-    return _certify(*_collapse(lift.t, lift.profile), lift)
+    return _certify(*_collapse(lift.c, lift.b, lift.profile), lift)
 
 
 def _unitary(t: EigenSystem) -> np.ndarray:
-    """B diag(e^(2 pi i clip(w))) B* for each fiber (w, B) of ``t``: exp(2 pi i T') for T's B."""
+    """W diag(e^(2 pi i clip(w))) W* for each fiber (w, W) of ``t``: exp(2 pi i T') for T's W."""
     return t.apply(np.exp(2j * np.pi * CLAMP01(t.eigenvalues)))
 
 
@@ -496,21 +524,21 @@ def _check_unit_ends(lift: TLift) -> None:
     """Gate exp(2 pi i T') = 1 at both endpoints of the lifted path."""
     _gate(
         "||exp(2 pi i T') - 1|| at the endpoints (0, 1)",
-        op_norm(_unitary(_ends(lift.t)) - np.eye(lift.t.dim, dtype=complex), lift.profile),
+        op_norm(_unitary(_t_ends(lift.c, lift.b)) - np.eye(2 * lift.c.dim), lift.profile),
         _UNIT_ENDS_TOL,
         EndpointDefect,
     )
 
 
-def _collapse(t: EigenSystem, profile: ToleranceProfile) -> tuple[np.ndarray, np.ndarray]:
-    """The collapsed unitary u of every fiber of the path T decomposes, and
-    each fiber's unitarity defect ||u u* - 1||."""
-    n = t.dim // 2
-    eye = np.eye(n, dtype=complex)
-    b = t.basis
-    u = _unitary(EigenSystem(t.eigenvalues, b[..., :n, :] + b[..., n:, :]))
-    u -= eye
-    return u, op_norm(u @ adjoint(u) - eye, profile)
+def _collapse(
+    c: EigenSystem, b: EigenSystem, profile: ToleranceProfile
+) -> tuple[np.ndarray, np.ndarray]:
+    """The collapsed unitary u of every fiber of the path T, and each fiber's defect
+    ||u u* - 1||.  Summing the halves of T's eigenvectors (:func:`_t_system`), the
+    eigenvalues 0 and 1 give V at phase 1, which cancels the -1 of u, and B gives VZ:
+    u = (VZ) diag(e^(2 pi i clip(mu))) (VZ)* for c = V diag(lam) V*, B = Z diag(mu) Z*."""
+    u = _unitary(EigenSystem(b.eigenvalues, c.basis @ b.basis))
+    return u, op_norm(u @ adjoint(u) - np.eye(b.dim), profile)
 
 
 def _certify(u: np.ndarray, unit_defect: np.ndarray, lift: TLift) -> BoundaryResult:
@@ -556,12 +584,13 @@ def exact_projection_lift(
 ) -> GridRepresentation:
     """Lift through the spectral threshold when a gap around 1/2 exists.
 
-    Reads the spectrum of the unclamped path T off the lift's one
-    decomposition.  If any eigenvalue falls inside (1/2 - gamma, 1/2 + gamma),
-    :class:`NoSpectralGap` is raised (the winding of the boundary pipeline is
-    the obstruction).  Otherwise thresholding the same spectrum at 1/2 is
-    continuous in the fibers and the blocks of the resulting projection path
-    form an exact representation lifting the input.
+    Reads the spectrum of the unclamped path T off the decomposition the
+    lift assembles from its two n x n ones.  If any eigenvalue falls inside
+    (1/2 - gamma, 1/2 + gamma), :class:`NoSpectralGap` is raised (the
+    winding of the boundary pipeline is the obstruction).  Otherwise
+    thresholding the same spectrum at 1/2 is continuous in the fibers and
+    the blocks of the resulting projection path form an exact
+    representation lifting the input.
     """
     lift = lift_T(rep, model, scheme, profile)
     n = model.fiber_dim
@@ -607,7 +636,7 @@ def homotopy_collapse(lift: TLift, s: float = 0.0) -> tuple[GridFunction, int, i
     decomposed: U, h, k and their supports come off the lift.
     """
     profile = lift.profile
-    n = lift.t.dim // 2
+    n = lift.c.dim
     eye = np.eye(n, dtype=complex)
     eye2 = np.eye(2 * n, dtype=complex)
     v = _unitary(lift.t)
@@ -651,9 +680,9 @@ def run_scenario(
     well; at ``max_grid`` the error propagates.
 
     The points i/m of grid m are the even points 2i/2m of grid 2m, bit for
-    bit, so a refinement evaluates the decompositions of c and T and the
-    path u at the m new odd points only, and weaves them into the coarse
-    paths.  Every per-fiber gate runs on every new fiber; the endpoint gates
+    bit, so a refinement evaluates the decompositions of c and of T's
+    corner block and the path u at the m new odd points only, and weaves
+    them into the coarse paths.  Every per-fiber gate runs on every new fiber; the endpoint gates
     and factorization run once, since both grids share their endpoints.  The
     result equals that of :func:`lift_T` and :func:`boundary_unitary` run
     directly on the final grid.
@@ -662,7 +691,7 @@ def run_scenario(
     model = IntervalModel(grid_size=grid_size, fiber_dim=rep.fiber_dim)
     lift = lift_T(rep, model, scheme, profile)
     _check_unit_ends(lift)
-    u, unit_defect = _collapse(lift.t, profile)
+    u, unit_defect = _collapse(lift.c, lift.b, profile)
     while True:
         try:
             result = _certify(u, unit_defect, lift)
@@ -673,9 +702,9 @@ def run_scenario(
             if result.phase_step_max < _REFINE_UNTIL or model.grid_size >= max_grid:
                 return result, lift, model
         model = IntervalModel(grid_size=2 * model.grid_size, fiber_dim=rep.fiber_dim)
-        c, t = _lift_fibers(lift.ends, model.points[1::2], scheme, profile)
-        odd_u, odd_defect = _collapse(t, profile)
-        lift = replace(lift, c=_weave(lift.c, c), t=_weave(lift.t, t))
+        c, b = _lift_fibers(lift.ends, model.points[1::2], scheme, profile)
+        odd_u, odd_defect = _collapse(c, b, profile)
+        lift = replace(lift, c=_weave(lift.c, c), b=_weave(lift.b, b))
         u, unit_defect = _weave(u, odd_u), _weave(unit_defect, odd_defect)
 
 

@@ -93,15 +93,13 @@ class TestLiftOrthogonalPositive:
 
     def test_not_orthogonal_raises(self):
         with pytest.raises(NotOrthogonal):
-            boundary._orthogonal_difference(
-                np.stack([E11, E11]), np.stack([E11, E11]), DEFAULT_PROFILE
-            )
+            h = k = np.stack([E11, E11])
+            boundary._orthogonal_difference(h, k, op_norm(h @ k), DEFAULT_PROFILE)
 
     def test_not_contraction_raises(self):
         with pytest.raises(NotOrthogonal):
-            boundary._orthogonal_difference(
-                np.stack([2.0 * E11, Z2]), np.stack([E22, Z2]), DEFAULT_PROFILE
-            )
+            h, k = np.stack([2.0 * E11, Z2]), np.stack([E22, Z2])
+            boundary._orthogonal_difference(h, k, op_norm(h @ k), DEFAULT_PROFILE)
 
 
 class TestLiftT:
@@ -398,9 +396,9 @@ class TestStackedPipeline:
             boundary_unitary(lift_T(rep, model))
             counts.append(sorted(name for name, _ in calls))
             # h, k, their eighth roots and supports share one decomposition,
-            # and T, T' and u share another
-            assert calls.count(("eigh", (m + 1, 2, 2))) == 1
-            assert calls.count(("eigh", (m + 1, 4, 4))) == 1
+            # and T, T' and u share another, of T's n x n corner block
+            assert calls.count(("eigh", (m + 1, 2, 2))) == 2
+            assert ("eigh", (m + 1, 4, 4)) not in calls
         assert counts[0] == counts[1]
 
     def test_jacobi_profile_skips_lapack(self, monkeypatch):
@@ -445,9 +443,10 @@ class TestStackedPipeline:
         assert model.grid_size == 128 and result.winding == 12
         stacks = Counter(shape for shape in eigh_shapes if len(shape) == 3)
         for fibers in (65, 64):
-            for dim in (24, 48):
-                assert stacks[(fibers, dim, dim)] == 1
+            assert stacks[(fibers, 24, 24)] == 2
         assert not any(shape[0] == 129 for shape in stacks)
+        # the one 48-wide stack is the weak-relation gate on T(0), T(1)
+        assert all(shape == (2, 48, 48) for shape in stacks if shape[-1] == 48)
 
     def test_endpoint_factorization_runs_once(self, rng, monkeypatch):
         # both endpoints share one corner sandwich, and refinement reuses it
@@ -488,7 +487,8 @@ class TestStackedPipeline:
 
     def test_exact_projection_lift_decomposes_t_once(self, eigh_shapes):
         exact_projection_lift(builtin_scenario("matched-endpoints"), IntervalModel(8, 2))
-        assert eigh_shapes.count((9, 4, 4)) == 1
+        assert eigh_shapes.count((9, 2, 2)) == 2
+        assert (9, 4, 4) not in eigh_shapes
 
 
 def test_coarse_grid_winds_as_the_index():
@@ -569,3 +569,44 @@ def test_winding_is_the_index_or_raises(k, grid, seed):
     except WindingIllConditioned:
         return
     assert result.winding == k
+
+
+def check_corner_block(rep):
+    """The 2n x 2n system a lift assembles from its two n x n decompositions is
+    T = [[1 - h, x*], [x, k]] with x = k^(1/8) y h^(1/8), its eigenvalues are
+    ascending with the decoupled ones exactly 0 and 1, and u is the block sum
+    C diag(e^(2 pi i clip(w))) C* - 1 of exp(2 pi i T'), C = B[:n] + B[n:]."""
+    result, lift, model = run_scenario(rep)
+    n = model.fiber_dim
+    es = lift.t
+    w, basis = es.eigenvalues, es.basis
+    lam, v = lift.c.eigenvalues, lift.c.basis
+
+    def root(vals):
+        return (v * vals[:, None, :] ** 0.125) @ v.conj().swapaxes(-1, -2)
+
+    y = boundary._interpolate(lift.ends.y, model.points)
+    x = root(np.maximum(-lam, 0.0)) @ y @ root(np.maximum(lam, 0.0))
+    t = t_matrix(QcTriple(lift.h.values, x, lift.k.values))
+    eye2 = np.eye(2 * n)
+    assert np.max(op_norm(basis.conj().swapaxes(-1, -2) @ basis - eye2)) <= 1e-12
+    assert np.max(op_norm(es.apply(w) - t)) <= 1e-12
+    assert np.all(np.diff(w, axis=-1) >= 0.0)
+    top = lam > 0.0
+    assert np.all(np.count_nonzero(w == 0.0, axis=-1) >= top.sum(axis=-1))
+    assert np.all(np.count_nonzero(w == 1.0, axis=-1) >= (~top).sum(axis=-1))
+    blocks = basis[:, :n, :] + basis[:, n:, :]
+    u = EigenSystem(w, blocks).apply(np.exp(2j * np.pi * np.clip(w, 0.0, 1.0))) - np.eye(n)
+    np.testing.assert_allclose(result.u.values, u, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=2**31))
+def test_corner_block_on_exact_endpoints(n, seed):
+    gen = np.random.default_rng(seed)
+    check_corner_block(BScenarioRep(exact_endpoint(gen, n), exact_endpoint(gen, n)))
+
+
+@pytest.mark.parametrize("k", [1, 3, 12])
+def test_corner_block_on_conjugated_copies(rng, k):
+    check_corner_block(conjugated_copies(rng, k))
