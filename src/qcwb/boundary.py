@@ -37,6 +37,7 @@ the paths at the new odd points only.  Every certificate takes the lift alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -48,6 +49,7 @@ from .linalg import (
     NotPositive,
     ToleranceProfile,
     _gate,
+    _max_op_norm,
     _positive_eig,
     _support_projection,
     _threshold_half,
@@ -276,7 +278,8 @@ class TLift:
     unclamped block path T (see :func:`_lift_fibers`), one fiber per grid
     point; ``ends`` holds the endpoint data the paths interpolate, checked
     once.  T, T', h, k and the scalar parts of the linking decomposition are
-    derived from ``c`` and ``b`` on demand, under the lift's ``profile``.
+    derived from ``c`` and ``b`` on demand, under the lift's ``profile``; the
+    scalar parts are built once per lift, on first reading.
     """
 
     c: EigenSystem
@@ -303,15 +306,19 @@ class TLift:
     def k(self) -> GridFunction:
         return GridFunction(_matrix(_parts(self.c)[1]))
 
+    @cached_property
+    def _scalars(self) -> tuple[tuple[complex, complex], float]:
+        return _scalar_parts(self)
+
     @property
     def rho(self) -> tuple[complex, complex]:
         """Medians of the two scalar slots over the fibers that have them."""
-        alpha, beta, _ = _scalar_parts(self).T
-        return _median(alpha, 1.0), _median(beta, 0.0)
+        return self._scalars[0]
 
     @property
     def corner_defect(self) -> float:
-        return float(np.max(_scalar_parts(self)[:, 2]))
+        """The largest corner leak ||t12 - p_h t12 p_k|| over the fibers."""
+        return self._scalars[1]
 
 
 def _parts(c: EigenSystem) -> tuple[EigenSystem, EigenSystem]:
@@ -354,14 +361,14 @@ def _median(vals: np.ndarray, default: float) -> complex:
     return complex(np.median(vals) if vals.size else default)
 
 
-def _scalar_parts(lift: TLift) -> np.ndarray:
-    """The two scalar slots of the linking decomposition and the corner leak, per fiber.
+def _scalar_parts(lift: TLift) -> tuple[tuple[complex, complex], float]:
+    """The lift's ``rho`` and ``corner_defect``, off one build of T' and of the
+    supports p_h, p_k of h and k from the lift's two decompositions.
 
-    T' and the supports p_h, p_k of h and k are rebuilt from the lift's two
-    decompositions.  At every fiber whose h (resp. k) support has a
-    complement, the scalar is the compression of the diagonal block to that
-    complement; it is NaN at fibers with full support.  Returns an
-    ``(m+1, 3)`` array of (alpha, beta, leak).
+    At every fiber whose h (resp. k) support has a complement, the scalar is
+    the compression of the diagonal block to that complement; ``rho`` holds
+    their medians.  The corner leak is maximized over the fibers without a
+    per-fiber norm (:func:`linalg._max_op_norm`).
     """
     profile = lift.profile
     t_prime = _clamped(lift.t)
@@ -378,10 +385,9 @@ def _scalar_parts(lift: TLift) -> np.ndarray:
         return vals
 
     t12 = t_prime[:, :n, n:]
-    leak = op_norm(t12 - ph @ t12 @ pk, profile)
-    return np.stack(
-        [compressed(ph, t_prime[:, :n, :n]), compressed(pk, t_prime[:, n:, n:]), leak], axis=-1
-    )
+    alpha = _median(compressed(ph, t_prime[:, :n, :n]), 1.0)
+    beta = _median(compressed(pk, t_prime[:, n:, n:]), 0.0)
+    return (alpha, beta), _max_op_norm(t12 - ph @ t12 @ pk, profile)
 
 
 def _lift_ends(rep: BScenarioRep, profile: ToleranceProfile) -> _LiftEnds:
@@ -532,23 +538,23 @@ def _check_unit_ends(lift: TLift) -> None:
 
 def _collapse(
     c: EigenSystem, b: EigenSystem, profile: ToleranceProfile
-) -> tuple[np.ndarray, np.ndarray]:
-    """The collapsed unitary u of every fiber of the path T, and each fiber's defect
-    ||u u* - 1||.  Summing the halves of T's eigenvectors (:func:`_t_system`), the
-    eigenvalues 0 and 1 give V at phase 1, which cancels the -1 of u, and B gives VZ:
+) -> tuple[np.ndarray, float]:
+    """The collapsed unitary u of every fiber of the path T, and the largest defect
+    ||u u* - 1|| over the fibers (:func:`linalg._max_op_norm`).  Summing the halves
+    of T's eigenvectors (:func:`_t_system`), the eigenvalues 0 and 1 give V at
+    phase 1, which cancels the -1 of u, and B gives VZ:
     u = (VZ) diag(e^(2 pi i clip(mu))) (VZ)* for c = V diag(lam) V*, B = Z diag(mu) Z*."""
     u = _unitary(EigenSystem(b.eigenvalues, c.basis @ b.basis))
-    return u, op_norm(u @ adjoint(u) - np.eye(b.dim), profile)
+    return u, _max_op_norm(u @ adjoint(u) - np.eye(b.dim), profile)
 
 
-def _certify(u: np.ndarray, unit_defect: np.ndarray, lift: TLift) -> BoundaryResult:
+def _certify(u: np.ndarray, unit_defect: float, lift: TLift) -> BoundaryResult:
     """The endpoint defect and the winding of a whole path u of ``lift``,
     the winding gated against the lift's index."""
     end_defect = float(np.max(op_norm(u[[0, -1]] - np.eye(u.shape[-1]), lift.profile)))
     winding, _, step_max = winding_number(u)
     _check_index(winding, lift)
-    unit = float(np.max(unit_defect))
-    return BoundaryResult(GridFunction(u), winding, unit, end_defect, step_max)
+    return BoundaryResult(GridFunction(u), winding, unit_defect, end_defect, step_max)
 
 
 def _check_index(winding: int, lift: TLift) -> None:
@@ -645,12 +651,11 @@ def homotopy_collapse(lift: TLift, s: float = 0.0) -> tuple[GridFunction, int, i
     p_h, p_k = (_support_projection(part, profile) for part in (hs, ks))
     corners = CornerSystem(h=_matrix(hs), k=_matrix(ks), p_h=p_h, p_k=p_k)
     out = GridFunction(eye2 + homotopy_theta(quad, s, corners, profile))
-    _gate(
-        "homotopy image unitarity defect",
-        op_norm(out.values @ adjoint(out.values) - eye2, profile),
-        1e-8,
-        WindingIllConditioned,
-    )
+    defect = out.values @ adjoint(out.values) - eye2
+    # per-fiber norms only to name the failing fiber
+    if not _max_op_norm(defect, profile) <= 1e-8:
+        name = "homotopy image unitarity defect"
+        _gate(name, op_norm(defect, profile), 1e-8, WindingIllConditioned)
     w_out, _, _ = winding_number(out.values)
     w_in, _, _ = winding_number(v)
     _check_index(w_out, lift)
@@ -682,10 +687,11 @@ def run_scenario(
     The points i/m of grid m are the even points 2i/2m of grid 2m, bit for
     bit, so a refinement evaluates the decompositions of c and of T's
     corner block and the path u at the m new odd points only, and weaves
-    them into the coarse paths.  Every per-fiber gate runs on every new fiber; the endpoint gates
-    and factorization run once, since both grids share their endpoints.  The
-    result equals that of :func:`lift_T` and :func:`boundary_unitary` run
-    directly on the final grid.
+    them into the coarse paths; the unitarity defect keeps the larger of
+    the coarse and the odd maxima.  Every per-fiber gate runs on every new
+    fiber; the endpoint gates and factorization run once, since both grids
+    share their endpoints.  The result equals that of :func:`lift_T` and
+    :func:`boundary_unitary` run directly on the final grid.
     """
     rep = builtin_scenario(name_or_rep) if isinstance(name_or_rep, str) else name_or_rep
     model = IntervalModel(grid_size=grid_size, fiber_dim=rep.fiber_dim)
@@ -705,7 +711,7 @@ def run_scenario(
         c, b = _lift_fibers(lift.ends, model.points[1::2], scheme, profile)
         odd_u, odd_defect = _collapse(c, b, profile)
         lift = replace(lift, c=_weave(lift.c, c), b=_weave(lift.b, b))
-        u, unit_defect = _weave(u, odd_u), _weave(unit_defect, odd_defect)
+        u, unit_defect = _weave(u, odd_u), max(unit_defect, odd_defect)
 
 
 def _weave(coarse, odd):

@@ -445,6 +445,48 @@ def op_norm(
     return float(norms) if a.ndim == 2 else norms
 
 
+# the relative slack on the pruning bounds, far above their rounding error
+_PRUNE_MARGIN = 1e-8
+# parts whose squares, summed over a fiber, neither overflow nor drop bits
+# that matter against the largest one; outside, the pass rescales
+_UNSCALED = (2.0**-400, 2.0**400)
+
+
+def _max_op_norm(m: np.ndarray, profile: ToleranceProfile = DEFAULT_PROFILE) -> float:
+    """``float(np.max(op_norm(m, profile)))``, bit for bit, with the norm taken
+    only on the fibers that can hold the maximum.
+
+    One pass over the squared real and imaginary parts of ``m`` (divided by
+    the largest of them when it lies outside ``_UNSCALED``) bounds each
+    fiber's norm below by its largest column norm and above by its
+    Frobenius norm.  A fiber whose upper bound falls short of the largest
+    lower bound, less a relative margin of ``_PRUNE_MARGIN`` for rounding,
+    cannot hold the maximum; the others keep their per-fiber norms, which do
+    not depend on the stack they sit in.  When the bounds rule out fewer
+    than half the fibers, the whole stack is measured, with no copy.  A NaN
+    or inf entry raises :class:`NoConvergence` naming its fiber, before any
+    decomposition.
+    """
+    a = _as_square(m, "op_norm input")
+    # column j of a fiber is columns 2j (real part) and 2j + 1 (imaginary part) of v
+    v = np.ascontiguousarray(a).view(float)
+    hi, lo = float(v.max(initial=0.0)), float(v.min(initial=0.0))
+    if not (math.isfinite(hi) and math.isfinite(lo)):
+        raise NoConvergence(_not_finite(np.abs(a).max(axis=(-2, -1))))
+    top = max(hi, -lo)
+    if top > 0.0:
+        if not _UNSCALED[0] <= top <= _UNSCALED[1]:
+            v = v / top
+        squares = np.einsum("...ij,...ij->...j", v, v)
+        cols = squares[..., 0::2] + squares[..., 1::2]
+        upper = np.sqrt(cols.sum(axis=-1))
+        lower = math.sqrt(float(cols.max()))
+        keep = upper >= lower * (1.0 - _PRUNE_MARGIN)
+        if 2 * np.count_nonzero(keep) <= keep.size:
+            a = a[keep]
+    return float(np.max(op_norm(a, profile)))
+
+
 def _not_finite(per_fiber: np.ndarray) -> str:
     """The :func:`op_norm` error message; it names the first fiber whose
     ``per_fiber`` value is not finite."""

@@ -162,6 +162,36 @@ class TestLiftT:
             expected.append(np.median(vals) if vals.size else default)
         np.testing.assert_allclose(np.real(lift.rho), expected, rtol=0, atol=1e-14)
 
+    def test_scalar_parts_are_built_once(self, rng, monkeypatch):
+        calls = []
+        scalar_parts = boundary._scalar_parts
+
+        def counted(lift):
+            calls.append(lift)
+            return scalar_parts(lift)
+
+        monkeypatch.setattr(boundary, "_scalar_parts", counted)
+        _, lift, model = run_scenario(conjugated_copies(rng, 12), grid_size=64)
+        assert model.grid_size == 128
+        rho, defect = lift.rho, lift.corner_defect
+        assert (lift.rho, lift.corner_defect) == (rho, defect)
+        assert calls == [lift]
+        # the per-fiber reference: every scalar and every leak, then the medians and the max
+        n = model.fiber_dim
+        tp = lift.t_prime.values
+        parts = boundary._parts(lift.c)
+        ph, pk = (boundary._support_projection(part, lift.profile) for part in parts)
+        slots = []
+        for p, block, default in ((ph, tp[:, :n, :n], 1.0), (pk, tp[:, n:, n:], 0.0)):
+            compl = np.eye(n, dtype=complex) - p
+            rank = np.rint(np.trace(compl, axis1=-2, axis2=-1).real)
+            vals = np.einsum("...ij,...ji->...", compl, block).real / np.where(rank > 0, rank, 1)
+            vals = vals[rank > 0]
+            slots.append(complex(np.median(vals) if vals.size else default))
+        t12 = tp[:, :n, n:]
+        assert rho == tuple(slots)
+        assert defect == float(np.max(op_norm(t12 - ph @ t12 @ pk)))
+
     def test_rejects_inexact_endpoint(self, rng):
         bad = QcTriple(0.5 * E11 + 0.1 * E22, Z2, Z2)  # violates h^2 + ... = h
         rep = BScenarioRep(bad, QcTriple(Z2, Z2, Z2))
@@ -274,6 +304,42 @@ class TestHomotopyCollapse:
         rep = builtin_scenario("doubled")
         model = IntervalModel(grid_size=64, fiber_dim=4)
         lift = lift_T(rep, model)
+        _, w_out, w_in = homotopy_collapse(lift)
+        assert w_out == w_in == 2
+
+    def test_unitarity_gate_names_the_corrupted_fiber(self, monkeypatch):
+        lift = lift_T(builtin_scenario("eval-at-one"), IntervalModel(grid_size=32, fiber_dim=2))
+        theta = boundary.homotopy_theta
+        images = []
+
+        def corrupted(*args):
+            images.append(theta(*args).copy())
+            images[0][21] += 1e-6 * np.eye(4)
+            return images[0]
+
+        monkeypatch.setattr(boundary, "homotopy_theta", corrupted)
+        with pytest.raises(WindingIllConditioned) as raised:
+            homotopy_collapse(lift)
+        # the message the per-fiber gate gives on the same image
+        eye2 = np.eye(4, dtype=complex)
+        out = eye2 + images[0]
+        with pytest.raises(WindingIllConditioned) as expected:
+            boundary._gate(
+                "homotopy image unitarity defect",
+                op_norm(out @ out.conj().swapaxes(-1, -2) - eye2),
+                1e-8,
+                WindingIllConditioned,
+            )
+        assert str(raised.value) == str(expected.value)
+        assert "at fiber 21 " in str(raised.value)
+
+    def test_unitarity_gate_takes_no_per_fiber_norm_on_a_pass(self, monkeypatch):
+        lift = lift_T(builtin_scenario("doubled"), IntervalModel(grid_size=64, fiber_dim=4))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("per-fiber norms taken on a passing gate")
+
+        monkeypatch.setattr(boundary, "op_norm", forbidden)
         _, w_out, w_in = homotopy_collapse(lift)
         assert w_out == w_in == 2
 
@@ -400,6 +466,25 @@ class TestStackedPipeline:
             assert calls.count(("eigh", (m + 1, 2, 2))) == 2
             assert ("eigh", (m + 1, 4, 4)) not in calls
         assert counts[0] == counts[1]
+
+    def test_unitarity_defect_measures_few_fibers(self, rng, monkeypatch):
+        # one conjugated eval-at-one at grid 2048: the column and Frobenius
+        # bounds leave the SVD a handful of the 2049 fibers of u u* - 1
+        fibers = []
+        svd = np.linalg.svd
+
+        def recorded(a, *args, **kwargs):
+            fibers.append(np.shape(a)[0] if np.ndim(a) == 3 else 1)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recorded)
+        result, _, model = run_scenario(conjugated_copies(rng, 1), grid_size=2048)
+        assert model.grid_size == 2048
+        assert max(fibers) < 1025
+        monkeypatch.undo()
+        u = result.u.values
+        defects = op_norm(u @ u.conj().swapaxes(-1, -2) - np.eye(2))
+        assert result.unitarity_defect == float(np.max(defects))
 
     def test_jacobi_profile_skips_lapack(self, monkeypatch):
         def forbidden(*args, **kwargs):

@@ -22,7 +22,7 @@ from qcwb.linalg import (
     smooth_step,
     unitary_exp,
 )
-from qcwb.linalg import _gate
+from qcwb.linalg import _gate, _max_op_norm
 from qcwb.structures import CornerQuad, CornerSystem, SupportViolation, support_projection
 
 from conftest import (
@@ -330,6 +330,126 @@ def test_jacobi_op_norm_subnormal_scale(rng, scale):
     # must not overflow the normalization into NaN
     a = scale * random_matrix(rng, 4)
     assert op_norm(a, JACOBI) == pytest.approx(op_norm(a), rel=1e-10)
+
+
+def norm_stack(gen, fibers, n, exponent, kind):
+    """A stack whose fibers stress the pruning bounds of _max_op_norm: random
+    fiber scales, an all-zero stack, exactly-zero fibers, one dominant fiber,
+    or unit-modulus multiples of one fiber (norms tied up to rounding)."""
+    a = np.stack([random_matrix(gen, n) for _ in range(fibers)])
+    a *= 10.0 ** gen.uniform(-3.0, 0.0, size=(fibers, 1, 1))
+    if kind == "zero-stack":
+        a[...] = 0.0
+    elif kind == "zero-fibers":
+        a[gen.random(fibers) < 0.5] = 0.0
+        a[gen.integers(fibers)] = 0.0
+    elif kind == "dominant":
+        a[gen.integers(fibers)] *= 1e3
+    elif kind == "tied":
+        tied = (fibers + 3) // 4
+        a[:tied] = np.exp(2j * np.pi * gen.random((tied, 1, 1))) * (1e3 * a[0])
+    return a * 10.0**exponent
+
+
+@pytest.mark.parametrize("name", ["default", "jacobi"])
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    fibers=st.integers(min_value=1, max_value=64),
+    n=st.integers(min_value=1, max_value=8),
+    exponent=st.integers(min_value=-200, max_value=200),
+    kind=st.sampled_from(["random", "zero-stack", "zero-fibers", "dominant", "tied"]),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_max_op_norm_is_the_max_of_op_norm_property(name, fibers, n, exponent, kind, seed):
+    # pruning by the column and Frobenius bounds never changes the bits
+    profile = PROFILES[name]
+    a = norm_stack(np.random.default_rng(seed), fibers, n, exponent, kind)
+    assert _max_op_norm(a, profile) == float(np.max(op_norm(a, profile)))
+
+
+class TestMaxOpNorm:
+    def test_measures_only_fibers_that_can_hold_the_maximum(self, rng, monkeypatch):
+        shapes = []
+        svd = np.linalg.svd
+
+        def recorded(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recorded)
+        a = np.stack([random_matrix(rng, 4) for _ in range(64)])
+        a[17] *= 10.0
+        assert _max_op_norm(a) == float(np.max(op_norm(a)))
+        assert shapes[0] == (1, 4, 4)
+
+    def test_measures_the_whole_stack_when_few_fibers_fall(self, rng, monkeypatch):
+        # equal norms: no fiber is ruled out, and the stack goes in uncopied
+        seen = []
+        svd = np.linalg.svd
+
+        def recorded(a, *args, **kwargs):
+            seen.append(a)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recorded)
+        a = np.stack([random_unitary(rng, 3) for _ in range(9)])
+        assert _max_op_norm(a) == float(np.max(op_norm(a)))
+        assert seen[0] is a
+
+    @pytest.mark.parametrize("scale", [1e307, 1e-300, 1e-310, 5e-324])
+    @pytest.mark.parametrize("name", ["default", "jacobi"])
+    def test_extreme_scales(self, rng, scale, name):
+        a = np.stack([random_matrix(rng, 3) for _ in range(12)])
+        a *= scale / np.max(np.abs(a))
+        assert _max_op_norm(a, PROFILES[name]) == float(np.max(op_norm(a, PROFILES[name])))
+
+    def test_subnormal_rounding_cannot_prune_the_maximum(self):
+        # the bounds read exact real and imaginary parts: |(5 + 5i) ulp| rounds
+        # to 7 ulps, which would put fiber 0's Frobenius bound (56 ulps) below
+        # fiber 1's column norm (56.2 ulps), though its norm (56.6) is the larger
+        ulp = 5e-324
+        a = np.zeros((2, 8, 8), dtype=complex)
+        a[0] = (5 + 5j) * ulp
+        a[1, :2, 0] = 56 * ulp, 5 * ulp
+        assert _max_op_norm(a) == float(np.max(op_norm(a))) == 57 * ulp
+
+    def test_parts_near_the_ends_of_the_float_range(self):
+        # parts of either sign near the largest float are finite input
+        huge = np.array([1.7e308, -1.7e308, 1e300 + 1e300j, 0.0]).reshape(4, 1, 1)
+        assert _max_op_norm(huge) == 1.7e308
+        # unscaled, fiber 0's squares (2.25e-324) would round to zero, and its
+        # norm 1.2e-161 would lose to fiber 1's 1e-161
+        tiny = np.zeros((2, 8, 8), dtype=complex)
+        tiny[0], tiny[1, 0, 0] = 1.5e-162, 1e-161
+        assert _max_op_norm(tiny) == float(np.max(op_norm(tiny))) == op_norm(tiny[0])
+
+    def test_one_matrix(self, rng):
+        a = random_matrix(rng, 5)
+        assert _max_op_norm(a) == op_norm(a)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, -np.inf)])
+    @pytest.mark.parametrize("name", ["default", "jacobi"])
+    def test_non_finite_fiber_is_named_in_the_full_stack(self, rng, monkeypatch, bad, name):
+        # fiber 3 dominates, so fiber 40 would sit at index 0 of the survivors;
+        # the error is raised before any decomposition runs
+        def forbidden(*args, **kwargs):
+            raise AssertionError("decomposition reached on a non-finite stack")
+
+        for attr in ("svd", "eigh"):
+            monkeypatch.setattr(np.linalg, attr, forbidden)
+        a = np.stack([random_matrix(rng, 3) for _ in range(64)])
+        a[3] *= 1e3
+        a[40, 2, 1] = bad
+        with pytest.raises(NoConvergence, match="not finite at fiber 40$"):
+            _max_op_norm(a, PROFILES[name])
+
+    def test_inf_fiber_prints_nothing(self, rng, capfd):
+        # LAPACK's argument check would print a DLASCL notice on an inf entry
+        a = np.stack([random_matrix(rng, 3) for _ in range(8)])
+        a[5, 0, 0] = np.inf
+        with pytest.raises(NoConvergence, match="at fiber 5$"):
+            _max_op_norm(a)
+        assert capfd.readouterr() == ("", "")
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
