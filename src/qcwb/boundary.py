@@ -29,9 +29,12 @@ threshold produce an exact lift of the representation.
 
 Every path is one stacked ``(m+1, n, n)`` array, and each step is one call
 of the stacked kernel in :mod:`qcwb.linalg` on the whole path.  The endpoint
-data are checked once per run, as one stacked ``(2, n, n)`` triple; when
-:func:`run_scenario` doubles the grid it keeps the coarse points and evaluates
-the paths at the new odd points only.  Every certificate takes the lift alone.
+data are checked once per run, as one stacked ``(2, n, n)`` triple.
+:func:`run_scenario` chooses the grid from tau = tr T', which the two
+decompositions give directly (det u = e^(2 pi i tau)): it doubles the grid,
+evaluating the decompositions at the new odd points only, until every step of
+tau is below 1/8, and then assembles u and certifies it once, on the final
+grid.  Every certificate takes the lift alone.
 """
 
 from __future__ import annotations
@@ -124,9 +127,11 @@ class NoSpectralGap(RuntimeError):
 # endpoint bounds on ||T' - T|| (lift_T) and on ||exp(2 pi i T') - 1|| (boundary_unitary)
 _LIFT_ENDS_TOL = 1e-9
 _UNIT_ENDS_TOL = 1e-8
-# the det phase step winding_number rejects, and the one run_scenario refines below
+# the det phase step winding_number rejects
 _MAX_STEP = np.pi / 2
-_REFINE_UNTIL = np.pi / 4
+# run_scenario refines until every step of tr T' is below this, so that every
+# det phase step of u (2 pi times it) is below pi/4
+_TAU_STEP = 1 / 8
 
 
 # ---------------------------------------------------------------------------
@@ -277,9 +282,10 @@ class TLift:
     ``c`` decomposes the path c = h - k and ``b`` the corner block B of the
     unclamped block path T (see :func:`_lift_fibers`), one fiber per grid
     point; ``ends`` holds the endpoint data the paths interpolate, checked
-    once.  T, T', h, k and the scalar parts of the linking decomposition are
-    derived from ``c`` and ``b`` on demand, under the lift's ``profile``; the
-    scalar parts are built once per lift, on first reading.
+    once.  T, T', h, k, the supports of h and k and the scalar parts of the
+    linking decomposition are derived from ``c`` and ``b`` on demand, under
+    the lift's ``profile``; T, the supports and the scalar parts are built
+    once per lift, on first reading.
     """
 
     c: EigenSystem
@@ -288,7 +294,7 @@ class TLift:
     endpoint_defect: float
     profile: ToleranceProfile
 
-    @property
+    @cached_property
     def t(self) -> EigenSystem:
         """The decomposition T = W diag(w) W* of the unclamped block path, w ascending."""
         return _t_system(self.c, self.b)
@@ -305,6 +311,19 @@ class TLift:
     @property
     def k(self) -> GridFunction:
         return GridFunction(_matrix(_parts(self.c)[1]))
+
+    @property
+    def tau(self) -> np.ndarray:
+        """tr T' at every grid point: T's spectrum is B's plus a 1 for each
+        lam <= 0 of c and a 0 for each lam > 0 (see :func:`_t_system`)."""
+        mu, lam = self.b.eigenvalues, self.c.eigenvalues
+        # one reduction, as a matmul: numpy sums a short last axis slowly on long paths
+        return (CLAMP01(mu) + (lam <= 0.0)) @ np.ones(mu.shape[-1])
+
+    @cached_property
+    def _supports(self) -> tuple[np.ndarray, np.ndarray]:
+        """The support projections p_h, p_k of h and k."""
+        return tuple(_support_projection(part, self.profile) for part in _parts(self.c))
 
     @cached_property
     def _scalars(self) -> tuple[tuple[complex, complex], float]:
@@ -362,17 +381,16 @@ def _median(vals: np.ndarray, default: float) -> complex:
 
 
 def _scalar_parts(lift: TLift) -> tuple[tuple[complex, complex], float]:
-    """The lift's ``rho`` and ``corner_defect``, off one build of T' and of the
-    supports p_h, p_k of h and k from the lift's two decompositions.
+    """The lift's ``rho`` and ``corner_defect``, off T' and the supports p_h, p_k
+    of h and k, which the lift derives from its two decompositions.
 
     At every fiber whose h (resp. k) support has a complement, the scalar is
     the compression of the diagonal block to that complement; ``rho`` holds
     their medians.  The corner leak is maximized over the fibers without a
     per-fiber norm (:func:`linalg._max_op_norm`).
     """
-    profile = lift.profile
     t_prime = _clamped(lift.t)
-    ph, pk = (_support_projection(part, profile) for part in _parts(lift.c))
+    ph, pk = lift._supports
     n = ph.shape[-1]
 
     def compressed(p: np.ndarray, block: np.ndarray) -> np.ndarray:
@@ -387,7 +405,7 @@ def _scalar_parts(lift: TLift) -> tuple[tuple[complex, complex], float]:
     t12 = t_prime[:, :n, n:]
     alpha = _median(compressed(ph, t_prime[:, :n, :n]), 1.0)
     beta = _median(compressed(pk, t_prime[:, n:, n:]), 0.0)
-    return (alpha, beta), _max_op_norm(t12 - ph @ t12 @ pk, profile)
+    return (alpha, beta), _max_op_norm(t12 - ph @ t12 @ pk, lift.profile)
 
 
 def _lift_ends(rep: BScenarioRep, profile: ToleranceProfile) -> _LiftEnds:
@@ -514,47 +532,32 @@ def boundary_unitary(lift: TLift) -> BoundaryResult:
     u = -1 + u11 + u12 + u21 + u22, whose det phase is accumulated across
     the grid and must equal the index tr T(1) - tr T(0)
     (:class:`WindingIndexMismatch` otherwise).  Nothing is decomposed here:
-    U is formed only at the endpoints, and the block sum comes off the
-    lift's decompositions of c and of T's corner block (see :func:`_collapse`).
+    U is formed only at the endpoints, and u comes off the lift's
+    decompositions c = V diag(lam) V* and B = Z diag(mu) Z*.  Summing the
+    halves of T's eigenvectors (:func:`_t_system`), the eigenvalues 0 and 1
+    give V at phase 1, which cancels the -1 of u, and B gives VZ:
+    u = (VZ) diag(e^(2 pi i clip(mu))) (VZ)*.  The unitarity defect is the
+    largest ||u u* - 1|| over the fibers (:func:`linalg._max_op_norm`).
     """
-    _check_unit_ends(lift)
-    return _certify(*_collapse(lift.c, lift.b, lift.profile), lift)
+    profile = lift.profile
+    _gate(
+        "||exp(2 pi i T') - 1|| at the endpoints (0, 1)",
+        op_norm(_unitary(_t_ends(lift.c, lift.b)) - np.eye(2 * lift.c.dim), profile),
+        _UNIT_ENDS_TOL,
+        EndpointDefect,
+    )
+    u = _unitary(EigenSystem(lift.b.eigenvalues, lift.c.basis @ lift.b.basis))
+    eye = np.eye(lift.b.dim)
+    unit_defect = _max_op_norm(u @ adjoint(u) - eye, profile)
+    end_defect = float(np.max(op_norm(u[[0, -1]] - eye, profile)))
+    winding, _, step_max = winding_number(u)
+    _check_index(winding, lift)
+    return BoundaryResult(GridFunction(u), winding, unit_defect, end_defect, step_max)
 
 
 def _unitary(t: EigenSystem) -> np.ndarray:
     """W diag(e^(2 pi i clip(w))) W* for each fiber (w, W) of ``t``: exp(2 pi i T') for T's W."""
     return t.apply(np.exp(2j * np.pi * CLAMP01(t.eigenvalues)))
-
-
-def _check_unit_ends(lift: TLift) -> None:
-    """Gate exp(2 pi i T') = 1 at both endpoints of the lifted path."""
-    _gate(
-        "||exp(2 pi i T') - 1|| at the endpoints (0, 1)",
-        op_norm(_unitary(_t_ends(lift.c, lift.b)) - np.eye(2 * lift.c.dim), lift.profile),
-        _UNIT_ENDS_TOL,
-        EndpointDefect,
-    )
-
-
-def _collapse(
-    c: EigenSystem, b: EigenSystem, profile: ToleranceProfile
-) -> tuple[np.ndarray, float]:
-    """The collapsed unitary u of every fiber of the path T, and the largest defect
-    ||u u* - 1|| over the fibers (:func:`linalg._max_op_norm`).  Summing the halves
-    of T's eigenvectors (:func:`_t_system`), the eigenvalues 0 and 1 give V at
-    phase 1, which cancels the -1 of u, and B gives VZ:
-    u = (VZ) diag(e^(2 pi i clip(mu))) (VZ)* for c = V diag(lam) V*, B = Z diag(mu) Z*."""
-    u = _unitary(EigenSystem(b.eigenvalues, c.basis @ b.basis))
-    return u, _max_op_norm(u @ adjoint(u) - np.eye(b.dim), profile)
-
-
-def _certify(u: np.ndarray, unit_defect: float, lift: TLift) -> BoundaryResult:
-    """The endpoint defect and the winding of a whole path u of ``lift``,
-    the winding gated against the lift's index."""
-    end_defect = float(np.max(op_norm(u[[0, -1]] - np.eye(u.shape[-1]), lift.profile)))
-    winding, _, step_max = winding_number(u)
-    _check_index(winding, lift)
-    return BoundaryResult(GridFunction(u), winding, unit_defect, end_defect, step_max)
 
 
 def _check_index(winding: int, lift: TLift) -> None:
@@ -648,7 +651,7 @@ def homotopy_collapse(lift: TLift, s: float = 0.0) -> tuple[GridFunction, int, i
     v = _unitary(lift.t)
     quad = CornerQuad(v[:, :n, :n] - eye, v[:, :n, n:], v[:, n:, :n], v[:, n:, n:] - eye)
     hs, ks = _parts(lift.c)
-    p_h, p_k = (_support_projection(part, profile) for part in (hs, ks))
+    p_h, p_k = lift._supports
     corners = CornerSystem(h=_matrix(hs), k=_matrix(ks), p_h=p_h, p_k=p_k)
     out = GridFunction(eye2 + homotopy_theta(quad, s, corners, profile))
     defect = out.values @ adjoint(out.values) - eye2
@@ -677,41 +680,32 @@ def run_scenario(
 ) -> tuple[BoundaryResult, TLift, IntervalModel]:
     """Full pipeline with automatic grid refinement.
 
-    Doubles the grid until the largest det phase step drops below
-    ``_REFINE_UNTIL`` (or the grid cap is reached), then returns the boundary
-    result, the lift, and the model actually used.  A grid too coarse for
-    :func:`winding_number` (:class:`PhaseStepTooLarge`), or one whose
-    winding misses the index (:class:`WindingIndexMismatch`), is refined as
-    well; at ``max_grid`` the error propagates.
+    Lifts the representation, doubles the grid while some step of
+    tau = tr T' (:attr:`TLift.tau`) is ``_TAU_STEP`` or more and the grid is
+    below ``max_grid``, and then certifies the lift once with
+    :func:`boundary_unitary`.  Returns the boundary result, the lift, and
+    the model actually used.  Since det u = e^(2 pi i tau), steps of tau below
+    1/8 keep every det phase step below pi/4, and the winding then counts
+    tau(1) - tau(0), the index.  A certificate that fails on the final grid
+    (a grid capped at ``max_grid`` included) raises.
 
     The points i/m of grid m are the even points 2i/2m of grid 2m, bit for
     bit, so a refinement evaluates the decompositions of c and of T's
-    corner block and the path u at the m new odd points only, and weaves
-    them into the coarse paths; the unitarity defect keeps the larger of
-    the coarse and the odd maxima.  Every per-fiber gate runs on every new
-    fiber; the endpoint gates and factorization run once, since both grids
-    share their endpoints.  The result equals that of :func:`lift_T` and
-    :func:`boundary_unitary` run directly on the final grid.
+    corner block at the m new odd points only, and weaves them into the
+    coarse paths.  Every per-fiber gate runs on every new fiber; the
+    endpoint gates and factorization run once, since both grids share their
+    endpoints.  The result is that of :func:`boundary_unitary` on the lift
+    :func:`lift_T` gives directly on the final grid.
     """
     rep = builtin_scenario(name_or_rep) if isinstance(name_or_rep, str) else name_or_rep
     model = IntervalModel(grid_size=grid_size, fiber_dim=rep.fiber_dim)
     lift = lift_T(rep, model, scheme, profile)
-    _check_unit_ends(lift)
-    u, unit_defect = _collapse(lift.c, lift.b, profile)
-    while True:
-        try:
-            result = _certify(u, unit_defect, lift)
-        except (PhaseStepTooLarge, WindingIndexMismatch):
-            if model.grid_size >= max_grid:
-                raise
-        else:
-            if result.phase_step_max < _REFINE_UNTIL or model.grid_size >= max_grid:
-                return result, lift, model
+    # written "not <" so that a NaN step refines
+    while model.grid_size < max_grid and not np.max(np.abs(np.diff(lift.tau))) < _TAU_STEP:
         model = IntervalModel(grid_size=2 * model.grid_size, fiber_dim=rep.fiber_dim)
         c, b = _lift_fibers(lift.ends, model.points[1::2], scheme, profile)
-        odd_u, odd_defect = _collapse(c, b, profile)
         lift = replace(lift, c=_weave(lift.c, c), b=_weave(lift.b, b))
-        u, unit_defect = _weave(u, odd_u), max(unit_defect, odd_defect)
+    return boundary_unitary(lift), lift, model
 
 
 def _weave(coarse, odd):

@@ -2,7 +2,6 @@
 
 Matrix:        {"dim": n, "entries": [[re, im], ...]}   row-major, length n*n
 Triple:        {"h": Matrix, "x": Matrix, "k": Matrix}
-GridFunction:  {"grid": m, "fiber_dim": n, "values": [Matrix, ...]}  m+1 values
 
 Writers emit exactly these shapes.  Readers reject ragged, non-finite, or
 mis-sized data with :class:`FormatError`.
@@ -22,8 +21,6 @@ __all__ = [
     "matrix_from_obj",
     "triple_to_obj",
     "triple_from_obj",
-    "grid_function_to_obj",
-    "grid_function_from_obj",
     "env_from_obj",
     "load_json",
     "dump_json",
@@ -86,37 +83,6 @@ def triple_from_obj(obj: Any) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if not (h.shape == x.shape == k.shape):
         raise FormatError("triple components must share one dimension")
     return h, x, k
-
-
-def grid_function_to_obj(values: np.ndarray) -> dict:
-    a = np.asarray(values, dtype=complex)
-    if a.ndim != 3 or a.shape[1] != a.shape[2]:
-        raise FormatError(f"grid function must be (m+1, n, n), got {a.shape}")
-    return {
-        "grid": int(a.shape[0] - 1),
-        "fiber_dim": int(a.shape[1]),
-        "values": [matrix_to_obj(a[i]) for i in range(a.shape[0])],
-    }
-
-
-def grid_function_from_obj(obj: Any) -> np.ndarray:
-    if not isinstance(obj, dict):
-        raise FormatError("grid function object must be a JSON object")
-    try:
-        m = obj["grid"]
-        n = obj["fiber_dim"]
-        values = obj["values"]
-    except (KeyError, TypeError) as exc:
-        raise FormatError("grid function needs 'grid', 'fiber_dim', 'values'") from exc
-    if not isinstance(m, int) or m < 1:
-        raise FormatError(f"'grid' must be a positive integer, got {m!r}")
-    if not isinstance(values, list) or len(values) != m + 1:
-        raise FormatError(f"'values' must hold {m + 1} matrices")
-    mats = [matrix_from_obj(v) for v in values]
-    for i, mat in enumerate(mats):
-        if mat.shape[0] != n:
-            raise FormatError(f"value {i} has fiber dim {mat.shape[0]}, expected {n}")
-    return np.stack(mats)
 
 
 def env_from_obj(obj: Any) -> dict[str, np.ndarray]:

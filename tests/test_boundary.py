@@ -192,6 +192,23 @@ class TestLiftT:
         assert rho == tuple(slots)
         assert defect == float(np.max(op_norm(t12 - ph @ t12 @ pk)))
 
+    def test_t_and_supports_are_built_once(self, rng, monkeypatch):
+        # rho and homotopy_collapse read one T and one pair of supports off the lift
+        lift = lift_T(conjugated_copies(rng, 3), IntervalModel(grid_size=32, fiber_dim=6))
+        calls = Counter()
+        for name in ("_t_system", "_support_projection"):
+
+            def counted(*args, fn=getattr(boundary, name), name=name):
+                calls[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(boundary, name, counted)
+        assert len(lift.rho) == 2
+        _, w_out, w_in = homotopy_collapse(lift)
+        assert w_out == w_in == 3
+        assert lift.t is lift.t
+        assert calls == {"_t_system": 1, "_support_projection": 2}
+
     def test_rejects_inexact_endpoint(self, rng):
         bad = QcTriple(0.5 * E11 + 0.1 * E22, Z2, Z2)  # violates h^2 + ... = h
         rep = BScenarioRep(bad, QcTriple(Z2, Z2, Z2))
@@ -399,8 +416,8 @@ class TestRunScenario:
         assert result.invariants_hold()
 
     def test_refines_past_large_phase_step(self):
-        # 16 copies of eval-at-one: the det phase step on grid 64 is pi/2,
-        # which winding_number rejects; the run must refine, not raise
+        # 16 copies of eval-at-one: tr T' steps by 1/4 on grid 64, a det phase
+        # step of pi/2, which winding_number rejects; the run must refine, not raise
         one = builtin_scenario("eval-at-one")
         at0, at1 = one.at0, one.at1
         for _ in range(15):
@@ -614,12 +631,12 @@ def conjugated_copies(gen, k):
     st.sampled_from([3, 6]),
     st.integers(min_value=0, max_value=2**31),
 )
-# grid 128 makes a phase step of pi/2: PhaseStepTooLarge, then refined twice
+# grid 128 steps tr T' by 1/4 (a det phase step of pi/2): refined twice
 @example(32, 4, 0)
 def test_refinement_matches_a_direct_run(k, start, seed):
     """A refined run returns what lift_T and boundary_unitary give directly
-    on its final grid.  A start at 6k steps pi/3 and doubles once; a start
-    at 3k steps 2pi/3 (PhaseStepTooLarge) and doubles twice."""
+    on its final grid.  A start at 6k steps tr T' by 1/6 and doubles once; a
+    start at 3k steps it by 1/3 and doubles twice."""
     rep = conjugated_copies(np.random.default_rng(seed), k)
     grid = start * k
     result, lift, model = run_scenario(rep, grid_size=grid)
@@ -635,25 +652,62 @@ def test_refinement_matches_a_direct_run(k, start, seed):
     np.testing.assert_allclose(result.u.values, direct.u.values, rtol=0, atol=1e-12)
 
 
-@settings(max_examples=12, deadline=None, derandomize=True)
+@settings(max_examples=8, deadline=None, derandomize=True)
 @given(
-    st.integers(min_value=1, max_value=16),
+    st.integers(min_value=1, max_value=32),
     st.integers(min_value=1, max_value=64),
     st.integers(min_value=0, max_value=2**31),
 )
-# steps of 2 pi k / grid alias to no phase at all: winding 0 on these grids
+# steps of 2 pi k / grid alias to no det phase at all on these grids
 @example(2, 1, 0)
 @example(4, 4, 0)
 @example(16, 16, 1)
+@example(32, 1, 0)
+@example(32, 64, 2)
 def test_winding_is_the_index_or_raises(k, grid, seed):
-    """k conjugated copies of eval-at-one have index k: a run from any grid
-    returns winding k or raises, and never returns another integer."""
+    """k conjugated copies of eval-at-one have index k.  A run from any grid
+    refines on tr T' until the det phase sees every turn, so it returns
+    winding k: it never returns another integer, and it raises only at
+    max_grid, which these inputs do not reach."""
     rep = conjugated_copies(np.random.default_rng(seed), k)
-    try:
-        result, _, _ = run_scenario(rep, grid_size=grid)
-    except WindingIllConditioned:
-        return
+    result, _, model = run_scenario(rep, grid_size=grid)
     assert result.winding == k
+    assert model.grid_size <= 512
+
+
+def check_tau(rep, grid):
+    """tau = tr T' in closed form at every grid point; a returned run steps tau
+    by less than 1/8 and the det phase by less than pi/4 unless it stopped at
+    max_grid, and it refined no further than that needs."""
+    lift = lift_T(rep, IntervalModel(grid, rep.fiber_dim))
+    traces = np.trace(lift.t_prime.values, axis1=-2, axis2=-1)
+    np.testing.assert_allclose(lift.tau, traces.real, rtol=0, atol=1e-12)
+    result, lift, model = run_scenario(rep, grid_size=grid)
+    steps = np.abs(np.diff(lift.tau))
+    if model.grid_size < 4096:
+        assert np.max(steps) < 1 / 8
+        assert result.phase_step_max < np.pi / 4
+    if model.grid_size > grid:
+        # the grid before the last doubling: its steps are sums of two fine ones
+        assert np.max(np.abs(np.diff(lift.tau[::2]))) >= 1 / 8
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=1, max_value=64),
+    st.integers(min_value=0, max_value=2**31),
+)
+# B's spectrum leaves [0, 1] by 0.026 along this path: T' clamps it
+@example(6, 32, 37)
+def test_tau_is_the_trace_on_exact_endpoints(n, grid, seed):
+    gen = np.random.default_rng(seed)
+    check_tau(BScenarioRep(exact_endpoint(gen, n), exact_endpoint(gen, n)), grid)
+
+
+@pytest.mark.parametrize("k, grid", [(1, 1), (3, 7), (5, 40), (12, 64), (32, 16)])
+def test_tau_is_the_trace_on_conjugated_copies(rng, k, grid):
+    check_tau(conjugated_copies(rng, k), grid)
 
 
 def check_corner_block(rep):

@@ -3,7 +3,10 @@
 Two AST checks keep it that way: the fiber-naming internals of the gate stay
 in ``linalg``, and no certificate exception is raised straight from an ``if``
 that tests a comparison, apart from the checks listed in ``ALLOWED``, which do
-not compare a measured defect with a stated bound.
+not compare a measured defect with a stated bound.  A third keeps every
+failed winding certificate propagating: no function catches
+``WindingIllConditioned`` or its subclasses, apart from the CLI's handler
+that reports it with its exit code.
 """
 
 import ast
@@ -39,23 +42,27 @@ ALLOWED = {
 }
 
 
-def _exception_classes() -> set[str]:
-    """Every exception class the package defines, through any chain of bases."""
-    known = {"Exception", "ValueError", "RuntimeError", "KeyError"}
-    classes = [n for tree in TREES.values() for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
+# the bases each class the package defines names
+BASES = {
+    n.name: {b.id for b in n.bases if isinstance(b, ast.Name)}
+    for tree in TREES.values()
+    for n in ast.walk(tree)
+    if isinstance(n, ast.ClassDef)
+}
+
+
+def _subclasses(roots: set[str]) -> set[str]:
+    """Every class the package defines that derives from one of ``roots``,
+    through any chain of bases."""
     found: set[str] = set()
     grew = True
     while grew:
-        grew = False
-        for c in classes:
-            bases = {b.id for b in c.bases if isinstance(b, ast.Name)}
-            if c.name not in found and bases & (known | found):
-                found.add(c.name)
-                grew = True
+        grown = found | {name for name, bases in BASES.items() if bases & (roots | found)}
+        grew, found = grown != found, grown
     return found
 
 
-CERTIFICATE_ERRORS = _exception_classes() - INPUT_ERRORS
+CERTIFICATE_ERRORS = _subclasses({"Exception", "ValueError", "RuntimeError", "KeyError"}) - INPUT_ERRORS
 
 
 def _has_compare(node: ast.AST) -> bool:
@@ -130,3 +137,59 @@ def test_every_allowed_site_exists():
         for func, exc, _ in _raises_from_comparisons(tree)
     }
     assert ALLOWED <= seen, f"allowlist entries with no such site: {sorted(ALLOWED - seen)}"
+
+
+# the handler that reports every failure with its exit code, and returns it
+CATCH_ALLOWED = {("cli.py", "main")}
+
+
+# WindingIllConditioned, its subclasses and its bases: a handler naming any
+# of them would swallow a failed winding certificate
+WINDING_CATCHERS = (
+    {"WindingIllConditioned", "Exception", "BaseException"}
+    | _subclasses({"WindingIllConditioned"})
+    | BASES["WindingIllConditioned"]
+)
+
+
+def _catches_winding(tree: ast.Module) -> set[tuple[str, int]]:
+    """(function, line) of each handler that could catch a WindingIllConditioned:
+    a bare ``except:`` or one naming a class in ``WINDING_CATCHERS``."""
+    found = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(func):
+            if not isinstance(node, ast.ExceptHandler):
+                continue
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            names = {c.id if isinstance(c, ast.Name) else getattr(c, "attr", None) for c in caught}
+            if node.type is None or names & WINDING_CATCHERS:
+                found.add((func.name, node.lineno))
+    return found
+
+
+def test_winding_catchers_are_found():
+    assert {"WindingIllConditioned", "PhaseStepTooLarge", "WindingIndexMismatch"} <= WINDING_CATCHERS
+    # a refinement loop that retries on a failed certificate is caught
+    retry = ast.parse(
+        "def run():\n"
+        "    try:\n        certify()\n"
+        "    except (PhaseStepTooLarge, WindingIndexMismatch):\n        refine()\n"
+    )
+    assert _catches_winding(retry) == {("run", 4)}
+
+
+@pytest.mark.parametrize("name", sorted(TREES))
+def test_winding_certificates_fail_closed(name):
+    caught = {
+        (func, line) for func, line in _catches_winding(TREES[name]) if (name, func) not in CATCH_ALLOWED
+    }
+    assert not caught, (
+        f"{name} catches a winding certificate failure (function, line): {sorted(caught)}"
+    )
+
+
+def test_every_allowed_catch_exists():
+    seen = {(name, func) for name, tree in TREES.items() for func, _ in _catches_winding(tree)}
+    assert CATCH_ALLOWED <= seen

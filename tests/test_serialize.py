@@ -8,8 +8,6 @@ from qcwb.serialize import (
     FormatError,
     dump_json,
     env_from_obj,
-    grid_function_from_obj,
-    grid_function_to_obj,
     matrix_from_obj,
     matrix_to_obj,
     triple_from_obj,
@@ -79,21 +77,6 @@ class TestTripleFormat:
     def test_rejects_missing_component(self, rng):
         with pytest.raises(FormatError):
             triple_from_obj({"h": matrix_to_obj(random_matrix(rng, 2))})
-
-
-class TestGridFunctionFormat:
-    def test_roundtrip(self, rng):
-        vals = np.stack([random_matrix(rng, 2) for _ in range(5)])
-        obj = grid_function_to_obj(vals)
-        assert obj["grid"] == 4
-        assert obj["fiber_dim"] == 2
-        np.testing.assert_array_equal(grid_function_from_obj(obj), vals)
-
-    def test_rejects_wrong_count(self, rng):
-        obj = grid_function_to_obj(np.stack([random_matrix(rng, 2)] * 3))
-        obj["grid"] = 5
-        with pytest.raises(FormatError):
-            grid_function_from_obj(obj)
 
 
 class TestEnvFormat:
