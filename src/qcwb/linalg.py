@@ -11,6 +11,15 @@ exponentials, the nearest-projection map, and the support cutoff of a positive
 spectrum.  One decomposition serves every function of the same matrix:
 :meth:`EigenSystem.apply` assembles each one from the shared basis.
 
+Norms are values only.  Where a caller needs only the largest norm over a
+stack (:func:`_max_op_norm`) or whether it exceeds a level
+(:func:`_max_norm_above`), cheap rigorous bounds decide first.  Pass 1 reads
+each fiber's column and Frobenius norms, which lie up to ``sqrt(n)`` apart;
+pass 2 reads the same two norms of ``(m* m)^4``, whose eighth roots lie
+within ``n^(1/16)``.  An SVD then runs only on the fibers the bounds cannot
+settle: those that may hold the maximum, or whose bounds straddle the level.
+The answers are those of :func:`op_norm` on the whole stack, bit for bit.
+
 All operations are pure functions: inputs are never mutated, results are
 freshly allocated.  Numerical thresholds are collected in a
 :class:`ToleranceProfile` so callers can tighten or relax them in one place.
@@ -392,9 +401,12 @@ def func_calc(
     rounding asymmetry.  ``f`` may be a plain callable or a
     :class:`RealFunction`.
     """
-    es = herm_eig(h, profile)
-    values = np.asarray(f(es.eigenvalues), dtype=float)
-    return hermitian_part(es.apply(values))
+    return _calc(herm_eig(h, profile), f)
+
+
+def _calc(es: EigenSystem, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """:func:`func_calc` off the decomposition ``es``."""
+    return hermitian_part(es.apply(np.asarray(f(es.eigenvalues), dtype=float)))
 
 
 def unitary_exp(t: np.ndarray, profile: ToleranceProfile = DEFAULT_PROFILE) -> np.ndarray:
@@ -450,41 +462,143 @@ _PRUNE_MARGIN = 1e-8
 # parts whose squares, summed over a fiber, neither overflow nor drop bits
 # that matter against the largest one; outside, the pass rescales
 _UNSCALED = (2.0**-400, 2.0**400)
+# bytes of the fibers that one block of the Gram-power pass multiplies: the
+# pass holds a few such blocks at a time, whatever the size of the stack
+_BLOCK_BYTES = 2**18
+
+
+def _parts_top(a: np.ndarray) -> tuple[np.ndarray, float]:
+    """The float view of ``a``, in which column j of a fiber is columns 2j and
+    2j + 1, and its largest absolute part.  A NaN or inf entry raises
+    :class:`NoConvergence` naming its fiber, before any BLAS call."""
+    v = np.ascontiguousarray(a).view(float)
+    hi, lo = float(v.max(initial=0.0)), float(v.min(initial=0.0))
+    if not (math.isfinite(hi) and math.isfinite(lo)):
+        raise NoConvergence(_not_finite(np.abs(a).max(axis=(-2, -1))))
+    return v, max(hi, -lo)
+
+
+def _column_squares(v: np.ndarray) -> np.ndarray:
+    """Per fiber, the squared norm of each column of the complex stack whose float view is ``v``."""
+    squares = np.einsum("...ij,...ij->...j", v, v)
+    return squares[..., 0::2] + squares[..., 1::2]
+
+
+def _powers_of_two(e: int) -> tuple[float, float]:
+    """Two factors whose product is ``2**-e``, to scale by in turn: ``2**-e``
+    alone overflows when ``e`` belongs to a subnormal number."""
+    half = e // 2
+    return math.ldexp(1.0, -half), math.ldexp(1.0, half - e)
+
+
+def _gram_power_bounds(
+    a: np.ndarray, keep: np.ndarray, e: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds below and above on the computed norm of ``a_i * 2**-e``, for
+    each fiber ``a_i`` that ``keep`` marks, in the order of the marks.
+
+    With ``b = a_i * 2**-e`` and ``P = (b* b)^4``, ``||P|| = ||b||^8``, and the
+    largest column norm of ``P`` <= ``||P||`` <= ``||P||_F``: the eighth roots
+    of the outer two lie within ``n^(1/16)`` of each other.  The three
+    products are taken ``_BLOCK_BYTES`` of fibers at a time.  Each product
+    errs by at most about ``2 n^2 eps ||A|| ||B||`` (``n eps |A||B|``
+    entrywise, and ``|| |A||B| ||_F <= n ||A|| ||B||``), so ``P`` errs by at
+    most about ``14 n^2 eps ||P||`` in Frobenius norm, and each eighth root
+    by under ``2 n^2 eps``.  The bounds are widened by ``max(_PRUNE_MARGIN,
+    4 n^2 eps)``, which also covers the norm's own rounding (about
+    ``n eps``), so they hold for the value :func:`op_norm` returns.
+
+    ``2**-e`` is exact and puts the largest part of ``a`` in [1/2, 1) when
+    ``e`` is that part's exponent.  Then the fiber holding it has norm at
+    least 1/2 and a lower bound of at least ``n^(-1/16) / 2``, and no
+    column's squared norm exceeds ``256 n^17``.  Underflow in ``b``, in the products or in the
+    squares costs at most ``n^2 2**-1074`` on a column's squared norm,
+    which moves its 16th root by at most ``2**-60``: only fibers far below
+    every threshold that a bound is compared with can be affected, and they
+    stay below it.
+    """
+    n = a.shape[-1]
+    fibers = a.reshape(-1, n, n)
+    rows = np.flatnonzero(keep)
+    lower, upper = np.empty(rows.size), np.empty(rows.size)
+    step = max(1, _BLOCK_BYTES // (16 * n * n))
+    for start in range(0, rows.size, step):
+        block = slice(start, start + step)
+        # fancy indexing copies, so the block is scaled in place; each
+        # product replaces the last, which keeps three blocks live at most
+        p = fibers[rows[block]]
+        for factor in _powers_of_two(e):
+            p *= factor
+        p = adjoint(p) @ p
+        p = p @ p
+        p = p @ p
+        cols = _column_squares(p.view(float))
+        lower[block], upper[block] = cols.max(axis=-1), cols.sum(axis=-1)
+    margin = max(_PRUNE_MARGIN, 4.0 * n * n * np.finfo(float).eps)
+    return lower ** (1.0 / 16.0) * (1.0 - margin), upper ** (1.0 / 16.0) * (1.0 + margin)
 
 
 def _max_op_norm(m: np.ndarray, profile: ToleranceProfile = DEFAULT_PROFILE) -> float:
     """``float(np.max(op_norm(m, profile)))``, bit for bit, with the norm taken
     only on the fibers that can hold the maximum.
 
-    One pass over the squared real and imaginary parts of ``m`` (divided by
-    the largest of them when it lies outside ``_UNSCALED``) bounds each
+    Pass 1 reads the squared real and imaginary parts of ``m`` (divided by
+    the largest of them when it lies outside ``_UNSCALED``) and bounds each
     fiber's norm below by its largest column norm and above by its
     Frobenius norm.  A fiber whose upper bound falls short of the largest
     lower bound, less a relative margin of ``_PRUNE_MARGIN`` for rounding,
-    cannot hold the maximum; the others keep their per-fiber norms, which do
-    not depend on the stack they sit in.  When the bounds rule out fewer
-    than half the fibers, the whole stack is measured, with no copy.  A NaN
-    or inf entry raises :class:`NoConvergence` naming its fiber, before any
-    decomposition.
+    cannot hold the maximum.  These bounds lie up to ``sqrt(n)`` apart, so
+    when pass 1 rules out fewer than half the fibers, pass 2 bounds the rest
+    again by :func:`_gram_power_bounds`, which lie within ``n^(1/16)``.  The
+    fibers left keep their per-fiber norms, which do not depend on the stack
+    they sit in.  When the passes rule out fewer than half the fibers, the
+    whole stack is measured, with no copy.  A NaN or inf entry raises
+    :class:`NoConvergence` naming its fiber, before any BLAS call.
     """
     a = _as_square(m, "op_norm input")
-    # column j of a fiber is columns 2j (real part) and 2j + 1 (imaginary part) of v
-    v = np.ascontiguousarray(a).view(float)
-    hi, lo = float(v.max(initial=0.0)), float(v.min(initial=0.0))
-    if not (math.isfinite(hi) and math.isfinite(lo)):
-        raise NoConvergence(_not_finite(np.abs(a).max(axis=(-2, -1))))
-    top = max(hi, -lo)
+    v, top = _parts_top(a)
     if top > 0.0:
         if not _UNSCALED[0] <= top <= _UNSCALED[1]:
             v = v / top
-        squares = np.einsum("...ij,...ij->...j", v, v)
-        cols = squares[..., 0::2] + squares[..., 1::2]
+        cols = _column_squares(v)
         upper = np.sqrt(cols.sum(axis=-1))
-        lower = math.sqrt(float(cols.max()))
-        keep = upper >= lower * (1.0 - _PRUNE_MARGIN)
+        keep = upper >= math.sqrt(float(cols.max())) * (1.0 - _PRUNE_MARGIN)
+        if 2 * np.count_nonzero(keep) > keep.size > 1:
+            lower, upper = _gram_power_bounds(a, keep, math.frexp(top)[1])
+            keep[keep] = upper >= lower.max()
         if 2 * np.count_nonzero(keep) <= keep.size:
             a = a[keep]
     return float(np.max(op_norm(a, profile)))
+
+
+def _max_norm_above(
+    m: np.ndarray, level: float, profile: ToleranceProfile = DEFAULT_PROFILE
+) -> bool:
+    """``_max_op_norm(m, profile) > level``, exactly, with the norm taken only
+    on the fibers whose :func:`_gram_power_bounds` straddle ``level``.
+
+    A fiber whose lower bound exceeds ``level`` decides True, and fibers
+    whose upper bounds fall short of it are left out.  ``level`` is scaled
+    by the same power of two as the bounds; where that leaves the float
+    range, it saturates at 0 (far below the largest lower bound) or inf (far
+    above every upper bound), and each comparison keeps its answer.  A NaN
+    or inf entry raises :class:`NoConvergence` naming its fiber, before any
+    BLAS call.
+    """
+    a = _as_square(m, "op_norm input")
+    _, top = _parts_top(a)
+    if top == 0.0:
+        return 0.0 > level
+    e = math.frexp(top)[1]
+    lower, upper = _gram_power_bounds(a, np.ones(a.shape[:-2], dtype=bool), e)
+    low, high = _powers_of_two(e)
+    scaled = level * low * high
+    if lower.max() > scaled:
+        return True
+    straddle = upper >= scaled
+    if not straddle.any():
+        return False
+    return float(np.max(op_norm(a.reshape(-1, *a.shape[-2:])[straddle], profile))) > level
 
 
 def _not_finite(per_fiber: np.ndarray) -> str:

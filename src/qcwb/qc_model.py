@@ -15,6 +15,7 @@ roots of h and k.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -133,17 +134,27 @@ def t_matrix(
     return np.block([[eye - h, adjoint(x)], [x, k]])
 
 
+def _low_level_defects(triple: QcTriple) -> Iterator[np.ndarray]:
+    """The four defining relation defects, in ``LOW_LEVEL_LABELS`` order.
+
+    One at a time: :func:`low_level_residuals` holds a single ``n x n``
+    defect while it takes that defect's norm.
+    """
+    h, x, k = triple.h, triple.x, triple.k
+    yield adjoint(h) @ h + adjoint(x) @ x - h
+    yield adjoint(k) @ k + x @ adjoint(x) - k
+    yield k @ x - x @ h
+    yield h @ k
+
+
 def low_level_residuals(
     triple: QcTriple, profile: ToleranceProfile = DEFAULT_PROFILE
 ) -> dict[str, float]:
     """Operator norms of the four defining relation defects, per fiber."""
-    h, x, k = triple.h, triple.x, triple.k
-    return {
-        "h_quadratic": op_norm(adjoint(h) @ h + adjoint(x) @ x - h, profile),
-        "k_quadratic": op_norm(adjoint(k) @ k + x @ adjoint(x) - k, profile),
-        "intertwiner": op_norm(k @ x - x @ h, profile),
-        "orthogonality": op_norm(h @ k, profile),
-    }
+    # map lets go of each defect once its norm is taken; a loop variable
+    # would hold it while the next one is formed
+    norms = map(lambda defect: op_norm(defect, profile), _low_level_defects(triple))
+    return dict(zip(LOW_LEVEL_LABELS, norms))
 
 
 def high_level_residuals(

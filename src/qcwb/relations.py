@@ -20,6 +20,7 @@ is continuous with f(0) = 0.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import cache
@@ -34,14 +35,18 @@ from .linalg import (
     POS,
     SQRT0,
     STEP_HALF,
+    EigenSystem,
     RealFunction,
     ToleranceProfile,
+    _calc,
     _gate,
     _hermitian_defect,
-    func_calc,
+    _max_norm_above,
+    _max_op_norm,
+    herm_eig,
     op_norm,
 )
-from .qc_model import QcTriple, canonical_generators, low_level_residuals
+from .qc_model import QcTriple, _low_level_defects, canonical_generators
 from .smoothing import make_gminus, make_gplus, make_qminus, make_qplus
 
 __all__ = [
@@ -606,38 +611,52 @@ def evaluate(
     registry: Mapping[str, RealFunction] | None = None,
     profile: ToleranceProfile = DEFAULT_PROFILE,
 ) -> np.ndarray:
-    """Evaluate an expression in an environment of matrices."""
+    """Evaluate an expression in an environment of matrices.
+
+    A function argument that appears more than once, as in
+    ``pos(sym(e)) - neg(sym(e))``, is built, checked for its Hermitian
+    defect and decomposed once per call.
+    """
     if registry is None:
         registry = default_registry()
+    return _evaluate(e, env, registry, profile, {})
+
+
+def _evaluate(e, env, registry, profile, spectra: dict[Expr, EigenSystem]) -> np.ndarray:
+    """:func:`evaluate`, with the decompositions of the function arguments met so far."""
     if isinstance(e, Var):
         try:
             return np.asarray(env[e.name], dtype=complex)
         except KeyError as exc:
             raise UnboundVariable(e.name) from exc
     if isinstance(e, Adj):
-        return evaluate(e.arg, env, registry, profile).conj().T
+        return _evaluate(e.arg, env, registry, profile, spectra).conj().T
     if isinstance(e, Sum):
-        return evaluate(e.left, env, registry, profile) + evaluate(
-            e.right, env, registry, profile
+        return _evaluate(e.left, env, registry, profile, spectra) + _evaluate(
+            e.right, env, registry, profile, spectra
         )
     if isinstance(e, Diff):
-        return evaluate(e.left, env, registry, profile) - evaluate(
-            e.right, env, registry, profile
+        return _evaluate(e.left, env, registry, profile, spectra) - _evaluate(
+            e.right, env, registry, profile, spectra
         )
     if isinstance(e, Prod):
-        return evaluate(e.left, env, registry, profile) @ evaluate(
-            e.right, env, registry, profile
+        return _evaluate(e.left, env, registry, profile, spectra) @ _evaluate(
+            e.right, env, registry, profile, spectra
         )
     if isinstance(e, Scale):
-        return e.factor * evaluate(e.arg, env, registry, profile)
+        return e.factor * _evaluate(e.arg, env, registry, profile, spectra)
     if isinstance(e, FnApp):
-        arg = evaluate(e.arg, env, registry, profile)
-        defect, bound = _hermitian_defect(arg, 1e-8, profile)
-        _gate(f"hermitian defect of the argument of {e.fname}", defect, bound, NotHermitianAtFnApp)
+        es = spectra.get(e.arg)
+        if es is None:
+            arg = _evaluate(e.arg, env, registry, profile, spectra)
+            defect, bound = _hermitian_defect(arg, 1e-8, profile)
+            _gate(f"hermitian defect of the argument of {e.fname}", defect, bound, NotHermitianAtFnApp)
         fn = registry.get(e.fname)
         if fn is None:
             raise ValidationError(f"function {e.fname!r} is not registered")
-        return func_calc(arg, fn, profile)
+        if es is None:
+            es = spectra[e.arg] = herm_eig(arg, profile)
+        return _calc(es, fn)
     raise TypeError(f"unknown node {e!r}")
 
 
@@ -694,17 +713,30 @@ def perturbation_sampler(
         dk = rnd()
         dk = 0.5 * (dk + dk.conj().T)
         dx = rnd()
-        scale = max(op_norm(dh, profile), op_norm(dk, profile), op_norm(dx, profile))
+        scale = _max_op_norm(np.stack([dh, dk, dx]), profile)
         dh, dk, dx = dh / scale, dk / scale, dx / scale
 
-        @cache
-        def worst(amp: float) -> float:
+        def defects(amp: float) -> np.ndarray:
             trip = QcTriple(base.h + amp * dh, base.x + amp * dx, base.k + amp * dk)
-            return max(low_level_residuals(trip, profile).values())
+            stack = np.empty((4, n, n), dtype=complex)
+            for out, defect in zip(stack, _low_level_defects(trip)):
+                out[...] = defect
+            return stack
+
+        @cache
+        def exceeds(amp: float) -> tuple[bool, bool]:
+            # whether max(low_level_residuals(...).values()) at amp exceeds
+            # delta and delta / 2, mostly without an SVD; the defects are
+            # formed once per amplitude and let go on return.  Above a
+            # delta >= 0 is above delta / 2.
+            stack = defects(amp)
+            if _max_norm_above(stack, delta, profile):
+                return True, delta >= 0.0 or _max_norm_above(stack, 0.5 * delta, profile)
+            return False, _max_norm_above(stack, 0.5 * delta, profile)
 
         lo, hi = 0.0, delta
         for _ in range(_MAX_BISECTION):
-            if worst(hi) > delta:
+            if exceeds(hi)[0]:
                 break
             hi *= 2.0
             if hi > 4.0:
@@ -713,11 +745,11 @@ def perturbation_sampler(
             raise SamplerExhausted(f"no amplitude exceeds residual {delta:.3e}")
         for _ in range(_MAX_BISECTION):
             mid = 0.5 * (lo + hi)
-            if worst(mid) <= delta:
+            if not exceeds(mid)[0]:
                 lo = mid
             else:
                 hi = mid
-            if worst(lo) > 0.5 * delta:
+            if exceeds(lo)[1]:
                 break
         amp = lo
         return {
@@ -752,9 +784,22 @@ def delta_eps_sweep(
         worst_s = 0.0
         for _ in range(samples_per_delta):
             env = sampler(delta, rng)
-            res = residuals(rs, env, profile)
-            _gate("sample residual", max(res.values(), default=0.0), delta, SamplerExhausted)
+            _check_sample(rs, env, delta, profile)
             value = op_norm(evaluate(consequence, env, rs.registry, profile), profile)
             worst_s = max(worst_s, value)
         table.append((delta, worst_s))
     return table
+
+
+def _check_sample(
+    rs: RelationSet, env: Mapping[str, np.ndarray], delta: float, profile: ToleranceProfile
+) -> None:
+    """:class:`SamplerExhausted` unless every relation residual of ``env`` is
+    at most ``delta``.  The largest is measured exactly only to report a
+    failure, and a NaN ``delta`` fails."""
+    if rs.relations:
+        stack = np.stack([evaluate(body, env, rs.registry, profile) for _, body in rs.relations])
+    else:
+        stack = np.zeros((1, 0, 0))  # one empty matrix, of norm 0
+    if _max_norm_above(stack, delta, profile) or math.isnan(delta):
+        _gate("sample residual", _max_op_norm(stack, profile), delta, SamplerExhausted)

@@ -22,7 +22,7 @@ from qcwb.linalg import (
     smooth_step,
     unitary_exp,
 )
-from qcwb.linalg import _gate, _max_op_norm
+from qcwb.linalg import _gate, _max_norm_above, _max_op_norm
 from qcwb.structures import CornerQuad, CornerSystem, SupportViolation, support_projection
 
 from conftest import (
@@ -335,7 +335,10 @@ def test_jacobi_op_norm_subnormal_scale(rng, scale):
 def norm_stack(gen, fibers, n, exponent, kind):
     """A stack whose fibers stress the pruning bounds of _max_op_norm: random
     fiber scales, an all-zero stack, exactly-zero fibers, one dominant fiber,
-    or unit-modulus multiples of one fiber (norms tied up to rounding)."""
+    unit-modulus multiples of one fiber (norms tied up to rounding), or
+    unitaries whose scales lie within a factor 1.4, about a quarter of them
+    tied with the largest up to rounding (near-tied: the column and
+    Frobenius bounds, sqrt(n) apart, keep every fiber once n >= 2)."""
     a = np.stack([random_matrix(gen, n) for _ in range(fibers)])
     a *= 10.0 ** gen.uniform(-3.0, 0.0, size=(fibers, 1, 1))
     if kind == "zero-stack":
@@ -348,7 +351,15 @@ def norm_stack(gen, fibers, n, exponent, kind):
     elif kind == "tied":
         tied = (fibers + 3) // 4
         a[:tied] = np.exp(2j * np.pi * gen.random((tied, 1, 1))) * (1e3 * a[0])
+    elif kind == "near-tied":
+        scales = 1.0 + 0.4 * gen.random(fibers)
+        tied = gen.random(fibers) < 0.25
+        scales[tied] = scales.max() * (1.0 + 1e-15 * gen.standard_normal(np.count_nonzero(tied)))
+        a = np.stack([random_unitary(gen, n) for _ in range(fibers)]) * scales[:, None, None]
     return a * 10.0**exponent
+
+
+NORM_STACK_KINDS = ["random", "zero-stack", "zero-fibers", "dominant", "tied", "near-tied"]
 
 
 @pytest.mark.parametrize("name", ["default", "jacobi"])
@@ -357,14 +368,33 @@ def norm_stack(gen, fibers, n, exponent, kind):
     fibers=st.integers(min_value=1, max_value=64),
     n=st.integers(min_value=1, max_value=8),
     exponent=st.integers(min_value=-200, max_value=200),
-    kind=st.sampled_from(["random", "zero-stack", "zero-fibers", "dominant", "tied"]),
+    kind=st.sampled_from(NORM_STACK_KINDS),
     seed=st.integers(min_value=0, max_value=2**31),
 )
 def test_max_op_norm_is_the_max_of_op_norm_property(name, fibers, n, exponent, kind, seed):
-    # pruning by the column and Frobenius bounds never changes the bits
+    # pruning by the column, Frobenius and Gram-power bounds never changes the bits
     profile = PROFILES[name]
     a = norm_stack(np.random.default_rng(seed), fibers, n, exponent, kind)
     assert _max_op_norm(a, profile) == float(np.max(op_norm(a, profile)))
+
+
+@pytest.mark.parametrize("name", ["default", "jacobi"])
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    fibers=st.integers(min_value=1, max_value=64),
+    n=st.integers(min_value=1, max_value=8),
+    exponent=st.integers(min_value=-200, max_value=200),
+    kind=st.sampled_from(NORM_STACK_KINDS),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_max_norm_above_is_the_comparison_property(name, fibers, n, exponent, kind, seed):
+    # the Gram-power bounds decide a comparison only where the norms would
+    profile = PROFILES[name]
+    a = norm_stack(np.random.default_rng(seed), fibers, n, exponent, kind)
+    top = _max_op_norm(a, profile)
+    neighbours = (np.nextafter(top, 0.0), np.nextafter(top, np.inf), top * (1 + 1e-9), top * (1 - 1e-9))
+    for level in (top, *neighbours, 0.0, np.inf):
+        assert _max_norm_above(a, level, profile) == (top > level), level
 
 
 class TestMaxOpNorm:

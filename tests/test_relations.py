@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcwb import cli, relations
-from qcwb.linalg import RealFunction
-from qcwb.qc_model import canonical_generators, low_level_residuals
+from qcwb.linalg import PROFILES, RealFunction, func_calc, op_norm
+from qcwb.qc_model import QcTriple, canonical_generators, low_level_residuals
 from qcwb.relations import (
     QC_RELATION_SOURCE,
     Adj,
@@ -197,6 +197,18 @@ class TestEvaluate:
         with pytest.raises(NotHermitianAtFnApp):
             evaluate(FnApp("pos", Var("t")), {"t": random_matrix(rng, 3)})
 
+    def test_shared_argument_is_decomposed_once(self, rng, eigh_shapes):
+        # sym(e) appears twice: one eigh, and the value a separate
+        # func_calc per application gives, bit for bit
+        env = {"h": random_matrix(rng, 4), "x": random_matrix(rng, 4)}
+        inner = "x'*x - (h - h'*h)"
+        e = parse_expression(f"pos(sym({inner})) - neg(sym({inner}))", ("h", "x"))
+        out = evaluate(e, env)
+        assert eigh_shapes == [(4, 4)]
+        arg = evaluate(parse_expression(f"sym({inner})", ("h", "x")), env)
+        expected = func_calc(arg, default_registry()["pos"]) - func_calc(arg, default_registry()["neg"])
+        assert out.tobytes() == expected.tobytes()
+
     def test_naturality_under_conjugation(self, rng):
         # phi(eval(e, env)) == eval(e, phi o env) for a unitary conjugation
         rs = parse(QC_RELATION_SOURCE)
@@ -291,7 +303,9 @@ class TestSweep:
             trip = canonical_generators(2)
             return {"h": trip.h + 10 * delta * np.eye(4), "x": trip.x, "k": trip.k}
 
-        with pytest.raises(SamplerExhausted):
+        # the gate measures the residual it rejects
+        worst = max(residuals(rs, bad_sampler(1e-3, rng)).values())
+        with pytest.raises(SamplerExhausted, match=f"sample residual = {worst:.3e} exceeds"):
             delta_eps_sweep(rs, member, bad_sampler, [1e-3], samples_per_delta=1, rng=rng)
 
     def test_bare_integer_is_a_lexical_error(self):
@@ -300,14 +314,15 @@ class TestSweep:
             parse("vars h;\nrel bad: h + 1 = 0;")
 
     def test_sampler_evaluates_each_triple_once(self, rng, monkeypatch):
-        # the bisection keeps the residuals it measured instead of measuring again
+        # the bisection keeps the defects it formed instead of forming them again
         seen = []
+        defects = relations._low_level_defects
 
-        def recorded(trip, profile):
+        def recorded(trip):
             seen.append(trip.h.tobytes() + trip.x.tobytes() + trip.k.tobytes())
-            return low_level_residuals(trip, profile)
+            return defects(trip)
 
-        monkeypatch.setattr(relations, "low_level_residuals", recorded)
+        monkeypatch.setattr(relations, "_low_level_defects", recorded)
         sampler = perturbation_sampler(m=4)
         for delta in (1e-2, 1e-3, 1e-4, 1e-5):
             for _ in range(3):
@@ -323,6 +338,101 @@ class TestSweep:
         assert np.linalg.norm(env["h"], 2) <= 1 + 1e-8
         assert np.linalg.norm(env["k"], 2) <= 1 + 1e-8
         assert np.linalg.norm(env["x"], 2) <= 0.5 + 1e-8
+
+
+def reference_sampler(m, profile):
+    """The sampler with every comparison made on exact residuals:
+    max(low_level_residuals(...)) and a scale of three op_norm calls."""
+    base = canonical_generators(m)
+
+    def sample(delta, rng):
+        n = base.dim
+
+        def rnd():
+            return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+        dh = rnd()
+        dh = 0.5 * (dh + dh.conj().T)
+        dk = rnd()
+        dk = 0.5 * (dk + dk.conj().T)
+        dx = rnd()
+        scale = max(op_norm(dh, profile), op_norm(dk, profile), op_norm(dx, profile))
+        dh, dk, dx = dh / scale, dk / scale, dx / scale
+
+        def worst(amp):
+            trip = QcTriple(base.h + amp * dh, base.x + amp * dx, base.k + amp * dk)
+            return max(low_level_residuals(trip, profile).values())
+
+        lo, hi = 0.0, delta
+        for _ in range(60):
+            if worst(hi) > delta:
+                break
+            hi *= 2.0
+            if hi > 4.0:
+                break
+        else:
+            raise SamplerExhausted(delta)
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if worst(mid) <= delta:
+                lo = mid
+            else:
+                hi = mid
+            if worst(lo) > 0.5 * delta:
+                break
+        return {"h": base.h + lo * dh, "x": base.x + lo * dx, "k": base.k + lo * dk}
+
+    return sample
+
+
+@pytest.mark.parametrize("name, grids", [("default", range(1, 17)), ("jacobi", range(1, 5))])
+def test_sampler_matches_a_bisection_on_exact_residuals(name, grids):
+    # deciding each comparison from bounds changes no environment by a bit
+    profile = PROFILES[name]
+    for m in grids:
+        sample, reference = perturbation_sampler(m, profile), reference_sampler(m, profile)
+        for i, delta in enumerate(10.0 ** -np.arange(2, 11)):
+            env = sample(delta, np.random.default_rng([m, i]))
+            ref = reference(delta, np.random.default_rng([m, i]))
+            for var in "hxk":
+                assert env[var].tobytes() == ref[var].tobytes(), (m, delta, var)
+
+
+def test_sweep_decomposition_counts(monkeypatch):
+    # one sweep of the benchmark's shape: at most two SVD fibers per sample,
+    # its reported value and its sampler scale (a bisection and a residual
+    # gate that measure every norm take 16), and one eigh per sample, since
+    # pos and neg share the decomposition of sym(...)
+    deltas, samples = [1e-2, 1e-3, 1e-4, 1e-5], 5
+    rs = parse(QC_RELATION_SOURCE)
+    consequence = parse_expression(
+        "pos(sym(x'*x - (h - h'*h))) - neg(sym(x'*x - (h - h'*h)))", rs.variables
+    )
+    counts = {"svd": 0, "eigh": 0}
+
+    def counted(attr):
+        call = getattr(np.linalg, attr)
+
+        def run(a, *args, **kwargs):
+            counts[attr] += int(np.prod(np.shape(a)[:-2]))
+            return call(a, *args, **kwargs)
+
+        return run
+
+    for attr in counts:
+        monkeypatch.setattr(np.linalg, attr, counted(attr))
+    sampler = perturbation_sampler(m=16)
+    delta_eps_sweep(rs, consequence, sampler, deltas, samples, np.random.default_rng(1))
+    runs = len(deltas) * samples
+    assert counts["svd"] <= 2 * runs
+    assert counts["eigh"] == runs
+
+
+def test_sweep_gate_fails_closed_on_a_nan_delta(rng):
+    rs = parse(QC_RELATION_SOURCE)
+    exact = env_of(canonical_generators(2))
+    with pytest.raises(SamplerExhausted, match="sample residual"):
+        delta_eps_sweep(rs, rs.relations[0][1], lambda d, g: exact, [float("nan")], 1, rng)
 
 
 class TestRegistry:
