@@ -45,6 +45,7 @@ from .boundary import (
 from .relations import (
     RelationSyntaxError,
     SamplerExhausted,
+    UnboundVariable,
     ValidationError,
     delta_eps_sweep,
     parse,
@@ -95,6 +96,8 @@ EXIT_CODES = (
     (RelationSyntaxError, EXIT_BAD_RELATION),
     (ValidationError, EXIT_BAD_RELATION),
     (SamplerExhausted, EXIT_FAIL),
+    # a declared variable missing from --env (a KeyError, not a ValueError)
+    (UnboundVariable, EXIT_BAD_INPUT),
     # malformed files (FormatError), bad flag combinations, out-of-range parameters
     ((OSError, ValueError), EXIT_BAD_INPUT),
 )
@@ -280,6 +283,18 @@ def cmd_check(args) -> int:
     return EXIT_OK if all_pass else EXIT_FAIL
 
 
+def _is_number(value, kinds=(int, float)) -> bool:
+    """Whether ``value`` is a JSON number of one of ``kinds``; a bool is not."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def _spec_int(spec: dict, key: str, default: int) -> int:
+    value = spec.get(key, default)
+    if not _is_number(value, int):
+        raise FormatError(f"sweep spec {key!r} must be an integer, got {value!r}")
+    return value
+
+
 def cmd_relations(args) -> int:
     seed = _resolve_seed(args)
     profile = _resolve_profile(args)
@@ -296,14 +311,16 @@ def cmd_relations(args) -> int:
         if not isinstance(spec, dict) or "consequence" not in spec:
             raise FormatError("sweep spec must hold a 'consequence' expression")
         consequence = parse_expression(str(spec["consequence"]), rs.variables)
-        deltas = [float(d) for d in spec.get("deltas", [1e-2, 1e-3, 1e-4, 1e-5])]
-        samples = int(spec.get("samples_per_delta", 5))
-        sampler = perturbation_sampler(m=int(spec.get("sampler_grid", 4)), profile=profile)
+        deltas = spec.get("deltas", [1e-2, 1e-3, 1e-4, 1e-5])
+        if not (isinstance(deltas, list) and all(_is_number(d) for d in deltas)):
+            raise FormatError(f"sweep spec 'deltas' must be a list of numbers, got {deltas!r}")
+        samples = _spec_int(spec, "samples_per_delta", 5)
+        sampler = perturbation_sampler(m=_spec_int(spec, "sampler_grid", 4), profile=profile)
         table = delta_eps_sweep(
             rs,
             consequence,
             sampler,
-            deltas,
+            [float(d) for d in deltas],
             samples_per_delta=samples,
             rng=np.random.default_rng(seed),
             profile=profile,

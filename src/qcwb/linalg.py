@@ -12,12 +12,12 @@ spectrum.  One decomposition serves every function of the same matrix:
 :meth:`EigenSystem.apply` assembles each one from the shared basis.
 
 Norms are values only.  Where a caller needs only the largest norm over a
-stack (:func:`_max_op_norm`) or whether it exceeds a level
+stack (:func:`_max_op_norm`) or whether it exceeds given levels
 (:func:`_max_norm_above`), cheap rigorous bounds decide first.  Pass 1 reads
 each fiber's column and Frobenius norms, which lie up to ``sqrt(n)`` apart;
 pass 2 reads the same two norms of ``(m* m)^4``, whose eighth roots lie
 within ``n^(1/16)``.  An SVD then runs only on the fibers the bounds cannot
-settle: those that may hold the maximum, or whose bounds straddle the level.
+settle: those that may hold the maximum, or whose bounds straddle a level.
 The answers are those of :func:`op_norm` on the whole stack, bit for bit.
 
 All operations are pure functions: inputs are never mutated, results are
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -572,33 +572,37 @@ def _max_op_norm(m: np.ndarray, profile: ToleranceProfile = DEFAULT_PROFILE) -> 
 
 
 def _max_norm_above(
-    m: np.ndarray, level: float, profile: ToleranceProfile = DEFAULT_PROFILE
-) -> bool:
-    """``_max_op_norm(m, profile) > level``, exactly, with the norm taken only
-    on the fibers whose :func:`_gram_power_bounds` straddle ``level``.
+    m: np.ndarray, levels: Sequence[float], profile: ToleranceProfile = DEFAULT_PROFILE
+) -> list[bool]:
+    """``[_max_op_norm(m, profile) > level for level in levels]``, exactly,
+    from one set of :func:`_gram_power_bounds` and at most one SVD.
 
-    A fiber whose lower bound exceeds ``level`` decides True, and fibers
-    whose upper bounds fall short of it are left out.  ``level`` is scaled
-    by the same power of two as the bounds; where that leaves the float
-    range, it saturates at 0 (far below the largest lower bound) or inf (far
-    above every upper bound), and each comparison keeps its answer.  A NaN
-    or inf entry raises :class:`NoConvergence` naming its fiber, before any
-    BLAS call.
+    A level below the largest lower bound is exceeded.  The others are
+    answered by the largest norm of the fibers whose upper bounds reach the
+    lowest of them: every fiber that could exceed any of them.  The levels
+    are scaled by the same power of two as the bounds; where that leaves
+    the float range, a level saturates at 0 (far below the largest lower
+    bound) or inf (far above every upper bound), and each comparison keeps
+    its answer.  A NaN or inf entry raises :class:`NoConvergence` naming its
+    fiber, before any BLAS call.
     """
     a = _as_square(m, "op_norm input")
     _, top = _parts_top(a)
     if top == 0.0:
-        return 0.0 > level
+        return [0.0 > level for level in levels]
     e = math.frexp(top)[1]
     lower, upper = _gram_power_bounds(a, np.ones(a.shape[:-2], dtype=bool), e)
     low, high = _powers_of_two(e)
-    scaled = level * low * high
-    if lower.max() > scaled:
-        return True
-    straddle = upper >= scaled
-    if not straddle.any():
-        return False
-    return float(np.max(op_norm(a.reshape(-1, *a.shape[-2:])[straddle], profile))) > level
+    levels = np.array(levels, dtype=float)
+    scaled = levels * low * high
+    above = lower.max() > scaled
+    # a NaN level is neither exceeded nor open
+    open_ = ~above & (upper.max() >= scaled)
+    if open_.any():
+        straddle = upper >= scaled[open_].min()
+        norm = float(np.max(op_norm(a.reshape(-1, *a.shape[-2:])[straddle], profile)))
+        above[open_] = norm > levels[open_]
+    return above.tolist()
 
 
 def _not_finite(per_fiber: np.ndarray) -> str:

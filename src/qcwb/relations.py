@@ -8,9 +8,10 @@ with named continuous scalar functions, each declared equal to zero:
     rel orthogonality: h*k = 0;
 
 Tokens: identifiers ``[a-z][a-z0-9_]*``; postfix adjoint ``'``; operators
-``+ - *``; complex scalar literals ``(re,im)``; function application
-``name(expr)``; parentheses; ``#`` starts a line comment.  ``sym(e)`` is
-sugar for ``(0.5,0)*(e + e')``.
+``+ - *``; complex scalar literals ``(re,im)``; the bare zero ``0``; function
+application ``name(expr)``; parentheses; ``: = ;``; ``#`` starts a line
+comment.  ``sym(e)`` is sugar for ``(0.5,0)*(e + e')``.  Literals are folded
+into :class:`Scale` factors as the parser builds each node.
 
 Expressions must have no constant term (every relation vanishes on the zero
 assignment), and a function may only be applied where the argument is
@@ -21,6 +22,7 @@ is continuous with f(0) = 0.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from functools import cache
@@ -92,6 +94,10 @@ class ValidationError(ValueError):
 class UnboundVariable(KeyError):
     """Evaluation environment lacks a declared variable."""
 
+    def __str__(self) -> str:
+        # a KeyError would print only the repr of the name
+        return f"environment lacks variable {self.args[0]!r}"
+
 
 class NotHermitianAtFnApp(ValueError):
     """A function application received a non-Hermitian matrix argument."""
@@ -149,12 +155,6 @@ class FnApp:
 Expr = Var | Adj | Sum | Diff | Prod | Scale | FnApp
 
 
-@dataclass(frozen=True)
-class _Lit:
-    # parse-time only: scalar literal waiting to be folded into Scale
-    value: complex
-
-
 # ---------------------------------------------------------------------------
 # registry
 # ---------------------------------------------------------------------------
@@ -191,93 +191,99 @@ def _vanishes_at_zero(f: RealFunction) -> bool:
 # lexer
 # ---------------------------------------------------------------------------
 
-_IDENT = re.compile(r"[a-z][a-z0-9_]*")
 _NUMBER = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
-_SCALAR = re.compile(r"\(\s*(" + _NUMBER + r")\s*,\s*(" + _NUMBER + r")\s*\)")
+_PUNCTUATION = {
+    "(": "lparen",
+    ")": "rparen",
+    "+": "plus",
+    "-": "minus",
+    "*": "star",
+    "'": "prime",
+    ";": "semi",
+    ":": "colon",
+    "=": "eq",
+}
+# one alternative per token kind, tried in this order: a scalar literal
+# before a bare '(', and '0' only where no digit or '.' follows
+_TOKEN = re.compile(
+    "|".join(
+        [
+            r"(?P<space>(?:[ \t\r\n]|#[^\n]*)+)",
+            rf"(?P<scalar>\(\s*(?P<re>{_NUMBER})\s*,\s*(?P<im>{_NUMBER})\s*\))",
+            *(f"(?P<{kind}>{re.escape(ch)})" for ch, kind in _PUNCTUATION.items()),
+            r"(?P<zero>0(?![\d.]))",
+            r"(?P<ident>[a-z][a-z0-9_]*)",
+        ]
+    )
+)
 
 
 @dataclass(frozen=True)
 class _Token:
     kind: str
     text: str
-    line: int
-    column: int
-    value: complex = 0j
+    offset: int
+    value: complex = 0j  # of a scalar or zero token
+
+
+def _syntax_error(message: str, source: str, offset: int) -> RelationSyntaxError:
+    """The error at ``offset`` in ``source``, located by line and column."""
+    line = source.count("\n", 0, offset) + 1
+    return RelationSyntaxError(message, line, offset - source.rfind("\n", 0, offset))
 
 
 def _tokenize(source: str) -> list[_Token]:
+    """The tokens of ``source``, with the offsets where they start, ending in ``eof``."""
     tokens: list[_Token] = []
-    line = 1
-    col = 1
     i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if ch == "(":
-            m = _SCALAR.match(source, i)
-            if m:
-                value = complex(float(m.group(1)), float(m.group(2)))
-                tokens.append(_Token("scalar", m.group(0), line, col, value))
-                col += m.end() - i
-                i = m.end()
-                continue
-            tokens.append(_Token("lparen", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        simple = {
-            ")": "rparen",
-            "+": "plus",
-            "-": "minus",
-            "*": "star",
-            "'": "prime",
-            ";": "semi",
-            ":": "colon",
-            "=": "eq",
-        }
-        if ch in simple:
-            tokens.append(_Token(simple[ch], ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch == "0" and not (i + 1 < n and (source[i + 1].isdigit() or source[i + 1] == ".")):
-            tokens.append(_Token("zero", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        m = _IDENT.match(source, i)
-        if m:
-            tokens.append(_Token("ident", m.group(0), line, col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        raise RelationSyntaxError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("eof", "", line, col))
+    while i < len(source):
+        m = _TOKEN.match(source, i)
+        # str.isdigit, unlike \d, also takes superscript and other digits
+        if m is None or (m.lastgroup == "zero" and source[i + 1 : i + 2].isdigit()):
+            raise _syntax_error(f"unexpected character {source[i]!r}", source, i)
+        if m.lastgroup == "scalar":
+            tokens.append(_Token("scalar", m[0], i, complex(float(m["re"]), float(m["im"]))))
+        elif m.lastgroup != "space":
+            tokens.append(_Token(m.lastgroup, m[0], i))
+        i = m.end()
+    tokens.append(_Token("eof", "", i))
     return tokens
 
 
 # ---------------------------------------------------------------------------
-# parser (recursive descent)
+# parser (recursive descent), folding scalar literals as it builds nodes
 # ---------------------------------------------------------------------------
+#
+# A scalar literal is a bare complex number until it is folded into a Scale;
+# one left in a parsed body is a constant term, which validation rejects.
+
+
+def _times(left, right):
+    """``left*right`` with its scalar literals folded: two literals multiply,
+    and a literal on either side scales the other, merging with a Scale
+    there (the literal first in the product)."""
+    if isinstance(left, complex) and isinstance(right, complex):
+        return left * right
+    if isinstance(right, complex):
+        left, right = right, left
+    if not isinstance(left, complex):
+        return Prod(left, right)
+    if isinstance(right, Scale):
+        return Scale(left * right.factor, right.arg)
+    return Scale(left, right)
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    def __init__(self, source: str):
+        self.source = source
+        self.tokens = _tokenize(source)
         self.pos = 0
+        # the first function met with a constant argument: reported once
+        # the body has parsed, ahead of every other validation error
+        self.constant_fn: str | None = None
+
+    def error(self, message: str, tok: _Token) -> RelationSyntaxError:
+        return _syntax_error(message, self.source, tok.offset)
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -287,21 +293,20 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expect(self, kind: str, what: str) -> _Token:
+    def expect(self, kind: str, what: str, text: str | None = None) -> _Token:
+        """The next token, which must be of ``kind`` (and read ``text``, if given)."""
         tok = self.peek()
-        if tok.kind != kind:
-            raise RelationSyntaxError(
-                f"expected {what}, found {tok.text!r}", tok.line, tok.column
-            )
+        if tok.kind != kind or text not in (None, tok.text):
+            raise self.error(f"expected {what}, found {tok.text!r}", tok)
         return self.next()
 
-    def expect_keyword(self, word: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "ident" or tok.text != word:
-            raise RelationSyntaxError(
-                f"expected '{word}', found {tok.text!r}", tok.line, tok.column
-            )
-        return self.next()
+    def validated(self, body, variables: set[str], registry: Mapping[str, RealFunction]) -> Expr:
+        """``body``, once it passes validation: a function met with a
+        constant argument fails first, then :func:`_validate` runs."""
+        if self.constant_fn is not None:
+            raise ValidationError(f"function {self.constant_fn} applied to a constant")
+        _validate(body, variables, registry)
+        return body
 
     # expr := term (('+'|'-') term)*
     def expr(self):
@@ -317,7 +322,7 @@ class _Parser:
         node = self.factor()
         while self.peek().kind == "star":
             self.next()
-            node = Prod(node, self.factor())
+            node = _times(node, self.factor())
         return node
 
     # factor := atom "'"*
@@ -325,17 +330,14 @@ class _Parser:
         node = self.atom()
         while self.peek().kind == "prime":
             self.next()
-            node = Adj(node)
+            node = np.conj(node) if isinstance(node, complex) else Adj(node)
         return node
 
     def atom(self):
         tok = self.peek()
-        if tok.kind == "scalar":
+        if tok.kind in ("scalar", "zero"):
             self.next()
-            return _Lit(tok.value)
-        if tok.kind == "zero":
-            self.next()
-            return _Lit(0j)
+            return tok.value
         if tok.kind == "lparen":
             self.next()
             node = self.expr()
@@ -348,60 +350,18 @@ class _Parser:
                 arg = self.expr()
                 self.expect("rparen", "')'")
                 if tok.text == "sym":
+                    # a Sum is never a literal, so this Scale is folded
                     return Scale(0.5 + 0j, Sum(arg, Adj(arg)))
+                if isinstance(arg, complex) and self.constant_fn is None:
+                    self.constant_fn = tok.text
                 return FnApp(tok.text, arg)
             return Var(tok.text)
-        raise RelationSyntaxError(
-            f"expected an expression, found {tok.text!r}", tok.line, tok.column
-        )
+        raise self.error(f"expected an expression, found {tok.text!r}", tok)
 
 
 # ---------------------------------------------------------------------------
-# literal folding and validation
+# validation
 # ---------------------------------------------------------------------------
-
-
-def _fold(node):
-    """Fold scalar literals into Scale nodes; bare constants are invalid."""
-    if isinstance(node, (_Lit, Var)):
-        return node
-    if isinstance(node, Adj):
-        inner = _fold(node.arg)
-        if isinstance(inner, _Lit):
-            return _Lit(np.conj(inner.value))
-        return Adj(inner)
-    if isinstance(node, (Sum, Diff)):
-        cls = type(node)
-        return cls(_fold(node.left), _fold(node.right))
-    if isinstance(node, Prod):
-        left = _fold(node.left)
-        right = _fold(node.right)
-        if isinstance(left, _Lit) and isinstance(right, _Lit):
-            return _Lit(left.value * right.value)
-        if isinstance(left, _Lit):
-            return _make_scale(left.value, right)
-        if isinstance(right, _Lit):
-            return _make_scale(right.value, left)
-        return Prod(left, right)
-    if isinstance(node, Scale):
-        inner = _fold(node.arg)
-        if isinstance(inner, _Lit):
-            return _Lit(node.factor * inner.value)
-        return _make_scale(node.factor, inner)
-    if isinstance(node, FnApp):
-        inner = _fold(node.arg)
-        if isinstance(inner, _Lit):
-            raise ValidationError(
-                f"function {node.fname} applied to a constant"
-            )
-        return FnApp(node.fname, inner)
-    raise TypeError(f"unknown node {node!r}")
-
-
-def _make_scale(factor: complex, arg):
-    if isinstance(arg, Scale):
-        return Scale(factor * arg.factor, arg.arg)
-    return Scale(factor, arg)
 
 
 def _normal(node, adjoint: bool = False) -> Expr:
@@ -450,21 +410,18 @@ def is_formally_self_adjoint(e: Expr) -> bool:
 
 
 def _validate(e, variables: set[str], registry: Mapping[str, RealFunction]) -> None:
-    if isinstance(e, _Lit):
+    if isinstance(e, complex):
         raise ValidationError("constant term (relations must vanish at zero)")
     if isinstance(e, Var):
         if e.name not in variables:
             raise ValidationError(f"variable {e.name!r} is not declared")
         return
-    if isinstance(e, Adj):
+    if isinstance(e, (Adj, Scale)):
         _validate(e.arg, variables, registry)
         return
     if isinstance(e, (Sum, Diff, Prod)):
         _validate(e.left, variables, registry)
         _validate(e.right, variables, registry)
-        return
-    if isinstance(e, Scale):
-        _validate(e.arg, variables, registry)
         return
     if isinstance(e, FnApp):
         _validate(e.arg, variables, registry)
@@ -514,34 +471,28 @@ def parse(
     """Parse and validate a relation file."""
     if registry is None:
         registry = default_registry()
-    tokens = _tokenize(source)
-    p = _Parser(tokens)
-    p.expect_keyword("vars")
+    p = _Parser(source)
+    p.expect("ident", "'vars'", "vars")
     names: list[str] = []
     while p.peek().kind == "ident":
         names.append(p.next().text)
     if not names:
-        tok = p.peek()
-        raise RelationSyntaxError("'vars' declares at least one name", tok.line, tok.column)
+        raise p.error("'vars' declares at least one name", p.peek())
     p.expect("semi", "';'")
     variables = set(names)
-    relations: list[tuple[str, Expr]] = []
-    seen: set[str] = set()
+    relations: dict[str, Expr] = {}
     while p.peek().kind != "eof":
-        p.expect_keyword("rel")
-        label_tok = p.expect("ident", "a relation label")
-        if label_tok.text in seen:
-            raise ValidationError(f"duplicate relation label {label_tok.text!r}")
-        seen.add(label_tok.text)
+        p.expect("ident", "'rel'", "rel")
+        label = p.expect("ident", "a relation label").text
+        if label in relations:
+            raise ValidationError(f"duplicate relation label {label!r}")
         p.expect("colon", "':'")
         body = p.expr()
         p.expect("eq", "'='")
         p.expect("zero", "'0'")
         p.expect("semi", "';'")
-        folded = _fold(body)
-        _validate(folded, variables, registry)
-        relations.append((label_tok.text, folded))
-    return RelationSet(tuple(names), tuple(relations), registry)
+        relations[label] = p.validated(body, variables, registry)
+    return RelationSet(tuple(names), tuple(relations.items()), registry)
 
 
 def parse_expression(
@@ -552,45 +503,40 @@ def parse_expression(
     """Parse a single expression in an existing variable context."""
     if registry is None:
         registry = default_registry()
-    tokens = _tokenize(source)
-    p = _Parser(tokens)
+    p = _Parser(source)
     body = p.expr()
     tok = p.peek()
     if tok.kind != "eof":
-        raise RelationSyntaxError(f"trailing input {tok.text!r}", tok.line, tok.column)
-    folded = _fold(body)
-    _validate(folded, set(variables), registry)
-    return folded
+        raise p.error(f"trailing input {tok.text!r}", tok)
+    return p.validated(body, set(variables), registry)
 
 
 # ---------------------------------------------------------------------------
 # pretty printer
 # ---------------------------------------------------------------------------
 
-_PREC = {"sum": 1, "prod": 2, "unary": 3}
+# the operator and precedence of each infix node; a Scale prints as a
+# product, and the postfix adjoint binds tighter than both
+_INFIX = {Sum: (" + ", 1), Diff: (" - ", 1), Prod: ("*", 2)}
+_UNARY = 3
 
 
 def _pretty(e: Expr, parent_prec: int) -> str:
     if isinstance(e, Var):
         return e.name
     if isinstance(e, Adj):
-        return _pretty(e.arg, _PREC["unary"]) + "'"
-    if isinstance(e, Sum):
-        s = f"{_pretty(e.left, _PREC['sum'])} + {_pretty(e.right, _PREC['sum'] + 1)}"
-        return f"({s})" if parent_prec > _PREC["sum"] else s
-    if isinstance(e, Diff):
-        s = f"{_pretty(e.left, _PREC['sum'])} - {_pretty(e.right, _PREC['sum'] + 1)}"
-        return f"({s})" if parent_prec > _PREC["sum"] else s
-    if isinstance(e, Prod):
-        s = f"{_pretty(e.left, _PREC['prod'])}*{_pretty(e.right, _PREC['prod'] + 1)}"
-        return f"({s})" if parent_prec > _PREC["prod"] else s
-    if isinstance(e, Scale):
-        lit = f"({e.factor.real:.17g},{e.factor.imag:.17g})"
-        s = f"{lit}*{_pretty(e.arg, _PREC['prod'] + 1)}"
-        return f"({s})" if parent_prec > _PREC["prod"] else s
+        return _pretty(e.arg, _UNARY) + "'"
     if isinstance(e, FnApp):
         return f"{e.fname}({_pretty(e.arg, 0)})"
-    raise TypeError(f"unknown node {e!r}")
+    if isinstance(e, Scale):
+        prec = _INFIX[Prod][1]
+        s = f"({e.factor.real:.17g},{e.factor.imag:.17g})*{_pretty(e.arg, prec + 1)}"
+    elif type(e) in _INFIX:
+        op, prec = _INFIX[type(e)]
+        s = f"{_pretty(e.left, prec)}{op}{_pretty(e.right, prec + 1)}"
+    else:
+        raise TypeError(f"unknown node {e!r}")
+    return f"({s})" if parent_prec > prec else s
 
 
 def pretty(rs: RelationSet) -> str:
@@ -622,6 +568,10 @@ def evaluate(
     return _evaluate(e, env, registry, profile, {})
 
 
+# the matrix operation of each binary node
+_BINARY = {Sum: operator.add, Diff: operator.sub, Prod: operator.matmul}
+
+
 def _evaluate(e, env, registry, profile, spectra: dict[Expr, EigenSystem]) -> np.ndarray:
     """:func:`evaluate`, with the decompositions of the function arguments met so far."""
     if isinstance(e, Var):
@@ -631,18 +581,9 @@ def _evaluate(e, env, registry, profile, spectra: dict[Expr, EigenSystem]) -> np
             raise UnboundVariable(e.name) from exc
     if isinstance(e, Adj):
         return _evaluate(e.arg, env, registry, profile, spectra).conj().T
-    if isinstance(e, Sum):
-        return _evaluate(e.left, env, registry, profile, spectra) + _evaluate(
-            e.right, env, registry, profile, spectra
-        )
-    if isinstance(e, Diff):
-        return _evaluate(e.left, env, registry, profile, spectra) - _evaluate(
-            e.right, env, registry, profile, spectra
-        )
-    if isinstance(e, Prod):
-        return _evaluate(e.left, env, registry, profile, spectra) @ _evaluate(
-            e.right, env, registry, profile, spectra
-        )
+    if type(e) in _BINARY:
+        left = _evaluate(e.left, env, registry, profile, spectra)
+        return _BINARY[type(e)](left, _evaluate(e.right, env, registry, profile, spectra))
     if isinstance(e, Scale):
         return e.factor * _evaluate(e.arg, env, registry, profile, spectra)
     if isinstance(e, FnApp):
@@ -727,12 +668,8 @@ def perturbation_sampler(
         def exceeds(amp: float) -> tuple[bool, bool]:
             # whether max(low_level_residuals(...).values()) at amp exceeds
             # delta and delta / 2, mostly without an SVD; the defects are
-            # formed once per amplitude and let go on return.  Above a
-            # delta >= 0 is above delta / 2.
-            stack = defects(amp)
-            if _max_norm_above(stack, delta, profile):
-                return True, delta >= 0.0 or _max_norm_above(stack, 0.5 * delta, profile)
-            return False, _max_norm_above(stack, 0.5 * delta, profile)
+            # formed once per amplitude and let go on return
+            return tuple(_max_norm_above(defects(amp), (delta, 0.5 * delta), profile))
 
         lo, hi = 0.0, delta
         for _ in range(_MAX_BISECTION):
@@ -801,5 +738,5 @@ def _check_sample(
         stack = np.stack([evaluate(body, env, rs.registry, profile) for _, body in rs.relations])
     else:
         stack = np.zeros((1, 0, 0))  # one empty matrix, of norm 0
-    if _max_norm_above(stack, delta, profile) or math.isnan(delta):
+    if _max_norm_above(stack, [delta], profile)[0] or math.isnan(delta):
         _gate("sample residual", _max_op_norm(stack, profile), delta, SamplerExhausted)

@@ -218,8 +218,8 @@ def theta_is_homomorphism(
     """Empirical certificate that theta_s respects products and adjoints.
 
     Over random corner-supported quadruples a, b, returns the maxima of
-    ||theta_s(a b) - theta_s(a) theta_s(b)|| and ||theta_s(a*) - theta_s(a)*||,
-    each normalized is left to the caller (the raw maxima are returned).
+    ||theta_s(a b) - theta_s(a) theta_s(b)|| and ||theta_s(a*) - theta_s(a)*||.
+    They are raw, not normalized; scaling them is left to the caller.
     """
     worst_mul = 0.0
     worst_adj = 0.0

@@ -249,6 +249,34 @@ class TestRelations:
         assert len(table) == 2
         assert table[1][1] <= table[0][1] + 1e-12
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"deltas": 5},
+            {"deltas": [None]},
+            {"deltas": "123"},
+            {"samples_per_delta": None},
+            {"samples_per_delta": 2.5},
+            {"sampler_grid": "4"},
+            {"sampler_grid": [3]},
+        ],
+    )
+    def test_malformed_sweep_spec_exits_64(self, tmp_path, relation_file, field):
+        spec = tmp_path / "sweep.json"
+        spec.write_text(json.dumps({"consequence": "x'*x - (h - h'*h)", **field}))
+        proc = run_cli("relations", "--input", str(relation_file), "--sweep", str(spec))
+        assert proc.returncode == 64, proc.stderr
+        (key,) = field
+        assert proc.stderr.splitlines() == [proc.stderr.strip()] and key in proc.stderr
+
+    def test_env_missing_a_variable_exits_64(self, tmp_path, relation_file):
+        trip = canonical_generators(2)
+        env_path = tmp_path / "env.json"
+        dump_json({"h": matrix_to_obj(trip.h), "x": matrix_to_obj(trip.x)}, str(env_path))
+        proc = run_cli("relations", "--input", str(relation_file), "--env", str(env_path))
+        assert proc.returncode == 64
+        assert proc.stderr == "relations: environment lacks variable 'k'\n"
+
 
 class TestDeterminism:
     def test_reports_identical_modulo_timestamp(self, tmp_path):

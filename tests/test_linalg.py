@@ -388,13 +388,16 @@ def test_max_op_norm_is_the_max_of_op_norm_property(name, fibers, n, exponent, k
     seed=st.integers(min_value=0, max_value=2**31),
 )
 def test_max_norm_above_is_the_comparison_property(name, fibers, n, exponent, kind, seed):
-    # the Gram-power bounds decide a comparison only where the norms would
+    # the Gram-power bounds decide a comparison only where the norms would,
+    # whether the levels are asked together or one at a time
     profile = PROFILES[name]
     a = norm_stack(np.random.default_rng(seed), fibers, n, exponent, kind)
     top = _max_op_norm(a, profile)
     neighbours = (np.nextafter(top, 0.0), np.nextafter(top, np.inf), top * (1 + 1e-9), top * (1 - 1e-9))
-    for level in (top, *neighbours, 0.0, np.inf):
-        assert _max_norm_above(a, level, profile) == (top > level), level
+    levels = [top, *neighbours, 0.5 * top, 0.0, np.inf, np.nan]
+    assert _max_norm_above(a, levels, profile) == [top > level for level in levels]
+    for level in levels:
+        assert _max_norm_above(a, [level], profile) == [top > level], level
 
 
 class TestMaxOpNorm:

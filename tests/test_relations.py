@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcwb import cli, relations
+from qcwb import cli, linalg, relations
 from qcwb.linalg import PROFILES, RealFunction, func_calc, op_norm
 from qcwb.qc_model import QcTriple, canonical_generators, low_level_residuals
 from qcwb.relations import (
@@ -74,6 +74,17 @@ class TestParser:
         with pytest.raises(RelationSyntaxError) as err:
             parse("vars h;\nrel r: h + = 0;")
         assert err.value.line == 2
+
+    def test_syntax_error_counts_the_lines_inside_a_scalar_literal(self):
+        with pytest.raises(RelationSyntaxError) as err:
+            parse("vars h;\nrel a: (1,\n0)*h\n + ?;\n")
+        assert (err.value.line, err.value.column) == (4, 4)
+
+    def test_end_of_input_sits_after_a_trailing_comment(self):
+        # the missing ';' is reported where the input ends, past the comment
+        with pytest.raises(RelationSyntaxError) as err:
+            parse("vars h;\nrel r: h = 0 # c")
+        assert (err.value.line, err.value.column) == (2, 17)
 
     def test_unexpected_character(self):
         with pytest.raises(RelationSyntaxError):
@@ -167,6 +178,30 @@ def test_roundtrip_property_random_expressions(seed):
             return Scale(c if c != 0 else 1 + 0j, rand_expr(depth - 1))
         return Sum(rand_expr(depth - 1), Var(names[gen.integers(0, 3)]))
 
+    def literal():
+        re_, im = np.round(gen.standard_normal(2) * 10.0 ** gen.integers(-3, 4, size=2), 4)
+        return f"({re_:g},{im:g})" + "'" * int(gen.integers(0, 2))
+
+    def rand_source(depth):
+        # valid relation text: every literal scales a non-constant factor
+        if depth == 0:
+            return names[gen.integers(0, 3)]
+        a = rand_source(depth - 1)
+        kind = gen.integers(0, 7)
+        if kind == 0:
+            return f"{a} {'+-'[gen.integers(0, 2)]} {rand_source(depth - 1)}"
+        if kind == 1:
+            return f"({a})*({rand_source(depth - 1)})"
+        if kind == 2:
+            return f"({a})'"
+        if kind == 3:
+            return f"{literal()}*({a})"
+        if kind == 4:
+            return f"({a})*{literal()}*{literal()}"
+        if kind == 5:
+            return f"sym({a})"
+        return f"pos(sym({a}))"
+
     expr = rand_expr(3)
     from qcwb.relations import RelationSet
 
@@ -174,6 +209,9 @@ def test_roundtrip_property_random_expressions(seed):
     # round-trip stability is stated for parsed trees (parsing normalizes
     # nested scalar factors), so one parse precedes the comparison
     first = parse(pretty(rs))
+    assert parse(pretty(first)).relations == first.relations
+    # and for parsed source text, with literals, primes and sym(...)
+    first = parse(f"vars h x k;\nrel r: {rand_source(3)} = 0;\n")
     assert parse(pretty(first)).relations == first.relations
 
 
@@ -402,7 +440,8 @@ def test_sweep_decomposition_counts(monkeypatch):
     # one sweep of the benchmark's shape: at most two SVD fibers per sample,
     # its reported value and its sampler scale (a bisection and a residual
     # gate that measure every norm take 16), and one eigh per sample, since
-    # pos and neg share the decomposition of sym(...)
+    # pos and neg share the decomposition of sym(...).  The sampler bounds
+    # each amplitude's defects once for both of its levels, delta and delta/2
     deltas, samples = [1e-2, 1e-3, 1e-4, 1e-5], 5
     rs = parse(QC_RELATION_SOURCE)
     consequence = parse_expression(
@@ -421,11 +460,20 @@ def test_sweep_decomposition_counts(monkeypatch):
 
     for attr in counts:
         monkeypatch.setattr(np.linalg, attr, counted(attr))
+    bounds = linalg._gram_power_bounds
+    counts["bounds"] = 0
+
+    def counted_bounds(*args):
+        counts["bounds"] += 1
+        return bounds(*args)
+
+    monkeypatch.setattr(linalg, "_gram_power_bounds", counted_bounds)
     sampler = perturbation_sampler(m=16)
     delta_eps_sweep(rs, consequence, sampler, deltas, samples, np.random.default_rng(1))
     runs = len(deltas) * samples
     assert counts["svd"] <= 2 * runs
     assert counts["eigh"] == runs
+    assert counts["bounds"] == 80
 
 
 def test_sweep_gate_fails_closed_on_a_nan_delta(rng):
