@@ -6,20 +6,30 @@ holds the functions vanishing there.  Given an exact representation of the
 quadratic relation system in the quotient (one matrix triple per endpoint),
 the pipeline
 
+0. takes an orthonormal basis W (n x r) of R, the sum of the ranges of
+   h(0), h(1), k(0) and k(1), and a basis W_perp of R-perp, once, from the
+   endpoint data.  The corner factor y of step 2 lies in R too, since it is
+   sandwiched between inverse eighth roots of k and h taken on their
+   supports.  So c, y and x below vanish on R-perp along the whole path:
+   T is the constant projection diag(1, 0) there, U and u are 1, and
+   nothing on R-perp is decomposed,
 1. lifts h and k to orthogonal positive contractions over the grid
-   (positive/negative parts of a linear interpolant c of h - k),
+   (positive/negative parts of a linear interpolant c of h - k, decomposed
+   as the r x r path W* c W),
 2. lifts x through the corner factorization x = k^(1/8) y h^(1/8), with y
    interpolated between its endpoint values; h, k and both eighth roots are
    read off the one decomposition of c,
 3. decomposes the blocked matrix T = [[1 - h, x*], [x, k]] once, through
-   its n x n corner block B = Z diag(mu) Z* in the eigenbasis V of c (the
-   rest of T's spectrum is exactly 0 or 1); T and the clamped path T' are
-   assembled only at the two endpoints, to check them against the data,
+   its r x r corner block B = Z diag(mu) Z* on R in the eigenbasis V of
+   W* c W (the rest of T's spectrum is exactly 0 or 1); T and the clamped
+   path T' are assembled only at the two endpoints, to check them against
+   the data,
 4. exponentiates: U = exp(2 pi i T'), a unitary path equal to the identity
    at both endpoints, read off the same decompositions (U itself is formed
    only at the endpoints),
 5. collapses the four blocks of U to the single unitary
-   u = -1 + u11 + u12 + u21 + u22 = (VZ) diag(e^(2 pi i clip(mu))) (VZ)*,
+   u = -1 + u11 + u12 + u21 + u22
+     = (WVZ) diag(e^(2 pi i clip(mu))) (WVZ)* + W_perp W_perp*,
    accumulates the phase of det u across the grid, and checks the count
    against the index tr T(1) - tr T(0).
 
@@ -27,7 +37,7 @@ The resulting integer winding is the index obstruction carried by the input:
 it vanishes exactly when a spectral gap around 1/2 lets the fiberwise
 threshold produce an exact lift of the representation.
 
-Every path is one stacked ``(m+1, n, n)`` array, and each step is one call
+Every path is one stacked ``(m+1, r, r)`` array, and each step is one call
 of the stacked kernel in :mod:`qcwb.linalg` on the whole path.  The endpoint
 data are checked once per run, as one stacked ``(2, n, n)`` triple.
 :func:`run_scenario` chooses the grid from tau = tr T', which the two
@@ -54,6 +64,7 @@ from .linalg import (
     _gate,
     _max_op_norm,
     _positive_eig,
+    _support,
     _support_projection,
     _threshold_half,
     adjoint,
@@ -268,24 +279,31 @@ def _orthogonal_difference(
 
 @dataclass(frozen=True)
 class _LiftEnds:
-    """The checked endpoint data, stacked over (0, 1): c = h - k, the corner factor y, and T."""
+    """The checked endpoint data, stacked over (0, 1): c = h - k, the corner factor y, and T;
+    with orthonormal bases ``w`` (n x r) of R, the sum of the ranges of h(0), h(1), k(0) and
+    k(1), and ``w_perp`` (n x (n - r)) of its complement."""
 
     c: np.ndarray
     y: np.ndarray
     t: np.ndarray
+    w: np.ndarray
+    w_perp: np.ndarray
 
 
 @dataclass(frozen=True)
 class TLift:
-    """The lifted path, kept as two n x n decompositions.
+    """The lifted path, kept as two r x r decompositions on R (r = dim R).
 
-    ``c`` decomposes the path c = h - k and ``b`` the corner block B of the
-    unclamped block path T (see :func:`_lift_fibers`), one fiber per grid
-    point; ``ends`` holds the endpoint data the paths interpolate, checked
-    once.  T, T', h, k, the supports of h and k and the scalar parts of the
-    linking decomposition are derived from ``c`` and ``b`` on demand, under
-    the lift's ``profile``; T, the supports and the scalar parts are built
-    once per lift, on first reading.
+    ``c`` decomposes the compressed path W* c W of c = h - k and ``b`` the
+    corner block B of the unclamped block path T on R (see
+    :func:`_lift_fibers`), one fiber per grid point; ``ends`` holds the
+    endpoint data the paths interpolate, checked once, and the bases W of R
+    and W_perp of R-perp.  On R-perp, h, k and x vanish, so T is
+    diag(1, 0) there and u is 1.  T, T', h, k, the supports of h and k and
+    the scalar parts of the linking decomposition are n x n, derived from
+    ``c``, ``b`` and ``ends`` on demand (:attr:`full`), under the lift's
+    ``profile``; T, the supports and the scalar parts are built once per
+    lift, on first reading.
     """
 
     c: EigenSystem
@@ -294,10 +312,16 @@ class TLift:
     endpoint_defect: float
     profile: ToleranceProfile
 
+    @property
+    def full(self) -> tuple[EigenSystem, EigenSystem]:
+        """The decompositions of c and B as n x n systems (see :func:`_full`), formed
+        on each reading."""
+        return _full(self.c, self.b, self.ends)
+
     @cached_property
     def t(self) -> EigenSystem:
         """The decomposition T = W diag(w) W* of the unclamped block path, w ascending."""
-        return _t_system(self.c, self.b)
+        return _t_system(*self.full)
 
     @property
     def t_prime(self) -> GridFunction:
@@ -306,24 +330,25 @@ class TLift:
 
     @property
     def h(self) -> GridFunction:
-        return GridFunction(_matrix(_parts(self.c)[0]))
+        return GridFunction(_matrix(_parts(self.full[0])[0]))
 
     @property
     def k(self) -> GridFunction:
-        return GridFunction(_matrix(_parts(self.c)[1]))
+        return GridFunction(_matrix(_parts(self.full[0])[1]))
 
     @property
     def tau(self) -> np.ndarray:
         """tr T' at every grid point: T's spectrum is B's plus a 1 for each
-        lam <= 0 of c and a 0 for each lam > 0 (see :func:`_t_system`)."""
+        lam <= 0 of c and a 0 for each lam > 0 (see :func:`_t_system`), and
+        a 1 and a 0 for each dimension of R-perp."""
         mu, lam = self.b.eigenvalues, self.c.eigenvalues
         # one reduction, as a matmul: numpy sums a short last axis slowly on long paths
-        return (CLAMP01(mu) + (lam <= 0.0)) @ np.ones(mu.shape[-1])
+        return (CLAMP01(mu) + (lam <= 0.0)) @ np.ones(mu.shape[-1]) + self.ends.w_perp.shape[1]
 
     @cached_property
     def _supports(self) -> tuple[np.ndarray, np.ndarray]:
         """The support projections p_h, p_k of h and k."""
-        return tuple(_support_projection(part, self.profile) for part in _parts(self.c))
+        return tuple(_support_projection(part, self.profile) for part in _parts(self.full[0]))
 
     @cached_property
     def _scalars(self) -> tuple[tuple[complex, complex], float]:
@@ -370,9 +395,28 @@ def _t_system(c: EigenSystem, b: EigenSystem) -> EigenSystem:
     )
 
 
-def _t_ends(c: EigenSystem, b: EigenSystem) -> EigenSystem:
+def _full(c: EigenSystem, b: EigenSystem, ends: _LiftEnds) -> tuple[EigenSystem, EigenSystem]:
+    """The n x n decompositions of c and B off their r x r ones on R: c's basis is
+    [W V, W_perp], B's is Z plus unit vectors, and R-perp adds the eigenvalue 0 to both,
+    after those on R (so they are not sorted).  A 0 of c takes the bottom slot, where
+    d = 0, so T is diag(1, 0) on R-perp."""
+    stack = c.eigenvalues.shape[:-1]
+    r, perp = c.dim, ends.w_perp
+    zeros = np.zeros(stack + (perp.shape[1],))
+    v = np.concatenate([ends.w @ c.basis, np.broadcast_to(perp, stack + perp.shape)], axis=-1)
+    z = np.zeros(stack + (len(perp), len(perp)), dtype=complex)
+    z[..., :r, :r] = b.basis
+    np.einsum("...jj->...j", z)[..., r:] = 1.0
+    return (
+        EigenSystem(np.concatenate([c.eigenvalues, zeros], axis=-1), v),
+        EigenSystem(np.concatenate([b.eigenvalues, zeros], axis=-1), z),
+    )
+
+
+def _t_ends(c: EigenSystem, b: EigenSystem, ends: _LiftEnds) -> EigenSystem:
     """The decomposition of T at the first and last fibers of a lifted path."""
-    return _t_system(*(EigenSystem(es.eigenvalues[[0, -1]], es.basis[[0, -1]]) for es in (c, b)))
+    first_last = (EigenSystem(es.eigenvalues[[0, -1]], es.basis[[0, -1]]) for es in (c, b))
+    return _t_system(*_full(*first_last, ends))
 
 
 def _median(vals: np.ndarray, default: float) -> complex:
@@ -411,7 +455,9 @@ def _scalar_parts(lift: TLift) -> tuple[tuple[complex, complex], float]:
 def _lift_ends(rep: BScenarioRep, profile: ToleranceProfile) -> _LiftEnds:
     """The endpoint half of :func:`lift_T`: every endpoint gate, once, on both
     endpoints stacked.  One decomposition of [h(0), h(1), k(0), k(1)] serves
-    every gate on h and k, and the corner sandwich of :func:`qc_model.factor_x`."""
+    every gate on h and k, the corner sandwich of :func:`qc_model.factor_x`,
+    and the basis W of R: the eigenvectors on the supports the sandwich
+    inverts on, made orthonormal by :func:`_span`.  So y(0) and y(1) lie in R."""
     a, b = rep.at0, rep.at1
     trip = QcTriple(np.stack([a.h, b.h]), np.stack([a.x, b.x]), np.stack([a.k, b.k]))
     res = low_level_residuals(trip, profile)
@@ -422,25 +468,68 @@ def _lift_ends(rep: BScenarioRep, profile: ToleranceProfile) -> _LiftEnds:
     w, v = es.eigenvalues, es.basis
     _gate("-min eigenvalue of h, k", -w.min(axis=-1, initial=0.0), profile.clamp_tol, NotPositive)
     y = _corner_sandwich(EigenSystem(w[:2], v[:2]), EigenSystem(w[2:], v[2:]), trip.x, profile)
-    return _LiftEnds(c, y, t_matrix(trip, profile, check_hermitian=False))
+    n = v.shape[-1]
+    # column j of fiber i, for each eigenvalue on its support
+    support = v.swapaxes(0, 1)[:, _support(np.maximum(w, 0.0), profile)]
+    basis = _span(np.zeros((n, 0), dtype=complex), support, profile.rank_tol)
+    frame = _span(basis, np.eye(n, dtype=complex), profile.rank_tol)
+    r = basis.shape[1]
+    t = t_matrix(trip, profile, check_hermitian=False)
+    return _LiftEnds(c, y, t, frame[:, :r], frame[:, r:])
+
+
+def _span(q: np.ndarray, a: np.ndarray, cut: float) -> np.ndarray:
+    """The orthonormal columns ``q`` extended by orthonormal columns until they span
+    the columns of ``a`` up to residuals of norm ``cut``, or all of C^n.
+
+    Gram-Schmidt with column pivoting: each step takes the largest residual
+    left as a new column, projects it once more off the columns taken so
+    far, and projects it off the other residuals.  A residual is a
+    difference of vectors, accurate to rounding, so a unit column at an angle
+    theta to the span is kept for sin(theta) above ``cut``; a decomposition
+    of the sum of the projections onto the columns would see theta^2.
+    """
+    n, k = q.shape
+    out = np.empty((n, n), dtype=complex)
+    out[:, :k] = q
+    e = a - q @ (adjoint(q) @ a)
+    while k < n and e.size:
+        squares = np.einsum("ij,ij->j", e.conj(), e).real
+        j = np.argmax(squares)
+        if not squares[j] > cut * cut:
+            break
+        col = e[:, j] / np.sqrt(squares[j])
+        done = out[:, :k]
+        col -= done @ (adjoint(done) @ col)
+        col /= np.sqrt(np.vdot(col, col).real)
+        out[:, k] = col
+        k += 1
+        e -= np.outer(col, col.conj() @ e)
+    return out[:, :k]
 
 
 def _lift_fibers(
     ends: _LiftEnds, ts: np.ndarray, scheme: str, profile: ToleranceProfile
 ) -> tuple[EigenSystem, EigenSystem]:
     """The path half of :func:`lift_T`: the decompositions of c and of T's corner
-    block B at the points ``ts``; both pass :func:`herm_eig`'s per-fiber gate.
+    block B on R, r x r, at the points ``ts``; both pass :func:`herm_eig`'s
+    per-fiber gate.
 
+    c and y interpolate their endpoint values, which vanish on R-perp; so
+    only W* c W and W* y W are interpolated, and V below is r x r.
     With c = V diag(lam) V*, h and k are V diag(lam+) V* and V diag(lam-) V*,
     so in the basis V, T = [[1 - diag(lam+), X*], [X, diag(lam-)]] with
     X = V* x V = diag((lam-)^(1/8)) V* y V diag((lam+)^(1/8)), which vanishes
     outside rows {lam < 0} x columns {lam > 0}.  Taking slot j of T's top
     half where lam_j > 0 and of its bottom half otherwise (d_j = 1 - lam_j
-    or lam-_j), T is B = diag(d) + X + X* plus n eigenvalues exactly 0 or 1.
+    or lam-_j), T on R is B = diag(d) + X + X* plus r eigenvalues exactly 0
+    or 1.  On R-perp, c is 0, its slot is the bottom one with d = 0, and T
+    is diag(1, 0): B has the eigenvalue 0 there (see :func:`_full`).
     """
-    c = herm_eig(_interpolate(ends.c, ts), profile)
+    w, w_adj = ends.w, adjoint(ends.w)
+    c = herm_eig(_interpolate(w_adj @ ends.c @ w, ts), profile)
     hw, kw = (part.eigenvalues for part in _parts(c))
-    vyv = adjoint(c.basis) @ _interpolate(ends.y, ts, scheme) @ c.basis
+    vyv = adjoint(c.basis) @ _interpolate(w_adj @ ends.y @ w, ts, scheme) @ c.basis
     x = kw[..., :, None] ** 0.125 * vyv * hw[..., None, :] ** 0.125
     b = x + adjoint(x)
     # d onto the diagonal, through einsum's writable view of it
@@ -460,10 +549,12 @@ def lift_T(
     computed at both endpoints at once, interpolated across the grid, and
     re-sandwiched between the eighth roots of the lifted k and h.  h, k and
     their eighth roots all come off the one decomposition of the path
-    c = h - k; T is decomposed once, through its n x n corner block B (see
-    :func:`_lift_fibers`).  T' clamps that spectrum to [0, 1], and is
-    formed here only at the two endpoints, where it must match the endpoint
-    block matrices to ``_LIFT_ENDS_TOL``.
+    c = h - k; T is decomposed once, through its corner block B (see
+    :func:`_lift_fibers`).  Both decompositions are r x r, on the sum R of
+    the ranges of the endpoint h's and k's, off which T is diag(1, 0).
+    T' clamps T's spectrum to [0, 1], and is formed here only at the two
+    endpoints, where it must match the uncompressed endpoint block matrices
+    to ``_LIFT_ENDS_TOL``.
     """
     if model.fiber_dim != rep.fiber_dim:
         raise DimMismatch(
@@ -471,7 +562,7 @@ def lift_T(
         )
     ends = _lift_ends(rep, profile)
     c, b = _lift_fibers(ends, model.points, scheme, profile)
-    defects = op_norm(_clamped(_t_ends(c, b)) - ends.t, profile)
+    defects = op_norm(_clamped(_t_ends(c, b, ends)) - ends.t, profile)
     _gate("clamped path defect at the endpoints (0, 1)", defects, _LIFT_ENDS_TOL, LiftResidual)
     return TLift(c, b, ends, float(np.max(defects)), profile)
 
@@ -533,21 +624,24 @@ def boundary_unitary(lift: TLift) -> BoundaryResult:
     the grid and must equal the index tr T(1) - tr T(0)
     (:class:`WindingIndexMismatch` otherwise).  Nothing is decomposed here:
     U is formed only at the endpoints, and u comes off the lift's
-    decompositions c = V diag(lam) V* and B = Z diag(mu) Z*.  Summing the
-    halves of T's eigenvectors (:func:`_t_system`), the eigenvalues 0 and 1
-    give V at phase 1, which cancels the -1 of u, and B gives VZ:
-    u = (VZ) diag(e^(2 pi i clip(mu))) (VZ)*.  The unitarity defect is the
-    largest ||u u* - 1|| over the fibers (:func:`linalg._max_op_norm`).
+    decompositions c = V diag(lam) V* and B = Z diag(mu) Z* on R.  Summing
+    the halves of T's eigenvectors (:func:`_t_system`), the eigenvalues 0
+    and 1 give V at phase 1, which cancels the -1 of u, and B gives VZ:
+    u = (W V Z) diag(e^(2 pi i clip(mu))) (W V Z)* + W_perp W_perp*, since
+    u is 1 on R-perp.  The unitarity defect is the largest ||u u* - 1|| over
+    the fibers (:func:`linalg._max_op_norm`).
     """
-    profile = lift.profile
+    profile, ends = lift.profile, lift.ends
+    n = len(ends.w)
     _gate(
         "||exp(2 pi i T') - 1|| at the endpoints (0, 1)",
-        op_norm(_unitary(_t_ends(lift.c, lift.b)) - np.eye(2 * lift.c.dim), profile),
+        op_norm(_unitary(_t_ends(lift.c, lift.b, ends)) - np.eye(2 * n), profile),
         _UNIT_ENDS_TOL,
         EndpointDefect,
     )
-    u = _unitary(EigenSystem(lift.b.eigenvalues, lift.c.basis @ lift.b.basis))
-    eye = np.eye(lift.b.dim)
+    u = _unitary(EigenSystem(lift.b.eigenvalues, ends.w @ (lift.c.basis @ lift.b.basis)))
+    u += ends.w_perp @ adjoint(ends.w_perp)
+    eye = np.eye(n)
     unit_defect = _max_op_norm(u @ adjoint(u) - eye, profile)
     end_defect = float(np.max(op_norm(u[[0, -1]] - eye, profile)))
     winding, _, step_max = winding_number(u)
@@ -594,7 +688,8 @@ def exact_projection_lift(
     """Lift through the spectral threshold when a gap around 1/2 exists.
 
     Reads the spectrum of the unclamped path T off the decomposition the
-    lift assembles from its two n x n ones.  If any eigenvalue falls inside
+    lift assembles from its two r x r ones (:attr:`TLift.t`); on R-perp it
+    is exactly 0 and 1.  If any eigenvalue falls inside
     (1/2 - gamma, 1/2 + gamma), :class:`NoSpectralGap` is raised (the
     winding of the boundary pipeline is the obstruction).  Otherwise
     thresholding the same spectrum at 1/2 is continuous in the fibers and
@@ -645,12 +740,12 @@ def homotopy_collapse(lift: TLift, s: float = 0.0) -> tuple[GridFunction, int, i
     decomposed: U, h, k and their supports come off the lift.
     """
     profile = lift.profile
-    n = lift.c.dim
+    n = len(lift.ends.w)
     eye = np.eye(n, dtype=complex)
     eye2 = np.eye(2 * n, dtype=complex)
     v = _unitary(lift.t)
     quad = CornerQuad(v[:, :n, :n] - eye, v[:, :n, n:], v[:, n:, :n], v[:, n:, n:] - eye)
-    hs, ks = _parts(lift.c)
+    hs, ks = _parts(lift.full[0])
     p_h, p_k = lift._supports
     corners = CornerSystem(h=_matrix(hs), k=_matrix(ks), p_h=p_h, p_k=p_k)
     out = GridFunction(eye2 + homotopy_theta(quad, s, corners, profile))

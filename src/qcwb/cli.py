@@ -314,7 +314,11 @@ def cmd_relations(args) -> int:
         deltas = spec.get("deltas", [1e-2, 1e-3, 1e-4, 1e-5])
         if not (isinstance(deltas, list) and all(_is_number(d) for d in deltas)):
             raise FormatError(f"sweep spec 'deltas' must be a list of numbers, got {deltas!r}")
+        if not all(0.0 < d < np.inf for d in deltas):  # a NaN fails too
+            raise FormatError(f"sweep spec 'deltas' must be positive and finite, got {deltas!r}")
         samples = _spec_int(spec, "samples_per_delta", 5)
+        if samples < 1:
+            raise FormatError(f"sweep spec 'samples_per_delta' must be at least 1, got {samples}")
         sampler = perturbation_sampler(m=_spec_int(spec, "sampler_grid", 4), profile=profile)
         table = delta_eps_sweep(
             rs,

@@ -179,7 +179,7 @@ class TestLiftT:
         # the per-fiber reference: every scalar and every leak, then the medians and the max
         n = model.fiber_dim
         tp = lift.t_prime.values
-        parts = boundary._parts(lift.c)
+        parts = boundary._parts(lift.full[0])
         ph, pk = (boundary._support_projection(part, lift.profile) for part in parts)
         slots = []
         for p, block, default in ((ph, tp[:, :n, :n], 1.0), (pk, tp[:, n:, n:], 0.0)):
@@ -479,8 +479,10 @@ class TestStackedPipeline:
             boundary_unitary(lift_T(rep, model))
             counts.append(sorted(name for name, _ in calls))
             # h, k, their eighth roots and supports share one decomposition,
-            # and T, T' and u share another, of T's n x n corner block
-            assert calls.count(("eigh", (m + 1, 2, 2))) == 2
+            # and T, T' and u share another, of T's corner block; both are
+            # r x r on the range R of the endpoint data, here r = 1 of n = 2
+            assert calls.count(("eigh", (m + 1, 1, 1))) == 2
+            assert ("eigh", (m + 1, 2, 2)) not in calls
             assert ("eigh", (m + 1, 4, 4)) not in calls
         assert counts[0] == counts[1]
 
@@ -544,8 +546,10 @@ class TestStackedPipeline:
         result, _, model = run_scenario(conjugated_copies(rng, 12), grid_size=64)
         assert model.grid_size == 128 and result.winding == 12
         stacks = Counter(shape for shape in eigh_shapes if len(shape) == 3)
+        # the path stacks are r x r: R, the range of h(0), has r = 12 of n = 24
         for fibers in (65, 64):
-            assert stacks[(fibers, 24, 24)] == 2
+            assert stacks[(fibers, 12, 12)] == 2
+            assert stacks[(fibers, 24, 24)] == 0
         assert not any(shape[0] == 129 for shape in stacks)
         # the one 48-wide stack is the weak-relation gate on T(0), T(1)
         assert all(shape == (2, 48, 48) for shape in stacks if shape[-1] == 48)
@@ -710,8 +714,82 @@ def test_tau_is_the_trace_on_conjugated_copies(rng, k, grid):
     check_tau(conjugated_copies(rng, k), grid)
 
 
+def _index(rep):
+    """tr T(1) - tr T(0), with tr T = n - tr h + tr k."""
+    traces = [np.trace(at.k - at.h).real for at in (rep.at0, rep.at1)]
+    return int(np.rint(traces[1] - traces[0]))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=1, max_value=64),
+    st.integers(min_value=0, max_value=2**31),
+)
+def test_lift_decomposes_on_the_range_of_the_endpoints(n, grid, seed):
+    """The path stacks are r x r, r = dim R for R the sum of the ranges of the
+    endpoint h's and k's; W is an orthonormal basis of R, completed to a
+    unitary by W_perp; the winding is the index and tau is tr T'."""
+    gen = np.random.default_rng(seed)
+    rep = BScenarioRep(exact_endpoint(gen, n), exact_endpoint(gen, n))
+    ranges = np.hstack([rep.at0.h, rep.at1.h, rep.at0.k, rep.at1.k])
+    r = np.linalg.matrix_rank(ranges, tol=1e-8)
+    lift = lift_T(rep, IntervalModel(grid, n))
+    for es in (lift.c, lift.b):
+        assert es.eigenvalues.shape == (grid + 1, r)
+        assert es.basis.shape == (grid + 1, r, r)
+    frame = np.hstack([lift.ends.w, lift.ends.w_perp])
+    assert lift.ends.w.shape == (n, r)
+    np.testing.assert_allclose(frame.conj().T @ frame, np.eye(n), rtol=0, atol=1e-12)
+    off_range = lift.ends.w_perp.conj().T @ ranges
+    assert np.max(np.abs(off_range), initial=0.0) <= 1e-12
+    traces = np.trace(lift.t_prime.values, axis1=-2, axis2=-1)
+    np.testing.assert_allclose(lift.tau, traces.real, rtol=0, atol=1e-12)
+    result, _, _ = run_scenario(rep, grid_size=grid)
+    assert result.winding == _index(rep)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    st.floats(min_value=3.0, max_value=15.0),
+    st.integers(min_value=1, max_value=64),
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=0, max_value=2**31),
+)
+@example(3.0, 1, 0, 0)
+@example(6.0, 8, 0, 0)
+@example(9.0, 8, 1, 0)
+@example(11.5, 4, 0, 0)
+@example(12.0, 4, 2, 1)
+@example(15.0, 64, 0, 0)
+def test_near_aligned_ranges_wind_or_raise(exponent, grid, pad, seed):
+    """h(0) = E11 and k(1) = Q E11 Q* for the rotation Q by theta = 10^-exponent,
+    padded with zero blocks and conjugated by one unitary: the range of k(1)
+    is at the angle theta to that of h(0).  A run returns the index 2, with
+    the lift matching the endpoints to _LIFT_ENDS_TOL, or raises
+    LiftResidual; it never returns another winding."""
+    theta = 10.0**-exponent
+    rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+    n = 2 + pad
+    u = random_unitary(np.random.default_rng(seed), n)
+
+    def embed(m):
+        out = np.zeros((n, n), dtype=complex)
+        out[:2, :2] = m
+        return u @ out @ u.conj().T
+
+    z = embed(Z2)
+    rep = BScenarioRep(QcTriple(embed(E11), z, z), QcTriple(z, z, embed(rot @ E11 @ rot.T)))
+    try:
+        result, lift, _ = run_scenario(rep, grid_size=grid)
+    except boundary.LiftResidual:
+        return
+    assert result.winding == 2
+    assert lift.endpoint_defect <= boundary._LIFT_ENDS_TOL
+
+
 def check_corner_block(rep):
-    """The 2n x 2n system a lift assembles from its two n x n decompositions is
+    """The 2n x 2n system a lift assembles from its two r x r decompositions is
     T = [[1 - h, x*], [x, k]] with x = k^(1/8) y h^(1/8), its eigenvalues are
     ascending with the decoupled ones exactly 0 and 1, and u is the block sum
     C diag(e^(2 pi i clip(w))) C* - 1 of exp(2 pi i T'), C = B[:n] + B[n:]."""
@@ -719,7 +797,7 @@ def check_corner_block(rep):
     n = model.fiber_dim
     es = lift.t
     w, basis = es.eigenvalues, es.basis
-    lam, v = lift.c.eigenvalues, lift.c.basis
+    lam, v = lift.full[0].eigenvalues, lift.full[0].basis
 
     def root(vals):
         return (v * vals[:, None, :] ** 0.125) @ v.conj().swapaxes(-1, -2)

@@ -269,6 +269,26 @@ class TestRelations:
         (key,) = field
         assert proc.stderr.splitlines() == [proc.stderr.strip()] and key in proc.stderr
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"deltas": [-1]},
+            {"deltas": [0]},
+            {"deltas": [1e-2, float("nan")]},
+            {"deltas": [float("inf")]},
+            {"samples_per_delta": 0},
+            {"samples_per_delta": -1},
+        ],
+    )
+    def test_out_of_range_sweep_spec_exits_64(self, tmp_path, relation_file, field):
+        # a delta that is not positive and finite, or no samples, is malformed input
+        spec = tmp_path / "sweep.json"
+        spec.write_text(json.dumps({"consequence": "x'*x - (h - h'*h)", **field}))
+        proc = run_cli("relations", "--input", str(relation_file), "--sweep", str(spec))
+        assert proc.returncode == 64, proc.stderr
+        (key,) = field
+        assert proc.stdout == "" and key in proc.stderr
+
     def test_env_missing_a_variable_exits_64(self, tmp_path, relation_file):
         trip = canonical_generators(2)
         env_path = tmp_path / "env.json"
