@@ -28,10 +28,11 @@ the pipeline
    at both endpoints, read off the same decompositions (U itself is formed
    only at the endpoints),
 5. collapses the four blocks of U to the single unitary
-   u = -1 + u11 + u12 + u21 + u22
-     = (WVZ) diag(e^(2 pi i clip(mu))) (WVZ)* + W_perp W_perp*,
-   accumulates the phase of det u across the grid, and checks the count
-   against the index tr T(1) - tr T(0).
+   u = -1 + u11 + u12 + u21 + u22 = F diag(u_R, 1) F*, with F = [W, W_perp]
+   and u_R = (VZ) diag(e^(2 pi i clip(mu))) (VZ)* r x r, accumulates the
+   phase of det u_R across the grid, and checks the count against the index
+   tr T(1) - tr T(0).  The defects are taken on u_R and widened by
+   ||F* F - 1|| to bounds on u, which is formed only when it is read.
 
 The resulting integer winding is the index obstruction carried by the input:
 it vanishes exactly when a spectral gap around 1/2 lets the fiberwise
@@ -43,8 +44,8 @@ data are checked once per run, as one stacked ``(2, n, n)`` triple.
 :func:`run_scenario` chooses the grid from tau = tr T', which the two
 decompositions give directly (det u = e^(2 pi i tau)): it doubles the grid,
 evaluating the decompositions at the new odd points only, until every step of
-tau is below 1/8, and then assembles u and certifies it once, on the final
-grid.  Every certificate takes the lift alone.
+tau is below 1/8, and then certifies u_R once, on the final grid.  Every
+certificate takes the lift alone.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ from .linalg import (
     _gate,
     _max_op_norm,
     _positive_eig,
+    _span,
     _support,
     _support_projection,
     _threshold_half,
@@ -187,12 +189,6 @@ class GridFunction:
     @property
     def fiber_dim(self) -> int:
         return self.values.shape[1]
-
-    def at(self, i: int) -> np.ndarray:
-        return self.values[i]
-
-    def endpoints(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.values[0], self.values[-1]
 
 
 def _interpolate(ends: np.ndarray, ts: np.ndarray, scheme: str = "linear") -> np.ndarray:
@@ -413,10 +409,9 @@ def _full(c: EigenSystem, b: EigenSystem, ends: _LiftEnds) -> tuple[EigenSystem,
     )
 
 
-def _t_ends(c: EigenSystem, b: EigenSystem, ends: _LiftEnds) -> EigenSystem:
-    """The decomposition of T at the first and last fibers of a lifted path."""
-    first_last = (EigenSystem(es.eigenvalues[[0, -1]], es.basis[[0, -1]]) for es in (c, b))
-    return _t_system(*_full(*first_last, ends))
+def _first_last(es: EigenSystem) -> EigenSystem:
+    """The first and last fibers of a decomposed path."""
+    return EigenSystem(es.eigenvalues[[0, -1]], es.basis[[0, -1]])
 
 
 def _median(vals: np.ndarray, default: float) -> complex:
@@ -457,7 +452,7 @@ def _lift_ends(rep: BScenarioRep, profile: ToleranceProfile) -> _LiftEnds:
     endpoints stacked.  One decomposition of [h(0), h(1), k(0), k(1)] serves
     every gate on h and k, the corner sandwich of :func:`qc_model.factor_x`,
     and the basis W of R: the eigenvectors on the supports the sandwich
-    inverts on, made orthonormal by :func:`_span`.  So y(0) and y(1) lie in R."""
+    inverts on, made orthonormal by :func:`linalg._span`.  So y(0) and y(1) lie in R."""
     a, b = rep.at0, rep.at1
     trip = QcTriple(np.stack([a.h, b.h]), np.stack([a.x, b.x]), np.stack([a.k, b.k]))
     res = low_level_residuals(trip, profile)
@@ -476,36 +471,6 @@ def _lift_ends(rep: BScenarioRep, profile: ToleranceProfile) -> _LiftEnds:
     r = basis.shape[1]
     t = t_matrix(trip, profile, check_hermitian=False)
     return _LiftEnds(c, y, t, frame[:, :r], frame[:, r:])
-
-
-def _span(q: np.ndarray, a: np.ndarray, cut: float) -> np.ndarray:
-    """The orthonormal columns ``q`` extended by orthonormal columns until they span
-    the columns of ``a`` up to residuals of norm ``cut``, or all of C^n.
-
-    Gram-Schmidt with column pivoting: each step takes the largest residual
-    left as a new column, projects it once more off the columns taken so
-    far, and projects it off the other residuals.  A residual is a
-    difference of vectors, accurate to rounding, so a unit column at an angle
-    theta to the span is kept for sin(theta) above ``cut``; a decomposition
-    of the sum of the projections onto the columns would see theta^2.
-    """
-    n, k = q.shape
-    out = np.empty((n, n), dtype=complex)
-    out[:, :k] = q
-    e = a - q @ (adjoint(q) @ a)
-    while k < n and e.size:
-        squares = np.einsum("ij,ij->j", e.conj(), e).real
-        j = np.argmax(squares)
-        if not squares[j] > cut * cut:
-            break
-        col = e[:, j] / np.sqrt(squares[j])
-        done = out[:, :k]
-        col -= done @ (adjoint(done) @ col)
-        col /= np.sqrt(np.vdot(col, col).real)
-        out[:, k] = col
-        k += 1
-        e -= np.outer(col, col.conj() @ e)
-    return out[:, :k]
 
 
 def _lift_fibers(
@@ -562,7 +527,8 @@ def lift_T(
         )
     ends = _lift_ends(rep, profile)
     c, b = _lift_fibers(ends, model.points, scheme, profile)
-    defects = op_norm(_clamped(_t_ends(c, b, ends)) - ends.t, profile)
+    t_ends = _t_system(*_full(_first_last(c), _first_last(b), ends))
+    defects = op_norm(_clamped(t_ends) - ends.t, profile)
     _gate("clamped path defect at the endpoints (0, 1)", defects, _LIFT_ENDS_TOL, LiftResidual)
     return TLift(c, b, ends, float(np.max(defects)), profile)
 
@@ -596,13 +562,25 @@ def winding_number(mats: list[np.ndarray] | np.ndarray) -> tuple[int, float, flo
 
 @dataclass(frozen=True)
 class BoundaryResult:
-    """The collapsed unitary path and its index certificates."""
+    """The collapsed unitary path and its index certificates.
 
-    u: GridFunction
+    ``u_r`` is the r x r path u_R and ``frame`` is F = [W, W_perp]; the
+    defects bound the n x n u = F diag(u_R, 1) F*, which :attr:`u` forms on
+    first reading.
+    """
+
+    u_r: np.ndarray
+    frame: np.ndarray
     winding: int
     unitarity_defect: float
     endpoint_defect: float
     phase_step_max: float
+
+    @cached_property
+    def u(self) -> GridFunction:
+        """u = W u_R W* + W_perp W_perp*, the (m+1, n, n) path."""
+        w, perp = np.split(self.frame, [self.u_r.shape[-1]], axis=1)
+        return GridFunction(w @ self.u_r @ adjoint(w) + perp @ adjoint(perp))
 
     def to_obj(self) -> dict:
         return {
@@ -622,31 +600,39 @@ def boundary_unitary(lift: TLift) -> BoundaryResult:
     (:class:`EndpointDefect` otherwise); the four n x n blocks collapse to
     u = -1 + u11 + u12 + u21 + u22, whose det phase is accumulated across
     the grid and must equal the index tr T(1) - tr T(0)
-    (:class:`WindingIndexMismatch` otherwise).  Nothing is decomposed here:
-    U is formed only at the endpoints, and u comes off the lift's
-    decompositions c = V diag(lam) V* and B = Z diag(mu) Z* on R.  Summing
-    the halves of T's eigenvectors (:func:`_t_system`), the eigenvalues 0
-    and 1 give V at phase 1, which cancels the -1 of u, and B gives VZ:
-    u = (W V Z) diag(e^(2 pi i clip(mu))) (W V Z)* + W_perp W_perp*, since
-    u is 1 on R-perp.  The unitarity defect is the largest ||u u* - 1|| over
-    the fibers (:func:`linalg._max_op_norm`).
+    (:class:`WindingIndexMismatch` otherwise).  Nothing is decomposed, and
+    all is r x r: U is formed only at the endpoints, on two copies of R
+    (T' is diag(1, 0) on R-perp, where U is 1), and u comes off the lift's
+    c = V diag(lam) V* and B = Z diag(mu) Z*.  Summing the halves of T's
+    eigenvectors (:func:`_t_system`), the eigenvalues 0 and 1 give V at
+    phase 1, which cancels the -1 of u, and B gives VZ: u = F diag(u_R, 1) F*
+    with u_R = (VZ) diag(e^(2 pi i clip(mu))) (VZ)* and F = [W, W_perp].
+    So det u = det u_R det(F F*), and u_R is wound.  With d the largest
+    ||u_R u_R* - 1|| over the fibers (:func:`linalg._max_op_norm`) and
+    e = ||F* F - 1||, the defects are the bounds (1 + e)(d + (1 + d) e) + e
+    on ||u u* - 1|| and (1 + e) ||u_R(j) - 1|| + e on ||u(j) - 1||; a frame
+    that is not finite makes them NaN, so invariants_hold fails.
     """
     profile, ends = lift.profile, lift.ends
-    n = len(ends.w)
+    r = lift.c.dim
+    u_ends = _unitary(_t_system(_first_last(lift.c), _first_last(lift.b)))
     _gate(
         "||exp(2 pi i T') - 1|| at the endpoints (0, 1)",
-        op_norm(_unitary(_t_ends(lift.c, lift.b, ends)) - np.eye(2 * n), profile),
+        op_norm(u_ends - np.eye(2 * r), profile),
         _UNIT_ENDS_TOL,
         EndpointDefect,
     )
-    u = _unitary(EigenSystem(lift.b.eigenvalues, ends.w @ (lift.c.basis @ lift.b.basis)))
-    u += ends.w_perp @ adjoint(ends.w_perp)
-    eye = np.eye(n)
-    unit_defect = _max_op_norm(u @ adjoint(u) - eye, profile)
-    end_defect = float(np.max(op_norm(u[[0, -1]] - eye, profile)))
-    winding, _, step_max = winding_number(u)
+    u_r = _unitary(EigenSystem(lift.b.eigenvalues, lift.c.basis @ lift.b.basis))
+    eye = np.eye(r)
+    d = _max_op_norm(u_r @ adjoint(u_r) - eye, profile)
+    frame = np.concatenate([ends.w, ends.w_perp], axis=1)
+    gram = adjoint(frame) @ frame - np.eye(len(frame))
+    e = op_norm(gram, profile) if np.isfinite(gram).all() else np.nan
+    unit_defect = (1.0 + e) * (d + (1.0 + d) * e) + e
+    end_defect = (1.0 + e) * float(np.max(op_norm(u_r[[0, -1]] - eye, profile))) + e
+    winding, _, step_max = winding_number(u_r)
     _check_index(winding, lift)
-    return BoundaryResult(GridFunction(u), winding, unit_defect, end_defect, step_max)
+    return BoundaryResult(u_r, frame, winding, unit_defect, end_defect, step_max)
 
 
 def _unitary(t: EigenSystem) -> np.ndarray:

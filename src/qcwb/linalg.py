@@ -322,6 +322,36 @@ def _support_projection(es: EigenSystem, profile: ToleranceProfile) -> np.ndarra
     return hermitian_part(es.apply(_support(es.eigenvalues, profile)))
 
 
+def _span(q: np.ndarray, a: np.ndarray, cut: float) -> np.ndarray:
+    """The orthonormal columns ``q`` extended by orthonormal columns until they span
+    the columns of ``a`` up to residuals of norm ``cut``, or the whole space.
+
+    Gram-Schmidt with column pivoting: each step takes the largest residual
+    left as a new column, projects it once more off the columns taken so
+    far, and projects it off the other residuals.  A residual is a
+    difference of vectors, accurate to rounding, so a unit column at an angle
+    theta to the span is kept for sin(theta) above ``cut``; a decomposition
+    of the sum of the projections onto the columns would see theta^2.
+    """
+    n, k = q.shape
+    out = np.empty((n, min(n, k + a.shape[1])), dtype=complex)
+    out[:, :k] = q
+    e = a - q @ (adjoint(q) @ a)
+    while k < out.shape[1]:
+        squares = np.einsum("ij,ij->j", e.conj(), e).real
+        j = np.argmax(squares)
+        if not squares[j] > cut * cut:
+            break
+        col = e[:, j] / np.sqrt(squares[j])
+        done = out[:, :k]
+        col -= done @ (adjoint(done) @ col)
+        col /= np.sqrt(np.vdot(col, col).real)
+        out[:, k] = col
+        k += 1
+        e -= np.outer(col, col.conj() @ e)
+    return out[:, :k]
+
+
 def _positive_eig(
     h: np.ndarray,
     tol: float,

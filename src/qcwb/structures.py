@@ -29,6 +29,7 @@ from .linalg import (
     _eigh_raw,
     _gate,
     _positive_eig,
+    _span,
     _support_projection,
     hermitian_part,
     op_norm,
@@ -312,16 +313,6 @@ def rho(
 # ---------------------------------------------------------------------------
 
 
-def _orthonormal_columns(vectors: np.ndarray, tol: float) -> np.ndarray:
-    """Orthonormal basis of the column span, singular values below tol dropped."""
-    if vectors.size == 0:
-        return np.zeros((vectors.shape[0], 0), dtype=complex)
-    u, s, _ = np.linalg.svd(vectors, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((vectors.shape[0], 0), dtype=complex)
-    return u[:, s > tol * s[0]]
-
-
 def corner_ideal_equality(
     h: np.ndarray,
     k: np.ndarray,
@@ -361,7 +352,7 @@ def corner_ideal_equality(
         cols = np.column_stack([(k @ e @ h).reshape(-1) for e in basis])
         scale = np.linalg.norm(cols, axis=0)
         scale[scale == 0.0] = 1.0
-        return _orthonormal_columns(cols / scale[None, :], profile.rank_tol)
+        return _span(np.zeros((n * n, 0), dtype=complex), cols / scale[None, :], profile.rank_tol)
 
     u_kah = sandwich_span(ambient_basis)
     u_kih = sandwich_span(ideal_basis)

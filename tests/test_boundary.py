@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from qcwb.linalg import DEFAULT_PROFILE, PROFILES, EigenSystem, frac_power, op_norm
 from qcwb.qc_model import QcTriple, canonical_fiber, factor_x, low_level_residuals, t_matrix
-from qcwb import boundary
+from qcwb import boundary, cli
 from qcwb.boundary import (
     BScenarioRep,
     GridFunction,
@@ -53,10 +54,10 @@ class TestIntervalModel:
         a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         g = GridFunction(boundary._interpolate(np.stack([a, b]), model.points))
-        v0, v1 = g.endpoints()
+        v0, v1 = g.values[[0, -1]]
         assert np.allclose(v0, a) and np.allclose(v1, b)
         kern = GridFunction(g.values - g.values)  # the zero function
-        k0, k1 = kern.endpoints()
+        k0, k1 = kern.values[[0, -1]]
         assert op_norm(k0) <= 1e-10 and op_norm(k1) <= 1e-10
 
 
@@ -109,7 +110,7 @@ class TestLiftT:
         lift = lift_T(rep, model)
         expected = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
         for i in range(9):
-            np.testing.assert_allclose(lift.t_prime.at(i), expected, atol=1e-12)
+            np.testing.assert_allclose(lift.t_prime.values[i], expected, atol=1e-12)
         assert lift.endpoint_defect <= 1e-12
 
     def test_eval_at_one_endpoints_exact_projections(self):
@@ -117,7 +118,7 @@ class TestLiftT:
         model = IntervalModel(grid_size=16, fiber_dim=2)
         lift = lift_T(rep, model)
         for idx in (0, 16):
-            t = lift.t_prime.at(idx)
+            t = lift.t_prime.values[idx]
             assert op_norm(t @ t - t) <= 1e-10
         assert lift.endpoint_defect <= 1e-9
 
@@ -126,16 +127,16 @@ class TestLiftT:
         model = IntervalModel(grid_size=16, fiber_dim=2)
         lift = lift_T(rep, model)
         for i in range(17):
-            w = np.linalg.eigvalsh(lift.t_prime.at(i))
+            w = np.linalg.eigvalsh(lift.t_prime.values[i])
             assert w[0] >= -1e-12 and w[-1] <= 1 + 1e-12
 
     def test_matched_endpoints_constant_projection(self):
         rep = builtin_scenario("matched-endpoints")
         model = IntervalModel(grid_size=8, fiber_dim=2)
         lift = lift_T(rep, model)
-        t0 = lift.t_prime.at(0)
+        t0 = lift.t_prime.values[0]
         for i in range(9):
-            np.testing.assert_allclose(lift.t_prime.at(i), t0, atol=1e-10)
+            np.testing.assert_allclose(lift.t_prime.values[i], t0, atol=1e-10)
         assert op_norm(t0 @ t0 - t0) <= 1e-10
 
     def test_scalar_parts(self):
@@ -304,7 +305,7 @@ class TestHomotopyCollapse:
         out, w_out, w_in = homotopy_collapse(lift)
         assert w_out == w_in == 0
         for i in range(5):
-            np.testing.assert_allclose(out.at(i), np.eye(4), atol=1e-12)
+            np.testing.assert_allclose(out.values[i], np.eye(4), atol=1e-12)
 
     def test_pipeline_windings_agree(self):
         rep = builtin_scenario("eval-at-one")
@@ -314,8 +315,8 @@ class TestHomotopyCollapse:
         assert w_out == w_in == 1
         # the s = 0 image is block diagonal with the collapsed unitary on top
         result = boundary_unitary(lift)
-        top = out.at(32)[:2, :2]
-        np.testing.assert_allclose(top, result.u.at(32), atol=1e-10)
+        top = out.values[32][:2, :2]
+        np.testing.assert_allclose(top, result.u.values[32], atol=1e-10)
 
     def test_doubling_doubles_both(self):
         rep = builtin_scenario("doubled")
@@ -367,7 +368,7 @@ class TestHomotopyCollapse:
         for s in (0.25, 0.5, 0.75):
             out, _, _ = homotopy_collapse(lift, s=s)
             for i in (0, 16, 32):
-                sv = np.linalg.svd(out.at(i), compute_uv=False)
+                sv = np.linalg.svd(out.values[i], compute_uv=False)
                 assert np.all(np.abs(sv - 1.0) <= 1e-8)
 
 
@@ -379,7 +380,7 @@ class TestExactProjectionLift:
         assert grid_rep.max_residual <= 1e-10
         assert grid_rep.endpoint_defect <= 1e-9
         for i in range(17):
-            triple = QcTriple(grid_rep.h.at(i), grid_rep.x.at(i), grid_rep.k.at(i))
+            triple = QcTriple(grid_rep.h.values[i], grid_rep.x.values[i], grid_rep.k.values[i])
             res = low_level_residuals(triple)
             assert max(res.values()) <= 1e-10
 
@@ -389,7 +390,7 @@ class TestExactProjectionLift:
         model = IntervalModel(grid_size=8, fiber_dim=2)
         grid_rep = exact_projection_lift(rep, model)
         for i in range(9):
-            np.testing.assert_allclose(grid_rep.h.at(i), fib.h, atol=1e-10)
+            np.testing.assert_allclose(grid_rep.h.values[i], fib.h, atol=1e-10)
 
     def test_eval_at_one_obstructed(self):
         rep = builtin_scenario("eval-at-one")
@@ -488,7 +489,8 @@ class TestStackedPipeline:
 
     def test_unitarity_defect_measures_few_fibers(self, rng, monkeypatch):
         # one conjugated eval-at-one at grid 2048: the column and Frobenius
-        # bounds leave the SVD a handful of the 2049 fibers of u u* - 1
+        # bounds leave the SVD a handful of the 2049 fibers of u_R u_R* - 1,
+        # and the reported defect is the bound that d and e give on u
         fibers = []
         svd = np.linalg.svd
 
@@ -501,9 +503,11 @@ class TestStackedPipeline:
         assert model.grid_size == 2048
         assert max(fibers) < 1025
         monkeypatch.undo()
-        u = result.u.values
-        defects = op_norm(u @ u.conj().swapaxes(-1, -2) - np.eye(2))
-        assert result.unitarity_defect == float(np.max(defects))
+        u_r, frame = result.u_r, result.frame
+        assert u_r.shape == (2049, 1, 1) and frame.shape == (2, 2)
+        d = float(np.max(op_norm(u_r @ u_r.conj().swapaxes(-1, -2) - np.eye(1))))
+        e = op_norm(frame.conj().T @ frame - np.eye(2))
+        assert result.unitarity_defect == (1.0 + e) * (d + (1.0 + d) * e) + e
 
     def test_jacobi_profile_skips_lapack(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -827,3 +831,74 @@ def test_corner_block_on_exact_endpoints(n, seed):
 @pytest.mark.parametrize("k", [1, 3, 12])
 def test_corner_block_on_conjugated_copies(rng, k):
     check_corner_block(conjugated_copies(rng, k))
+
+
+def check_certificates_bound_u(rep, grid):
+    """run_scenario never forms the n x n u; the defects it reports, taken on
+    u_R and widened by the frame term, bound those measured on u once it is
+    formed, less 4 n eps; and det u recounts the winding."""
+    result, _, model = run_scenario(rep, grid_size=grid)
+    assert "u" not in result.__dict__
+    u = result.u.values
+    n = model.fiber_dim
+    eye = np.eye(n)
+    slack = 4 * n * np.finfo(float).eps
+    unit = np.max(op_norm(u @ u.conj().swapaxes(-1, -2) - eye))
+    assert result.unitarity_defect >= unit - slack
+    assert result.endpoint_defect >= np.max(op_norm(u[[0, -1]] - eye)) - slack
+    phase = np.unwrap(np.angle(np.linalg.det(u)))
+    assert np.rint((phase[-1] - phase[0]) / (2 * np.pi)) == result.winding
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=1, max_value=64),
+    st.integers(min_value=0, max_value=2**31),
+)
+def test_certificates_bound_u_on_exact_endpoints(n, grid, seed):
+    gen = np.random.default_rng(seed)
+    check_certificates_bound_u(BScenarioRep(exact_endpoint(gen, n), exact_endpoint(gen, n)), grid)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=1, max_value=16),
+    st.integers(min_value=1, max_value=64),
+    st.integers(min_value=0, max_value=2**31),
+)
+def test_certificates_bound_u_on_conjugated_copies(k, grid, seed):
+    check_certificates_bound_u(conjugated_copies(np.random.default_rng(seed), k), grid)
+
+
+def _with_nan(frame):
+    out = frame.copy()
+    out[0, 0] = np.nan
+    return out
+
+
+def _stretched(frame):
+    out = frame.copy()
+    out[:, 0] *= 1.0 + 1e-6
+    return out
+
+
+@pytest.mark.parametrize("corrupt", [_with_nan, _stretched])
+@pytest.mark.parametrize("field", ["w", "w_perp"])
+def test_a_corrupted_frame_fails_closed(monkeypatch, capsys, field, corrupt):
+    """The certificates cover the embedding of R: a frame with a NaN, or with a
+    column off unit length by 1e-6, fails invariants_hold and the CLI exits 1,
+    though u_R still winds as the index."""
+    lift_T = boundary.lift_T
+
+    def corrupted(*args, **kwargs):
+        lift = lift_T(*args, **kwargs)
+        frame = corrupt(getattr(lift.ends, field))
+        return replace(lift, ends=replace(lift.ends, **{field: frame}))
+
+    result = boundary_unitary(corrupted(builtin_scenario("doubled"), IntervalModel(64, 4)))
+    assert result.winding == 2
+    assert not result.invariants_hold()
+    monkeypatch.setattr(boundary, "lift_T", corrupted)
+    assert cli.main(["boundary", "--scenario", "doubled"]) == cli.EXIT_FAIL
+    capsys.readouterr()

@@ -22,7 +22,7 @@ from qcwb.linalg import (
     smooth_step,
     unitary_exp,
 )
-from qcwb.linalg import _gate, _max_norm_above, _max_op_norm
+from qcwb.linalg import _gate, _max_norm_above, _max_op_norm, _span
 from qcwb.structures import CornerQuad, CornerSystem, SupportViolation, support_projection
 
 from conftest import (
@@ -698,3 +698,24 @@ class TestGate:
         skew[0, 1] *= 1.5
         with pytest.raises(NotHermitian):
             herm_eig(skew)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=1, max_value=30),
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=0, max_value=2**31),
+)
+def test_span_is_sized_by_its_columns_property(rows, rank, extra, seed):
+    """_span returns min(rows, rank) orthonormal columns spanning ``rank``
+    independent columns repeated ``extra`` times, never a rows x rows array."""
+    gen = np.random.default_rng(seed)
+    rank = min(rank, rows)
+    base = gen.standard_normal((rows, rank)) + 1j * gen.standard_normal((rows, rank))
+    mix = gen.standard_normal((rank, extra))
+    a = np.hstack([base, base @ mix])
+    q = _span(np.zeros((rows, 0), dtype=complex), a, DEFAULT_PROFILE.rank_tol)
+    assert q.shape == (rows, rank)
+    np.testing.assert_allclose(q.conj().T @ q, np.eye(rank), rtol=0, atol=1e-12)
+    assert np.linalg.norm(a - q @ (q.conj().T @ a)) <= 1e-10 * max(1.0, np.linalg.norm(a))

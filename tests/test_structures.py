@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qcwb.linalg import NotHermitian, NotPositive, op_norm, unitary_exp
+from qcwb.linalg import PROFILES, NotHermitian, NotPositive, op_norm, unitary_exp
 from qcwb.structures import (
     CornerQuad,
     CornerSystem,
@@ -256,3 +256,24 @@ class TestCornerIdealEquality:
             _, gap = corner_ideal_equality(h, k, (n1, n2), ideal_block=1)
             cond = np.linalg.cond(h[n1:, n1:]) * np.linalg.cond(k[n1:, n1:])
             assert gap <= max(1e-10, 100 * np.finfo(float).eps * cond)
+
+    def test_jacobi_profile_skips_lapack(self, rng, monkeypatch):
+        from conftest import hermitian_with_spectrum
+
+        n1, n2 = 2, 3
+        pair = []
+        for _ in range(2):
+            m = np.zeros((n1 + n2, n1 + n2), dtype=complex)
+            m[:n1, :n1] = hermitian_with_spectrum(rng, rng.uniform(0.05, 1, n1))
+            m[n1:, n1:] = hermitian_with_spectrum(rng, rng.uniform(0.05, 1, n2))
+            pair.append(m)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("LAPACK reached under the jacobi profile")
+
+        for attr in ("eigh", "eigvalsh", "svd"):
+            monkeypatch.setattr(np.linalg, attr, forbidden)
+        equal, gap = corner_ideal_equality(
+            *pair, (n1, n2), ideal_block=1, profile=PROFILES["jacobi"]
+        )
+        assert equal and gap <= 1e-10
