@@ -24,7 +24,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .linalg import PROFILES, NoConvergence, func_calc, op_norm
+from .linalg import PROFILES, NoConvergence, _span, func_calc, op_norm
 from .qc_model import (
     FactorizationResidualTooLarge,
     QcTriple,
@@ -244,10 +244,10 @@ def _check_suite(seed: int, grid: int, profile) -> list[dict]:
     worst_gap = 0.0
     for _ in range(20):
         def pos_block(size):
-            # spectra bounded away from 0 keep the span computation well-posed
+            # spectra bounded away from 0 keep the span computation well-posed;
+            # the unitary comes off _span, which keeps the jacobi profile off LAPACK
             x = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
-            q, r = np.linalg.qr(x)
-            q = q * (np.diag(r) / np.abs(np.diag(r)))
+            q = _span(np.empty((size, 0), dtype=complex), x, 0.0)
             return (q * rng.uniform(0.05, 1.0, size)) @ q.conj().T
 
         hh = np.zeros((5, 5), dtype=complex)

@@ -13,11 +13,13 @@ spectrum.  One decomposition serves every function of the same matrix:
 
 Norms are values only.  Where a caller needs only the largest norm over a
 stack (:func:`_max_op_norm`) or whether it exceeds given levels
-(:func:`_max_norm_above`), cheap rigorous bounds decide first.  Pass 1 reads
-each fiber's column and Frobenius norms, which lie up to ``sqrt(n)`` apart;
-pass 2 reads the same two norms of ``(m* m)^4``, whose eighth roots lie
-within ``n^(1/16)``.  An SVD then runs only on the fibers the bounds cannot
-settle: those that may hold the maximum, or whose bounds straddle a level.
+(:func:`_max_norm_above`), cheap rigorous bounds decide first.  A comparison
+first reads the Frobenius norm of the whole stack, and a level at or above
+it is not exceeded.  Pass 1 reads each fiber's column and Frobenius norms,
+which lie up to ``sqrt(n)`` apart; pass 2 reads the same two norms of
+``(m* m)^4``, whose eighth roots lie within ``n^(1/16)``.  An SVD then runs
+only on the fibers the bounds cannot settle: those that may hold the
+maximum, or whose bounds straddle a level.
 The answers are those of :func:`op_norm` on the whole stack, bit for bit.
 
 All operations are pure functions: inputs are never mutated, results are
@@ -605,29 +607,50 @@ def _max_norm_above(
     m: np.ndarray, levels: Sequence[float], profile: ToleranceProfile = DEFAULT_PROFILE
 ) -> list[bool]:
     """``[_max_op_norm(m, profile) > level for level in levels]``, exactly,
-    from one set of :func:`_gram_power_bounds` and at most one SVD.
+    from one Frobenius norm, one set of :func:`_gram_power_bounds` and at
+    most one SVD.
 
-    A level below the largest lower bound is exceeded.  The others are
+    Every fiber's norm is at most the Frobenius norm of the whole stack,
+    one dot product over the N parts of its float view.  The squares are
+    nonnegative, so their sum errs by at most N eps relative (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2002, sections 3.5
+    and 6.2); widened by
+    ``max(_PRUNE_MARGIN, N eps)``, which also covers the SVD's rounding, it
+    bounds the value :func:`op_norm` returns.  A level at or above it is not
+    exceeded, with no product and no SVD.  For the other levels, one below
+    the largest Gram-power lower bound is exceeded, and the rest are
     answered by the largest norm of the fibers whose upper bounds reach the
-    lowest of them: every fiber that could exceed any of them.  The levels
-    are scaled by the same power of two as the bounds; where that leaves
-    the float range, a level saturates at 0 (far below the largest lower
-    bound) or inf (far above every upper bound), and each comparison keeps
-    its answer.  A NaN or inf entry raises :class:`NoConvergence` naming its
+    lowest of them: every fiber that could exceed any of them.  The norm
+    and the levels are scaled by the same power of two as the bounds (the
+    parts too, when they lie outside ``_UNSCALED``); where that leaves the
+    float range, a level saturates at 0 (far below the largest lower bound)
+    or inf (far above every upper bound), and each comparison keeps its
+    answer.  A NaN or inf entry raises :class:`NoConvergence` naming its
     fiber, before any BLAS call.
     """
     a = _as_square(m, "op_norm input")
-    _, top = _parts_top(a)
+    v, top = _parts_top(a)
     if top == 0.0:
         return [0.0 > level for level in levels]
     e = math.frexp(top)[1]
-    lower, upper = _gram_power_bounds(a, np.ones(a.shape[:-2], dtype=bool), e)
     low, high = _powers_of_two(e)
     levels = np.array(levels, dtype=float)
     scaled = levels * low * high
+    v = v.reshape(-1)
+    if _UNSCALED[0] <= top <= _UNSCALED[1]:
+        # exact: the norm lies in [2**-401, 2**400 sqrt(N)]
+        frob = math.sqrt(v @ v) * low * high
+    else:
+        v = v * low
+        v *= high
+        frob = math.sqrt(v @ v)
+    quiet = scaled >= frob * (1.0 + max(_PRUNE_MARGIN, v.size * np.finfo(float).eps))
+    if quiet.all():
+        return [False] * quiet.size
+    lower, upper = _gram_power_bounds(a, np.ones(a.shape[:-2], dtype=bool), e)
     above = lower.max() > scaled
     # a NaN level is neither exceeded nor open
-    open_ = ~above & (upper.max() >= scaled)
+    open_ = ~quiet & ~above & (upper.max() >= scaled)
     if open_.any():
         straddle = upper >= scaled[open_].min()
         norm = float(np.max(op_norm(a.reshape(-1, *a.shape[-2:])[straddle], profile)))

@@ -24,7 +24,12 @@ threshold:
 4.  if that defect is below 1/4 the spectrum avoids 1/2.  Thresholding B at
     1/2 yields a projection Pi, and the blocks of the exact projection that
     thresholds T2 are the output triple: h_out = U_P (1 - Pi_PP) U_P*,
-    x_out = U_N Pi_NP U_P* and k_out = U_N Pi_NN U_N*.
+    x_out = U_N Pi_NP U_P* and k_out = U_N Pi_NN U_N*.  Its arrays are made
+    read-only.  The run measures the distances moved at once, and decides
+    whether every output relation defect is at most ``RESIDUAL_SUCCESS_TOL``
+    from Frobenius bounds, which settle an exact output with no SVD
+    (:func:`linalg._max_norm_above`); the report measures the output
+    residuals themselves when they are first read.
 
 Support orthogonality of g_plus and g_minus makes the output orthogonality
 exact up to rounding, and the whole construction moves each component only
@@ -34,6 +39,7 @@ O(theta) plus the spectral displacement of the threshold step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -44,13 +50,14 @@ from .linalg import (
     _eigh_raw,
     _gate,
     _idempotency_defect,
+    _max_norm_above,
     _threshold_half,
     adjoint,
     hermitian_part,
     op_norm,
     smooth_step,
 )
-from .qc_model import QcTriple, low_level_residuals
+from .qc_model import QcTriple, _low_level_defects, low_level_residuals
 
 __all__ = [
     "SpectralGapFailure",
@@ -89,14 +96,37 @@ class NoWorkableTheta(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
+def _check_epsilon(epsilon: float) -> None:
+    """Raise ``ValueError`` unless the target distance lies in (0, 1/4); a NaN fails."""
+    if not 0.0 < epsilon < 0.25:
+        raise ValueError(f"epsilon must lie in (0, 1/4), got {epsilon}")
+
+
+def _check_theta(theta: float) -> None:
+    """Raise ``ValueError`` unless the cutoff width is positive and finite; a NaN fails."""
+    if not 0.0 < theta < np.inf:
+        raise ValueError(f"theta must be positive and finite, got {theta}")
+
+
+def _ramp_width(theta: float, ramp_width: float | None = None) -> float:
+    """The q cutoffs' ramp width, theta^2/4 by default, once both widths are
+    valid (:func:`_check_theta`, and the ramp width in (0, theta^2/4]);
+    ``ValueError`` otherwise, and a NaN fails."""
+    _check_theta(theta)
+    if ramp_width is None:
+        return theta**2 / 4.0
+    if not 0.0 < ramp_width <= theta**2 / 4.0 + 1e-15:
+        raise ValueError(f"ramp_width must lie in (0, theta^2/4], got {ramp_width}")
+    return ramp_width
+
+
 def make_gplus(theta: float) -> RealFunction:
     """Smooth positive-part ramp: 0 on t <= 0, identity above theta/2.
 
     On [0, theta/2] it is t * step(2t/theta), so t - theta/2 <= g(t) <= t
     pointwise on the positive axis.
     """
-    if theta <= 0:
-        raise ValueError(f"theta must be positive, got {theta}")
+    _check_theta(theta)
     half = 0.5 * theta
 
     def fn(t: np.ndarray) -> np.ndarray:
@@ -121,15 +151,7 @@ def make_qplus(theta: float, ramp_width: float | None = None) -> RealFunction:
     The default ramp width theta^2/4 keeps sqrt(t - t^2) * (1 - q(t)^2)
     below theta/2 on [0, 1], which is the slack the squeezing step needs.
     """
-    if theta <= 0:
-        raise ValueError(f"theta must be positive, got {theta}")
-    if ramp_width is None:
-        ramp_width = theta * theta / 4.0
-    if ramp_width <= 0 or ramp_width > theta * theta / 4.0 + 1e-15:
-        raise ValueError(
-            f"ramp_width must lie in (0, theta^2/4], got {ramp_width}"
-        )
-    width = ramp_width
+    width = _ramp_width(theta, ramp_width)
 
     def fn(t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -186,28 +208,31 @@ class SmoothingParams:
     profile: ToleranceProfile = field(default=DEFAULT_PROFILE)
 
     def __post_init__(self):
-        if not (0.0 < self.epsilon < 0.25):
-            raise ValueError(f"epsilon must lie in (0, 1/4), got {self.epsilon}")
-        if self.theta <= 0:
-            raise ValueError(f"theta must be positive, got {self.theta}")
-        if self.ramp_width is None:
-            object.__setattr__(self, "ramp_width", self.theta**2 / 4.0)
-        if self.ramp_width <= 0 or self.ramp_width > self.theta**2 / 4.0 + 1e-15:
-            raise ValueError("ramp_width must lie in (0, theta^2/4]")
+        _check_epsilon(self.epsilon)
+        object.__setattr__(self, "ramp_width", _ramp_width(self.theta, self.ramp_width))
         if self.delta is None:
             object.__setattr__(self, "delta", self.epsilon / 2.0)
 
 
 @dataclass
 class SmoothingReport:
-    """Residuals, spectra, and distances recorded along one smoothing run."""
+    """Residuals, spectra, and distances recorded along one smoothing run.
+
+    The input residuals and the distances read the caller's arrays, so they
+    are measured during the run.  ``success`` is decided then as well: the
+    output residuals are compared with ``RESIDUAL_SUCCESS_TOL`` through
+    Frobenius bounds, which settle an exact output with no decomposition.
+    The figures themselves, :attr:`output_residuals`, are measured on
+    ``output`` when first read.  The run returns that same triple and makes
+    its arrays read-only, so the figures are those of the returned output,
+    and a write into it raises.
+    """
 
     input_residuals: dict[str, float]
     s_min: float
     s_max: float
     t2_defect: float
     t2_within_half_epsilon: bool
-    output_residuals: dict[str, float]
     dist_h: float
     dist_k: float
     dist_x: float
@@ -215,6 +240,13 @@ class SmoothingReport:
     ramp_width: float
     epsilon: float
     success: bool
+    output: QcTriple = field(repr=False, compare=False)
+    profile: ToleranceProfile = field(repr=False, compare=False)
+
+    @cached_property
+    def output_residuals(self) -> dict[str, float]:
+        """The output's relation residuals, :func:`low_level_residuals`."""
+        return low_level_residuals(self.output, self.profile)
 
     def to_obj(self) -> dict:
         return {
@@ -300,21 +332,24 @@ def _smooth_checked(
     h_out = hermitian_part(u_p @ (np.eye(p) - pi[:p, :p]) @ adjoint(u_p))
     x_out = u_n @ pi[p:, :p] @ adjoint(u_p)
     k_out = hermitian_part(u_n @ pi[p:, p:] @ adjoint(u_n))
+    for a in (h_out, x_out, k_out):
+        a.flags.writeable = False
     out = QcTriple(h_out, x_out, k_out)
-    out_res = low_level_residuals(out, profile)
     dist_h = op_norm(h_out - h, profile)
     dist_k = op_norm(k_out - k, profile)
     dist_x = op_norm(x_out - x, profile)
-    success = max(out_res.values()) <= RESIDUAL_SUCCESS_TOL and max(
-        dist_h, dist_k, dist_x
-    ) <= params.epsilon
+    # one defect at a time, as in low_level_residuals; map holds none of them
+    inexact = map(
+        lambda defect: _max_norm_above(defect, [RESIDUAL_SUCCESS_TOL], profile)[0],
+        _low_level_defects(out),
+    )
+    success = max(dist_h, dist_k, dist_x) <= params.epsilon and not any(inexact)
     report = SmoothingReport(
         input_residuals=input_res,
         s_min=float(lam[0]) if lam.size else 0.0,
         s_max=float(lam[-1]) if lam.size else 0.0,
         t2_defect=t2_defect,
         t2_within_half_epsilon=t2_defect <= params.epsilon / 2.0 + 1e-6,
-        output_residuals=out_res,
         dist_h=dist_h,
         dist_k=dist_k,
         dist_x=dist_x,
@@ -322,6 +357,8 @@ def _smooth_checked(
         ramp_width=params.ramp_width,
         epsilon=params.epsilon,
         success=success,
+        output=out,
+        profile=profile,
     )
     return out, report
 
@@ -350,8 +387,10 @@ def auto_theta(
     Returns the successful parameters together with the run's output; raises
     :class:`NoWorkableTheta` when ``_THETA_FLOOR`` is reached without success.  The
     input is checked once, before the search: one that misses the norm
-    precondition fails at once, with last failure ``"residual"``.
+    precondition fails at once, with last failure ``"residual"``.  An epsilon
+    outside (0, 1/4) raises ``ValueError`` before any norm is taken.
     """
+    _check_epsilon(epsilon)
     try:
         input_res = _checked_input(triple, profile)
     except ResidualTooLarge as exc:

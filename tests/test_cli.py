@@ -86,6 +86,17 @@ class TestSmooth:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["result"]["theta"] == 0.05
 
+    @pytest.mark.parametrize("epsilon", ["0", "-1", "nan", "0.3"])
+    def test_epsilon_out_of_range_exits_64(self, capsys, canonical_file, epsilon):
+        # a usage error, not a residual failure (exit 3) of the theta search
+        assert cli.main(["smooth", "--input", str(canonical_file), "--epsilon", epsilon]) == 64
+        assert "epsilon must lie in (0, 1/4)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("theta", ["nan", "inf"])
+    def test_non_finite_theta_exits_64(self, capsys, canonical_file, theta):
+        assert cli.main(["smooth", "--input", str(canonical_file), "--theta", theta]) == 64
+        assert "theta must be positive and finite" in capsys.readouterr().err
+
 
 class TestBoundary:
     def test_eval_at_one(self, tmp_path):
@@ -176,6 +187,26 @@ class TestCheck:
         assert report["result"]["all_pass"] is True
         labels = [c["label"] for c in report["result"]["checks"]]
         assert "corner homotopy respects products" in labels
+
+    def test_jacobi_profile_skips_lapack(self, monkeypatch, capsys):
+        # every numpy.linalg function is forbidden but the Frobenius norm,
+        # a BLAS sum of squares that never reaches LAPACK
+        norm = np.linalg.norm
+
+        def frobenius(x, ord=None, *args, **kwargs):
+            assert ord in (None, "fro"), ord
+            return norm(x, ord, *args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("numpy.linalg reached under the jacobi profile")
+
+        for attr in dir(np.linalg):
+            fn = getattr(np.linalg, attr)
+            if not attr.startswith("_") and callable(fn) and not isinstance(fn, type):
+                monkeypatch.setattr(np.linalg, attr, forbidden)
+        monkeypatch.setattr(np.linalg, "norm", frobenius)
+        assert cli.main(["check", "--seed", "0", "--tolerance-profile", "jacobi"]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["all_pass"] is True
 
 
 class TestRelations:

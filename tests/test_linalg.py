@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -388,13 +390,18 @@ def test_max_op_norm_is_the_max_of_op_norm_property(name, fibers, n, exponent, k
     seed=st.integers(min_value=0, max_value=2**31),
 )
 def test_max_norm_above_is_the_comparison_property(name, fibers, n, exponent, kind, seed):
-    # the Gram-power bounds decide a comparison only where the norms would,
-    # whether the levels are asked together or one at a time
+    # the Frobenius and Gram-power bounds decide a comparison only where the
+    # norms would, whether the levels are asked together or one at a time
     profile = PROFILES[name]
     a = norm_stack(np.random.default_rng(seed), fibers, n, exponent, kind)
     top = _max_op_norm(a, profile)
     neighbours = (np.nextafter(top, 0.0), np.nextafter(top, np.inf), top * (1 + 1e-9), top * (1 - 1e-9))
-    levels = [top, *neighbours, 0.5 * top, 0.0, np.inf, np.nan]
+    # the Frobenius norm of the stack, where the first pass starts to decide;
+    # hypot scales, so it neither overflows nor underflows at 10^(+-200)
+    frob = math.hypot(*a.view(float).ravel())
+    edge = (frob, np.nextafter(frob, 0.0), np.nextafter(frob, np.inf),
+            frob * (1 + 1e-8), np.nextafter(frob * (1 + 1e-8), np.inf))
+    levels = [top, *neighbours, *edge, 0.5 * top, 0.0, np.inf, np.nan]
     assert _max_norm_above(a, levels, profile) == [top > level for level in levels]
     for level in levels:
         assert _max_norm_above(a, [level], profile) == [top > level], level

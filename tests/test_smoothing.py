@@ -88,6 +88,26 @@ class TestCutoffs:
         with pytest.raises(ValueError):
             make_qplus(0.1, ramp_width=0.01)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -0.1])
+    def test_non_finite_widths_fail_closed(self, bad):
+        # theta and the ramp width go through one check, which a NaN fails
+        for make in (
+            lambda: make_gplus(bad),
+            lambda: make_gminus(bad),
+            lambda: make_qplus(bad),
+            lambda: make_qminus(bad),
+            lambda: SmoothingParams(epsilon=0.1, theta=bad),
+        ):
+            with pytest.raises(ValueError, match="theta must be positive and finite"):
+                make()
+        for make in (
+            lambda: make_qplus(0.1, ramp_width=bad),
+            lambda: make_qminus(0.1, ramp_width=bad),
+            lambda: SmoothingParams(epsilon=0.1, theta=0.1, ramp_width=bad),
+        ):
+            with pytest.raises(ValueError, match="ramp_width must lie in"):
+                make()
+
     def test_support_orthogonality(self, rng):
         # g_plus(s) g_minus(s) = 0 for every Hermitian s
         gp = make_gplus(0.3)
@@ -291,7 +311,41 @@ def test_auto_theta_decomposes_the_corner_block(rng, monkeypatch):
     eighs = [shape for name, shape in calls if name == "eigh"]
     assert len(eighs) == 2, calls
     assert max(shape[-1] for shape in eighs) <= n
-    assert sum(name == "svd" for name, _ in calls) <= 11, calls
+    # 4 input residuals and 3 distances: the exact output's defects are
+    # settled by their Frobenius norms, and measured when the report is read
+    svds = sum(name == "svd" for name, _ in calls)
+    assert svds <= 7, calls
+    assert "output_residuals" not in vars(report)
+    assert max(report.output_residuals.values()) <= 1e-10
+    assert sum(name == "svd" for name, _ in calls) == svds + 4, calls
+
+
+@pytest.mark.parametrize("name", ["default", "jacobi"])
+def test_output_residuals_are_those_of_the_returned_output(rng, name):
+    # read on demand, the figures are low_level_residuals of the output the
+    # run returned, bit for bit; that output cannot be written to
+    profile = PROFILES[name]
+    trip, _ = perturbed_generators(rng, m=4, size=1e-4)
+    params, out, report = auto_theta(trip, epsilon=0.1, profile=profile)
+    assert report.output is out
+    for a in (out.h, out.x, out.k):
+        assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        out.h[0, 0] = 1.0
+    assert report.output_residuals == low_level_residuals(out, profile)
+    assert report.to_obj()["output_residuals"] == report.output_residuals
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -1.0, np.nan, 0.25, 0.3])
+def test_auto_theta_rejects_epsilon_before_any_norm(epsilon, monkeypatch):
+    # the check SmoothingParams makes, taken before the input is measured
+    trip = canonical_generators(2)
+    calls = _count_decompositions(monkeypatch)
+    with pytest.raises(ValueError, match="epsilon must lie in"):
+        auto_theta(trip, epsilon=epsilon)
+    assert calls == []
+    with pytest.raises(ValueError, match="epsilon must lie in"):
+        SmoothingParams(epsilon=epsilon, theta=0.05)
 
 
 @pytest.mark.parametrize("name", ["default", "jacobi"])
