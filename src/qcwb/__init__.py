@@ -90,7 +90,6 @@ from .boundary import (
     IntervalModel,
     LiftResidual,
     NoSpectralGap,
-    NotOrthogonal,
     PhaseStepTooLarge,
     WindingIllConditioned,
     WindingIndexMismatch,

@@ -40,7 +40,10 @@ threshold produce an exact lift of the representation.
 
 Every path is one stacked ``(m+1, r, r)`` array, and each step is one call
 of the stacked kernel in :mod:`qcwb.linalg` on the whole path.  The endpoint
-data are checked once per run, as one stacked ``(2, n, n)`` triple.
+data are checked once per run, as one stacked ``(2, n, n)`` triple, and each
+precondition once: the exact relations to 1e-10, which imply the weaker ones
+(hk = 0, 0 <= T <= 1) of the projective algebra, and then Hermitian,
+positive h and k and the corner sandwich (see :func:`_lift_ends`).
 :func:`run_scenario` chooses the grid from tau = tr T', which the two
 decompositions give directly (det u = e^(2 pi i tau)): it doubles the grid,
 evaluating the decompositions at the new odd points only, until every step of
@@ -77,7 +80,6 @@ from .linalg import (
 from .qc_model import (
     E11,
     QcTriple,
-    _check_corner_relations,
     _corner_sandwich,
     canonical_fiber,
     low_level_residuals,
@@ -86,7 +88,6 @@ from .qc_model import (
 from .structures import CornerQuad, CornerSystem, homotopy_theta
 
 __all__ = [
-    "NotOrthogonal",
     "LiftResidual",
     "EndpointDefect",
     "WindingIllConditioned",
@@ -107,10 +108,6 @@ __all__ = [
     "winding_number",
     "run_scenario",
 ]
-
-
-class NotOrthogonal(ValueError):
-    """The endpoint h, k pairs are not orthogonal positive contractions."""
 
 
 class LiftResidual(RuntimeError):
@@ -255,22 +252,6 @@ def builtin_scenario(name: str) -> BScenarioRep:
 # ---------------------------------------------------------------------------
 # lifting
 # ---------------------------------------------------------------------------
-
-
-def _orthogonal_difference(
-    h: np.ndarray, k: np.ndarray, hk_norm: np.ndarray, profile: ToleranceProfile
-) -> tuple[np.ndarray, EigenSystem]:
-    """c = h - k of the stacked endpoint values, once h and k pass as positive contractions
-    with ||h k|| = ``hk_norm`` small; returned with the one decomposition of
-    [h(0), h(1), k(0), k(1)], which gives ||h|| and ||k||."""
-    what = "(h(0), h(1), k(0), k(1))"
-    es = _positive_eig(np.concatenate([h, k]), 1e-8, profile, NotOrthogonal, what)
-    w = es.eigenvalues
-    _gate(f"max eigenvalue of {what}", w.max(axis=-1, initial=1.0), 1.0 + 1e-8, NotOrthogonal)
-    norms = np.max(np.abs(w), axis=-1, initial=0.0)
-    bound = 1e-10 * np.maximum(1.0, norms[: len(h)] * norms[len(h) :])
-    _gate("||h k|| at the endpoints (0, 1)", hk_norm, bound, NotOrthogonal)
-    return h - k, es
 
 
 @dataclass(frozen=True)
@@ -448,20 +429,32 @@ def _scalar_parts(lift: TLift) -> tuple[tuple[complex, complex], float]:
 
 
 def _lift_ends(rep: BScenarioRep, profile: ToleranceProfile) -> _LiftEnds:
-    """The endpoint half of :func:`lift_T`: every endpoint gate, once, on both
-    endpoints stacked.  One decomposition of [h(0), h(1), k(0), k(1)] serves
-    every gate on h and k, the corner sandwich of :func:`qc_model.factor_x`,
-    and the basis W of R: the eigenvectors on the supports the sandwich
-    inverts on, made orthonormal by :func:`linalg._span`.  So y(0) and y(1) lie in R."""
+    """The endpoint half of :func:`lift_T`: each endpoint precondition checked once, on
+    both endpoints stacked.  The relation residual is gated at 1e-10
+    (:class:`LiftResidual`), h and k are Hermitian (:func:`herm_eig`) with
+    -min eigenvalue at most ``clamp_tol`` (:class:`NotPositive`), and the corner
+    sandwich must give back x.
+
+    The projective algebra is defined by weaker relations, hk = 0 and 0 <= T <= 1, so an
+    endpoint that passes the residual gate passes those too, and nothing gates them again.
+    For a unit v with Hv = lam v, H the Hermitian part of h,
+    Re v*(h*h + x*x - h)v >= lam^2 - lam, so lam lies in [-1e-10, 1 + 1e-10]; the same
+    holds for k.  The blocks of T_H^2 - T_H, with T_H the block matrix of the Hermitian
+    parts, are the relation defects up to the Hermitian defects, so the spectrum of T_H
+    lies within about 6e-10 of [0, 1].
+
+    One decomposition of [h(0), h(1), k(0), k(1)] serves the gates on h and k, the corner
+    sandwich of :func:`qc_model.factor_x`, and the basis W of R: the eigenvectors on the
+    supports the sandwich inverts on, made orthonormal by :func:`linalg._span`.  So y(0)
+    and y(1) lie in R."""
     a, b = rep.at0, rep.at1
     trip = QcTriple(np.stack([a.h, b.h]), np.stack([a.x, b.x]), np.stack([a.k, b.k]))
-    res = low_level_residuals(trip, profile)
-    worst = np.max(list(res.values()), axis=0)
+    worst = np.max(list(low_level_residuals(trip, profile).values()), axis=0)
     _gate("relation residual at the endpoints (0, 1)", worst, 1e-10, LiftResidual)
-    c, es = _orthogonal_difference(trip.h, trip.k, res["orthogonality"], profile)
-    _check_corner_relations(trip, profile)
+    es = _positive_eig(
+        np.concatenate([trip.h, trip.k]), profile.clamp_tol, profile, NotPositive, "h, k"
+    )
     w, v = es.eigenvalues, es.basis
-    _gate("-min eigenvalue of h, k", -w.min(axis=-1, initial=0.0), profile.clamp_tol, NotPositive)
     y = _corner_sandwich(EigenSystem(w[:2], v[:2]), EigenSystem(w[2:], v[2:]), trip.x, profile)
     n = v.shape[-1]
     # column j of fiber i, for each eigenvalue on its support
@@ -469,8 +462,7 @@ def _lift_ends(rep: BScenarioRep, profile: ToleranceProfile) -> _LiftEnds:
     basis = _span(np.zeros((n, 0), dtype=complex), support, profile.rank_tol)
     frame = _span(basis, np.eye(n, dtype=complex), profile.rank_tol)
     r = basis.shape[1]
-    t = t_matrix(trip, profile, check_hermitian=False)
-    return _LiftEnds(c, y, t, frame[:, :r], frame[:, r:])
+    return _LiftEnds(trip.h - trip.k, y, t_matrix(trip), frame[:, :r], frame[:, r:])
 
 
 def _lift_fibers(

@@ -10,8 +10,9 @@ field.
 
 Exit codes: 0 success; 1 suite or invariant failure; 2 spectral-gap or
 winding conditioning failure; 3 residual precondition failure; 64 malformed
-input; 65 relation syntax or validation error.  ``EXIT_CODES`` maps each
-library exception to one of them.
+input, usage errors included (an unknown subcommand or flag, or a flag value
+argparse cannot read); 65 relation syntax or validation error.
+``EXIT_CODES`` maps each library exception to one of them.
 """
 
 from __future__ import annotations
@@ -200,7 +201,7 @@ def _check_suite(seed: int, grid: int, profile) -> list[dict]:
         max(low_level_residuals(trip, profile).values()),
         1e-12,
     )
-    t = t_matrix(trip, profile)
+    t = t_matrix(trip)
     record("canonical block matrix is a projection", op_norm(t @ t - t, profile), 1e-12)
     record(
         "canonical block matrix has integer trace",
@@ -360,8 +361,17 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on a usage error, which is ``EXIT_GAP`` here; this parser, and
+    the subcommand parsers made from it, exit ``EXIT_BAD_INPUT`` instead."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_BAD_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qcwb",
         description="Workbench for quadratic matrix relation systems",
     )

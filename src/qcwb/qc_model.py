@@ -114,22 +114,10 @@ class QcTriple:
         )
 
 
-def t_matrix(
-    triple: QcTriple,
-    profile: ToleranceProfile = DEFAULT_PROFILE,
-    check_hermitian: bool = True,
-) -> np.ndarray:
-    """The 2n x 2n block matrix [[1 - h, x*], [x, k]] of each fiber.
-
-    With Hermitian h, k this is self-adjoint; ``check_hermitian=False`` skips
-    the precondition for residual sweeps over arbitrary triples and for
-    blocks Hermitian by construction.
-    """
+def t_matrix(triple: QcTriple) -> np.ndarray:
+    """The 2n x 2n block matrix [[1 - h, x*], [x, k]] of each fiber, self-adjoint when
+    h and k are Hermitian."""
     h, x, k = triple.h, triple.x, triple.k
-    if check_hermitian:
-        for name, m in (("h", h), ("k", k)):
-            defect, bound = _hermitian_defect(m, profile.hermitian_tol, profile)
-            _gate(f"hermitian defect of {name}", defect, bound, NotHermitian)
     eye = np.eye(triple.dim, dtype=complex)
     return np.block([[eye - h, adjoint(x)], [x, k]])
 
@@ -161,7 +149,7 @@ def high_level_residuals(
     triple: QcTriple, profile: ToleranceProfile = DEFAULT_PROFILE
 ) -> dict[str, float]:
     """Residuals of the block form: orthogonality, idempotency, self-adjointness."""
-    t = t_matrix(triple, profile, check_hermitian=False)
+    t = t_matrix(triple)
     return {
         "orthogonality": op_norm(triple.h @ triple.k, profile),
         "idempotent": op_norm(t @ t - t, profile),
@@ -172,9 +160,14 @@ def high_level_residuals(
 def positivity_residuals(
     triple: QcTriple, profile: ToleranceProfile = DEFAULT_PROFILE
 ) -> dict[str, float]:
-    """Residuals of the weak system: orthogonality plus 0 <= T <= 1, per fiber."""
-    t = t_matrix(triple, profile)
-    w = _eigh_raw(t, profile).eigenvalues
+    """Residuals of the weak system: orthogonality plus 0 <= T <= 1, per fiber.
+
+    h and k must be Hermitian (:class:`NotHermitian`), so that T is self-adjoint.
+    """
+    for name, m in (("h", triple.h), ("k", triple.k)):
+        defect, bound = _hermitian_defect(m, profile.hermitian_tol, profile)
+        _gate(f"hermitian defect of {name}", defect, bound, NotHermitian)
+    w = _eigh_raw(t_matrix(triple), profile).eigenvalues
     return {
         "orthogonality": op_norm(triple.h @ triple.k, profile),
         # 0.0 - min(w, 0) rather than max(0, -w), which leaves -0.0 for w = 0
@@ -204,28 +197,18 @@ def canonical_generators(m: int) -> QcTriple:
     return QcTriple(h, x, k)
 
 
-def factor_x(
-    triple: QcTriple,
-    profile: ToleranceProfile = DEFAULT_PROFILE,
-    check_pre: bool = True,
-) -> np.ndarray:
+def factor_x(triple: QcTriple, profile: ToleranceProfile = DEFAULT_PROFILE) -> np.ndarray:
     """Factor x = k^(1/8) y h^(1/8), returning y = k^(-1/8) x h^(-1/8), per fiber.
 
-    h and k are decomposed once each for :func:`_corner_sandwich`.  Requires
-    the weak relation residuals below ``_PRE_TOL`` (so x lives in the k-h
-    corner up to tolerance); ``check_pre=False`` skips that gate.
+    Requires the weak relation residuals below ``_PRE_TOL``, so that x lives in the
+    k-h corner up to tolerance; h and k are then decomposed once each for
+    :func:`_corner_sandwich`.
     """
-    if check_pre:
-        _check_corner_relations(triple, profile)
+    worst = np.max(list(positivity_residuals(triple, profile).values()), axis=0)
+    _gate("corner relation residual", worst, _PRE_TOL, ValueError)
     hs = _positive_eig(hermitian_part(triple.h), profile.clamp_tol, profile, what="h")
     ks = _positive_eig(hermitian_part(triple.k), profile.clamp_tol, profile, what="k")
     return _corner_sandwich(hs, ks, triple.x, profile)
-
-
-def _check_corner_relations(triple: QcTriple, profile: ToleranceProfile) -> None:
-    """The pre-gate of :func:`factor_x`: each fiber's weak relation residual below ``_PRE_TOL``."""
-    worst = np.max(list(positivity_residuals(triple, profile).values()), axis=0)
-    _gate("corner relation residual", worst, _PRE_TOL, ValueError)
 
 
 def _corner_sandwich(

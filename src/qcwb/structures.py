@@ -31,6 +31,7 @@ from .linalg import (
     _positive_eig,
     _span,
     _support_projection,
+    adjoint,
     hermitian_part,
     op_norm,
 )
@@ -123,12 +124,7 @@ class CornerQuad:
         return self.x11 + self.x12 + self.x21 + self.x22
 
     def adjoint(self) -> "CornerQuad":
-        return CornerQuad(
-            self.x11.conj().T,
-            self.x21.conj().T,
-            self.x12.conj().T,
-            self.x22.conj().T,
-        )
+        return CornerQuad(*map(adjoint, (self.x11, self.x21, self.x12, self.x22)))
 
     def mul(self, other: "CornerQuad") -> "CornerQuad":
         # corner calculus: (a b)_ik = sum_j a_ij b_jk, cross terms vanish
@@ -286,10 +282,10 @@ def linking_adjoint(e: LinkingElement) -> LinkingElement:
     return LinkingElement(
         alpha=np.conj(e.alpha),
         beta=np.conj(e.beta),
-        x11=e.x11.conj().T,
-        x12=e.x21.conj().T,
-        x21=e.x12.conj().T,
-        x22=e.x22.conj().T,
+        x11=adjoint(e.x11),
+        x12=adjoint(e.x21),
+        x21=adjoint(e.x12),
+        x22=adjoint(e.x22),
     )
 
 

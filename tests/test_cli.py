@@ -159,6 +159,33 @@ class TestBoundary:
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["smooth", "--bogus"],
+        ["boundary", "--grid", "abc"],
+        ["nosuch"],
+        ["smooth", "--input", "t.json", "--theta", "-inf"],
+        ["check", "--bogus"],
+        [],
+    ],
+)
+def test_usage_errors_exit_64(capsys, argv):
+    # argparse's own exit code, 2, is the code of a spectral-gap failure here
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 64
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_exit_0(capsys, flag):
+    with pytest.raises(SystemExit) as info:
+        cli.main([flag])
+    assert info.value.code == 0
+    assert "qcwb" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
     "exc, code",
     [
         (LiftResidual("x"), 3),

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from qcwb.linalg import DimMismatch, op_norm
+from qcwb.linalg import DEFAULT_PROFILE, DimMismatch, herm_eig, hermitian_part, op_norm
 from qcwb.qc_model import (
     FactorizationResidualTooLarge,
     QcTriple,
+    _corner_sandwich,
     canonical_fiber,
     canonical_generators,
     factor_x,
@@ -20,6 +21,12 @@ E11 = np.diag([1.0, 0.0]).astype(complex)
 E22 = np.diag([0.0, 1.0]).astype(complex)
 E21 = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 Z2 = np.zeros((2, 2), dtype=complex)
+
+
+def sandwich(trip):
+    """y of factor_x without its pre-gate: the corner sandwich alone."""
+    hs, ks = (herm_eig(hermitian_part(m)) for m in (trip.h, trip.k))
+    return _corner_sandwich(hs, ks, trip.x, DEFAULT_PROFILE)
 
 
 def zero_triple(n=2):
@@ -206,8 +213,7 @@ class TestFactorX:
         r = random_matrix(rng, base.dim)
         x = k8 @ r @ h8
         x = x / op_norm(x)
-        trip = QcTriple(base.h, x, base.k)
-        y = factor_x(trip, check_pre=False)
+        y = sandwich(QcTriple(base.h, x, base.k))
         assert op_norm(k8 @ y @ h8 - x) <= 1e-9
 
     def test_unsupported_x_raises(self):
@@ -216,15 +222,21 @@ class TestFactorX:
         k = np.diag([0.0, 0.5, 0.0]).astype(complex)
         x = np.zeros((3, 3), dtype=complex)
         x[2, 2] = 1e-3  # supported entirely outside both corners
-        trip = QcTriple(h, x, k)
         with pytest.raises(FactorizationResidualTooLarge):
-            factor_x(trip, check_pre=False)
+            sandwich(QcTriple(h, x, k))
 
-    @pytest.mark.parametrize("check_pre", [True, False])
-    def test_one_decomposition_per_factor(self, rng, eigh_shapes, check_pre):
+    def test_one_decomposition_per_factor(self, rng, eigh_shapes):
         # one eigh of h, one of k, plus the pre-gate's eigh of T
-        factor_x(exact_endpoint(rng, 6), check_pre=check_pre)
-        assert eigh_shapes == [(12, 12)] * check_pre + [(6, 6), (6, 6)]
+        factor_x(exact_endpoint(rng, 6))
+        assert eigh_shapes == [(12, 12), (6, 6), (6, 6)]
+
+    def test_sandwich_decomposes_nothing(self, rng, eigh_shapes):
+        # the sandwich reads the decompositions of h and k it is given
+        trip = exact_endpoint(rng, 6)
+        hs, ks = (herm_eig(hermitian_part(m)) for m in (trip.h, trip.k))
+        eigh_shapes.clear()
+        _corner_sandwich(hs, ks, trip.x, DEFAULT_PROFILE)
+        assert eigh_shapes == []
 
     def test_pre_gate_rejects_order_violations(self):
         # norm-one x breaks 0 <= T <= 1, which the default gate reports

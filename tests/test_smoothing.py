@@ -369,7 +369,7 @@ def _dense_reference(trip, theta, profile):
     x2 = func_calc(s, make_qminus(theta), profile) @ trip.x @ func_calc(
         s, make_qplus(theta), profile
     )
-    t2 = t_matrix(QcTriple(h2, x2, k2), profile)
+    t2 = t_matrix(QcTriple(h2, x2, k2))
     w = np.linalg.eigvalsh(t2)
     defect = float(np.max(np.abs(w * w - w)))
     n = trip.dim

@@ -197,6 +197,23 @@ class TestLinking:
             rho(bad, sys=sys)
 
 
+@pytest.mark.parametrize("fibers", [3, 4])
+def test_adjoints_of_stacks_are_per_fiber(rng, fibers):
+    # a stacked quad, as homotopy_collapse builds, has the adjoint of each fiber;
+    # 4 fibers of 4 x 4 would let a transpose of the whole stack pass on shape alone
+    n = 4
+    parts = [np.stack([random_matrix(rng, n) for _ in range(fibers)]) for _ in range(4)]
+    quad = CornerQuad(*parts).adjoint()
+    element = linking_adjoint(LinkingElement(0.5 + 1j, 2.0, *parts))
+    for i in range(fibers):
+        one = CornerQuad(*(p[i] for p in parts))
+        want = [m.conj().T for m in (one.x11, one.x21, one.x12, one.x22)]
+        for got in (quad, element):
+            for m, w in zip((got.x11, got.x12, got.x21, got.x22), want):
+                np.testing.assert_array_equal(m[i], w)
+    assert element.alpha == 0.5 - 1j and element.beta == 2.0
+
+
 class TestCornerIdealEquality:
     def test_identity_elements(self):
         n1, n2 = 2, 3
