@@ -19,11 +19,10 @@ the pipeline
 2. lifts x through the corner factorization x = k^(1/8) y h^(1/8), with y
    interpolated between its endpoint values; h, k and both eighth roots are
    read off the one decomposition of c,
-3. decomposes the blocked matrix T = [[1 - h, x*], [x, k]] once, through
-   its r x r corner block B = Z diag(mu) Z* on R in the eigenbasis V of
-   W* c W (the rest of T's spectrum is exactly 0 or 1); T and the clamped
-   path T' are assembled only at the two endpoints, to check them against
-   the data,
+3. decomposes the blocked matrix T = [[1 - h, x*], [x, k]] on R + R once,
+   through its r x r corner block B = Z diag(mu) Z* on R in the eigenbasis
+   V of W* c W (the rest of T's spectrum is exactly 0 or 1); the clamped
+   path T' is assembled only at the two endpoints, to check it,
 4. exponentiates: U = exp(2 pi i T'), a unitary path equal to the identity
    at both endpoints, read off the same decompositions (U itself is formed
    only at the endpoints),
@@ -38,12 +37,14 @@ The resulting integer winding is the index obstruction carried by the input:
 it vanishes exactly when a spectral gap around 1/2 lets the fiberwise
 threshold produce an exact lift of the representation.
 
-Every path is one stacked ``(m+1, r, r)`` array, and each step is one call
-of the stacked kernel in :mod:`qcwb.linalg` on the whole path.  The endpoint
-data are checked once per run, as one stacked ``(2, n, n)`` triple, and each
-precondition once: the exact relations to 1e-10, which imply the weaker ones
-(hk = 0, 0 <= T <= 1) of the projective algebra, and then Hermitian,
-positive h and k and the corner sandwich (see :func:`_lift_ends`).
+Every path is one stacked array on R, or on R + R, and each step is one call
+of the stacked kernel in :mod:`qcwb.linalg` on the whole path; the n x n paths
+(T', h, k, u, and the images of :func:`homotopy_collapse` and
+:func:`exact_projection_lift`) are embedded once each, by :func:`_embed`.  The
+endpoint data are checked once per run, as one stacked ``(2, n, n)`` triple,
+and each precondition once: the exact relations to 1e-10, which imply the
+weaker ones (hk = 0, 0 <= T <= 1) of the projective algebra, and then
+Hermitian, positive h and k and the corner sandwich (see :func:`_lift_ends`).
 :func:`run_scenario` chooses the grid from tau = tr T', which the two
 decompositions give directly (det u = e^(2 pi i tau)): it doubles the grid,
 evaluating the decompositions at the new odd points only, until every step of
@@ -276,11 +277,10 @@ class TLift:
     :func:`_lift_fibers`), one fiber per grid point; ``ends`` holds the
     endpoint data the paths interpolate, checked once, and the bases W of R
     and W_perp of R-perp.  On R-perp, h, k and x vanish, so T is
-    diag(1, 0) there and u is 1.  T, T', h, k, the supports of h and k and
-    the scalar parts of the linking decomposition are n x n, derived from
-    ``c``, ``b`` and ``ends`` on demand (:attr:`full`), under the lift's
-    ``profile``; T, the supports and the scalar parts are built once per
-    lift, on first reading.
+    diag(1, 0) there and u is 1.  T on R + R (:attr:`t`), the supports of h
+    and k on R and the scalar parts of the linking decomposition are read
+    under the lift's ``profile``, once per lift, on first reading; T', h and
+    k are embedded (:func:`_embed`) on each reading.
     """
 
     c: EigenSystem
@@ -289,29 +289,26 @@ class TLift:
     endpoint_defect: float
     profile: ToleranceProfile
 
-    @property
-    def full(self) -> tuple[EigenSystem, EigenSystem]:
-        """The decompositions of c and B as n x n systems (see :func:`_full`), formed
-        on each reading."""
-        return _full(self.c, self.b, self.ends)
-
     @cached_property
     def t(self) -> EigenSystem:
-        """The decomposition T = W diag(w) W* of the unclamped block path, w ascending."""
-        return _t_system(*self.full)
+        """The decomposition of T on R + R, 2r x 2r, eigenvalues ascending (:func:`_t_system`)."""
+        return _t_system(self.c, self.b)
 
     @property
     def t_prime(self) -> GridFunction:
-        """T' = W diag(clip(w, 0, 1)) W* for T = W diag(w) W*."""
-        return GridFunction(_clamped(self.t))
+        """T', which clamps T's spectrum to [0, 1], 2n x 2n."""
+        ends = self.ends
+        return GridFunction(_embed(_clamped(self.t), ends.w, ends.w_perp, (1, 0)))
 
     @property
     def h(self) -> GridFunction:
-        return GridFunction(_matrix(_parts(self.full[0])[0]))
+        ends = self.ends
+        return GridFunction(_embed(_matrix(_parts(self.c)[0]), ends.w, ends.w_perp, (0,)))
 
     @property
     def k(self) -> GridFunction:
-        return GridFunction(_matrix(_parts(self.full[0])[1]))
+        ends = self.ends
+        return GridFunction(_embed(_matrix(_parts(self.c)[1]), ends.w, ends.w_perp, (0,)))
 
     @property
     def tau(self) -> np.ndarray:
@@ -324,8 +321,8 @@ class TLift:
 
     @cached_property
     def _supports(self) -> tuple[np.ndarray, np.ndarray]:
-        """The support projections p_h, p_k of h and k."""
-        return tuple(_support_projection(part, self.profile) for part in _parts(self.full[0]))
+        """The support projections of h and k on R, r x r."""
+        return tuple(_support_projection(part, self.profile) for part in _parts(self.c))
 
     @cached_property
     def _scalars(self) -> tuple[tuple[complex, complex], float]:
@@ -372,22 +369,15 @@ def _t_system(c: EigenSystem, b: EigenSystem) -> EigenSystem:
     )
 
 
-def _full(c: EigenSystem, b: EigenSystem, ends: _LiftEnds) -> tuple[EigenSystem, EigenSystem]:
-    """The n x n decompositions of c and B off their r x r ones on R: c's basis is
-    [W V, W_perp], B's is Z plus unit vectors, and R-perp adds the eigenvalue 0 to both,
-    after those on R (so they are not sorted).  A 0 of c takes the bottom slot, where
-    d = 0, so T is diag(1, 0) on R-perp."""
-    stack = c.eigenvalues.shape[:-1]
-    r, perp = c.dim, ends.w_perp
-    zeros = np.zeros(stack + (perp.shape[1],))
-    v = np.concatenate([ends.w @ c.basis, np.broadcast_to(perp, stack + perp.shape)], axis=-1)
-    z = np.zeros(stack + (len(perp), len(perp)), dtype=complex)
-    z[..., :r, :r] = b.basis
-    np.einsum("...jj->...j", z)[..., r:] = 1.0
-    return (
-        EigenSystem(np.concatenate([c.eigenvalues, zeros], axis=-1), v),
-        EigenSystem(np.concatenate([b.eigenvalues, zeros], axis=-1), z),
-    )
+def _embed(a: np.ndarray, w: np.ndarray, w_perp: np.ndarray, units: tuple[int, ...]) -> np.ndarray:
+    """The path ``a`` on copies of R, one per entry of ``units``, on as many copies of
+    the whole space: W a_ij W* in block (i, j), plus W_perp W_perp* in block (i, i) where
+    ``units[i]`` is 1.  Every n x n path of a lift is formed here."""
+    (n, r), k, stack = w.shape, len(units), a.shape[:-2]
+    out = w @ a.reshape(stack + (k, r, k, r)).swapaxes(-3, -2) @ adjoint(w)
+    for i in np.flatnonzero(units):
+        out[..., i, i, :, :] += w_perp @ adjoint(w_perp)
+    return out.swapaxes(-3, -2).reshape(stack + (k * n, k * n))
 
 
 def _first_last(es: EigenSystem) -> EigenSystem:
@@ -401,30 +391,33 @@ def _median(vals: np.ndarray, default: float) -> complex:
 
 
 def _scalar_parts(lift: TLift) -> tuple[tuple[complex, complex], float]:
-    """The lift's ``rho`` and ``corner_defect``, off T' and the supports p_h, p_k
-    of h and k, which the lift derives from its two decompositions.
+    """The lift's ``rho`` and ``corner_defect``, off T' on R + R and the supports
+    p_h, p_k of h and k on R, which the lift derives from its two decompositions.
 
     At every fiber whose h (resp. k) support has a complement, the scalar is
     the compression of the diagonal block to that complement; ``rho`` holds
-    their medians.  The corner leak is maximized over the fibers without a
-    per-fiber norm (:func:`linalg._max_op_norm`).
+    their medians.  R-perp lies in both complements, where T' is diag(1, 0):
+    it adds n - r to each rank and to the top block's trace.  The corner leak
+    is read on R and maximized over the fibers without a per-fiber norm
+    (:func:`linalg._max_op_norm`).
     """
     t_prime = _clamped(lift.t)
     ph, pk = lift._supports
-    n = ph.shape[-1]
+    r, perp = ph.shape[-1], lift.ends.w_perp.shape[1]
 
-    def compressed(p: np.ndarray, block: np.ndarray) -> np.ndarray:
-        compl = np.eye(n, dtype=complex) - p
-        rank = np.rint(np.trace(compl, axis1=-2, axis2=-1).real)
+    def compressed(p: np.ndarray, block: np.ndarray, unit: float) -> np.ndarray:
+        compl = np.eye(r, dtype=complex) - p
+        rank = np.rint(np.trace(compl, axis1=-2, axis2=-1).real) + perp
         has = rank > 0
         vals = np.full(rank.shape, np.nan)
-        # tr(compl @ block) without the product: O(n^2) per fiber
-        vals[has] = np.einsum("...ij,...ji->...", compl[has], block[has]).real / rank[has]
+        # tr(compl @ block) without the product: O(r^2) per fiber
+        trace = np.einsum("...ij,...ji->...", compl[has], block[has]).real + unit * perp
+        vals[has] = trace / rank[has]
         return vals
 
-    t12 = t_prime[:, :n, n:]
-    alpha = _median(compressed(ph, t_prime[:, :n, :n]), 1.0)
-    beta = _median(compressed(pk, t_prime[:, n:, n:]), 0.0)
+    t12 = t_prime[:, :r, r:]
+    alpha = _median(compressed(ph, t_prime[:, :r, :r], 1.0), 1.0)
+    beta = _median(compressed(pk, t_prime[:, r:, r:], 0.0), 0.0)
     return (alpha, beta), _max_op_norm(t12 - ph @ t12 @ pk, lift.profile)
 
 
@@ -481,7 +474,7 @@ def _lift_fibers(
     half where lam_j > 0 and of its bottom half otherwise (d_j = 1 - lam_j
     or lam-_j), T on R is B = diag(d) + X + X* plus r eigenvalues exactly 0
     or 1.  On R-perp, c is 0, its slot is the bottom one with d = 0, and T
-    is diag(1, 0): B has the eigenvalue 0 there (see :func:`_full`).
+    is diag(1, 0).
     """
     w, w_adj = ends.w, adjoint(ends.w)
     c = herm_eig(_interpolate(w_adj @ ends.c @ w, ts), profile)
@@ -510,8 +503,8 @@ def lift_T(
     :func:`_lift_fibers`).  Both decompositions are r x r, on the sum R of
     the ranges of the endpoint h's and k's, off which T is diag(1, 0).
     T' clamps T's spectrum to [0, 1], and is formed here only at the two
-    endpoints, where it must match the uncompressed endpoint block matrices
-    to ``_LIFT_ENDS_TOL``.
+    endpoints, on R + R, and embedded (:func:`_embed`): it must match the
+    uncompressed endpoint block matrices to ``_LIFT_ENDS_TOL``.
     """
     if model.fiber_dim != rep.fiber_dim:
         raise DimMismatch(
@@ -519,8 +512,8 @@ def lift_T(
         )
     ends = _lift_ends(rep, profile)
     c, b = _lift_fibers(ends, model.points, scheme, profile)
-    t_ends = _t_system(*_full(_first_last(c), _first_last(b), ends))
-    defects = op_norm(_clamped(t_ends) - ends.t, profile)
+    t_ends = _clamped(_t_system(_first_last(c), _first_last(b)))
+    defects = op_norm(_embed(t_ends, ends.w, ends.w_perp, (1, 0)) - ends.t, profile)
     _gate("clamped path defect at the endpoints (0, 1)", defects, _LIFT_ENDS_TOL, LiftResidual)
     return TLift(c, b, ends, float(np.max(defects)), profile)
 
@@ -572,7 +565,7 @@ class BoundaryResult:
     def u(self) -> GridFunction:
         """u = W u_R W* + W_perp W_perp*, the (m+1, n, n) path."""
         w, perp = np.split(self.frame, [self.u_r.shape[-1]], axis=1)
-        return GridFunction(w @ self.u_r @ adjoint(w) + perp @ adjoint(perp))
+        return GridFunction(_embed(self.u_r, w, perp, (1,)))
 
     def to_obj(self) -> dict:
         return {
@@ -665,18 +658,22 @@ def exact_projection_lift(
 ) -> GridRepresentation:
     """Lift through the spectral threshold when a gap around 1/2 exists.
 
-    Reads the spectrum of the unclamped path T off the decomposition the
-    lift assembles from its two r x r ones (:attr:`TLift.t`); on R-perp it
-    is exactly 0 and 1.  If any eigenvalue falls inside
-    (1/2 - gamma, 1/2 + gamma), :class:`NoSpectralGap` is raised (the
+    Reads the spectrum of the unclamped path T on R + R off the lift
+    (:attr:`TLift.t`); on R-perp it is exactly 0 and 1.  ``gamma`` must lie
+    in (0, 1/2) (``ValueError``, a NaN included).  :class:`NoSpectralGap` is
+    raised if an eigenvalue falls inside (1/2 - gamma, 1/2 + gamma), or if
+    the rank of the threshold, the count of eigenvalues at or above 1/2,
+    changes along the grid (an exact integer test): an eigenvalue then
+    crosses the gap between two points, and the index is nonzero (the
     winding of the boundary pipeline is the obstruction).  Otherwise
-    thresholding the same spectrum at 1/2 is continuous in the fibers and
-    the blocks of the resulting projection path form an exact
-    representation lifting the input.
+    thresholding at 1/2 is continuous in the fibers and the blocks of the
+    projection path, embedded once, form an exact representation lifting
+    the input.
     """
+    if not 0.0 < gamma < 0.5:
+        raise ValueError(f"gamma must lie in (0, 1/2), got {gamma}")
     lift = lift_T(rep, model, scheme, profile)
-    n = model.fiber_dim
-    es = lift.t
+    n, es = model.fiber_dim, lift.t
     w = es.eigenvalues
     inside = (w > 0.5 - gamma) & (w < 0.5 + gamma)
     if inside.any():
@@ -685,17 +682,20 @@ def exact_projection_lift(
             f"fiber {i} has spectrum {w[i][inside[i]].round(4).tolist()} within "
             f"{gamma} of 1/2; no exact lift on this path"
         )
-    p = _threshold_half(es)
+    # R-perp adds the same n - r at every point, which the change cancels
+    rank = np.count_nonzero(w >= 0.5, axis=-1)
+    name = "change of the thresholded rank from grid point 0"
+    _gate(name, np.abs(rank - rank[0]), 0, NoSpectralGap)
+    p = _embed(_threshold_half(es), lift.ends.w, lift.ends.w_perp, (1, 0))
     h = GridFunction(hermitian_part(np.eye(n, dtype=complex) - p[:, :n, :n]))
     x = GridFunction(p[:, n:, :n])
     k = GridFunction(hermitian_part(p[:, n:, n:]))
     res = low_level_residuals(QcTriple(h.values, x.values, k.values), profile)
     worst = np.max(list(res.values()), axis=0)
-    pairs = ((h, rep.at0.h, rep.at1.h), (x, rep.at0.x, rep.at1.x), (k, rep.at0.k, rep.at1.k))
-    end_defects = np.max(
-        [op_norm(g.values[[0, -1]] - np.stack([at0, at1]), profile) for g, at0, at1 in pairs],
-        axis=0,
-    )
+    # (endpoint, block) stacks: h, x and k at 0 and 1
+    got = np.stack([h.values, x.values, k.values], axis=1)[[0, -1]]
+    data = np.array([[at.h, at.x, at.k] for at in (rep.at0, rep.at1)])
+    end_defects = np.max(op_norm(got - data, profile), axis=-1)
     _gate("thresholded lift residual", worst, 1e-10, LiftResidual)
     _gate("thresholded lift defect at the endpoints (0, 1)", end_defects, 1e-9, LiftResidual)
     return GridRepresentation(h, x, k, float(np.max(worst)), float(np.max(end_defects)))
@@ -715,19 +715,18 @@ def homotopy_collapse(lift: TLift, s: float = 0.0) -> tuple[GridFunction, int, i
     diag(u, 1) with u the collapsed winding unitary; at s = 1 it is U.
     Returns (collapsed path at s, winding of its det, winding of U's det),
     each gated against the index (:class:`WindingIndexMismatch`).  Nothing is
-    decomposed: U, h, k and their supports come off the lift.
+    decomposed: U, h, k and their supports are read on R + R off the lift.
+    U is 1 on R-perp, and so is the image, which is embedded once; its
+    unitarity gate and det winding read the returned 2n x 2n image.
     """
-    profile = lift.profile
-    n = len(lift.ends.w)
-    eye = np.eye(n, dtype=complex)
-    eye2 = np.eye(2 * n, dtype=complex)
+    profile, ends, r = lift.profile, lift.ends, lift.c.dim
+    eye = np.eye(r, dtype=complex)
     v = _unitary(lift.t)
-    quad = CornerQuad(v[:, :n, :n] - eye, v[:, :n, n:], v[:, n:, :n], v[:, n:, n:] - eye)
-    hs, ks = _parts(lift.full[0])
-    p_h, p_k = lift._supports
-    corners = CornerSystem(h=_matrix(hs), k=_matrix(ks), p_h=p_h, p_k=p_k)
-    out = GridFunction(eye2 + homotopy_theta(quad, s, corners, profile))
-    defect = out.values @ adjoint(out.values) - eye2
+    quad = CornerQuad(v[:, :r, :r] - eye, v[:, :r, r:], v[:, r:, :r], v[:, r:, r:] - eye)
+    corners = CornerSystem(*map(_matrix, _parts(lift.c)), *lift._supports)
+    image = np.eye(2 * r) + homotopy_theta(quad, s, corners, profile)
+    out = GridFunction(_embed(image, ends.w, ends.w_perp, (1, 1)))
+    defect = out.values @ adjoint(out.values) - np.eye(out.fiber_dim)
     # per-fiber norms only to name the failing fiber
     if not _max_op_norm(defect, profile) <= 1e-8:
         name = "homotopy image unitarity defect"

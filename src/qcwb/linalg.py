@@ -461,12 +461,13 @@ def op_norm(
     which names the first such fiber of a stack.
     """
     a = _as_square(m, "op_norm input")
+    # scanned first: LAPACK prints to stdout on a NaN or inf entry
+    if not np.isfinite(a).all():
+        raise NoConvergence(_not_finite(np.max(np.abs(a), axis=(-2, -1))))
     if a.shape[-1] == 0:
         norms = np.zeros(a.shape[:-2])
     elif profile.method == "jacobi":
         scale = np.max(np.abs(a), axis=(-2, -1))
-        if not np.all(np.isfinite(scale)):
-            raise NoConvergence(_not_finite(scale))
         # real divisions: a complex one overflows on a subnormal scale
         safe = np.where(scale > 0.0, scale, 1.0)[..., None, None]
         b = a.real / safe + 1j * (a.imag / safe)
@@ -476,13 +477,9 @@ def op_norm(
         try:
             norms = np.linalg.svd(a, compute_uv=False)[..., 0]
         except np.linalg.LinAlgError as exc:
-            # LAPACK fails on a NaN entry; only then is the input scanned
-            scale = np.max(np.abs(a), axis=(-2, -1))
-            if np.all(np.isfinite(scale)):
-                raise NoConvergence(str(exc)) from exc
-            raise NoConvergence(_not_finite(scale)) from exc
-        # an inf entry gives a NaN norm: testing the norms is O(1) per fiber,
-        # and math.isfinite keeps the test on one matrix below 0.1 us
+            raise NoConvergence(str(exc)) from exc
+        # a norm past the float range overflows: testing the norms is O(1) per
+        # fiber, and math.isfinite keeps the test on one matrix below 0.1 us
         finite = math.isfinite(norms) if a.ndim == 2 else np.isfinite(norms).all()
         if not finite:
             raise NoConvergence(_not_finite(norms))

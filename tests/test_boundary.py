@@ -43,7 +43,7 @@ from qcwb.boundary import (
     run_scenario,
     winding_number,
 )
-from qcwb.structures import support_projection
+from qcwb.structures import CornerQuad, homotopy_theta, support_projection
 
 from conftest import exact_endpoint, random_matrix, random_unitary
 
@@ -193,21 +193,20 @@ class TestLiftT:
         rho, defect = lift.rho, lift.corner_defect
         assert (lift.rho, lift.corner_defect) == (rho, defect)
         assert calls == [lift]
-        # the per-fiber reference: every scalar and every leak, then the medians and the max
+        # the n x n per-fiber reference: every scalar and every leak, off the
+        # supports of the n x n h and k, then the medians and the max
         n = model.fiber_dim
         tp = lift.t_prime.values
-        parts = boundary._parts(lift.full[0])
-        ph, pk = (boundary._support_projection(part, lift.profile) for part in parts)
+        ph, pk = support_projection(lift.h.values), support_projection(lift.k.values)
         slots = []
         for p, block, default in ((ph, tp[:, :n, :n], 1.0), (pk, tp[:, n:, n:], 0.0)):
             compl = np.eye(n, dtype=complex) - p
             rank = np.rint(np.trace(compl, axis1=-2, axis2=-1).real)
-            vals = np.einsum("...ij,...ji->...", compl, block).real / np.where(rank > 0, rank, 1)
-            vals = vals[rank > 0]
-            slots.append(complex(np.median(vals) if vals.size else default))
+            vals = np.trace(compl @ block, axis1=-2, axis2=-1)[rank > 0] / rank[rank > 0]
+            slots.append(complex(np.median(vals.real) if vals.size else default))
         t12 = tp[:, :n, n:]
-        assert rho == tuple(slots)
-        assert defect == float(np.max(op_norm(t12 - ph @ t12 @ pk)))
+        np.testing.assert_allclose(rho, slots, rtol=0, atol=1e-12)
+        assert abs(defect - float(np.max(op_norm(t12 - ph @ t12 @ pk)))) <= 1e-12
 
     def test_t_and_supports_are_built_once(self, rng, monkeypatch):
         # rho and homotopy_collapse read one T and one pair of supports off the lift
@@ -348,15 +347,18 @@ class TestHomotopyCollapse:
 
         def corrupted(*args):
             images.append(theta(*args).copy())
-            images[0][21] += 1e-6 * np.eye(4)
+            images[0][21] += 1e-6 * np.eye(images[0].shape[-1])
             return images[0]
 
         monkeypatch.setattr(boundary, "homotopy_theta", corrupted)
         with pytest.raises(WindingIllConditioned) as raised:
             homotopy_collapse(lift)
-        # the message the per-fiber gate gives on the same image
+        # the image is 2r x 2r, r = 1; the message the per-fiber gate gives on
+        # the same image, embedded
+        assert images[0].shape == (33, 2, 2)
+        ends = lift.ends
+        out = boundary._embed(np.eye(2) + images[0], ends.w, ends.w_perp, (1, 1))
         eye2 = np.eye(4, dtype=complex)
-        out = eye2 + images[0]
         with pytest.raises(WindingIllConditioned) as expected:
             boundary._gate(
                 "homotopy image unitarity defect",
@@ -418,6 +420,32 @@ class TestExactProjectionLift:
         # the same scenario that fails to lift carries winding 1
         result, _, _ = run_scenario("eval-at-one", grid_size=64)
         assert abs(result.winding) == 1
+
+    @pytest.mark.parametrize("name", ["eval-at-one", "doubled"])
+    @pytest.mark.parametrize("grid", [1, 3, 5, 7, 9])
+    def test_rank_change_between_grid_points_raises(self, name, grid):
+        # no eigenvalue of T lies on a grid point near 1/2, but the thresholded
+        # rank steps by the winding between two points: the path would jump
+        rep = builtin_scenario(name)
+        with pytest.raises(NoSpectralGap, match="change of the thresholded rank"):
+            exact_projection_lift(rep, IntervalModel(grid, rep.fiber_dim))
+
+    @pytest.mark.parametrize("grid", range(1, 10))
+    def test_unobstructed_data_lift_on_every_grid(self, grid):
+        fiber = canonical_fiber(1.0)
+        for rep in (builtin_scenario("matched-endpoints"), BScenarioRep(fiber, fiber)):
+            grid_rep = exact_projection_lift(rep, IntervalModel(grid, 2))
+            assert grid_rep.max_residual <= 1e-10
+
+    @pytest.mark.parametrize("gamma", [np.nan, 0.0, -0.1, 0.5, np.inf])
+    def test_gamma_outside_the_open_half_interval_raises(self, monkeypatch, gamma):
+        # a gamma of 0 or less, or a NaN, would switch the gap check off
+        def forbidden(*args, **kwargs):
+            raise AssertionError("lifted before gamma was checked")
+
+        monkeypatch.setattr(boundary, "lift_T", forbidden)
+        with pytest.raises(ValueError, match="gamma must lie in"):
+            exact_projection_lift(builtin_scenario("eval-at-one"), IntervalModel(16, 2), gamma)
 
 
 class TestRunScenario:
@@ -577,7 +605,8 @@ class TestStackedPipeline:
 
     def test_pipeline_forms_no_derived_path(self, rng, monkeypatch):
         # T', h, k and the scalar parts are derived on demand: a refined run
-        # takes no support projection and clamps T at the two endpoints only
+        # takes no support projection and clamps T on R + R (2r = 6 of 2n = 12)
+        # at the two endpoints only
         def forbidden(*args, **kwargs):
             raise AssertionError("derived data formed by the pipeline")
 
@@ -592,10 +621,11 @@ class TestStackedPipeline:
             return out
 
         monkeypatch.setattr(EigenSystem, "apply", recorded)
-        _, _, model = run_scenario(conjugated_copies(rng, 3), grid_size=6)
-        assert model.grid_size > 6
-        block_paths = [s for s in shapes if len(s) == 3 and s[-1] == 12]
-        assert block_paths and all(s[0] == 2 for s in block_paths)
+        _, lift, model = run_scenario(conjugated_copies(rng, 3), grid_size=6)
+        assert model.grid_size > 6 and lift.c.dim == 3
+        assert max(s[-1] for s in shapes) == 6
+        block_paths = [s for s in shapes if len(s) == 3 and s[-1] == 6 and s[0] != 2]
+        assert shapes.count((2, 6, 6)) >= 1 and block_paths == []
 
     def test_refinement_decomposes_only_the_new_points(self, rng, eigh_shapes):
         # grid 64 -> 128: the 65 coarse fibers are kept, the 64 odd ones added
@@ -607,8 +637,8 @@ class TestStackedPipeline:
             assert stacks[(fibers, 12, 12)] == 2
             assert stacks[(fibers, 24, 24)] == 0
         assert not any(shape[0] == 129 for shape in stacks)
-        # the one 48-wide stack is the weak-relation gate on T(0), T(1)
-        assert all(shape == (2, 48, 48) for shape in stacks if shape[-1] == 48)
+        # nothing wider than n = 24 is decomposed
+        assert eigh_shapes and all(shape[-1] <= 24 for shape in eigh_shapes)
 
     def test_endpoint_factorization_runs_once(self, rng, monkeypatch):
         # both endpoints share one corner sandwich, and refinement reuses it
@@ -637,6 +667,33 @@ class TestStackedPipeline:
         homotopy_collapse(lift)
         assert eigh_shapes == []
 
+    @pytest.mark.parametrize("name", ["eval-at-one", "matched-endpoints"])
+    def test_no_path_is_decomposed_wider_than_two_r(self, monkeypatch, eigh_shapes, name):
+        # padded with a zero block to n = 6, where 2r is 2 or 4: only the
+        # endpoint data (2 or 4 fibers) are decomposed n x n, to find R
+        base = builtin_scenario(name)
+        pad = QcTriple(*[np.zeros((4, 4), dtype=complex)] * 3)
+        rep = BScenarioRep(base.at0.direct_sum(pad), base.at1.direct_sum(pad))
+        applied = []
+        apply = EigenSystem.apply
+
+        def recorded(self, values):
+            applied.append(self.basis.shape)
+            return apply(self, values)
+
+        monkeypatch.setattr(EigenSystem, "apply", recorded)
+        lift = lift_T(rep, IntervalModel(64, 6))
+        assert lift.t.dim == 2 * lift.c.dim < 6
+        views = (lift.t_prime, lift.h, lift.k, lift.rho, lift.corner_defect)
+        assert views[0].values.shape == (65, 12, 12)
+        homotopy_collapse(lift)
+        if name == "eval-at-one":
+            boundary_unitary(lift)
+        else:
+            exact_projection_lift(rep, IntervalModel(64, 6))
+        for shape in applied + eigh_shapes:
+            assert shape[-1] <= 2 * lift.c.dim or shape[0] <= 4, shape
+
     @pytest.mark.parametrize("n", range(1, 9))
     def test_endpoint_factor_is_factor_x(self, n):
         # the stacked endpoint sandwich gives what the public factor_x gives
@@ -648,6 +705,7 @@ class TestStackedPipeline:
             np.testing.assert_array_equal(lift.ends.y[1], factor_x(rep.at1))
 
     def test_exact_projection_lift_decomposes_t_once(self, eigh_shapes):
+        # r = n = 2 here: two r x r stacks, and none on R + R
         exact_projection_lift(builtin_scenario("matched-endpoints"), IntervalModel(8, 2))
         assert eigh_shapes.count((9, 2, 2)) == 2
         assert (9, 4, 4) not in eigh_shapes
@@ -845,31 +903,41 @@ def test_near_aligned_ranges_wind_or_raise(exponent, grid, pad, seed):
 
 
 def check_corner_block(rep):
-    """The 2n x 2n system a lift assembles from its two r x r decompositions is
-    T = [[1 - h, x*], [x, k]] with x = k^(1/8) y h^(1/8), its eigenvalues are
-    ascending with the decoupled ones exactly 0 and 1, and u is the block sum
-    C diag(e^(2 pi i clip(w))) C* - 1 of exp(2 pi i T'), C = B[:n] + B[n:]."""
+    """The system a lift assembles from its two r x r decompositions is T on
+    R + R, 2r x 2r; embedded, it is T = [[1 - h, x*], [x, k]] with
+    x = k^(1/8) y h^(1/8), read against the n x n views h, k and T'.  Its
+    eigenvalues are ascending with the decoupled ones exactly 0 and 1, and u
+    is the embedded block sum C diag(e^(2 pi i clip(w))) C* - 1 on R,
+    C = B[:r] + B[r:], of exp(2 pi i T')."""
     result, lift, model = run_scenario(rep)
-    n = model.fiber_dim
+    n, r = model.fiber_dim, lift.c.dim
+    ends = lift.ends
     es = lift.t
+    assert es.dim == 2 * r
     w, basis = es.eigenvalues, es.basis
-    lam, v = lift.full[0].eigenvalues, lift.full[0].basis
+    lam, v = lift.c.eigenvalues, lift.c.basis
 
     def root(vals):
         return (v * vals[:, None, :] ** 0.125) @ v.conj().swapaxes(-1, -2)
 
-    y = boundary._interpolate(lift.ends.y, model.points)
-    x = root(np.maximum(-lam, 0.0)) @ y @ root(np.maximum(lam, 0.0))
+    w_adj = ends.w.conj().T
+    y = w_adj @ boundary._interpolate(ends.y, model.points) @ ends.w
+    x_r = root(np.maximum(-lam, 0.0)) @ y @ root(np.maximum(lam, 0.0))
+    x = boundary._embed(x_r, ends.w, ends.w_perp, (0,))
     t = t_matrix(QcTriple(lift.h.values, x, lift.k.values))
-    eye2 = np.eye(2 * n)
-    assert np.max(op_norm(basis.conj().swapaxes(-1, -2) @ basis - eye2)) <= 1e-12
-    assert np.max(op_norm(es.apply(w) - t)) <= 1e-12
+    assert np.max(op_norm(basis.conj().swapaxes(-1, -2) @ basis - np.eye(2 * r))) <= 1e-12
+    t_embedded = boundary._embed(es.apply(w), ends.w, ends.w_perp, (1, 0))
+    assert np.max(op_norm(t_embedded - t)) <= 1e-12
+    # T' clamps T's spectrum: it moves T by the largest clamp distance
+    clamp = np.max(np.abs(np.clip(w, 0.0, 1.0) - w), axis=-1, initial=0.0)
+    assert np.all(np.abs(op_norm(lift.t_prime.values - t) - clamp) <= 1e-12)
     assert np.all(np.diff(w, axis=-1) >= 0.0)
     top = lam > 0.0
     assert np.all(np.count_nonzero(w == 0.0, axis=-1) >= top.sum(axis=-1))
     assert np.all(np.count_nonzero(w == 1.0, axis=-1) >= (~top).sum(axis=-1))
-    blocks = basis[:, :n, :] + basis[:, n:, :]
-    u = EigenSystem(w, blocks).apply(np.exp(2j * np.pi * np.clip(w, 0.0, 1.0))) - np.eye(n)
+    blocks = basis[:, :r, :] + basis[:, r:, :]
+    u_r = EigenSystem(w, blocks).apply(np.exp(2j * np.pi * np.clip(w, 0.0, 1.0))) - np.eye(r)
+    u = boundary._embed(u_r, ends.w, ends.w_perp, (1,))
     np.testing.assert_allclose(result.u.values, u, rtol=0, atol=1e-12)
 
 
@@ -954,3 +1022,81 @@ def test_a_corrupted_frame_fails_closed(monkeypatch, capsys, field, corrupt):
     monkeypatch.setattr(boundary, "lift_T", corrupted)
     assert cli.main(["boundary", "--scenario", "doubled"]) == cli.EXIT_FAIL
     capsys.readouterr()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=1, max_value=16),
+    st.integers(min_value=0, max_value=2**31),
+)
+def test_projection_lift_returns_only_at_index_zero(n, grid, seed):
+    """A returned projection lift has the same rank at every grid point, so the
+    endpoint data it lifts have index 0; a run that winds never lifts."""
+    gen = np.random.default_rng(seed)
+    rep = BScenarioRep(exact_endpoint(gen, n), exact_endpoint(gen, n))
+    try:
+        grid_rep = exact_projection_lift(rep, IntervalModel(grid, n))
+    except NoSpectralGap:
+        return
+    # rank T = n - tr h + tr k for an exact triple
+    ranks = np.trace(grid_rep.k.values - grid_rep.h.values, axis1=-2, axis2=-1).real
+    np.testing.assert_allclose(ranks, ranks[0], rtol=0, atol=1e-9)
+    assert _index(rep) == 0
+
+
+def _reference(lift, model):
+    """T', h, k, rho, the corner leak and the homotopy image at s = 0, each
+    built n x n from the interpolated c = h - k and y, with fresh
+    decompositions of c and T."""
+    n, ends = model.fiber_dim, lift.ends
+    lam, v = np.linalg.eigh(boundary._interpolate(ends.c, model.points))
+
+    def func(vals):
+        return (v * vals[:, None, :]) @ v.conj().swapaxes(-1, -2)
+
+    pos, neg = np.maximum(lam, 0.0), np.maximum(-lam, 0.0)
+    h, k = func(pos), func(neg)
+    x = func(neg**0.125) @ boundary._interpolate(ends.y, model.points) @ func(pos**0.125)
+    mu, z = np.linalg.eigh(t_matrix(QcTriple(h, x, k)))
+    t_prime = (z * np.clip(mu, 0.0, 1.0)[:, None, :]) @ z.conj().swapaxes(-1, -2)
+    ph, pk = support_projection(h), support_projection(k)
+    slots = []
+    for p, block, default in ((ph, t_prime[:, :n, :n], 1.0), (pk, t_prime[:, n:, n:], 0.0)):
+        compl = np.eye(n) - p
+        rank = np.rint(np.trace(compl, axis1=-2, axis2=-1).real)
+        vals = np.trace(compl @ block, axis1=-2, axis2=-1)[rank > 0].real / rank[rank > 0]
+        slots.append(np.median(vals) if vals.size else default)
+    t12 = t_prime[:, :n, n:]
+    leak = float(np.max(op_norm(t12 - ph @ t12 @ pk)))
+    u = (z * np.exp(2j * np.pi * np.clip(mu, 0.0, 1.0))[:, None, :]) @ z.conj().swapaxes(-1, -2)
+    eye = np.eye(n)
+    quad = CornerQuad(u[:, :n, :n] - eye, u[:, :n, n:], u[:, n:, :n], u[:, n:, n:] - eye)
+    image = np.eye(2 * n) + homotopy_theta(quad, 0.0)
+    return t_prime, h, k, slots, leak, image
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=1, max_value=32),
+    st.integers(min_value=0, max_value=2**31),
+)
+def test_views_on_r_match_the_n_by_n_reference(n, grid, seed):
+    """What a lift reads on R and embeds once matches the same figures built
+    n x n (:func:`_reference`) to 1e-12."""
+    gen = np.random.default_rng(seed)
+    rep = BScenarioRep(exact_endpoint(gen, n), exact_endpoint(gen, n))
+    model = IntervalModel(grid, n)
+    lift = lift_T(rep, model)
+    t_prime, h, k, slots, leak, image = _reference(lift, model)
+    for got, want in ((lift.t_prime, t_prime), (lift.h, h), (lift.k, k)):
+        assert got.values.shape == want.shape
+        np.testing.assert_allclose(got.values, want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(lift.rho, slots, rtol=0, atol=1e-12)
+    assert abs(lift.corner_defect - leak) <= 1e-12
+    try:
+        out, _, _ = homotopy_collapse(lift)
+    except WindingIllConditioned:
+        return
+    np.testing.assert_allclose(out.values, image, rtol=0, atol=1e-12)

@@ -492,6 +492,20 @@ class TestMaxOpNorm:
         assert capfd.readouterr() == ("", "")
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_op_norm_scans_before_lapack(rng, capfd, bad):
+    # the LAPACK method scans its input before the SVD: OpenBLAS would print a
+    # DLASCL notice to stdout on an inf entry
+    one = np.full((3, 3), bad, dtype=complex)
+    with pytest.raises(NoConvergence, match="not finite$"):
+        op_norm(one)
+    stack = np.stack([random_matrix(rng, 3) for _ in range(8)])
+    stack[6, 2, 0] = bad
+    with pytest.raises(NoConvergence, match="not finite at fiber 6$"):
+        op_norm(stack)
+    assert capfd.readouterr() == ("", "")
+
+
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(
     st.integers(min_value=1, max_value=6),
