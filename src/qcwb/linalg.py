@@ -458,12 +458,23 @@ def op_norm(
     ``m`` itself is representable.  The Jacobi method stays self-contained:
     Jacobi on the Gram matrix of ``m / max|m_ij|``, rescaled afterwards.
     Under either method a NaN or inf entry raises :class:`NoConvergence`,
-    which names the first such fiber of a stack.
+    which names the first such fiber of a stack, and so does a norm past the
+    float range, with its own message.
     """
     a = _as_square(m, "op_norm input")
     # scanned first: LAPACK prints to stdout on a NaN or inf entry
     if not np.isfinite(a).all():
         raise NoConvergence(_not_finite(np.max(np.abs(a), axis=(-2, -1))))
+    norms = _norms(a, profile)
+    return float(norms) if a.ndim == 2 else norms
+
+
+def _norms(
+    a: np.ndarray, profile: ToleranceProfile, where: np.ndarray | None = None
+) -> np.ndarray:
+    """:func:`op_norm` of ``a``, whose entries the caller found finite.  A norm
+    past the float range raises :class:`NoConvergence` naming its fiber, in the
+    caller's stack when ``a`` holds the fibers the mask ``where`` selects there."""
     if a.shape[-1] == 0:
         norms = np.zeros(a.shape[:-2])
     elif profile.method == "jacobi":
@@ -472,18 +483,21 @@ def op_norm(
         safe = np.where(scale > 0.0, scale, 1.0)[..., None, None]
         b = a.real / safe + 1j * (a.imag / safe)
         w, _ = jacobi_eigh(adjoint(b) @ b, profile.sweep_budget, profile.off_diag_tol)
-        norms = scale * np.sqrt(np.maximum(w[..., -1], 0.0))
+        with np.errstate(over="ignore"):  # an overflow is raised below
+            norms = scale * np.sqrt(np.maximum(w[..., -1], 0.0))
     else:
         try:
             norms = np.linalg.svd(a, compute_uv=False)[..., 0]
         except np.linalg.LinAlgError as exc:
             raise NoConvergence(str(exc)) from exc
-        # a norm past the float range overflows: testing the norms is O(1) per
-        # fiber, and math.isfinite keeps the test on one matrix below 0.1 us
-        finite = math.isfinite(norms) if a.ndim == 2 else np.isfinite(norms).all()
-        if not finite:
-            raise NoConvergence(_not_finite(norms))
-    return float(norms) if a.ndim == 2 else norms
+    # testing the norms is O(1) per fiber, and math.isfinite keeps the test
+    # on one matrix below 0.1 us
+    if not (math.isfinite(norms) if a.ndim == 2 else np.isfinite(norms).all()):
+        if where is not None:  # name the fiber in the caller's stack
+            norms, measured = np.zeros(where.shape), norms
+            norms[where] = measured
+        raise NoConvergence(_not_finite(norms, "operator norm overflows the float range"))
+    return norms
 
 
 # the relative slack on the pruning bounds, far above their rounding error
@@ -596,8 +610,8 @@ def _max_op_norm(m: np.ndarray, profile: ToleranceProfile = DEFAULT_PROFILE) -> 
             lower, upper = _gram_power_bounds(a, keep, math.frexp(top)[1])
             keep[keep] = upper >= lower.max()
         if 2 * np.count_nonzero(keep) <= keep.size:
-            a = a[keep]
-    return float(np.max(op_norm(a, profile)))
+            return float(np.max(_norms(a[keep], profile, keep)))
+    return float(np.max(_norms(a, profile)))
 
 
 def _max_norm_above(
@@ -649,19 +663,19 @@ def _max_norm_above(
     # a NaN level is neither exceeded nor open
     open_ = ~quiet & ~above & (upper.max() >= scaled)
     if open_.any():
-        straddle = upper >= scaled[open_].min()
-        norm = float(np.max(op_norm(a.reshape(-1, *a.shape[-2:])[straddle], profile)))
+        straddle = (upper >= scaled[open_].min()).reshape(a.shape[:-2])
+        norm = float(np.max(_norms(a[straddle], profile, straddle)))
         above[open_] = norm > levels[open_]
     return above.tolist()
 
 
-def _not_finite(per_fiber: np.ndarray) -> str:
-    """The :func:`op_norm` error message; it names the first fiber whose
-    ``per_fiber`` value is not finite."""
+def _not_finite(per_fiber: np.ndarray, what: str = "op_norm input is not finite") -> str:
+    """The error message ``what``, naming the first fiber whose ``per_fiber``
+    value is not finite."""
     bad = ~np.isfinite(per_fiber)
     idx = np.unravel_index(np.argmax(bad), bad.shape)
     at = f" at fiber {', '.join(map(str, idx))}" if idx else ""
-    return f"op_norm input is not finite{at}"
+    return f"{what}{at}"
 
 
 def frac_power(

@@ -69,7 +69,6 @@ __all__ = [
     "make_gminus",
     "make_qplus",
     "make_qminus",
-    "cutoff_from_spec",
     "smooth_representation",
     "auto_theta",
 ]
@@ -167,22 +166,6 @@ def make_qminus(theta: float, ramp_width: float | None = None) -> RealFunction:
         return q(-np.asarray(t, dtype=float))
 
     return RealFunction("qminus", fn, smoothness="smooth")
-
-
-_CUTOFF_MAKERS = {
-    "gplus": lambda theta, ramp: make_gplus(theta),
-    "gminus": lambda theta, ramp: make_gminus(theta),
-    "qplus": make_qplus,
-    "qminus": make_qminus,
-}
-
-
-def cutoff_from_spec(spec: dict) -> RealFunction:
-    """Rebuild a cutoff from its serialized (name, theta, ramp_width) form."""
-    maker = _CUTOFF_MAKERS.get(spec.get("name"))
-    if maker is None:
-        raise ValueError(f"unknown cutoff {spec.get('name')!r}")
-    return maker(float(spec["theta"]), spec.get("ramp_width"))
 
 
 # ---------------------------------------------------------------------------

@@ -63,9 +63,11 @@ def support_projection(
     """Spectral projection onto the range of a positive matrix, per fiber.
 
     Eigenvalues above ``support_tol * max(1, largest eigenvalue)`` of their
-    own fiber count as range directions.
+    own fiber count as range directions.  A fiber that is not Hermitian, or
+    not finite, raises :class:`NotHermitian`, and one with an eigenvalue
+    below ``-clamp_tol`` raises :class:`NotPositive`; each names the fiber.
     """
-    return _support_projection(_eigh_raw(h, profile), profile)
+    return _support_projection(_positive_eig(h, profile.clamp_tol, profile), profile)
 
 
 @dataclass(frozen=True)

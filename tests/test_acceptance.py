@@ -9,14 +9,9 @@ import time
 import numpy as np
 import pytest
 
+from qcwb import checks
 from qcwb.linalg import GapTooSmall, nearest_projection, op_norm
-from qcwb.qc_model import (
-    QcTriple,
-    canonical_generators,
-    high_level_residuals,
-    low_level_residuals,
-    t_matrix,
-)
+from qcwb.qc_model import QcTriple, canonical_generators, low_level_residuals, t_matrix
 from qcwb.boundary import (
     IntervalModel,
     NoSpectralGap,
@@ -35,14 +30,14 @@ from qcwb.relations import (
 )
 from qcwb.smoothing import auto_theta
 from qcwb.structures import (
-    corner_ideal_equality,
+    LinkingElement,
+    homotopy_theta,
     linking_mul,
-    make_corner_system,
+    random_corner_quad,
     rho,
-    theta_is_homomorphism,
 )
 
-from conftest import hermitian_with_spectrum, random_matrix
+from conftest import hermitian_with_spectrum
 
 
 class _Stopwatch:
@@ -67,43 +62,21 @@ class _Stopwatch:
         return False
 
 
+def _assert_pass(records):
+    failing = [r for r in records if not r["pass"]]
+    assert not failing, failing
+
+
 def test_criterion_1_canonical_generator_exactness():
     with _Stopwatch(1, "canonical-generator exactness (m=32)", 1.0):
-        trip = canonical_generators(32)
-        res = low_level_residuals(trip)
-        assert max(res.values()) <= 1e-12, res
-        t = t_matrix(trip)
-        assert op_norm(t @ t - t) <= 1e-12
+        _assert_pass(checks.canonical_exactness(32))
+        t = t_matrix(canonical_generators(32))
         assert op_norm(t.conj().T - t) <= 1e-12
-        # fiberwise trace oracle: each 4x4 fiber contributes (1 - t) + 1 + t
-        # + 0 = 2, so the total is exactly 2m
-        trace = float(np.trace(t).real)
-        assert abs(trace - 2 * 32) <= 1e-9
 
 
 def test_criterion_2_presentation_equivalence():
     with _Stopwatch(2, "relation-presentation equivalence, 500 triples", 30.0):
-        rng = np.random.default_rng(1207)
-        false_orderings = 0
-        for _ in range(500):
-            n = 4
-            parts = []
-            for _ in range(3):
-                m = random_matrix(rng, n)
-                parts.append(m / max(op_norm(m), 1.0))
-            trip = QcTriple(*parts)
-            low = low_level_residuals(trip)
-            high = high_level_residuals(trip)
-            high_sum = sum(high.values())
-            low_sum = sum(low.values())
-            # constants from the block expansion of T^2 - T with unit norms:
-            # every low-level defect embeds in a block (coefficient 1), and
-            # each block is a sum of at most five low-level defects
-            if any(v > 1.0 * high_sum + 1e-12 for v in low.values()):
-                false_orderings += 1
-            if any(v > 5.0 * low_sum + 1e-12 for v in high.values()):
-                false_orderings += 1
-        assert false_orderings == 0
+        _assert_pass(checks.presentation_equivalence(np.random.default_rng(1207), 500))
 
 
 def test_criterion_3_smoothing_theorem():
@@ -180,24 +153,11 @@ def test_criterion_6_projection_lift_obstruction():
 def test_criterion_7_corner_structure_suite():
     with _Stopwatch(7, "corner homotopy, character, ideal equality", 30.0):
         rng = np.random.default_rng(707)
-        n1 = n2 = 3
-        n = n1 + n2
-        h = np.zeros((n, n), dtype=complex)
-        k = np.zeros((n, n), dtype=complex)
-        a = random_matrix(rng, n1)
-        b = random_matrix(rng, n2)
-        h[:n1, :n1] = a @ a.conj().T
-        k[n1:, n1:] = b @ b.conj().T
-        sys_corner = make_corner_system(h, k)
-        for s in (0.0, 0.25, 0.5, 0.75, 1.0):
-            mul_res, adj_res = theta_is_homomorphism(
-                sys_corner, s, trials=10, rng=rng
-            )
-            assert mul_res <= 1e-10 and adj_res <= 1e-10
+        sys_corner = checks.corner_system(rng)
+        n = sys_corner.dim
+        _assert_pass(checks.corner_homotopy(sys_corner, rng))
 
         # exact endpoint formulas
-        from qcwb.structures import homotopy_theta, random_corner_quad
-
         quad = random_corner_quad(sys_corner, rng)
         at0 = homotopy_theta(quad, 0.0)
         expected0 = np.zeros((2 * n, 2 * n), dtype=complex)
@@ -206,8 +166,6 @@ def test_criterion_7_corner_structure_suite():
         at1 = homotopy_theta(quad, 1.0)
         expected1 = np.block([[quad.x11, quad.x12], [quad.x21, quad.x22]])
         assert np.max(np.abs(at1 - expected1)) <= 1e-14
-
-        from qcwb.structures import LinkingElement
 
         for _ in range(25):
             def elem():
@@ -224,22 +182,7 @@ def test_criterion_7_corner_structure_suite():
             assert abs(ref[0] - re[0] * rf[0]) <= 1e-12
             assert abs(ref[1] - re[1] * rf[1]) <= 1e-12
 
-        # positive blocks with spectra in [0.05, 1]: the subspaces are then
-        # determined by the data to well below the 1e-10 gap tolerance
-        # (sin(angle) error of any backward-stable span computation scales
-        # with the condition number of the generating columns)
-        for _ in range(100):
-            def pos_block(size):
-                return hermitian_with_spectrum(rng, rng.uniform(0.05, 1.0, size))
-
-            hh = np.zeros((5, 5), dtype=complex)
-            kk = np.zeros((5, 5), dtype=complex)
-            hh[:2, :2] = pos_block(2)
-            hh[2:, 2:] = pos_block(3)
-            kk[:2, :2] = pos_block(2)
-            kk[2:, 2:] = pos_block(3)
-            equal, gap = corner_ideal_equality(hh, kk, (2, 3), ideal_block=1)
-            assert equal and gap <= 1e-10
+        _assert_pass(checks.ideal_equality(rng, 100))
 
 
 def test_criterion_8_relation_dsl():

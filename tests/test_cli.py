@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from qcwb import cli
+from qcwb import checks, cli
 from qcwb.boundary import EndpointDefect, LiftResidual, PhaseStepTooLarge, WindingIndexMismatch
 from qcwb.linalg import NoConvergence
 from qcwb.qc_model import FactorizationResidualTooLarge, QcTriple, canonical_generators
@@ -167,6 +167,14 @@ class TestBoundary:
         ["smooth", "--input", "t.json", "--theta", "-inf"],
         ["check", "--bogus"],
         [],
+        ["check", "--tolerance-profile", "bogus"],
+        # boundary reads one source of endpoint data, relations one mode
+        ["boundary", "--scenario", "zero", "--input", "endpoints.json"],
+        ["relations", "--input", "qc.rel", "--env", "env.json", "--sweep", "sweep.json"],
+        ["relations", "--input", "qc.rel", "--scenario", "bogus"],
+        # --input is required where it is read unconditionally
+        ["smooth"],
+        ["relations", "--scenario", "canonical"],
     ],
 )
 def test_usage_errors_exit_64(capsys, argv):
@@ -175,6 +183,23 @@ def test_usage_errors_exit_64(capsys, argv):
         cli.main(argv)
     assert info.value.code == 64
     assert "error:" in capsys.readouterr().err
+
+
+# the flags each subcommand once took and never read, after the flags it requires
+NOT_READ = {
+    ("smooth", "--input", "t.json"): ["--grid", "--scenario"],
+    ("boundary", "--scenario", "zero"): ["--epsilon", "--theta"],
+    ("check",): ["--input", "--epsilon", "--theta", "--scenario"],
+    ("relations", "--input", "qc.rel", "--scenario", "canonical"): ["--epsilon", "--theta"],
+}
+
+
+@pytest.mark.parametrize("argv, flag", [(a, f) for a, flags in NOT_READ.items() for f in flags])
+def test_flag_the_subcommand_does_not_read_exits_64(capsys, argv, flag):
+    with pytest.raises(SystemExit) as info:
+        cli.main([*argv, flag, "0.1"])
+    assert info.value.code == 64
+    assert f"unrecognized arguments: {flag} 0.1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", ["--help", "--version"])
@@ -214,6 +239,23 @@ class TestCheck:
         assert report["result"]["all_pass"] is True
         labels = [c["label"] for c in report["result"]["checks"]]
         assert "corner homotopy respects products" in labels
+
+    @pytest.mark.parametrize("residual", [1.0, float("nan")])
+    def test_failing_check_fails_the_command(self, monkeypatch, capsys, residual):
+        # the middle one of the five homotopy times breaks products, past the
+        # bound or to NaN, which the builtin max would drop
+        real = checks.theta_is_homomorphism
+
+        def broken(sys, s, *args):
+            return (residual if s == 0.5 else real(sys, s, *args)[0]), 0.0
+
+        monkeypatch.setattr(checks, "theta_is_homomorphism", broken)
+        assert cli.main(["check", "--seed", "0"]) == 1
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["all_pass"] is False
+        (failing,) = [c for c in result["checks"] if not c["pass"]]
+        assert failing["label"] == "corner homotopy respects products"
+        np.testing.assert_equal(failing["residual"], residual)
 
     def test_jacobi_profile_skips_lapack(self, monkeypatch, capsys):
         # every numpy.linalg function is forbidden but the Frobenius norm,

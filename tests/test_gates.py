@@ -33,8 +33,8 @@ INPUT_ERRORS = {
 ALLOWED = {
     # convergence: the Jacobi sweep budget ran out; a count, not a defect
     ("linalg.py", "_jacobi_one", "NoConvergence"),
-    # convergence: LAPACK failed or the input is not finite
-    ("linalg.py", "op_norm", "NoConvergence"),
+    # convergence: a norm past the float range, not a defect against a bound
+    ("linalg.py", "_norms", "NoConvergence"),
     # determinant: a vanishing determinant has no phase to bound
     ("boundary.py", "winding_number", "WindingIllConditioned"),
     # spectral window: eigenvalues inside (1/2 - gamma, 1/2 + gamma), not a defect

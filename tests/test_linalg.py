@@ -506,6 +506,37 @@ def test_op_norm_scans_before_lapack(rng, capfd, bad):
     assert capfd.readouterr() == ("", "")
 
 
+_ONES = np.ones((3, 3), dtype=complex)
+
+
+def _ten_with(fiber5):
+    """Ten fibers of norm 3, but for fiber 5."""
+    return np.stack([_ONES] * 5 + [fiber5] + [_ONES] * 4)
+
+
+@pytest.mark.parametrize("name", ["default", "jacobi"])
+@pytest.mark.parametrize(
+    "norm, at",
+    [
+        # the SVD's top value 3e308 overflows; the Jacobi rescaling did too, to inf
+        (lambda p: op_norm(1e308 * _ONES, p), ""),
+        (lambda p: op_norm(np.stack([_ONES, 1e308 * _ONES]), p), " at fiber 1"),
+        # fiber 5 alone survives the pruning, at index 0 of what is measured
+        (lambda p: _max_op_norm(_ten_with(1e308 * _ONES), p), " at fiber 5"),
+        # norm 1.86e308: the bounds of fiber (1, 0) alone straddle the level
+        (
+            lambda p: _max_norm_above(_ten_with(6.2e307 * _ONES).reshape(2, 5, 3, 3), [1.79e308], p),
+            " at fiber 1, 0",
+        ),
+    ],
+    ids=["op_norm", "op_norm-stack", "_max_op_norm", "_max_norm_above"],
+)
+def test_overflowing_norm_names_the_fiber_of_the_callers_stack(norm, at, name):
+    # finite entries whose norm is past the float range, under either method
+    with pytest.raises(NoConvergence, match=f"^operator norm overflows the float range{at}$"):
+        norm(PROFILES[name])
+
+
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(
     st.integers(min_value=1, max_value=6),

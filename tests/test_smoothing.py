@@ -29,7 +29,6 @@ from qcwb.smoothing import (
     make_gplus,
     make_qminus,
     make_qplus,
-    cutoff_from_spec,
     smooth_representation,
 )
 
@@ -117,11 +116,10 @@ class TestCutoffs:
             prod = func_calc(s, gp) @ func_calc(s, gm)
             assert op_norm(prod) <= 1e-12
 
-    def test_serialization_roundtrip(self):
-        g = cutoff_from_spec({"name": "gplus", "theta": 0.2})
-        assert g(np.array([0.5]))[0] == pytest.approx(0.5)
-        q = cutoff_from_spec({"name": "qminus", "theta": 0.2, "ramp_width": 0.005})
-        assert q(np.array([-1.0]))[0] == 1.0
+    def test_cutoff_values(self):
+        # g+ is the identity above theta/2; q- is 1 below -ramp_width
+        assert make_gplus(0.2)(np.array([0.5]))[0] == pytest.approx(0.5)
+        assert make_qminus(0.2, 0.005)(np.array([-1.0]))[0] == 1.0
 
 
 class TestSmoothRepresentation:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qcwb import checks
 from qcwb.linalg import PROFILES, NotHermitian, NotPositive, op_norm, unitary_exp
 from qcwb.structures import (
     CornerQuad,
@@ -20,18 +21,6 @@ from qcwb.structures import (
 )
 
 from conftest import random_matrix
-
-
-def block_corner_system(rng, n1=3, n2=3, seed_scale=1.0):
-    """Orthogonal positive pair supported on complementary coordinate blocks."""
-    n = n1 + n2
-    a = random_matrix(rng, n1, seed_scale)
-    b = random_matrix(rng, n2, seed_scale)
-    h = np.zeros((n, n), dtype=complex)
-    k = np.zeros((n, n), dtype=complex)
-    h[:n1, :n1] = a @ a.conj().T
-    k[n1:, n1:] = b @ b.conj().T
-    return make_corner_system(h, k)
 
 
 class TestCornerSystem:
@@ -64,24 +53,42 @@ class TestCornerSystem:
         assert CornerSystem(z[0], z[0], z[0], z[0]).dim == 2
 
     def test_supports_are_projections(self, rng):
-        sys = block_corner_system(rng)
+        sys = checks.corner_system(rng)
         for p in (sys.p_h, sys.p_k):
             assert op_norm(p @ p - p) <= 1e-12
         assert op_norm(sys.p_h @ sys.p_k) <= 1e-12
 
     def test_decomposes_h_and_k_once_each(self, rng, eigh_shapes):
         # the support projections come off the positivity check's spectra
-        block_corner_system(rng, 2, 2)
-        assert eigh_shapes == [(4, 4), (4, 4)]
+        checks.corner_system(rng)
+        assert eigh_shapes == [(6, 6), (6, 6)]
 
     def test_support_projection_threshold(self):
         p = support_projection(np.diag([1.0, 1e-14, 0.0]).astype(complex))
         np.testing.assert_allclose(p, np.diag([1.0, 0.0, 0.0]), atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "bad, error, gate",
+        [
+            ([[0.0, 1.0], [0.0, 0.0]], NotHermitian, "hermitian defect"),
+            ([[-0.5, 0.0], [0.0, 1.0]], NotPositive, "-min eigenvalue of h"),
+            ([[np.nan] * 2] * 2, NotHermitian, "hermitian defect"),
+        ],
+    )
+    @pytest.mark.parametrize("at", ["", " at fiber 2"])
+    def test_support_projection_rejects_non_positive_input(self, bad, error, gate, at):
+        # it decomposed anything: the nilpotent gave [[.5, .5], [.5, .5]],
+        # diag(-0.5, 1) gave diag(0, 1), and NaN gave NaN
+        h = np.array(bad, dtype=complex)
+        if at:
+            h = np.stack([np.eye(2), np.eye(2), h])
+        with pytest.raises(error, match=f"^{gate} = [^ ]+{at} exceeds"):
+            support_projection(h)
+
 
 class TestHomotopyTheta:
     def test_endpoint_zero(self, rng):
-        sys = block_corner_system(rng)
+        sys = checks.corner_system(rng)
         quad = random_corner_quad(sys, rng)
         out = homotopy_theta(quad, 0.0)
         n = sys.dim
@@ -90,7 +97,7 @@ class TestHomotopyTheta:
         np.testing.assert_allclose(out, expected, atol=1e-14)
 
     def test_endpoint_one(self, rng):
-        sys = block_corner_system(rng)
+        sys = checks.corner_system(rng)
         quad = random_corner_quad(sys, rng)
         out = homotopy_theta(quad, 1.0)
         n = sys.dim
@@ -105,20 +112,20 @@ class TestHomotopyTheta:
 
     @pytest.mark.parametrize("s", [0.0, 0.25, 0.37, 0.8, 1.0])
     def test_homomorphism_certificate(self, rng, s):
-        sys = block_corner_system(rng)
+        sys = checks.corner_system(rng)
         mul_res, adj_res = theta_is_homomorphism(sys, s, trials=10, rng=rng)
         assert mul_res <= 1e-10
         assert adj_res <= 1e-12
 
     def test_isometric_on_corner_elements(self, rng):
-        sys = block_corner_system(rng)
+        sys = checks.corner_system(rng)
         for s in (0.0, 0.42, 1.0):
             quad = random_corner_quad(sys, rng)
             image = homotopy_theta(quad, s)
             assert op_norm(image) >= (1 - 1e-10) * op_norm(quad.sum())
 
     def test_support_check_raises(self, rng):
-        sys = block_corner_system(rng)
+        sys = checks.corner_system(rng)
         bad = CornerQuad(
             np.eye(sys.dim, dtype=complex),  # not h-corner supported
             np.zeros((sys.dim, sys.dim), dtype=complex),
@@ -131,7 +138,7 @@ class TestHomotopyTheta:
     def test_unitary_stays_unitary_along_path(self, rng):
         # e^{iH} for a corner-supported Hermitian quadruple lands in
         # 1 + corners; theta_s keeps all singular values at 1
-        sys = block_corner_system(rng)
+        sys = checks.corner_system(rng)
         n = sys.dim
         x11 = sys.p_h @ random_matrix(rng, n) @ sys.p_h
         x11 = 0.5 * (x11 + x11.conj().T)
@@ -160,7 +167,7 @@ class TestLinking:
         assert rho(e) == (1 + 0j, 1 + 0j)
 
     def test_rho_multiplicative(self, rng):
-        sys = block_corner_system(rng)
+        sys = checks.corner_system(rng)
         for _ in range(20):
             e = self.make_element(rng, sys, *rng.standard_normal(2))
             f = self.make_element(rng, sys, *rng.standard_normal(2))
@@ -170,14 +177,14 @@ class TestLinking:
             assert abs(ref[1] - re[1] * rf[1]) <= 1e-12
 
     def test_linking_mul_matches_dense(self, rng):
-        sys = block_corner_system(rng)
+        sys = checks.corner_system(rng)
         e = self.make_element(rng, sys, 0.3 + 0.1j, -1.2)
         f = self.make_element(rng, sys, 1.7, 0.4 - 2j)
         dense = linking_to_dense(e) @ linking_to_dense(f)
         np.testing.assert_allclose(dense, linking_to_dense(linking_mul(e, f)), atol=1e-12)
 
     def test_adjoint_matches_dense(self, rng):
-        sys = block_corner_system(rng)
+        sys = checks.corner_system(rng)
         e = self.make_element(rng, sys, 0.5 + 1j, 2.0)
         np.testing.assert_allclose(
             linking_to_dense(e).conj().T,
@@ -186,7 +193,7 @@ class TestLinking:
         )
 
     def test_rho_validates_supports(self, rng):
-        sys = block_corner_system(rng)
+        sys = checks.corner_system(rng)
         bad = LinkingElement(
             1.0,
             0.0,
@@ -235,24 +242,10 @@ class TestCornerIdealEquality:
         assert equal and gap <= 1e-12
 
     def test_random_positive_pairs(self, rng):
-        # equality holds for every positive pair in the block algebra;
-        # conditioned spectra keep the subspace computation well-posed
-        from conftest import hermitian_with_spectrum
-
-        n1, n2 = 2, 3
-        n = n1 + n2
-        for _ in range(25):
-            def block_pos():
-                m = np.zeros((n, n), dtype=complex)
-                m[:n1, :n1] = hermitian_with_spectrum(rng, rng.uniform(0.05, 1, n1))
-                m[n1:, n1:] = hermitian_with_spectrum(rng, rng.uniform(0.05, 1, n2))
-                return m
-
-            equal, gap = corner_ideal_equality(
-                block_pos(), block_pos(), (n1, n2), ideal_block=1
-            )
-            assert equal, f"projector gap {gap:.3e}"
-            assert gap <= 1e-10
+        # the identity that qcwb check certifies, on 25 positive pairs with
+        # conditioned spectra, which keep the subspace computation well-posed
+        (record,) = checks.ideal_equality(rng, 25)
+        assert record["pass"], record
 
     def test_wild_wishart_pairs_conditioning_aware(self, rng):
         # raw Wishart blocks can be arbitrarily ill-conditioned; the gap then
@@ -275,22 +268,10 @@ class TestCornerIdealEquality:
             assert gap <= max(1e-10, 100 * np.finfo(float).eps * cond)
 
     def test_jacobi_profile_skips_lapack(self, rng, monkeypatch):
-        from conftest import hermitian_with_spectrum
-
-        n1, n2 = 2, 3
-        pair = []
-        for _ in range(2):
-            m = np.zeros((n1 + n2, n1 + n2), dtype=complex)
-            m[:n1, :n1] = hermitian_with_spectrum(rng, rng.uniform(0.05, 1, n1))
-            m[n1:, n1:] = hermitian_with_spectrum(rng, rng.uniform(0.05, 1, n2))
-            pair.append(m)
-
         def forbidden(*args, **kwargs):
             raise AssertionError("LAPACK reached under the jacobi profile")
 
         for attr in ("eigh", "eigvalsh", "svd"):
             monkeypatch.setattr(np.linalg, attr, forbidden)
-        equal, gap = corner_ideal_equality(
-            *pair, (n1, n2), ideal_block=1, profile=PROFILES["jacobi"]
-        )
-        assert equal and gap <= 1e-10
+        (record,) = checks.ideal_equality(rng, 1, PROFILES["jacobi"])
+        assert record["pass"], record
