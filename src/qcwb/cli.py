@@ -171,6 +171,8 @@ def _spec_int(spec: dict, key: str, default: int) -> int:
 
 
 def cmd_relations(args) -> int:
+    if args.grid is not None and args.scenario is None:
+        raise FormatError("--grid is read only with --scenario canonical")
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             source = fh.read()
@@ -205,7 +207,7 @@ def cmd_relations(args) -> int:
         if args.env is not None:
             env = env_from_obj(load_json(args.env))
         else:  # --scenario canonical
-            trip = canonical_generators(args.grid)
+            trip = canonical_generators(4 if args.grid is None else args.grid)
             env = {"h": trip.h, "x": trip.x, "k": trip.k}
         result = {"residuals": residuals(rs, env, args.profile)}
     _emit(args, result)
@@ -261,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--env", help="JSON file mapping variable names to matrices")
     mode.add_argument("--scenario", choices=["canonical"], help="the canonical generators as env")
     mode.add_argument("--sweep", help="JSON sweep specification")
-    p.add_argument("--grid", type=int, default=4, help="grid of --scenario canonical (default 4)")
+    p.add_argument("--grid", type=int, help="grid of --scenario canonical, and only of it (default 4)")
     return parser
 
 

@@ -5,10 +5,11 @@ operation takes one matrix ``(n, n)`` or a stack ``(..., n, n)`` of them and
 works fiber by fiber over the leading axes; thresholds and gates stay
 relative to each fiber, and a gate fails when any one fiber fails.  This
 module supplies the Hermitian eigendecomposition (LAPACK by default, with a
-self-contained cyclic Jacobi as an independent alternative), functional
-calculus, operator norms, fractional powers of positive matrices, unitary
-exponentials, the nearest-projection map, and the support cutoff of a positive
-spectrum.  One decomposition serves every function of the same matrix:
+self-contained cyclic Jacobi as an independent alternative, whose round-robin
+rounds rotate disjoint index pairs of every fiber of a stack at once),
+functional calculus, operator norms, fractional powers of positive matrices,
+unitary exponentials, the nearest-projection map, and the support cutoff of a
+positive spectrum.  One decomposition serves every function of the same matrix:
 :meth:`EigenSystem.apply` assembles each one from the shared basis.
 
 Norms are values only.  Where a caller needs only the largest norm over a
@@ -177,29 +178,35 @@ def _gate(name: str, value, bound, error: type[Exception]) -> None:
     raise error(f"{name} = {v:.{digits}e}{at} exceeds the bound {b:.{digits}e}")
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    # direct sum of off-diagonal squares; the ||A||^2 - ||diag||^2 shortcut
-    # cancels catastrophically near convergence
-    b = a.copy()
-    np.fill_diagonal(b, 0.0)
-    return float(np.linalg.norm(b))
+def _round_robin(n: int) -> np.ndarray:
+    """The ``(rounds, 2, n // 2)`` index pairs ``(p, q)`` of one Jacobi sweep
+    over ``n`` indices: no index twice in a round, and every pair once in the
+    sweep.  With ``m = n`` rounded up to even, index ``m - 1`` stays put and
+    round ``r`` pairs it with ``r``, and ``r + i`` with ``r - i`` modulo
+    ``m - 1``; for odd ``n`` the index ``m - 1 = n`` is a dummy, and its pair
+    sits out."""
+    m = n + n % 2
+    r, i = np.ogrid[: m - 1, : m // 2]
+    p, q = (r + i) % (m - 1), (r - i) % (m - 1)
+    q[:, 0] = m - 1
+    return np.stack([p, q], axis=1)[..., n % 2 :]
 
 
-def _jacobi_rotation(app: float, aqq: float, b: complex) -> np.ndarray:
-    """Unitary 2x2 zeroing the off-diagonal of [[app, b], [conj(b), aqq]].
+def _off_diagonal(a: np.ndarray) -> np.ndarray:
+    """Per fiber of the ``(fibers, n, n)`` stack ``a``, the Frobenius norm of its
+    off-diagonal part.  The squares are summed directly: the shortcut
+    ``||a||_F^2 - sum |a_ii|^2`` cancels catastrophically near convergence."""
+    n = a.shape[-1]
+    squares = (a.real**2 + a.imag**2).reshape(len(a), n * n)
+    squares[:, :: n + 1] = 0.0
+    return np.sqrt(squares.sum(axis=-1))
 
-    Rutishauser tangent formula; |angle| <= pi/4 keeps cyclic sweeps convergent.
-    """
-    absb = abs(b)
-    phase = b.conjugate() / absb
-    tau = (aqq - app) / (2.0 * absb)
-    if tau >= 0.0:
-        t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-    else:
-        t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-    c = 1.0 / math.sqrt(1.0 + t * t)
-    s = t * c
-    return np.array([[c, s], [-phase * s, phase * c]], dtype=complex)
+
+def _rotate(m: np.ndarray, p: np.ndarray, q: np.ndarray, c, s, ps, pc) -> None:
+    """Columns ``p`` and ``q`` of each fiber of ``m`` times ``[[c, s], [-ps, pc]]``,
+    in place; the pairs are disjoint, so all of them at once."""
+    mp, mq = m[..., p], m[..., q]
+    m[..., p], m[..., q] = c * mp - ps * mq, s * mp + pc * mq
 
 
 def jacobi_eigh(
@@ -209,55 +216,59 @@ def jacobi_eigh(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cyclic Jacobi eigendecomposition of a Hermitian matrix or stack.
 
-    Returns ``(eigenvalues ascending, unitary basis)``.  Each fiber stops when
-    its off-diagonal Frobenius mass drops below ``off_tol * ||h||_F``;
-    :class:`NoConvergence` is raised if the sweep budget is exhausted first.
+    Returns ``(eigenvalues ascending, unitary basis)``.  A sweep is the
+    rounds of :func:`_round_robin` (Brent and Luk, SIAM J. Sci. Stat. Comput.
+    6, 1985): each round zeroes ``n // 2`` disjoint off-diagonal pairs of
+    every fiber at once, by rotations from the Rutishauser tangent formula,
+    whose angles of at most pi/4 keep cyclic sweeps convergent.  A pair whose
+    entry is at most ``1e-18 ||h||_F`` of its fiber is not rotated.  A fiber
+    is done once its off-diagonal Frobenius mass is at most
+    ``off_tol * ||h||_F``; it is then left alone, so its result is the same,
+    bit for bit, whatever stack it sits in.  :class:`NoConvergence` names the
+    first fiber that is not finite, before any rotation, or the first one not
+    done after ``sweep_budget`` sweeps.
     """
-    a = hermitian_part(_as_square(h, "eigensolver input"))
-    w = np.empty(a.shape[:-1])
-    u = np.empty_like(a)
-    # the one loop over fibers: it keeps this backend free of LAPACK
-    for idx in np.ndindex(a.shape[:-2]):
-        w[idx], u[idx] = _jacobi_one(a[idx], sweep_budget, off_tol)
-    return w, u
-
-
-def _jacobi_one(
-    a: np.ndarray, sweep_budget: int, off_tol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Jacobi on one Hermitian matrix ``a``, which is overwritten."""
-    n = a.shape[0]
-    u = np.eye(n, dtype=complex)
-    scale = float(np.linalg.norm(a))
-    if scale == 0.0 or n == 1:
-        return np.diag(a).real.copy(), u
-    skip = 1e-18 * scale
-    converged = False
+    a = _as_square(h, "eigensolver input")
+    if not np.isfinite(a).all():
+        top = np.max(np.abs(a), axis=(-2, -1))
+        raise NoConvergence(_not_finite(top, "eigensolver input is not finite"))
+    shape, n = a.shape, a.shape[-1]
+    a = hermitian_part(a).reshape(math.prod(shape[:-2]), n, n)
+    scale = np.sqrt((a.real**2 + a.imag**2).reshape(len(a), n * n).sum(axis=-1))
+    off, bound, skip = _off_diagonal(a), off_tol * scale, 1e-18 * scale
+    # the basis rides below the matrix, so one column rotation turns both
+    au = np.concatenate([a, np.broadcast_to(np.eye(n), a.shape)], axis=1)
+    live = np.flatnonzero(off > bound)
     for _ in range(sweep_budget):
-        if _offdiag_norm(a) <= off_tol * scale:
-            converged = True
+        if not live.size:
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                v2 = _jacobi_rotation(a[p, p].real, a[q, q].real, apq)
-                idx = [p, q]
-                a[:, idx] = a[:, idx] @ v2
-                a[idx, :] = v2.conj().T @ a[idx, :]
-                u[:, idx] = u[:, idx] @ v2
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-    if not converged and _offdiag_norm(a) > off_tol * scale:
-        raise NoConvergence(
-            f"cyclic Jacobi did not converge within {sweep_budget} sweeps"
-        )
-    w = np.diag(a).real.copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], u[:, order]
+        b = au[live]  # the live fibers, each a above its basis
+        a, small = b[:, :n], skip[live, None]
+        for p, q in _round_robin(n):
+            apq = a[:, p, q]
+            size = np.abs(apq)
+            keep = size <= small
+            size[keep] = 1.0
+            tau = (a[:, q, q].real - a[:, p, p].real) / (2.0 * size)
+            t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
+            t[keep] = 0.0
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = t * c
+            phase = np.where(keep, 1.0, apq.conj() / size)
+            c, s, ps, pc = c[:, None], s[:, None], (phase * s)[:, None], (phase * c)[:, None]
+            _rotate(b, p, q, c, s, ps, pc)
+            _rotate(a.swapaxes(-1, -2), p, q, c, s, ps.conj(), pc.conj())
+            a[:, p, q] *= keep
+            a[:, q, p] *= keep
+        au[live] = b
+        off[live] = _off_diagonal(a)
+        live = live[off[live] > bound[live]]
+    name = f"off-diagonal mass after {sweep_budget} Jacobi sweeps"
+    _gate(name, off.reshape(shape[:-2]), bound.reshape(shape[:-2]), NoConvergence)
+    w = np.diagonal(au[:, :n], axis1=-2, axis2=-1).real
+    order = np.argsort(w, axis=-1, kind="stable")
+    u = np.take_along_axis(au[:, n:], order[:, None, :], axis=-1)
+    return np.take_along_axis(w, order, axis=-1).reshape(shape[:-1]), u.reshape(shape)
 
 
 def _eigh_raw(h: np.ndarray, profile: ToleranceProfile) -> EigenSystem:
@@ -280,9 +291,10 @@ def _hermitian_defect(
 
     Frobenius first: ``||d||_2 <= ||d||_F`` and ``||a||_2 >= ||a||_F / sqrt(n)``,
     so ``||a - a*||_F <= tol * max(1, ||a||_F / sqrt(n))`` accepts a fiber
-    without a decomposition.  Only the other finite fibers get the two
-    operator norms, which accept exactly what the operator-norm check
-    accepts; a non-finite fiber gets a NaN defect, so it fails.
+    without a decomposition.  Only the other fibers whose ``a - a*`` is
+    finite get the two operator norms, which accept exactly what the
+    operator-norm check accepts; a fiber that is not finite, or whose
+    ``a - a*`` overflows, gets a NaN defect, so it fails.
     """
     with np.errstate(invalid="ignore", over="ignore"):  # NaN, or overflow: settled below
         d = a - adjoint(a)
@@ -291,10 +303,11 @@ def _hermitian_defect(
     bound = np.asarray(tol * np.maximum(1.0, scale))
     exact = ~((defect <= bound) & np.isfinite(defect))
     if np.any(exact):
-        finite = exact & np.isfinite(a).all(axis=(-2, -1))
+        # a non-finite entry of a leaves one in a - a* too
+        finite = exact & np.isfinite(d).all(axis=(-2, -1))
         defect[exact & ~finite] = np.nan
-        defect[finite] = op_norm(d[finite], profile)
-        bound[finite] = tol * np.maximum(1.0, op_norm(a[finite], profile))
+        defect[finite] = _norms(d[finite], profile, finite)
+        bound[finite] = tol * np.maximum(1.0, _norms(a[finite], profile, finite))
     return defect, bound
 
 

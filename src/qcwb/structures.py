@@ -334,26 +334,22 @@ def corner_ideal_equality(
     if ideal_block not in (0, 1):
         raise ValueError("ideal_block must be 0 or 1")
 
-    def block_units(lo: int, hi: int):
-        units = []
-        for i in range(lo, hi):
-            for j in range(lo, hi):
-                e = np.zeros((n, n), dtype=complex)
-                e[i, j] = 1.0
-                units.append(e)
-        return units
+    # with row-major vec, vec(k E_ij h) is column i n + j of kron(k, h^T), and
+    # the units E_ij of a block are the columns where kron(b, b) holds for the
+    # block's indicator b
+    sandwich = np.kron(k, h.T)
+    first = np.arange(n) < n1
+    ideal = first if ideal_block == 0 else ~first
+    ideal_units = np.kron(ideal, ideal)
 
-    ambient_basis = block_units(0, n1) + block_units(n1, n)
-    ideal_basis = block_units(0, n1) if ideal_block == 0 else block_units(n1, n)
-
-    def sandwich_span(basis):
-        cols = np.column_stack([(k @ e @ h).reshape(-1) for e in basis])
+    def sandwich_span(units):
+        cols = sandwich[:, units]
         scale = np.linalg.norm(cols, axis=0)
         scale[scale == 0.0] = 1.0
         return _span(np.zeros((n * n, 0), dtype=complex), cols / scale[None, :], profile.rank_tol)
 
-    u_kah = sandwich_span(ambient_basis)
-    u_kih = sandwich_span(ideal_basis)
+    u_kah = sandwich_span(np.kron(first, first) | np.kron(~first, ~first))
+    u_kih = sandwich_span(ideal_units)
     proj_kah = u_kah @ u_kah.conj().T
     proj_kih = u_kih @ u_kih.conj().T
 
@@ -361,12 +357,7 @@ def corner_ideal_equality(
     # eigenspace of the average of the two projectors.  Eigenvalues sit at
     # (1 +- cos angle)/2 over the principal angles, so directions common to
     # both spaces separate cleanly from everything else.
-    mask = np.zeros((n, n), dtype=float)
-    rows = range(0, n1) if ideal_block == 0 else range(n1, n)
-    for i in rows:
-        for j in rows:
-            mask[i, j] = 1.0
-    proj_ideal = np.diag(mask.reshape(-1)).astype(complex)
+    proj_ideal = np.diag(ideal_units.astype(complex))
     avg = hermitian_part(0.5 * (proj_ideal + proj_kah))
     es = _eigh_raw(avg, profile)
     common = es.basis[:, es.eigenvalues >= 1.0 - 1e-6]

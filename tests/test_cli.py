@@ -202,6 +202,13 @@ def test_flag_the_subcommand_does_not_read_exits_64(capsys, argv, flag):
     assert f"unrecognized arguments: {flag} 0.1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", [["--env", "env.json"], ["--sweep", "sweep.json"]])
+def test_relations_grid_without_the_canonical_scenario_exits_64(capsys, mode):
+    # --grid sizes the canonical generators; with --env or --sweep it would go unread
+    assert cli.main(["relations", "--input", "qc.rel", *mode, "--grid", "9"]) == 64
+    assert "--grid is read only with --scenario canonical" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag", ["--help", "--version"])
 def test_help_and_version_exit_0(capsys, flag):
     with pytest.raises(SystemExit) as info:

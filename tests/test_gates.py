@@ -31,8 +31,6 @@ INPUT_ERRORS = {
 
 # (module, function, exception) raised from a comparison on purpose
 ALLOWED = {
-    # convergence: the Jacobi sweep budget ran out; a count, not a defect
-    ("linalg.py", "_jacobi_one", "NoConvergence"),
     # convergence: a norm past the float range, not a defect against a bound
     ("linalg.py", "_norms", "NoConvergence"),
     # determinant: a vanishing determinant has no phase to bound

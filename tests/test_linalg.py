@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -306,24 +307,54 @@ def test_jacobi_op_norm_matches_lapack_property(n, seed):
     assert op_norm(a, JACOBI) == pytest.approx(op_norm(a), rel=1e-10)
 
 
+NON_FINITE_KERNELS = {
+    "op_norm-default": lambda a: op_norm(a),
+    "op_norm-jacobi": lambda a: op_norm(a, JACOBI),
+    "jacobi_eigh": jacobi_eigh,
+}
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     st.integers(min_value=1, max_value=6),
     st.integers(min_value=0, max_value=3),
     st.integers(min_value=0, max_value=2**31),
     st.sampled_from([np.nan, np.inf, -np.inf, 1j * np.inf, complex(np.nan, 1.0)]),
-    st.sampled_from(["default", "jacobi"]),
+    st.sampled_from(sorted(NON_FINITE_KERNELS)),
 )
-def test_op_norm_rejects_non_finite_property(n, fibers, seed, bad, name):
+def test_op_norm_rejects_non_finite_property(n, fibers, seed, bad, kernel):
     # one NaN or inf entry anywhere, in one matrix (fibers = 0) or a stack,
-    # whose error names the fiber
+    # whose error names the fiber; the eigensolver's input is scanned before
+    # any rotation, so no arithmetic on it warns
     gen = np.random.default_rng(seed)
     a = np.stack([random_matrix(gen, n) for _ in range(max(fibers, 1))])
     at = tuple(gen.integers(0, dim) for dim in a.shape)
     a[at] = bad
     label = f" at fiber {at[0]}" if fibers else ""
-    with pytest.raises(NoConvergence, match=f"not finite{label}$"):
-        op_norm(a if fibers else a[0], PROFILES[name])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NoConvergence, match=f"not finite{label}$"):
+            NON_FINITE_KERNELS[kernel](a if fibers else a[0])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=9),
+    st.integers(min_value=0, max_value=2**31),
+)
+def test_jacobi_eigh_fiber_does_not_depend_on_its_stack_property(fibers, n, seed):
+    # fibers of scales 1e-3 ... 1e3, some zero, converge after different
+    # numbers of sweeps; each is left alone once done, so its result is that
+    # of the fiber on its own, bit for bit
+    gen = np.random.default_rng(seed)
+    stack = np.stack([random_hermitian(gen, n) for _ in range(fibers)])
+    stack *= 10.0 ** gen.uniform(-3.0, 3.0, size=(fibers, 1, 1))
+    stack[gen.random(fibers) < 0.2] = 0.0
+    w, u = jacobi_eigh(stack)
+    for i, fiber in enumerate(stack):
+        wi, ui = jacobi_eigh(fiber)
+        assert np.array_equal(w[i], wi) and np.array_equal(u[i], ui), i
 
 
 @pytest.mark.parametrize("scale", [5e-324, 1e-310, 1e-300])
@@ -644,6 +675,14 @@ class TestStackedGates:
         else:
             stack[3, 0, 1] = bad
         with pytest.raises(NotHermitian, match="at fiber 3"):
+            herm_eig(stack, PROFILES[name])
+
+    @pytest.mark.parametrize("name", ["default", "jacobi"])
+    def test_herm_eig_names_an_overflowing_skew_part(self, name):
+        # a - a* overflows though a is finite: not Hermitian, at the caller's fiber
+        stack = np.stack([np.eye(2, dtype=complex)] * 3)
+        stack[2] = [[0.0, 1.5e308], [-1.5e308, 0.0]]
+        with pytest.raises(NotHermitian, match="at fiber 2"):
             herm_eig(stack, PROFILES[name])
 
     @pytest.mark.parametrize("name", ["default", "jacobi"])
