@@ -17,9 +17,9 @@ from qcwb import (
     lift_T,
 )
 
+model = IntervalModel(grid_size=64)
 for name in ("zero", "eval-at-one", "matched-endpoints", "doubled"):
     rep = builtin_scenario(name)
-    model = IntervalModel(grid_size=64, fiber_dim=rep.fiber_dim)
     lift = lift_T(rep, model)
     result = boundary_unitary(lift)
     print(
@@ -31,16 +31,13 @@ for name in ("zero", "eval-at-one", "matched-endpoints", "doubled"):
 # winding does not depend on the grid or on the interior of the lift
 rep = builtin_scenario("eval-at-one")
 for m in (64, 128, 256):
-    model = IntervalModel(grid_size=m, fiber_dim=2)
-    lift = lift_T(rep, model)
+    lift = lift_T(rep, IntervalModel(grid_size=m))
     print(f"grid {m:4d}: winding {boundary_unitary(lift).winding:+d}")
 for scheme in ("linear", "cosine"):
-    model = IntervalModel(grid_size=64, fiber_dim=2)
     lift = lift_T(rep, model, scheme=scheme)
     print(f"{scheme:6s} lift: winding {boundary_unitary(lift).winding:+d}")
 
 # nonzero winding blocks the exact projection lift; zero winding allows it
-model = IntervalModel(grid_size=64, fiber_dim=2)
 try:
     exact_projection_lift(rep, model)
 except NoSpectralGap as exc:

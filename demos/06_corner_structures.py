@@ -67,5 +67,5 @@ hh = np.zeros((5, 5), dtype=complex)
 kk = np.zeros((5, 5), dtype=complex)
 hh[:2, :2], hh[2:, 2:] = pos_block(2), pos_block(3)
 kk[:2, :2], kk[2:, 2:] = pos_block(2), pos_block(3)
-equal, gap = corner_ideal_equality(hh, kk, (2, 3), ideal_block=1)
+equal, gap = corner_ideal_equality(hh, kk, (2, 3))
 print(f"\nideal intersect sandwich == sandwiched ideal: {equal} (projector gap {gap:.1e})")

@@ -62,17 +62,20 @@ import numpy as np
 from .linalg import (
     CLAMP01,
     DEFAULT_PROFILE,
+    NEG,
+    POS,
+    STEP_HALF,
     DimMismatch,
     EigenSystem,
     NotPositive,
     ToleranceProfile,
+    _calc,
     _gate,
     _max_op_norm,
     _positive_eig,
     _span,
     _support,
     _support_projection,
-    _threshold_half,
     adjoint,
     herm_eig,
     hermitian_part,
@@ -141,8 +144,11 @@ _UNIT_ENDS_TOL = 1e-8
 # the det phase step winding_number rejects
 _MAX_STEP = np.pi / 2
 # run_scenario refines until every step of tr T' is below this, so that every
-# det phase step of u (2 pi times it) is below pi/4
+# det phase step of u (2 pi times it) is below pi/4, or the grid reaches _MAX_GRID
 _TAU_STEP = 1 / 8
+_MAX_GRID = 4096
+# exact_projection_lift rejects an eigenvalue of T within this of 1/2
+_GAP = 0.05
 
 
 # ---------------------------------------------------------------------------
@@ -152,16 +158,13 @@ _TAU_STEP = 1 / 8
 
 @dataclass(frozen=True)
 class IntervalModel:
-    """Uniform grid t_i = i/m on [0, 1] with n x n matrix fibers."""
+    """Uniform grid t_i = i/m on [0, 1]; the fibers are those of the representation lifted."""
 
     grid_size: int
-    fiber_dim: int
 
     def __post_init__(self):
         if self.grid_size < 1:
             raise ValueError(f"grid size must be >= 1, got {self.grid_size}")
-        if self.fiber_dim < 1:
-            raise ValueError(f"fiber dim must be >= 1, got {self.fiber_dim}")
 
     @property
     def points(self) -> np.ndarray:
@@ -298,17 +301,17 @@ class TLift:
     def t_prime(self) -> GridFunction:
         """T', which clamps T's spectrum to [0, 1], 2n x 2n."""
         ends = self.ends
-        return GridFunction(_embed(_clamped(self.t), ends.w, ends.w_perp, (1, 0)))
+        return GridFunction(_embed(_calc(self.t, CLAMP01), ends.w, ends.w_perp, (1, 0)))
 
     @property
     def h(self) -> GridFunction:
         ends = self.ends
-        return GridFunction(_embed(_matrix(_parts(self.c)[0]), ends.w, ends.w_perp, (0,)))
+        return GridFunction(_embed(_calc(self.c, POS), ends.w, ends.w_perp, (0,)))
 
     @property
     def k(self) -> GridFunction:
         ends = self.ends
-        return GridFunction(_embed(_matrix(_parts(self.c)[1]), ends.w, ends.w_perp, (0,)))
+        return GridFunction(_embed(_calc(self.c, NEG), ends.w, ends.w_perp, (0,)))
 
     @property
     def tau(self) -> np.ndarray:
@@ -343,16 +346,6 @@ def _parts(c: EigenSystem) -> tuple[EigenSystem, EigenSystem]:
     """h = pos(c) and k = neg(c), which share the eigenbasis of c."""
     w = c.eigenvalues
     return EigenSystem(np.maximum(w, 0.0), c.basis), EigenSystem(np.maximum(-w, 0.0), c.basis)
-
-
-def _matrix(es: EigenSystem) -> np.ndarray:
-    """The Hermitian matrix that ``es`` decomposes."""
-    return hermitian_part(es.apply(es.eigenvalues))
-
-
-def _clamped(t: EigenSystem) -> np.ndarray:
-    """T' = W diag(clip(w, 0, 1)) W* for each fiber T = W diag(w) W* of ``t``."""
-    return hermitian_part(t.apply(CLAMP01(t.eigenvalues)))
 
 
 def _t_system(c: EigenSystem, b: EigenSystem) -> EigenSystem:
@@ -401,7 +394,7 @@ def _scalar_parts(lift: TLift) -> tuple[tuple[complex, complex], float]:
     is read on R and maximized over the fibers without a per-fiber norm
     (:func:`linalg._max_op_norm`).
     """
-    t_prime = _clamped(lift.t)
+    t_prime = _calc(lift.t, CLAMP01)
     ph, pk = lift._supports
     r, perp = ph.shape[-1], lift.ends.w_perp.shape[1]
 
@@ -506,13 +499,9 @@ def lift_T(
     endpoints, on R + R, and embedded (:func:`_embed`): it must match the
     uncompressed endpoint block matrices to ``_LIFT_ENDS_TOL``.
     """
-    if model.fiber_dim != rep.fiber_dim:
-        raise DimMismatch(
-            f"model fiber dim {model.fiber_dim} != representation dim {rep.fiber_dim}"
-        )
     ends = _lift_ends(rep, profile)
     c, b = _lift_fibers(ends, model.points, scheme, profile)
-    t_ends = _clamped(_t_system(_first_last(c), _first_last(b)))
+    t_ends = _calc(_t_system(_first_last(c), _first_last(b)), CLAMP01)
     defects = op_norm(_embed(t_ends, ends.w, ends.w_perp, (1, 0)) - ends.t, profile)
     _gate("clamped path defect at the endpoints (0, 1)", defects, _LIFT_ENDS_TOL, LiftResidual)
     return TLift(c, b, ends, float(np.max(defects)), profile)
@@ -574,8 +563,9 @@ class BoundaryResult:
             "endpoint_defect": float(self.endpoint_defect),
         }
 
-    def invariants_hold(self, tol: float = 1e-8) -> bool:
-        return self.unitarity_defect <= tol and self.endpoint_defect <= tol
+    def invariants_hold(self) -> bool:
+        """Both defects are at most 1e-8; a NaN fails."""
+        return self.unitarity_defect <= 1e-8 and self.endpoint_defect <= 1e-8
 
 
 def boundary_unitary(lift: TLift) -> BoundaryResult:
@@ -652,16 +642,14 @@ class GridRepresentation:
 def exact_projection_lift(
     rep: BScenarioRep,
     model: IntervalModel,
-    gamma: float = 0.05,
     scheme: str = "linear",
     profile: ToleranceProfile = DEFAULT_PROFILE,
 ) -> GridRepresentation:
     """Lift through the spectral threshold when a gap around 1/2 exists.
 
     Reads the spectrum of the unclamped path T on R + R off the lift
-    (:attr:`TLift.t`); on R-perp it is exactly 0 and 1.  ``gamma`` must lie
-    in (0, 1/2) (``ValueError``, a NaN included).  :class:`NoSpectralGap` is
-    raised if an eigenvalue falls inside (1/2 - gamma, 1/2 + gamma), or if
+    (:attr:`TLift.t`); on R-perp it is exactly 0 and 1.  :class:`NoSpectralGap`
+    is raised if an eigenvalue falls within ``_GAP`` of 1/2, or if
     the rank of the threshold, the count of eigenvalues at or above 1/2,
     changes along the grid (an exact integer test): an eigenvalue then
     crosses the gap between two points, and the index is nonzero (the
@@ -670,23 +658,21 @@ def exact_projection_lift(
     projection path, embedded once, form an exact representation lifting
     the input.
     """
-    if not 0.0 < gamma < 0.5:
-        raise ValueError(f"gamma must lie in (0, 1/2), got {gamma}")
     lift = lift_T(rep, model, scheme, profile)
-    n, es = model.fiber_dim, lift.t
+    n, es = rep.fiber_dim, lift.t
     w = es.eigenvalues
-    inside = (w > 0.5 - gamma) & (w < 0.5 + gamma)
+    inside = (w > 0.5 - _GAP) & (w < 0.5 + _GAP)
     if inside.any():
         i = np.argmax(inside.any(axis=-1))
         raise NoSpectralGap(
             f"fiber {i} has spectrum {w[i][inside[i]].round(4).tolist()} within "
-            f"{gamma} of 1/2; no exact lift on this path"
+            f"{_GAP} of 1/2; no exact lift on this path"
         )
     # R-perp adds the same n - r at every point, which the change cancels
     rank = np.count_nonzero(w >= 0.5, axis=-1)
     name = "change of the thresholded rank from grid point 0"
     _gate(name, np.abs(rank - rank[0]), 0, NoSpectralGap)
-    p = _embed(_threshold_half(es), lift.ends.w, lift.ends.w_perp, (1, 0))
+    p = _embed(_calc(es, STEP_HALF), lift.ends.w, lift.ends.w_perp, (1, 0))
     h = GridFunction(hermitian_part(np.eye(n, dtype=complex) - p[:, :n, :n]))
     x = GridFunction(p[:, n:, :n])
     k = GridFunction(hermitian_part(p[:, n:, n:]))
@@ -723,7 +709,7 @@ def homotopy_collapse(lift: TLift, s: float = 0.0) -> tuple[GridFunction, int, i
     eye = np.eye(r, dtype=complex)
     v = _unitary(lift.t)
     quad = CornerQuad(v[:, :r, :r] - eye, v[:, :r, r:], v[:, r:, :r], v[:, r:, r:] - eye)
-    corners = CornerSystem(*map(_matrix, _parts(lift.c)), *lift._supports)
+    corners = CornerSystem(_calc(lift.c, POS), _calc(lift.c, NEG), *lift._supports)
     image = np.eye(2 * r) + homotopy_theta(quad, s, corners, profile)
     out = GridFunction(_embed(image, ends.w, ends.w_perp, (1, 1)))
     defect = out.values @ adjoint(out.values) - np.eye(out.fiber_dim)
@@ -748,18 +734,17 @@ def run_scenario(
     grid_size: int = 64,
     scheme: str = "linear",
     profile: ToleranceProfile = DEFAULT_PROFILE,
-    max_grid: int = 4096,
 ) -> tuple[BoundaryResult, TLift, IntervalModel]:
     """Full pipeline with automatic grid refinement.
 
     Lifts the representation, doubles the grid while some step of
     tau = tr T' (:attr:`TLift.tau`) is ``_TAU_STEP`` or more and the grid is
-    below ``max_grid``, and then certifies the lift once with
+    below ``_MAX_GRID``, and then certifies the lift once with
     :func:`boundary_unitary`.  Returns the boundary result, the lift, and
     the model actually used.  Since det u = e^(2 pi i tau), steps of tau below
     1/8 keep every det phase step below pi/4, and the winding then counts
     tau(1) - tau(0), the index.  A certificate that fails on the final grid
-    (a grid capped at ``max_grid`` included) raises.
+    (a grid capped at ``_MAX_GRID`` included) raises.
 
     The points i/m of grid m are the even points 2i/2m of grid 2m, bit for
     bit, so a refinement evaluates the decompositions of c and of T's
@@ -770,11 +755,11 @@ def run_scenario(
     :func:`lift_T` gives directly on the final grid.
     """
     rep = builtin_scenario(name_or_rep) if isinstance(name_or_rep, str) else name_or_rep
-    model = IntervalModel(grid_size=grid_size, fiber_dim=rep.fiber_dim)
+    model = IntervalModel(grid_size=grid_size)
     lift = lift_T(rep, model, scheme, profile)
     # written "not <" so that a NaN step refines
-    while model.grid_size < max_grid and not np.max(np.abs(np.diff(lift.tau))) < _TAU_STEP:
-        model = IntervalModel(grid_size=2 * model.grid_size, fiber_dim=rep.fiber_dim)
+    while model.grid_size < _MAX_GRID and not np.max(np.abs(np.diff(lift.tau))) < _TAU_STEP:
+        model = IntervalModel(grid_size=2 * model.grid_size)
         c, b = _lift_fibers(lift.ends, model.points[1::2], scheme, profile)
         lift = replace(lift, c=_weave(lift.c, c), b=_weave(lift.b, b))
     return boundary_unitary(lift), lift, model

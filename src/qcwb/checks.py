@@ -118,7 +118,7 @@ def ideal_equality(
         h[2:, 2:] = pos_block(3)
         k[:2, :2] = pos_block(2)
         k[2:, 2:] = pos_block(3)
-        gaps.append(corner_ideal_equality(h, k, (2, 3), ideal_block=1, profile=profile)[1])
+        gaps.append(corner_ideal_equality(h, k, (2, 3), profile)[1])
     return [_record("ideal meets sandwich subspace exactly", gaps, 1e-10)]
 
 

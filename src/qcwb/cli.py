@@ -18,7 +18,6 @@ validation error.  ``EXIT_CODES`` maps each library exception to one of them.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from datetime import datetime, timezone
 
@@ -92,18 +91,6 @@ EXIT_CODES = (
     # malformed files (FormatError), bad flag combinations, out-of-range parameters
     ((OSError, ValueError), EXIT_BAD_INPUT),
 )
-
-
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("QCWB_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise FormatError(f"QCWB_SEED must be an integer, got {env!r}")
-    return 0
 
 
 def _emit(args, result: dict) -> None:
@@ -236,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     def subcommand(name, func, help):
         p = sub.add_parser(name, help=help)
         p.add_argument("--output", help="write the JSON report here instead of stdout")
-        p.add_argument("--seed", type=int, help="random seed (QCWB_SEED is the fallback)")
+        p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
         p.add_argument("--tolerance-profile", default="default", choices=sorted(PROFILES))
         p.set_defaults(func=func)
         return p
@@ -271,7 +258,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.seed = _resolve_seed(args)
         args.profile = PROFILES[args.tolerance_profile]
         return args.func(args)
     except Exception as exc:

@@ -94,7 +94,6 @@ class ToleranceProfile:
     self-contained).
     """
 
-    name: str = "default"
     method: str = "lapack"
     hermitian_tol: float = 1e-10     # relative defect allowed by herm preconditions
     sweep_budget: int = 64           # Jacobi sweeps before NoConvergence
@@ -108,8 +107,8 @@ DEFAULT_PROFILE = ToleranceProfile()
 
 PROFILES = {
     "default": DEFAULT_PROFILE,
-    "strict": ToleranceProfile(name="strict", hermitian_tol=1e-12, clamp_tol=1e-12),
-    "jacobi": ToleranceProfile(name="jacobi", method="jacobi"),
+    "strict": ToleranceProfile(hermitian_tol=1e-12, clamp_tol=1e-12),
+    "jacobi": ToleranceProfile(method="jacobi"),
 }
 
 
@@ -224,16 +223,27 @@ def jacobi_eigh(
     entry is at most ``1e-18 ||h||_F`` of its fiber is not rotated.  A fiber
     is done once its off-diagonal Frobenius mass is at most
     ``off_tol * ||h||_F``; it is then left alone, so its result is the same,
-    bit for bit, whatever stack it sits in.  :class:`NoConvergence` names the
-    first fiber that is not finite, before any rotation, or the first one not
-    done after ``sweep_budget`` sweeps.
+    bit for bit, whatever stack it sits in.  A fiber whose largest part lies
+    outside ``_UNSCALED``, where the squares of its norms overflow or
+    underflow, is decomposed scaled by a power of two, exactly, and its
+    eigenvalues are scaled back.  :class:`NoConvergence` names the first
+    fiber that is not finite, before any rotation, or the first one not done
+    after ``sweep_budget`` sweeps.
     """
     a = _as_square(h, "eigensolver input")
     if not np.isfinite(a).all():
         top = np.max(np.abs(a), axis=(-2, -1))
         raise NoConvergence(_not_finite(top, "eigensolver input is not finite"))
     shape, n = a.shape, a.shape[-1]
-    a = hermitian_part(a).reshape(math.prod(shape[:-2]), n, n)
+    a = a.reshape(math.prod(shape[:-2]), n, n)
+    top = np.maximum(np.abs(a.real), np.abs(a.imag)).max(axis=(-2, -1), initial=0.0)
+    e = np.frexp(top)[1]
+    far = (top > 0.0) & ~((_UNSCALED[0] <= top) & (top <= _UNSCALED[1]))
+    if far.any():
+        a = a.copy()  # the caller's array stays as it is
+        for factor in _powers_of_two(e[far]):
+            a[far] *= factor[:, None, None]
+    a = hermitian_part(a)
     scale = np.sqrt((a.real**2 + a.imag**2).reshape(len(a), n * n).sum(axis=-1))
     off, bound, skip = _off_diagonal(a), off_tol * scale, 1e-18 * scale
     # the basis rides below the matrix, so one column rotation turns both
@@ -268,7 +278,9 @@ def jacobi_eigh(
     w = np.diagonal(au[:, :n], axis1=-2, axis2=-1).real
     order = np.argsort(w, axis=-1, kind="stable")
     u = np.take_along_axis(au[:, n:], order[:, None, :], axis=-1)
-    return np.take_along_axis(w, order, axis=-1).reshape(shape[:-1]), u.reshape(shape)
+    w = np.take_along_axis(w, order, axis=-1)
+    w[far] = np.ldexp(w[far], e[far, None])
+    return w.reshape(shape[:-1]), u.reshape(shape)
 
 
 def _eigh_raw(h: np.ndarray, profile: ToleranceProfile) -> EigenSystem:
@@ -390,14 +402,11 @@ class RealFunction:
     """A named real -> real map usable in functional calculus.
 
     ``smoothness`` is one of ``"continuous"``, ``"smooth"`` or ``"step"``.
-    ``unital_only`` flags maps (the clamp, the half-step) that do not decay
-    at infinity and therefore only make sense where a unit is present.
     """
 
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
     smoothness: str = "continuous"
-    unital_only: bool = False
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
         return self.fn(np.asarray(values, dtype=float))
@@ -418,15 +427,8 @@ def smooth_step(u: np.ndarray) -> np.ndarray:
 
 POS = RealFunction("pos", lambda t: np.maximum(t, 0.0))
 NEG = RealFunction("neg", lambda t: np.maximum(-t, 0.0))
-CLAMP01 = RealFunction(
-    "clamp01", lambda t: np.clip(t, 0.0, 1.0), unital_only=True
-)
-STEP_HALF = RealFunction(
-    "step_half",
-    lambda t: np.where(t >= 0.5, 1.0, 0.0),
-    smoothness="step",
-    unital_only=True,
-)
+CLAMP01 = RealFunction("clamp01", lambda t: np.clip(t, 0.0, 1.0))
+STEP_HALF = RealFunction("step_half", lambda t: np.where(t >= 0.5, 1.0, 0.0), smoothness="step")
 SQRT0 = RealFunction("sqrt0", lambda t: np.sqrt(np.maximum(t, 0.0)))
 
 
@@ -516,7 +518,8 @@ def _norms(
 # the relative slack on the pruning bounds, far above their rounding error
 _PRUNE_MARGIN = 1e-8
 # parts whose squares, summed over a fiber, neither overflow nor drop bits
-# that matter against the largest one; outside, the pass rescales
+# that matter against the largest one; outside, the norm passes and
+# jacobi_eigh rescale
 _UNSCALED = (2.0**-400, 2.0**400)
 # bytes of the fibers that one block of the Gram-power pass multiplies: the
 # pass holds a few such blocks at a time, whatever the size of the stack
@@ -540,11 +543,12 @@ def _column_squares(v: np.ndarray) -> np.ndarray:
     return squares[..., 0::2] + squares[..., 1::2]
 
 
-def _powers_of_two(e: int) -> tuple[float, float]:
+def _powers_of_two(e: int | np.ndarray) -> tuple:
     """Two factors whose product is ``2**-e``, to scale by in turn: ``2**-e``
-    alone overflows when ``e`` belongs to a subnormal number."""
+    alone overflows when ``e`` belongs to a subnormal number.  ``e`` may be
+    an integer array, one exponent per fiber, and the factors are then arrays."""
     half = e // 2
-    return math.ldexp(1.0, -half), math.ldexp(1.0, half - e)
+    return np.ldexp(1.0, -half), np.ldexp(1.0, half - e)
 
 
 def _gram_power_bounds(
@@ -704,18 +708,13 @@ def frac_power(
     if p <= 0:
         raise ValueError(f"exponent must be positive, got {p}")
     es = _positive_eig(h, profile.clamp_tol, profile)
-    return hermitian_part(es.apply(np.power(np.maximum(es.eigenvalues, 0.0), p)))
+    return _calc(es, lambda t: np.power(np.maximum(t, 0.0), p))
 
 
 def _idempotency_defect(es: EigenSystem) -> np.ndarray:
     """Per-fiber max |w^2 - w| over the eigenvalues: ``||a^2 - a||`` for the Hermitian ``a``."""
     w = es.eigenvalues
     return np.max(np.abs(w * w - w), axis=-1, initial=0.0)
-
-
-def _threshold_half(es: EigenSystem) -> np.ndarray:
-    """Spectral projection onto the eigenvalues at or above 1/2."""
-    return hermitian_part(es.apply(np.where(es.eigenvalues >= 0.5, 1.0, 0.0)))
 
 
 def nearest_projection(
@@ -732,4 +731,4 @@ def nearest_projection(
     """
     es = herm_eig(_as_square(p, "nearest_projection input"), profile)
     _gate("||p^2 - p||", _idempotency_defect(es), np.nextafter(0.25, 0.0), GapTooSmall)
-    return _threshold_half(es)
+    return _calc(es, STEP_HALF)

@@ -160,26 +160,20 @@ Expr = Var | Adj | Sum | Diff | Prod | Scale | FnApp
 # ---------------------------------------------------------------------------
 
 
-def default_registry(theta: float = 0.25, ramp_width: float | None = None) -> dict[str, RealFunction]:
-    """The stock scalar functions, smooth cutoffs instantiated at ``theta``."""
-    if ramp_width is None:
-        ramp_width = theta * theta / 4.0
+def default_registry() -> dict[str, RealFunction]:
+    """The stock scalar functions, the smooth cutoffs at width theta = 0.25."""
     fns = [
         POS,
         NEG,
         CLAMP01,
         STEP_HALF,
         SQRT0,
-        make_gplus(theta),
-        make_gminus(theta),
-        make_qplus(theta, ramp_width),
-        make_qminus(theta, ramp_width),
+        make_gplus(0.25),
+        make_gminus(0.25),
+        make_qplus(0.25),
+        make_qminus(0.25),
     ]
-    registry = {f.name: f for f in fns}
-    for f in registry.values():
-        if not f.unital_only and not _vanishes_at_zero(f):
-            raise ValueError(f"registry function {f.name} must vanish at 0")
-    return registry
+    return {f.name: f for f in fns}
 
 
 def _vanishes_at_zero(f: RealFunction) -> bool:

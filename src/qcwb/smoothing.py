@@ -45,13 +45,14 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_PROFILE,
+    STEP_HALF,
     RealFunction,
     ToleranceProfile,
+    _calc,
     _eigh_raw,
     _gate,
     _idempotency_defect,
     _max_norm_above,
-    _threshold_half,
     adjoint,
     hermitian_part,
     op_norm,
@@ -107,16 +108,9 @@ def _check_theta(theta: float) -> None:
         raise ValueError(f"theta must be positive and finite, got {theta}")
 
 
-def _ramp_width(theta: float, ramp_width: float | None = None) -> float:
-    """The q cutoffs' ramp width, theta^2/4 by default, once both widths are
-    valid (:func:`_check_theta`, and the ramp width in (0, theta^2/4]);
-    ``ValueError`` otherwise, and a NaN fails."""
-    _check_theta(theta)
-    if ramp_width is None:
-        return theta**2 / 4.0
-    if not 0.0 < ramp_width <= theta**2 / 4.0 + 1e-15:
-        raise ValueError(f"ramp_width must lie in (0, theta^2/4], got {ramp_width}")
-    return ramp_width
+def _q_ramp(theta: float) -> float:
+    """The ramp width of the q cutoffs of width ``theta``: theta^2/4."""
+    return theta**2 / 4.0
 
 
 def make_gplus(theta: float) -> RealFunction:
@@ -144,13 +138,15 @@ def make_gminus(theta: float) -> RealFunction:
     return RealFunction("gminus", fn, smoothness="smooth")
 
 
-def make_qplus(theta: float, ramp_width: float | None = None) -> RealFunction:
-    """Smooth indicator of the positive axis: 0 on t <= 0, 1 above ramp_width.
+def make_qplus(theta: float) -> RealFunction:
+    """Smooth indicator of the positive axis: 0 on t <= 0, 1 above the ramp
+    width theta^2/4 (:attr:`SmoothingParams.ramp_width`).
 
-    The default ramp width theta^2/4 keeps sqrt(t - t^2) * (1 - q(t)^2)
-    below theta/2 on [0, 1], which is the slack the squeezing step needs.
+    That width keeps sqrt(t - t^2) * (1 - q(t)^2) below theta/2 on [0, 1],
+    which is the slack the squeezing step needs.
     """
-    width = _ramp_width(theta, ramp_width)
+    _check_theta(theta)
+    width = _q_ramp(theta)
 
     def fn(t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -159,8 +155,8 @@ def make_qplus(theta: float, ramp_width: float | None = None) -> RealFunction:
     return RealFunction("qplus", fn, smoothness="smooth")
 
 
-def make_qminus(theta: float, ramp_width: float | None = None) -> RealFunction:
-    q = make_qplus(theta, ramp_width)
+def make_qminus(theta: float) -> RealFunction:
+    q = make_qplus(theta)
 
     def fn(t: np.ndarray) -> np.ndarray:
         return q(-np.asarray(t, dtype=float))
@@ -178,23 +174,27 @@ class SmoothingParams:
     """Tuning of one smoothing run.
 
     ``epsilon`` is the target distance (must sit in (0, 1/4)); ``theta`` the
-    ramp width of the g cutoffs; ``ramp_width`` the plateau width of the q
-    cutoffs (at most theta^2/4); ``delta`` the residual budget the input must
-    meet.  The guarantee is existential in delta: callers supply it, the run
-    reports failure when it was too generous.
+    ramp width of the g cutoffs, from which the q cutoffs' ramp width
+    follows; ``delta`` the residual budget the input must meet.  The
+    guarantee is existential in delta: callers supply it, the run reports
+    failure when it was too generous.
     """
 
     epsilon: float
     theta: float
-    ramp_width: float | None = None
     delta: float | None = None
     profile: ToleranceProfile = field(default=DEFAULT_PROFILE)
 
     def __post_init__(self):
         _check_epsilon(self.epsilon)
-        object.__setattr__(self, "ramp_width", _ramp_width(self.theta, self.ramp_width))
+        _check_theta(self.theta)
         if self.delta is None:
             object.__setattr__(self, "delta", self.epsilon / 2.0)
+
+    @property
+    def ramp_width(self) -> float:
+        """The q cutoffs' ramp width, theta^2/4."""
+        return _q_ramp(self.theta)
 
 
 @dataclass
@@ -283,7 +283,7 @@ def _smooth_checked(
 ) -> tuple[QcTriple, SmoothingReport]:
     """The pipeline on an input that :func:`_checked_input` accepted."""
     profile = params.profile
-    theta, ramp = params.theta, params.ramp_width
+    theta = params.theta
     h, x, k = triple.h, triple.x, triple.k
     s = hermitian_part(0.5 * (h + h.conj().T - k - k.conj().T))
     # one decomposition of s serves its extreme eigenvalues and all four cutoffs
@@ -296,9 +296,9 @@ def _smooth_checked(
     # the corner block of T2 in the basis diag(U, U); outside it T2 is
     # diagonal, 1 on the top half and 0 on the bottom half
     y = (
-        make_qminus(theta, ramp)(lam_n)[:, None]
+        make_qminus(theta)(lam_n)[:, None]
         * (adjoint(u_n) @ x @ u_p)
-        * make_qplus(theta, ramp)(lam_p)
+        * make_qplus(theta)(lam_p)
     )
     b = np.block(
         [
@@ -309,7 +309,7 @@ def _smooth_checked(
     b_sys = _eigh_raw(b, profile)
     t2_defect = float(_idempotency_defect(b_sys))
     _gate("||T2^2 - T2||", t2_defect, np.nextafter(0.25, 0.0), SpectralGapFailure)
-    pi = _threshold_half(b_sys)
+    pi = _calc(b_sys, STEP_HALF)
     p = lam_p.size
 
     h_out = hermitian_part(u_p @ (np.eye(p) - pi[:p, :p]) @ adjoint(u_p))

@@ -315,13 +315,12 @@ def corner_ideal_equality(
     h: np.ndarray,
     k: np.ndarray,
     block_dims: tuple[int, int],
-    ideal_block: int = 1,
     profile: ToleranceProfile = DEFAULT_PROFILE,
 ) -> tuple[bool, float]:
     """Test I  intersect  (k A h)  ==  k I h  inside A = M_{n1} (+) M_{n2}.
 
     ``h`` and ``k`` are positive elements of the block-diagonal ambient
-    algebra; the ideal is one of the two blocks.  Both sides are computed as
+    algebra; the ideal I is the second block, M_{n2}.  Both sides are computed as
     column spans of vectorized sandwich images and compared through their
     orthogonal projectors; returns (equal within support_tol, projector gap).
     """
@@ -331,16 +330,13 @@ def corner_ideal_equality(
     k = np.asarray(k, dtype=complex)
     if h.shape != (n, n) or k.shape != (n, n):
         raise DimMismatch(f"h, k must be {n}x{n} for block dims {block_dims}")
-    if ideal_block not in (0, 1):
-        raise ValueError("ideal_block must be 0 or 1")
 
     # with row-major vec, vec(k E_ij h) is column i n + j of kron(k, h^T), and
     # the units E_ij of a block are the columns where kron(b, b) holds for the
     # block's indicator b
     sandwich = np.kron(k, h.T)
     first = np.arange(n) < n1
-    ideal = first if ideal_block == 0 else ~first
-    ideal_units = np.kron(ideal, ideal)
+    ideal_units = np.kron(~first, ~first)
 
     def sandwich_span(units):
         cols = sandwich[:, units]

@@ -124,7 +124,7 @@ def test_criterion_5_boundary_map():
     with _Stopwatch(5, "boundary winding over the interval model", 30.0):
         def winding_of(name, m, scheme="linear"):
             rep = builtin_scenario(name)
-            model = IntervalModel(grid_size=m, fiber_dim=rep.fiber_dim)
+            model = IntervalModel(grid_size=m)
             lift = lift_T(rep, model, scheme)
             result = boundary_unitary(lift)
             assert result.unitarity_defect <= 1e-8
@@ -142,7 +142,7 @@ def test_criterion_5_boundary_map():
 def test_criterion_6_projection_lift_obstruction():
     with _Stopwatch(6, "projection lift vs the winding obstruction", 10.0):
         matched = builtin_scenario("matched-endpoints")
-        model = IntervalModel(grid_size=64, fiber_dim=2)
+        model = IntervalModel(grid_size=64)
         grid_rep = exact_projection_lift(matched, model)
         assert grid_rep.max_residual <= 1e-10
         obstructed = builtin_scenario("eval-at-one")

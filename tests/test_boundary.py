@@ -54,20 +54,20 @@ Z2 = np.zeros((2, 2), dtype=complex)
 
 class TestIntervalModel:
     def test_points_uniform(self):
-        model = IntervalModel(grid_size=4, fiber_dim=2)
+        model = IntervalModel(grid_size=4)
         np.testing.assert_allclose(model.points, [0.0, 0.25, 0.5, 0.75, 1.0])
 
     def test_refined_grid_keeps_the_coarse_points(self):
         # refinement reuses the coarse fibers, so i/m must equal 2i/2m bit for bit
         for m in range(1, 4097):
-            coarse = IntervalModel(grid_size=m, fiber_dim=1).points
-            fine = IntervalModel(grid_size=2 * m, fiber_dim=1).points
+            coarse = IntervalModel(grid_size=m).points
+            fine = IntervalModel(grid_size=2 * m).points
             assert np.array_equal(fine[0::2], coarse), m
 
     def test_quotient_map_surjective_and_kernel(self, rng):
         # pi = endpoint evaluation reaches any endpoint pair, and the lifted
         # interpolant of a pair in the kernel vanishes at the ends
-        model = IntervalModel(grid_size=8, fiber_dim=3)
+        model = IntervalModel(grid_size=8)
         a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         g = GridFunction(boundary._interpolate(np.stack([a, b]), model.points))
@@ -87,14 +87,14 @@ def lifted_pair(hb, kb, model):
 
 class TestLiftOrthogonalPositive:
     def test_constant_pair(self):
-        model = IntervalModel(grid_size=6, fiber_dim=2)
+        model = IntervalModel(grid_size=6)
         h, k = lifted_pair((E11, E11), (E22, E22), model)
         for i in range(7):
             np.testing.assert_allclose(h[i], E11, atol=1e-12)
             np.testing.assert_allclose(k[i], E22, atol=1e-12)
 
     def test_interpolating_pair(self):
-        model = IntervalModel(grid_size=8, fiber_dim=2)
+        model = IntervalModel(grid_size=8)
         h, k = lifted_pair((E11, Z2), (E22, Z2), model)
         np.testing.assert_allclose(h[0], E11, atol=1e-12)
         np.testing.assert_allclose(h[8], Z2, atol=1e-12)
@@ -105,24 +105,24 @@ class TestLiftOrthogonalPositive:
             assert wh[0] >= -1e-12 and wh[-1] <= 1 + 1e-12
 
     def test_zero_pair(self):
-        model = IntervalModel(grid_size=4, fiber_dim=2)
+        model = IntervalModel(grid_size=4)
         h, k = lifted_pair((Z2, Z2), (Z2, Z2), model)
         assert op_norm(h[2]) == 0.0 and op_norm(k[2]) == 0.0
 
     def test_not_orthogonal_raises(self):
         # h k = 0 and 0 <= h, k <= 1 follow from the exact relations, gated by lift_T
         with pytest.raises(LiftResidual, match="relation residual"):
-            lifted_pair((E11, E11), (E11, E11), IntervalModel(grid_size=4, fiber_dim=2))
+            lifted_pair((E11, E11), (E11, E11), IntervalModel(grid_size=4))
 
     def test_not_contraction_raises(self):
         with pytest.raises(LiftResidual, match="relation residual"):
-            lifted_pair((2.0 * E11, Z2), (E22, Z2), IntervalModel(grid_size=4, fiber_dim=2))
+            lifted_pair((2.0 * E11, Z2), (E22, Z2), IntervalModel(grid_size=4))
 
 
 class TestLiftT:
     def test_zero_scenario_constant(self):
         rep = builtin_scenario("zero")
-        model = IntervalModel(grid_size=8, fiber_dim=2)
+        model = IntervalModel(grid_size=8)
         lift = lift_T(rep, model)
         expected = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
         for i in range(9):
@@ -131,16 +131,23 @@ class TestLiftT:
 
     def test_eval_at_one_endpoints_exact_projections(self):
         rep = builtin_scenario("eval-at-one")
-        model = IntervalModel(grid_size=16, fiber_dim=2)
+        model = IntervalModel(grid_size=16)
         lift = lift_T(rep, model)
         for idx in (0, 16):
             t = lift.t_prime.values[idx]
             assert op_norm(t @ t - t) <= 1e-10
         assert lift.endpoint_defect <= 1e-9
 
+    def test_fiber_comes_from_the_representation(self):
+        # the model carries the grid only; doubled is 4-dimensional at each point
+        lift = lift_T(builtin_scenario("doubled"), IntervalModel(64))
+        for path in (lift.h, lift.k):
+            assert path.values.shape == (65, 4, 4)
+        assert lift.t_prime.values.shape == (65, 8, 8)
+
     def test_spectrum_clamped(self):
         rep = builtin_scenario("eval-at-one")
-        model = IntervalModel(grid_size=16, fiber_dim=2)
+        model = IntervalModel(grid_size=16)
         lift = lift_T(rep, model)
         for i in range(17):
             w = np.linalg.eigvalsh(lift.t_prime.values[i])
@@ -148,7 +155,7 @@ class TestLiftT:
 
     def test_matched_endpoints_constant_projection(self):
         rep = builtin_scenario("matched-endpoints")
-        model = IntervalModel(grid_size=8, fiber_dim=2)
+        model = IntervalModel(grid_size=8)
         lift = lift_T(rep, model)
         t0 = lift.t_prime.values[0]
         for i in range(9):
@@ -157,7 +164,7 @@ class TestLiftT:
 
     def test_scalar_parts(self):
         rep = builtin_scenario("matched-endpoints")
-        model = IntervalModel(grid_size=8, fiber_dim=2)
+        model = IntervalModel(grid_size=8)
         lift = lift_T(rep, model)
         alpha, beta = lift.rho
         assert abs(alpha - 1.0) <= 1e-9
@@ -168,7 +175,7 @@ class TestLiftT:
         # rho contracts tr((1 - p) block) elementwise; the full product is the reference
         n = 4
         rep = BScenarioRep(exact_endpoint(rng, n), exact_endpoint(rng, n))
-        lift = lift_T(rep, IntervalModel(grid_size=16, fiber_dim=n))
+        lift = lift_T(rep, IntervalModel(grid_size=16))
         tp = lift.t_prime.values
         expected = []
         for g, block, default in ((lift.h, tp[:, :n, :n], 1.0), (lift.k, tp[:, n:, n:], 0.0)):
@@ -195,7 +202,7 @@ class TestLiftT:
         assert calls == [lift]
         # the n x n per-fiber reference: every scalar and every leak, off the
         # supports of the n x n h and k, then the medians and the max
-        n = model.fiber_dim
+        n = lift.h.fiber_dim
         tp = lift.t_prime.values
         ph, pk = support_projection(lift.h.values), support_projection(lift.k.values)
         slots = []
@@ -210,7 +217,7 @@ class TestLiftT:
 
     def test_t_and_supports_are_built_once(self, rng, monkeypatch):
         # rho and homotopy_collapse read one T and one pair of supports off the lift
-        lift = lift_T(conjugated_copies(rng, 3), IntervalModel(grid_size=32, fiber_dim=6))
+        lift = lift_T(conjugated_copies(rng, 3), IntervalModel(grid_size=32))
         calls = Counter()
         for name in ("_t_system", "_support_projection"):
 
@@ -228,7 +235,7 @@ class TestLiftT:
     def test_rejects_inexact_endpoint(self, rng):
         bad = QcTriple(0.5 * E11 + 0.1 * E22, Z2, Z2)  # violates h^2 + ... = h
         rep = BScenarioRep(bad, QcTriple(Z2, Z2, Z2))
-        model = IntervalModel(grid_size=4, fiber_dim=2)
+        model = IntervalModel(grid_size=4)
         from qcwb.boundary import LiftResidual
 
         with pytest.raises(LiftResidual):
@@ -238,7 +245,7 @@ class TestLiftT:
 class TestBoundaryUnitary:
     def run(self, name, m=64, scheme="linear"):
         rep = builtin_scenario(name)
-        model = IntervalModel(grid_size=m, fiber_dim=rep.fiber_dim)
+        model = IntervalModel(grid_size=m)
         lift = lift_T(rep, model, scheme)
         return boundary_unitary(lift), lift, model
 
@@ -283,14 +290,14 @@ class TestBoundaryUnitary:
         a = builtin_scenario("eval-at-one")
         b = builtin_scenario("matched-endpoints")
         rep = BScenarioRep(a.at0.direct_sum(b.at0), a.at1.direct_sum(b.at1))
-        model = IntervalModel(grid_size=64, fiber_dim=4)
+        model = IntervalModel(grid_size=64)
         lift = lift_T(rep, model)
         result = boundary_unitary(lift)
         assert result.winding == 1
 
     def test_coarse_grid_detected(self):
         rep = builtin_scenario("eval-at-one")
-        model = IntervalModel(grid_size=2, fiber_dim=2)
+        model = IntervalModel(grid_size=2)
         lift = lift_T(rep, model)
         with pytest.raises(WindingIllConditioned):
             boundary_unitary(lift)
@@ -315,7 +322,7 @@ class TestWindingNumber:
 
 class TestHomotopyCollapse:
     def test_identity_path(self):
-        model = IntervalModel(grid_size=4, fiber_dim=2)
+        model = IntervalModel(grid_size=4)
         lift = lift_T(builtin_scenario("matched-endpoints"), model)
         out, w_out, w_in = homotopy_collapse(lift)
         assert w_out == w_in == 0
@@ -324,7 +331,7 @@ class TestHomotopyCollapse:
 
     def test_pipeline_windings_agree(self):
         rep = builtin_scenario("eval-at-one")
-        model = IntervalModel(grid_size=64, fiber_dim=2)
+        model = IntervalModel(grid_size=64)
         lift = lift_T(rep, model)
         out, w_out, w_in = homotopy_collapse(lift)
         assert w_out == w_in == 1
@@ -335,13 +342,13 @@ class TestHomotopyCollapse:
 
     def test_doubling_doubles_both(self):
         rep = builtin_scenario("doubled")
-        model = IntervalModel(grid_size=64, fiber_dim=4)
+        model = IntervalModel(grid_size=64)
         lift = lift_T(rep, model)
         _, w_out, w_in = homotopy_collapse(lift)
         assert w_out == w_in == 2
 
     def test_unitarity_gate_names_the_corrupted_fiber(self, monkeypatch):
-        lift = lift_T(builtin_scenario("eval-at-one"), IntervalModel(grid_size=32, fiber_dim=2))
+        lift = lift_T(builtin_scenario("eval-at-one"), IntervalModel(grid_size=32))
         theta = boundary.homotopy_theta
         images = []
 
@@ -370,7 +377,7 @@ class TestHomotopyCollapse:
         assert "at fiber 21 " in str(raised.value)
 
     def test_unitarity_gate_takes_no_per_fiber_norm_on_a_pass(self, monkeypatch):
-        lift = lift_T(builtin_scenario("doubled"), IntervalModel(grid_size=64, fiber_dim=4))
+        lift = lift_T(builtin_scenario("doubled"), IntervalModel(grid_size=64))
 
         def forbidden(*args, **kwargs):
             raise AssertionError("per-fiber norms taken on a passing gate")
@@ -381,7 +388,7 @@ class TestHomotopyCollapse:
 
     def test_intermediate_s_unitary(self):
         rep = builtin_scenario("eval-at-one")
-        model = IntervalModel(grid_size=32, fiber_dim=2)
+        model = IntervalModel(grid_size=32)
         lift = lift_T(rep, model)
         for s in (0.25, 0.5, 0.75):
             out, _, _ = homotopy_collapse(lift, s=s)
@@ -393,7 +400,7 @@ class TestHomotopyCollapse:
 class TestExactProjectionLift:
     def test_matched_endpoints_lifts(self):
         rep = builtin_scenario("matched-endpoints")
-        model = IntervalModel(grid_size=16, fiber_dim=2)
+        model = IntervalModel(grid_size=16)
         grid_rep = exact_projection_lift(rep, model)
         assert grid_rep.max_residual <= 1e-10
         assert grid_rep.endpoint_defect <= 1e-9
@@ -405,14 +412,14 @@ class TestExactProjectionLift:
     def test_constant_fiber_scenario(self):
         fib = canonical_fiber(1.0)
         rep = BScenarioRep(fib, fib)
-        model = IntervalModel(grid_size=8, fiber_dim=2)
+        model = IntervalModel(grid_size=8)
         grid_rep = exact_projection_lift(rep, model)
         for i in range(9):
             np.testing.assert_allclose(grid_rep.h.values[i], fib.h, atol=1e-10)
 
     def test_eval_at_one_obstructed(self):
         rep = builtin_scenario("eval-at-one")
-        model = IntervalModel(grid_size=16, fiber_dim=2)
+        model = IntervalModel(grid_size=16)
         with pytest.raises(NoSpectralGap):
             exact_projection_lift(rep, model)
 
@@ -428,24 +435,14 @@ class TestExactProjectionLift:
         # rank steps by the winding between two points: the path would jump
         rep = builtin_scenario(name)
         with pytest.raises(NoSpectralGap, match="change of the thresholded rank"):
-            exact_projection_lift(rep, IntervalModel(grid, rep.fiber_dim))
+            exact_projection_lift(rep, IntervalModel(grid))
 
     @pytest.mark.parametrize("grid", range(1, 10))
     def test_unobstructed_data_lift_on_every_grid(self, grid):
         fiber = canonical_fiber(1.0)
         for rep in (builtin_scenario("matched-endpoints"), BScenarioRep(fiber, fiber)):
-            grid_rep = exact_projection_lift(rep, IntervalModel(grid, 2))
+            grid_rep = exact_projection_lift(rep, IntervalModel(grid))
             assert grid_rep.max_residual <= 1e-10
-
-    @pytest.mark.parametrize("gamma", [np.nan, 0.0, -0.1, 0.5, np.inf])
-    def test_gamma_outside_the_open_half_interval_raises(self, monkeypatch, gamma):
-        # a gamma of 0 or less, or a NaN, would switch the gap check off
-        def forbidden(*args, **kwargs):
-            raise AssertionError("lifted before gamma was checked")
-
-        monkeypatch.setattr(boundary, "lift_T", forbidden)
-        with pytest.raises(ValueError, match="gamma must lie in"):
-            exact_projection_lift(builtin_scenario("eval-at-one"), IntervalModel(16, 2), gamma)
 
 
 class TestRunScenario:
@@ -474,9 +471,10 @@ class TestRunScenario:
         assert coarse.winding == fine.winding == 16
         assert coarse.invariants_hold()
 
-    def test_refinement_stops_at_max_grid(self):
+    def test_refinement_stops_at_max_grid(self, monkeypatch):
+        monkeypatch.setattr(boundary, "_MAX_GRID", 2)
         with pytest.raises(PhaseStepTooLarge):
-            run_scenario("eval-at-one", grid_size=2, max_grid=2)
+            run_scenario("eval-at-one", grid_size=2)
 
 
 def check_exact_endpoints(gen, n, profile):
@@ -556,7 +554,7 @@ class TestStackedPipeline:
         counts = []
         for m in (64, 1024):
             calls.clear()
-            model = IntervalModel(grid_size=m, fiber_dim=2)
+            model = IntervalModel(grid_size=m)
             boundary_unitary(lift_T(rep, model))
             counts.append(sorted(name for name, _ in calls))
             # h, k, their eighth roots and supports share one decomposition,
@@ -658,7 +656,7 @@ class TestStackedPipeline:
         # one eigh of [h(0), h(1), k(0), k(1)], none of the stacked T(0), T(1)
         # and none per endpoint
         rep = BScenarioRep(exact_endpoint(rng, 6), exact_endpoint(rng, 6))
-        lift = lift_T(rep, IntervalModel(grid_size=16, fiber_dim=6))
+        lift = lift_T(rep, IntervalModel(grid_size=16))
         assert eigh_shapes.count((4, 6, 6)) == 1
         assert (2, 12, 12) not in eigh_shapes
         assert (6, 6) not in eigh_shapes and (12, 12) not in eigh_shapes
@@ -682,7 +680,7 @@ class TestStackedPipeline:
             return apply(self, values)
 
         monkeypatch.setattr(EigenSystem, "apply", recorded)
-        lift = lift_T(rep, IntervalModel(64, 6))
+        lift = lift_T(rep, IntervalModel(64))
         assert lift.t.dim == 2 * lift.c.dim < 6
         views = (lift.t_prime, lift.h, lift.k, lift.rho, lift.corner_defect)
         assert views[0].values.shape == (65, 12, 12)
@@ -690,7 +688,7 @@ class TestStackedPipeline:
         if name == "eval-at-one":
             boundary_unitary(lift)
         else:
-            exact_projection_lift(rep, IntervalModel(64, 6))
+            exact_projection_lift(rep, IntervalModel(64))
         for shape in applied + eigh_shapes:
             assert shape[-1] <= 2 * lift.c.dim or shape[0] <= 4, shape
 
@@ -700,37 +698,38 @@ class TestStackedPipeline:
         gen = np.random.default_rng(n)
         for _ in range(5):
             rep = BScenarioRep(exact_endpoint(gen, n), exact_endpoint(gen, n))
-            lift = lift_T(rep, IntervalModel(grid_size=4, fiber_dim=n))
+            lift = lift_T(rep, IntervalModel(grid_size=4))
             np.testing.assert_array_equal(lift.ends.y[0], factor_x(rep.at0))
             np.testing.assert_array_equal(lift.ends.y[1], factor_x(rep.at1))
 
     def test_exact_projection_lift_decomposes_t_once(self, eigh_shapes):
         # r = n = 2 here: two r x r stacks, and none on R + R
-        exact_projection_lift(builtin_scenario("matched-endpoints"), IntervalModel(8, 2))
+        exact_projection_lift(builtin_scenario("matched-endpoints"), IntervalModel(8))
         assert eigh_shapes.count((9, 2, 2)) == 2
         assert (9, 4, 4) not in eigh_shapes
 
 
-def test_coarse_grid_winds_as_the_index():
+def test_coarse_grid_winds_as_the_index(monkeypatch):
     # grids 1 and 2 see no phase step in doubled, whose index is 2
     for grid in (1, 2):
         result, _, model = run_scenario("doubled", grid_size=grid)
         assert result.winding == 2 and model.grid_size > 2
-    lift = lift_T(builtin_scenario("doubled"), IntervalModel(1, 4))
+    lift = lift_T(builtin_scenario("doubled"), IntervalModel(1))
     with pytest.raises(WindingIndexMismatch, match="winding 0 from the index 2"):
         boundary_unitary(lift)
+    monkeypatch.setattr(boundary, "_MAX_GRID", 1)
     with pytest.raises(WindingIndexMismatch):
-        run_scenario("doubled", grid_size=1, max_grid=1)
+        run_scenario("doubled", grid_size=1)
 
 
 def test_homotopy_collapse_gates_the_index():
     # both det windings alias to 0 on grids 1 and 2 of doubled, whose index is 2
     rep = builtin_scenario("doubled")
     for grid in (1, 2):
-        lift = lift_T(rep, IntervalModel(grid, 4))
+        lift = lift_T(rep, IntervalModel(grid))
         with pytest.raises(WindingIndexMismatch, match="from the index 2"):
             homotopy_collapse(lift)
-    _, w_out, w_in = homotopy_collapse(lift_T(rep, IntervalModel(64, 4)))
+    _, w_out, w_in = homotopy_collapse(lift_T(rep, IntervalModel(64)))
     assert (w_out, w_in) == (2, 2)
 
 
@@ -797,7 +796,7 @@ def check_tau(rep, grid):
     """tau = tr T' in closed form at every grid point; a returned run steps tau
     by less than 1/8 and the det phase by less than pi/4 unless it stopped at
     max_grid, and it refined no further than that needs."""
-    lift = lift_T(rep, IntervalModel(grid, rep.fiber_dim))
+    lift = lift_T(rep, IntervalModel(grid))
     traces = np.trace(lift.t_prime.values, axis1=-2, axis2=-1)
     np.testing.assert_allclose(lift.tau, traces.real, rtol=0, atol=1e-12)
     result, lift, model = run_scenario(rep, grid_size=grid)
@@ -848,7 +847,7 @@ def test_lift_decomposes_on_the_range_of_the_endpoints(n, grid, seed):
     rep = BScenarioRep(exact_endpoint(gen, n), exact_endpoint(gen, n))
     ranges = np.hstack([rep.at0.h, rep.at1.h, rep.at0.k, rep.at1.k])
     r = np.linalg.matrix_rank(ranges, tol=1e-8)
-    lift = lift_T(rep, IntervalModel(grid, n))
+    lift = lift_T(rep, IntervalModel(grid))
     for es in (lift.c, lift.b):
         assert es.eigenvalues.shape == (grid + 1, r)
         assert es.basis.shape == (grid + 1, r, r)
@@ -910,7 +909,7 @@ def check_corner_block(rep):
     is the embedded block sum C diag(e^(2 pi i clip(w))) C* - 1 on R,
     C = B[:r] + B[r:], of exp(2 pi i T')."""
     result, lift, model = run_scenario(rep)
-    n, r = model.fiber_dim, lift.c.dim
+    n, r = rep.fiber_dim, lift.c.dim
     ends = lift.ends
     es = lift.t
     assert es.dim == 2 * r
@@ -960,7 +959,7 @@ def check_certificates_bound_u(rep, grid):
     result, _, model = run_scenario(rep, grid_size=grid)
     assert "u" not in result.__dict__
     u = result.u.values
-    n = model.fiber_dim
+    n = rep.fiber_dim
     eye = np.eye(n)
     slack = 4 * n * np.finfo(float).eps
     unit = np.max(op_norm(u @ u.conj().swapaxes(-1, -2) - eye))
@@ -1016,7 +1015,7 @@ def test_a_corrupted_frame_fails_closed(monkeypatch, capsys, field, corrupt):
         frame = corrupt(getattr(lift.ends, field))
         return replace(lift, ends=replace(lift.ends, **{field: frame}))
 
-    result = boundary_unitary(corrupted(builtin_scenario("doubled"), IntervalModel(64, 4)))
+    result = boundary_unitary(corrupted(builtin_scenario("doubled"), IntervalModel(64)))
     assert result.winding == 2
     assert not result.invariants_hold()
     monkeypatch.setattr(boundary, "lift_T", corrupted)
@@ -1036,7 +1035,7 @@ def test_projection_lift_returns_only_at_index_zero(n, grid, seed):
     gen = np.random.default_rng(seed)
     rep = BScenarioRep(exact_endpoint(gen, n), exact_endpoint(gen, n))
     try:
-        grid_rep = exact_projection_lift(rep, IntervalModel(grid, n))
+        grid_rep = exact_projection_lift(rep, IntervalModel(grid))
     except NoSpectralGap:
         return
     # rank T = n - tr h + tr k for an exact triple
@@ -1049,7 +1048,7 @@ def _reference(lift, model):
     """T', h, k, rho, the corner leak and the homotopy image at s = 0, each
     built n x n from the interpolated c = h - k and y, with fresh
     decompositions of c and T."""
-    n, ends = model.fiber_dim, lift.ends
+    n, ends = len(lift.ends.w), lift.ends
     lam, v = np.linalg.eigh(boundary._interpolate(ends.c, model.points))
 
     def func(vals):
@@ -1087,7 +1086,7 @@ def test_views_on_r_match_the_n_by_n_reference(n, grid, seed):
     n x n (:func:`_reference`) to 1e-12."""
     gen = np.random.default_rng(seed)
     rep = BScenarioRep(exact_endpoint(gen, n), exact_endpoint(gen, n))
-    model = IntervalModel(grid, n)
+    model = IntervalModel(grid)
     lift = lift_T(rep, model)
     t_prime, h, k, slots, leak, image = _reference(lift, model)
     for got, want in ((lift.t_prime, t_prime), (lift.h, h), (lift.k, k)):

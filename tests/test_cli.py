@@ -419,17 +419,18 @@ class TestDeterminism:
             report.pop("timestamp")
         assert outs[0] == outs[1]
 
-    def test_seed_env_fallback(self, tmp_path):
+    def test_seed_defaults_to_zero(self, tmp_path):
+        # the seed comes from --seed alone; the environment does not supply one
         out_env = tmp_path / "env.json"
         out_flag = tmp_path / "flag.json"
         proc = run_cli(
             "check", "--grid", "4", "--output", str(out_env), env_extra={"QCWB_SEED": "9"}
         )
         assert proc.returncode == 0
-        proc = run_cli("check", "--grid", "4", "--seed", "9", "--output", str(out_flag))
+        proc = run_cli("check", "--grid", "4", "--seed", "0", "--output", str(out_flag))
         assert proc.returncode == 0
         a = json.loads(out_env.read_text())
         b = json.loads(out_flag.read_text())
         a.pop("timestamp")
         b.pop("timestamp")
-        assert a == b
+        assert a == b and a["seed"] == 0

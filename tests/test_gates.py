@@ -35,7 +35,7 @@ ALLOWED = {
     ("linalg.py", "_norms", "NoConvergence"),
     # determinant: a vanishing determinant has no phase to bound
     ("boundary.py", "winding_number", "WindingIllConditioned"),
-    # spectral window: eigenvalues inside (1/2 - gamma, 1/2 + gamma), not a defect
+    # spectral window: eigenvalues within _GAP of 1/2, not a defect
     ("boundary.py", "exact_projection_lift", "NoSpectralGap"),
 }
 

@@ -94,6 +94,17 @@ class TestJacobi:
         es = herm_eig(h, JACOBI)
         np.testing.assert_allclose(es.eigenvalues, np.linalg.eigvalsh(h), atol=1e-12)
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_fibers_whose_squares_overflow_or_underflow(self, scale):
+        # the squares of these entries sum to inf or to 0, which would make
+        # every fiber count as converged before any rotation
+        h = scale * np.array([[1.0, 0.3], [0.3, -1.0]], dtype=complex)
+        want = np.linalg.eigvalsh(h)
+        stack = np.stack([np.diag([2.0, 3.0]).astype(complex), h, np.eye(2, dtype=complex)])
+        for got in (herm_eig(h, JACOBI).eigenvalues, herm_eig(stack, JACOBI).eigenvalues[1]):
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+        np.testing.assert_array_equal(jacobi_eigh(stack)[0][[0, 2]], [[2.0, 3.0], [1.0, 1.0]])
+
 
 class TestFuncCalc:
     def test_diagonal_case(self):

@@ -485,16 +485,28 @@ def test_sweep_gate_fails_closed_on_a_nan_delta(rng):
 
 class TestRegistry:
     def test_stock_functions_vanish_at_zero(self):
+        # _validate measures f(0) of every function a relation applies: each
+        # stock function gives 0 there, so a relation may apply each one but
+        # the step, which it rejects for its smoothness alone
         reg = default_registry()
         for name, fn in reg.items():
-            if not fn.unital_only:
-                assert fn(np.array([0.0]))[0] == 0.0, name
+            assert fn(np.array([0.0]))[0] == 0.0, name
+            if fn.smoothness == "step":
+                with pytest.raises(ValidationError, match="not continuous"):
+                    parse_expression(f"{name}(sym(h))", ("h",), reg)
+            else:
+                parse_expression(f"{name}(sym(h))", ("h",), reg)
 
     def test_cutoff_parameterization(self):
-        reg = default_registry(theta=0.1)
-        g = reg["gplus"]
+        # the stock cutoffs have width theta = 0.25: g+ is the identity from
+        # theta/2 on, q+ is 1 from theta^2/4 on
+        reg = default_registry()
+        g, q = reg["gplus"], reg["qplus"]
         assert g(np.array([-1.0]))[0] == 0.0
-        assert g(np.array([0.2]))[0] == pytest.approx(0.2)
+        assert g(np.array([0.125]))[0] == 0.125
+        assert 0.0 < g(np.array([0.0625]))[0] < 0.0625
+        assert q(np.array([0.015625]))[0] == 1.0
+        assert 0.0 < q(np.array([0.0078]))[0] < 1.0
 
     def test_function_not_vanishing_at_zero_rejected(self):
         # f(0) is measured: a registry function with f(0) = 1 would give a

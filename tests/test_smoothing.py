@@ -71,7 +71,7 @@ class TestCutoffs:
     @pytest.mark.parametrize("theta", [0.5, 0.05])
     def test_qplus_bounds(self, theta):
         ramp = theta * theta / 4
-        q = make_qplus(theta, ramp)
+        q = make_qplus(theta)
         vals = q(self.GRID)
         assert np.all(vals[self.GRID <= 0.0] == 0.0)
         assert np.all(vals[self.GRID >= ramp] == 1.0)
@@ -83,13 +83,9 @@ class TestCutoffs:
         slack = np.sqrt(t01 - t01 * t01) * (1.0 - q(t01) ** 2)
         assert np.max(slack) <= theta / 2 + 1e-12
 
-    def test_qplus_rejects_wide_ramp(self):
-        with pytest.raises(ValueError):
-            make_qplus(0.1, ramp_width=0.01)
-
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -0.1])
     def test_non_finite_widths_fail_closed(self, bad):
-        # theta and the ramp width go through one check, which a NaN fails
+        # every cutoff width goes through one check, which a NaN fails
         for make in (
             lambda: make_gplus(bad),
             lambda: make_gminus(bad),
@@ -98,13 +94,6 @@ class TestCutoffs:
             lambda: SmoothingParams(epsilon=0.1, theta=bad),
         ):
             with pytest.raises(ValueError, match="theta must be positive and finite"):
-                make()
-        for make in (
-            lambda: make_qplus(0.1, ramp_width=bad),
-            lambda: make_qminus(0.1, ramp_width=bad),
-            lambda: SmoothingParams(epsilon=0.1, theta=0.1, ramp_width=bad),
-        ):
-            with pytest.raises(ValueError, match="ramp_width must lie in"):
                 make()
 
     def test_support_orthogonality(self, rng):
@@ -117,9 +106,11 @@ class TestCutoffs:
             assert op_norm(prod) <= 1e-12
 
     def test_cutoff_values(self):
-        # g+ is the identity above theta/2; q- is 1 below -ramp_width
+        # g+ is the identity above theta/2; q- is 1 below -theta^2/4
         assert make_gplus(0.2)(np.array([0.5]))[0] == pytest.approx(0.5)
-        assert make_qminus(0.2, 0.005)(np.array([-1.0]))[0] == 1.0
+        assert make_qminus(0.2)(np.array([-0.01]))[0] == 1.0
+        assert 0.0 < make_qminus(0.2)(np.array([-0.005]))[0] < 1.0
+        assert SmoothingParams(epsilon=0.1, theta=0.2).ramp_width == 0.2**2 / 4
 
 
 class TestSmoothRepresentation:

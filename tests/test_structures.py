@@ -225,7 +225,7 @@ class TestCornerIdealEquality:
     def test_identity_elements(self):
         n1, n2 = 2, 3
         eye = np.eye(n1 + n2, dtype=complex)
-        equal, gap = corner_ideal_equality(eye, eye, (n1, n2), ideal_block=1)
+        equal, gap = corner_ideal_equality(eye, eye, (n1, n2))
         assert equal and gap <= 1e-12
 
     def test_h_outside_ideal_gives_zero_on_both_sides(self, rng):
@@ -238,7 +238,7 @@ class TestCornerIdealEquality:
         b = random_matrix(rng, n2)
         k = np.zeros((n, n), dtype=complex)
         k[n1:, n1:] = b @ b.conj().T
-        equal, gap = corner_ideal_equality(h, k, (n1, n2), ideal_block=1)
+        equal, gap = corner_ideal_equality(h, k, (n1, n2))
         assert equal and gap <= 1e-12
 
     def test_random_positive_pairs(self, rng):
@@ -263,7 +263,7 @@ class TestCornerIdealEquality:
 
             h = block_pos()
             k = block_pos()
-            _, gap = corner_ideal_equality(h, k, (n1, n2), ideal_block=1)
+            _, gap = corner_ideal_equality(h, k, (n1, n2))
             cond = np.linalg.cond(h[n1:, n1:]) * np.linalg.cond(k[n1:, n1:])
             assert gap <= max(1e-10, 100 * np.finfo(float).eps * cond)
 
