@@ -118,9 +118,18 @@ def adjoint(m: np.ndarray) -> np.ndarray:
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
-    """(m + m*) / 2 of each fiber."""
+    """(m + m*) / 2 of each fiber.
+
+    Where the sum overflows, on parts above about 9e307, each term is halved
+    first: m/2 + m*/2.  Only there, since halving first rounds subnormal parts.
+    """
     m = np.asarray(m, dtype=complex)
-    out = m + adjoint(m)
+    try:
+        with np.errstate(over="raise"):
+            out = m + adjoint(m)
+    except FloatingPointError:
+        half = m * 0.5
+        return half + adjoint(half)
     out *= 0.5
     return out
 
@@ -205,7 +214,14 @@ def _rotate(m: np.ndarray, p: np.ndarray, q: np.ndarray, c, s, ps, pc) -> None:
     """Columns ``p`` and ``q`` of each fiber of ``m`` times ``[[c, s], [-ps, pc]]``,
     in place; the pairs are disjoint, so all of them at once."""
     mp, mq = m[..., p], m[..., q]
-    m[..., p], m[..., q] = c * mp - ps * mq, s * mp + pc * mq
+    # each element gets the operations of c * mp - ps * mq and
+    # s * mp + pc * mq, from three new arrays, not six; numpy's complex
+    # product need not commute bit for bit, so pc stays the first factor
+    new = c * mp
+    new -= ps * mq
+    np.multiply(pc, mq, out=mq)
+    mq += s * mp
+    m[..., p], m[..., q] = new, mq
 
 
 def jacobi_eigh(
@@ -284,13 +300,13 @@ def jacobi_eigh(
 
 
 def _eigh_raw(h: np.ndarray, profile: ToleranceProfile) -> EigenSystem:
-    """Decompose the Hermitian part of each fiber of ``h``, unchecked."""
-    a = hermitian_part(h)
+    """Decompose the Hermitian part of each fiber of ``h``, unchecked;
+    :func:`jacobi_eigh` takes that part itself."""
     if profile.method == "jacobi":
-        w, u = jacobi_eigh(a, profile.sweep_budget, profile.off_diag_tol)
+        w, u = jacobi_eigh(h, profile.sweep_budget, profile.off_diag_tol)
     else:
         try:
-            w, u = np.linalg.eigh(a)
+            w, u = np.linalg.eigh(hermitian_part(h))
         except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
             raise NoConvergence(str(exc)) from exc
     return EigenSystem(eigenvalues=w, basis=u)

@@ -25,11 +25,11 @@ threshold:
     1/2 yields a projection Pi, and the blocks of the exact projection that
     thresholds T2 are the output triple: h_out = U_P (1 - Pi_PP) U_P*,
     x_out = U_N Pi_NP U_P* and k_out = U_N Pi_NN U_N*.  Its arrays are made
-    read-only.  The run measures the distances moved at once, and decides
-    whether every output relation defect is at most ``RESIDUAL_SUCCESS_TOL``
-    from Frobenius bounds, which settle an exact output with no SVD
-    (:func:`linalg._max_norm_above`); the report measures the output
-    residuals themselves when they are first read.
+    read-only.  Whether every distance moved is at most epsilon, and every
+    output relation defect at most ``RESIDUAL_SUCCESS_TOL``, is decided from
+    bounds that settle a clear case with no SVD and a close one exactly
+    (:func:`linalg._max_norm_above`).  The report measures the figures
+    themselves when they are first read.
 
 Support orthogonality of g_plus and g_minus makes the output orthogonality
 exact up to rounding, and the whole construction moves each component only
@@ -175,9 +175,11 @@ class SmoothingParams:
 
     ``epsilon`` is the target distance (must sit in (0, 1/4)); ``theta`` the
     ramp width of the g cutoffs, from which the q cutoffs' ramp width
-    follows; ``delta`` the residual budget the input must meet.  The
-    guarantee is existential in delta: callers supply it, the run reports
-    failure when it was too generous.
+    follows; ``delta`` the residual budget the input must meet, epsilon/2
+    when not given.  The guarantee is existential in delta: callers supply
+    it, the run reports failure when it was too generous.  An infinite
+    delta gates no residual; :func:`auto_theta` returns its parameters with
+    delta = inf.
     """
 
     epsilon: float
@@ -201,35 +203,53 @@ class SmoothingParams:
 class SmoothingReport:
     """Residuals, spectra, and distances recorded along one smoothing run.
 
-    The input residuals and the distances read the caller's arrays, so they
-    are measured during the run.  ``success`` is decided then as well: the
-    output residuals are compared with ``RESIDUAL_SUCCESS_TOL`` through
-    Frobenius bounds, which settle an exact output with no decomposition.
-    The figures themselves, :attr:`output_residuals`, are measured on
-    ``output`` when first read.  The run returns that same triple and makes
-    its arrays read-only, so the figures are those of the returned output,
-    and a write into it raises.
+    ``success`` is decided during the run, from bounds: every distance moved
+    is compared with epsilon, and every output residual with
+    ``RESIDUAL_SUCCESS_TOL``.  The figures themselves,
+    :attr:`input_residuals`, :attr:`output_residuals` and the distances
+    ``dist_h``, ``dist_k`` and ``dist_x``, are measured when first read.
+    They read ``input``, a read-only copy of the triple the run was given,
+    since the caller's arrays may change after the call, and ``output``,
+    the triple the run returned, whose arrays it made read-only.  So the
+    figures are those of the run, and a write into either triple raises.
     """
 
-    input_residuals: dict[str, float]
     s_min: float
     s_max: float
     t2_defect: float
     t2_within_half_epsilon: bool
-    dist_h: float
-    dist_k: float
-    dist_x: float
     theta: float
     ramp_width: float
     epsilon: float
     success: bool
+    input: QcTriple = field(repr=False, compare=False)
     output: QcTriple = field(repr=False, compare=False)
     profile: ToleranceProfile = field(repr=False, compare=False)
+
+    @cached_property
+    def input_residuals(self) -> dict[str, float]:
+        """The input's relation residuals, :func:`low_level_residuals`."""
+        return low_level_residuals(self.input, self.profile)
 
     @cached_property
     def output_residuals(self) -> dict[str, float]:
         """The output's relation residuals, :func:`low_level_residuals`."""
         return low_level_residuals(self.output, self.profile)
+
+    @cached_property
+    def dist_h(self) -> float:
+        """``||h_out - h||``."""
+        return op_norm(self.output.h - self.input.h, self.profile)
+
+    @cached_property
+    def dist_k(self) -> float:
+        """``||k_out - k||``."""
+        return op_norm(self.output.k - self.input.k, self.profile)
+
+    @cached_property
+    def dist_x(self) -> float:
+        """``||x_out - x||``."""
+        return op_norm(self.output.x - self.input.x, self.profile)
 
     def to_obj(self) -> dict:
         return {
@@ -259,38 +279,55 @@ _THETA_FLOOR = 1e-6
 
 def _checked_input(
     triple: QcTriple, profile: ToleranceProfile, delta: float = np.inf
-) -> dict[str, float]:
-    """The input's relation residuals, once the input meets the preconditions.
+) -> QcTriple:
+    """A read-only copy of ``triple``, once it meets the preconditions.
 
-    Raises :class:`ResidualTooLarge` when the worst residual exceeds
-    ``delta`` (infinite by default) or a component norm exceeds 2.  The
-    norm gate reads the bound sqrt(||A||_1 ||A||_inf) >= ||A|| first and
-    takes the exact operator norm only of a component the bound does not
-    settle.  Nothing here depends on theta, so :func:`auto_theta` checks once.
+    Raises :class:`ResidualTooLarge` when a relation residual exceeds
+    ``delta`` or a component norm exceeds 2.  An infinite ``delta`` (the
+    default) gates no residual.  A finite one is compared with each defect
+    in turn through :func:`linalg._max_norm_above`, exactly; the residuals
+    are measured only to word a failure.  The norm gate reads the bound
+    sqrt(||A||_1 ||A||_inf) >= ||A|| first and takes the exact operator norm
+    only of a component the bound does not settle.  A NaN or inf entry
+    raises :class:`NoConvergence` in either gate.  Nothing here depends on
+    theta, so :func:`auto_theta` checks, and copies, once.
     """
-    input_res = low_level_residuals(triple, profile)
-    _gate("input residual", max(input_res.values()), delta, ResidualTooLarge)
+    if not delta >= np.inf:
+        # one defect at a time, as in low_level_residuals; a NaN bound fails
+        exceeded = map(
+            lambda defect: _max_norm_above(defect, [delta], profile)[0],
+            _low_level_defects(triple),
+        )
+        if np.isnan(delta) or any(exceeded):
+            worst = max(low_level_residuals(triple, profile).values())
+            _gate("input residual", worst, delta, ResidualTooLarge)
     for name, a in (("h", triple.h), ("x", triple.x), ("k", triple.k)):
         mag = np.abs(a)
         one, inf = mag.sum(axis=0).max(initial=0.0), mag.sum(axis=1).max(initial=0.0)
         if not (np.sqrt(one * inf) <= 2.0):
             _gate(f"component norm ||{name}||", op_norm(a, profile), 2.0, ResidualTooLarge)
-    return input_res
+    copies = [np.array(a) for a in (triple.h, triple.x, triple.k)]
+    for a in copies:
+        a.flags.writeable = False
+    return QcTriple(*copies)
 
 
-def _smooth_checked(
-    triple: QcTriple, params: SmoothingParams, input_res: dict[str, float]
-) -> tuple[QcTriple, SmoothingReport]:
-    """The pipeline on an input that :func:`_checked_input` accepted."""
-    profile = params.profile
-    theta = params.theta
+def _exact_nearby(
+    triple: QcTriple, theta: float, profile: ToleranceProfile
+) -> tuple[np.ndarray, float, QcTriple]:
+    """Steps 1-4 on the cutoffs of width ``theta``: the spectrum of s,
+    ||T2^2 - T2||, and the output triple, whose arrays are made read-only.
+
+    Each n x n intermediate is let go once it has been used, so few of them
+    are held at a time.
+    """
     h, x, k = triple.h, triple.x, triple.k
-    s = hermitian_part(0.5 * (h + h.conj().T - k - k.conj().T))
     # one decomposition of s serves its extreme eigenvalues and all four cutoffs
-    s_sys = _eigh_raw(s, profile)
+    s_sys = _eigh_raw(hermitian_part(0.5 * (h + h.conj().T - k - k.conj().T)), profile)
     lam = s_sys.eigenvalues
     pos, neg = lam > 0.0, lam < 0.0
     u_p, u_n = s_sys.basis[:, pos], s_sys.basis[:, neg]
+    del s_sys
     lam_p, lam_n = lam[pos], lam[neg]
 
     # the corner block of T2 in the basis diag(U, U); outside it T2 is
@@ -300,16 +337,20 @@ def _smooth_checked(
         * (adjoint(u_n) @ x @ u_p)
         * make_qplus(theta)(lam_p)
     )
-    b = np.block(
-        [
-            [np.diag(1.0 - make_gplus(theta)(lam_p)), adjoint(y)],
-            [y, np.diag(make_gminus(theta)(lam_n))],
-        ]
+    b_sys = _eigh_raw(
+        np.block(
+            [
+                [np.diag(1.0 - make_gplus(theta)(lam_p)), adjoint(y)],
+                [y, np.diag(make_gminus(theta)(lam_n))],
+            ]
+        ),
+        profile,
     )
-    b_sys = _eigh_raw(b, profile)
+    del y
     t2_defect = float(_idempotency_defect(b_sys))
     _gate("||T2^2 - T2||", t2_defect, np.nextafter(0.25, 0.0), SpectralGapFailure)
     pi = _calc(b_sys, STEP_HALF)
+    del b_sys
     p = lam_p.size
 
     h_out = hermitian_part(u_p @ (np.eye(p) - pi[:p, :p]) @ adjoint(u_p))
@@ -317,29 +358,34 @@ def _smooth_checked(
     k_out = hermitian_part(u_n @ pi[p:, p:] @ adjoint(u_n))
     for a in (h_out, x_out, k_out):
         a.flags.writeable = False
-    out = QcTriple(h_out, x_out, k_out)
-    dist_h = op_norm(h_out - h, profile)
-    dist_k = op_norm(k_out - k, profile)
-    dist_x = op_norm(x_out - x, profile)
-    # one defect at a time, as in low_level_residuals; map holds none of them
+    return lam, t2_defect, QcTriple(h_out, x_out, k_out)
+
+
+def _smooth_checked(
+    triple: QcTriple, params: SmoothingParams
+) -> tuple[QcTriple, SmoothingReport]:
+    """The pipeline on the copy that :func:`_checked_input` returned."""
+    profile = params.profile
+    lam, t2_defect, out = _exact_nearby(triple, params.theta, profile)
+    # one difference or defect at a time, as in low_level_residuals; map
+    # holds none of them
+    moves = map(np.subtract, (out.h, out.x, out.k), (triple.h, triple.x, triple.k))
+    far = map(lambda move: _max_norm_above(move, [params.epsilon], profile)[0], moves)
     inexact = map(
         lambda defect: _max_norm_above(defect, [RESIDUAL_SUCCESS_TOL], profile)[0],
         _low_level_defects(out),
     )
-    success = max(dist_h, dist_k, dist_x) <= params.epsilon and not any(inexact)
+    success = not any(far) and not any(inexact)
     report = SmoothingReport(
-        input_residuals=input_res,
         s_min=float(lam[0]) if lam.size else 0.0,
         s_max=float(lam[-1]) if lam.size else 0.0,
         t2_defect=t2_defect,
         t2_within_half_epsilon=t2_defect <= params.epsilon / 2.0 + 1e-6,
-        dist_h=dist_h,
-        dist_k=dist_k,
-        dist_x=dist_x,
         theta=params.theta,
         ramp_width=params.ramp_width,
         epsilon=params.epsilon,
         success=success,
+        input=triple,
         output=out,
         profile=profile,
     )
@@ -356,8 +402,7 @@ def smooth_representation(
     cannot be thresholded.  Success in the report means output residuals at
     most 1e-10 and distances at most epsilon.
     """
-    input_res = _checked_input(triple, params.profile, params.delta)
-    return _smooth_checked(triple, params, input_res)
+    return _smooth_checked(_checked_input(triple, params.profile, params.delta), params)
 
 
 def auto_theta(
@@ -369,24 +414,24 @@ def auto_theta(
 
     Returns the successful parameters together with the run's output; raises
     :class:`NoWorkableTheta` when ``_THETA_FLOOR`` is reached without success.  The
-    input is checked once, before the search: one that misses the norm
-    precondition fails at once, with last failure ``"residual"``.  An epsilon
-    outside (0, 1/4) raises ``ValueError`` before any norm is taken.
+    input is checked, and copied, once, before the search.  No input residual
+    is gated, so the parameters carry delta = inf; an input that misses the
+    norm precondition fails at once, with last failure ``"residual"``.  An
+    epsilon outside (0, 1/4) raises ``ValueError`` before any norm is taken.
     """
     _check_epsilon(epsilon)
     try:
-        input_res = _checked_input(triple, profile)
+        triple = _checked_input(triple, profile)
     except ResidualTooLarge as exc:
         raise _no_workable_theta("residual") from exc
-    delta = max(max(input_res.values()) * 1.01, 1e-15)
     theta = epsilon / 2.0
     last_failure = "residual"
     while theta >= _THETA_FLOOR:
         params = SmoothingParams(
-            epsilon=epsilon, theta=theta, delta=delta, profile=profile
+            epsilon=epsilon, theta=theta, delta=np.inf, profile=profile
         )
         try:
-            out, report = _smooth_checked(triple, params, input_res)
+            out, report = _smooth_checked(triple, params)
         except SpectralGapFailure:
             last_failure = "gap"
         else:

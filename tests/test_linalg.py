@@ -19,13 +19,14 @@ from qcwb.linalg import (
     frac_power,
     func_calc,
     herm_eig,
+    hermitian_part,
     jacobi_eigh,
     nearest_projection,
     op_norm,
     smooth_step,
     unitary_exp,
 )
-from qcwb.linalg import _gate, _max_norm_above, _max_op_norm, _span
+from qcwb.linalg import _gate, _max_norm_above, _max_op_norm, _rotate, _span
 from qcwb.structures import CornerQuad, CornerSystem, SupportViolation, support_projection
 
 from conftest import (
@@ -70,6 +71,38 @@ class TestHermEig:
         es = herm_eig(random_hermitian(rng, 12))
         assert np.all(np.diff(es.eigenvalues) >= 0)
 
+    @pytest.mark.parametrize("name", ["default", "jacobi"])
+    def test_entries_whose_hermitian_sum_overflows(self, name):
+        # h + h* overflows on these finite entries; the eigenvalues are LAPACK's,
+        # with no warning, alone and as fiber 1 of a stack
+        h = np.array([[1.5e308, 1e307], [1e307, -1.5e308]], dtype=complex)
+        want = np.linalg.eigvalsh(h)
+        stack = np.stack([np.diag([2.0, 3.0]).astype(complex), h, np.eye(2, dtype=complex)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alone = herm_eig(h, PROFILES[name]).eigenvalues
+            stacked = herm_eig(stack, PROFILES[name]).eigenvalues
+        for got in (alone, stacked[1]):
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+        np.testing.assert_array_equal(stacked[[0, 2]], [[2.0, 3.0], [1.0, 1.0]])
+
+
+def test_hermitian_part_halves_first_only_where_the_sum_overflows(rng):
+    # (m + m*) / 2 bit for bit, subnormal parts included; m/2 + m*/2 where the
+    # sum overflows
+    m = random_matrix(rng, 5)
+    m[0, 1] = 3e-320 + 5e-324j
+    m[2, 2] = 5e-324
+    want = m + m.conj().T
+    want *= 0.5
+    np.testing.assert_array_equal(hermitian_part(m), want)
+    big = np.array([[1.5e308, 1e308j], [1e308, -1.5e308]], dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = hermitian_part(big)
+    np.testing.assert_array_equal(got, big * 0.5 + big.conj().T * 0.5)
+    assert np.isfinite(got).all()
+
 
 class TestJacobi:
     def test_agrees_with_lapack(self, rng):
@@ -104,6 +137,20 @@ class TestJacobi:
         for got in (herm_eig(h, JACOBI).eigenvalues, herm_eig(stack, JACOBI).eigenvalues[1]):
             np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
         np.testing.assert_array_equal(jacobi_eigh(stack)[0][[0, 2]], [[2.0, 3.0], [1.0, 1.0]])
+
+    def test_in_place_rotation_matches_the_formula(self, rng):
+        # the in-place update gives each element the operations of the formula
+        m = rng.standard_normal((3, 8, 6)) + 1j * rng.standard_normal((3, 8, 6))
+        p, q = np.array([0, 4, 3]), np.array([5, 1, 2])
+        t = rng.standard_normal((3, 1, 3))
+        c = 1.0 / np.sqrt(1.0 + t * t)
+        s = t * c
+        phase = np.exp(1j * rng.uniform(0.0, 2 * np.pi, (3, 1, 3)))
+        want = m.copy()
+        mp, mq = want[..., p], want[..., q]
+        want[..., p], want[..., q] = c * mp - phase * s * mq, s * mp + phase * c * mq
+        _rotate(m, p, q, c, s, phase * s, phase * c)
+        np.testing.assert_array_equal(m, want)
 
 
 class TestFuncCalc:

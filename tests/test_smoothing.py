@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from qcwb import linalg
 from qcwb.linalg import (
     PROFILES,
     GapTooSmall,
+    NoConvergence,
     func_calc,
     hermitian_part,
     nearest_projection,
@@ -253,7 +256,8 @@ class TestAutoTheta:
 
 
 def test_smooth_representation_decomposes_once(rng, monkeypatch):
-    # s and T2 are decomposed once each; every other call is one norm
+    # s and T2 are decomposed once each; the residual gate at delta and the
+    # success decision are settled by Frobenius bounds, with no SVD
     trip, _ = perturbed_generators(rng, m=16, size=1e-4)
     params = SmoothingParams(epsilon=0.1, theta=0.05, delta=1e-3)
     calls = []
@@ -268,8 +272,7 @@ def test_smooth_representation_decomposes_once(rng, monkeypatch):
         monkeypatch.setattr(np.linalg, attr, counted)
     out, report = smooth_representation(trip, params)
     assert report.success
-    assert len(calls) <= 20, calls
-    assert calls.count("eigh") == 2
+    assert calls == ["eigh", "eigh"], calls
 
 
 def _count_decompositions(monkeypatch):
@@ -300,13 +303,20 @@ def test_auto_theta_decomposes_the_corner_block(rng, monkeypatch):
     eighs = [shape for name, shape in calls if name == "eigh"]
     assert len(eighs) == 2, calls
     assert max(shape[-1] for shape in eighs) <= n
-    # 4 input residuals and 3 distances: the exact output's defects are
-    # settled by their Frobenius norms, and measured when the report is read
-    svds = sum(name == "svd" for name, _ in calls)
-    assert svds <= 7, calls
-    assert "output_residuals" not in vars(report)
+    # the distances and the exact output's defects are settled by Frobenius
+    # norms; each figure is measured when the report is read
+    assert len(calls) == 2, calls
+    for attr in ("input_residuals", "output_residuals", "dist_h", "dist_k", "dist_x"):
+        assert attr not in vars(report)
+    svds = lambda: sum(name == "svd" for name, _ in calls)
+    assert max(report.input_residuals.values()) <= 1e-3
+    assert svds() == 4, calls
+    assert max(report.dist_h, report.dist_k, report.dist_x) <= 0.1
+    assert svds() == 4 + 3, calls
     assert max(report.output_residuals.values()) <= 1e-10
-    assert sum(name == "svd" for name, _ in calls) == svds + 4, calls
+    assert svds() == 4 + 3 + 4, calls
+    report.to_obj()
+    assert svds() == 4 + 3 + 4, calls
 
 
 @pytest.mark.parametrize("name", ["default", "jacobi"])
@@ -325,6 +335,109 @@ def test_output_residuals_are_those_of_the_returned_output(rng, name):
     assert report.to_obj()["output_residuals"] == report.output_residuals
 
 
+@pytest.mark.parametrize("name", ["default", "jacobi"])
+def test_input_figures_are_those_of_the_input_the_run_was_given(rng, name):
+    # read on demand from the report's read-only copy, the input residuals and
+    # the distances are low_level_residuals and op_norm of the input the run
+    # was given, bit for bit, whatever the caller writes into its arrays after
+    profile = PROFILES[name]
+    trip, _ = perturbed_generators(rng, m=4, size=1e-4)
+    runs = (
+        lambda t: auto_theta(t, epsilon=0.1, profile=profile)[1:],
+        lambda t: smooth_representation(
+            t, SmoothingParams(epsilon=0.1, theta=0.05, profile=profile)
+        ),
+    )
+    for run in runs:
+        h, x, k = trip.h.copy(), trip.x.copy(), trip.k.copy()
+        out, report = run(QcTriple(h, x, k))
+        for a in (h, x, k):
+            a[...] = 7.0
+        for a in (report.input.h, report.input.x, report.input.k):
+            assert not a.flags.writeable
+        assert report.input_residuals == low_level_residuals(trip, profile)
+        assert report.dist_h == op_norm(out.h - trip.h, profile)
+        assert report.dist_k == op_norm(out.k - trip.k, profile)
+        assert report.dist_x == op_norm(out.x - trip.x, profile)
+        obj = report.to_obj()
+        assert obj["input_residuals"] == report.input_residuals
+        assert obj["distances"] == {"h": report.dist_h, "k": report.dist_k, "x": report.dist_x}
+
+
+@pytest.mark.parametrize("name", ["default", "jacobi"])
+def test_distance_at_epsilon_is_decided_exactly(name):
+    # every eigenvalue of s stays near +-1/2 or +-1, far above each cutoff's
+    # ramp, so the output does not depend on theta and neither does the
+    # largest distance d: epsilon = d passes, and one ulp below d fails at
+    # every theta that auto_theta tries, on distance
+    profile = PROFILES[name]
+    gen = np.random.default_rng(5)
+    base = canonical_generators(2)
+    n = base.dim
+    trip = QcTriple(
+        base.h + 1e-3 * random_hermitian(gen, n) / n,
+        base.x + 1e-3 * random_matrix(gen, n) / n,
+        base.k + 1e-3 * random_hermitian(gen, n) / n,
+    )
+    out, report = smooth_representation(
+        trip, SmoothingParams(epsilon=0.2, theta=0.1, delta=1.0, profile=profile)
+    )
+    d = max(report.dist_h, report.dist_k, report.dist_x)
+    for epsilon, success in ((d, True), (np.nextafter(d, 0.0), False)):
+        params = SmoothingParams(epsilon=epsilon, theta=0.1, delta=1.0, profile=profile)
+        again, report = smooth_representation(trip, params)
+        np.testing.assert_array_equal(again.x, out.x)
+        assert report.success is success
+    params, again, report = auto_theta(trip, d, profile)
+    assert report.success and params.theta == d / 2.0
+    np.testing.assert_array_equal(again.x, out.x)
+    with pytest.raises(NoWorkableTheta) as info:
+        auto_theta(trip, np.nextafter(d, 0.0), profile)
+    assert info.value.last_failure == "distance"
+
+
+@pytest.mark.parametrize("name", ["default", "jacobi"])
+def test_residual_gate_is_exact(rng, name):
+    # ResidualTooLarge exactly when the measured worst residual exceeds delta,
+    # worded with that residual
+    profile = PROFILES[name]
+    for size in (1e-4, 1e-3):
+        trip, _ = perturbed_generators(rng, m=4, size=size)
+        worst = max(low_level_residuals(trip, profile).values())
+        params = SmoothingParams(epsilon=0.1, theta=0.05, delta=worst, profile=profile)
+        assert smooth_representation(trip, params)[1].success
+        below = np.nextafter(worst, 0.0)
+        message = f"input residual = {worst:.16e} exceeds the bound {below:.16e}"
+        with pytest.raises(ResidualTooLarge, match=re.escape(message)):
+            smooth_representation(
+                trip, SmoothingParams(epsilon=0.1, theta=0.05, delta=below, profile=profile)
+            )
+    base = canonical_generators(8)
+    far = QcTriple(base.h, base.x + 0.2 * np.eye(base.dim), base.k)
+    message = "input residual = 2.000e-01 exceeds the bound 5.000e-02"
+    with pytest.raises(ResidualTooLarge, match=re.escape(message)):
+        smooth_representation(far, SmoothingParams(epsilon=0.1, theta=0.05, profile=profile))
+    with pytest.raises(ResidualTooLarge, match="exceeds the bound nan"):
+        smooth_representation(
+            far, SmoothingParams(epsilon=0.1, theta=0.05, delta=np.nan, profile=profile)
+        )
+
+
+@pytest.mark.parametrize("name", ["default", "jacobi"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["h", "x", "k"])
+def test_non_finite_input_raises_no_convergence(name, bad, where):
+    profile = PROFILES[name]
+    base = canonical_generators(2)
+    parts = {"h": base.h.copy(), "x": base.x.copy(), "k": base.k.copy()}
+    parts[where][1, 0] = bad
+    trip = QcTriple(**parts)
+    with pytest.raises(NoConvergence, match="not finite"):
+        auto_theta(trip, epsilon=0.1, profile=profile)
+    with pytest.raises(NoConvergence, match="not finite"):
+        smooth_representation(trip, SmoothingParams(epsilon=0.1, theta=0.05, profile=profile))
+
+
 @pytest.mark.parametrize("epsilon", [0.0, -1.0, np.nan, 0.25, 0.3])
 def test_auto_theta_rejects_epsilon_before_any_norm(epsilon, monkeypatch):
     # the check SmoothingParams makes, taken before the input is measured
@@ -339,7 +452,8 @@ def test_auto_theta_rejects_epsilon_before_any_norm(epsilon, monkeypatch):
 
 @pytest.mark.parametrize("name", ["default", "jacobi"])
 def test_auto_theta_rejects_large_norm_at_once(name, monkeypatch):
-    # the norm gate does not depend on theta, so no theta is tried
+    # the norm gate does not depend on theta, so no theta is tried; with no
+    # residual gated, the one decomposition is the norm of h
     n = 4
     z = np.zeros((n, n), dtype=complex)
     trip = QcTriple(3.0 * np.eye(n, dtype=complex), z, z)
@@ -347,7 +461,7 @@ def test_auto_theta_rejects_large_norm_at_once(name, monkeypatch):
     with pytest.raises(NoWorkableTheta) as info:
         auto_theta(trip, epsilon=0.1, profile=PROFILES[name])
     assert info.value.last_failure == "residual"
-    assert len(calls) <= 7, calls
+    assert len(calls) == 1, calls
 
 
 def _dense_reference(trip, theta, profile):
