@@ -54,6 +54,7 @@ from .structures import (
     theta_is_homomorphism,
 )
 from .relations import (
+    FUNCTIONS,
     QC_RELATION_SOURCE,
     NotHermitianAtFnApp,
     RelationSet,
@@ -61,7 +62,6 @@ from .relations import (
     SamplerExhausted,
     UnboundVariable,
     ValidationError,
-    default_registry,
     delta_eps_sweep,
     evaluate,
     parse,

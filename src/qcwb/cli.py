@@ -48,6 +48,8 @@ from .relations import (
 )
 from .serialize import (
     FormatError,
+    _finite_float,
+    _is_number,
     dump_json,
     env_from_obj,
     load_json,
@@ -145,11 +147,6 @@ def cmd_check(args) -> int:
     return EXIT_OK if all_pass else EXIT_FAIL
 
 
-def _is_number(value, kinds=(int, float)) -> bool:
-    """Whether ``value`` is a JSON number of one of ``kinds``; a bool is not."""
-    return isinstance(value, kinds) and not isinstance(value, bool)
-
-
 def _spec_int(spec: dict, key: str, default: int) -> int:
     value = spec.get(key, default)
     if not _is_number(value, int):
@@ -172,10 +169,11 @@ def cmd_relations(args) -> int:
             raise FormatError("sweep spec must hold a 'consequence' expression")
         consequence = parse_expression(str(spec["consequence"]), rs.variables)
         deltas = spec.get("deltas", [1e-2, 1e-3, 1e-4, 1e-5])
-        if not (isinstance(deltas, list) and all(_is_number(d) for d in deltas)):
+        if not isinstance(deltas, list):
             raise FormatError(f"sweep spec 'deltas' must be a list of numbers, got {deltas!r}")
-        if not all(0.0 < d < np.inf for d in deltas):  # a NaN fails too
-            raise FormatError(f"sweep spec 'deltas' must be positive and finite, got {deltas!r}")
+        deltas = [_finite_float(d, "sweep spec 'deltas'") for d in deltas]
+        if not all(d > 0.0 for d in deltas):
+            raise FormatError(f"sweep spec 'deltas' must be positive, got {deltas!r}")
         samples = _spec_int(spec, "samples_per_delta", 5)
         if samples < 1:
             raise FormatError(f"sweep spec 'samples_per_delta' must be at least 1, got {samples}")
@@ -184,7 +182,7 @@ def cmd_relations(args) -> int:
             rs,
             consequence,
             sampler,
-            [float(d) for d in deltas],
+            deltas,
             samples_per_delta=samples,
             rng=np.random.default_rng(args.seed),
             profile=args.profile,

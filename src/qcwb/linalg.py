@@ -225,9 +225,7 @@ def _rotate(m: np.ndarray, p: np.ndarray, q: np.ndarray, c, s, ps, pc) -> None:
 
 
 def jacobi_eigh(
-    h: np.ndarray,
-    sweep_budget: int = 64,
-    off_tol: float = 1e-14,
+    h: np.ndarray, profile: ToleranceProfile = DEFAULT_PROFILE
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cyclic Jacobi eigendecomposition of a Hermitian matrix or stack.
 
@@ -238,13 +236,13 @@ def jacobi_eigh(
     whose angles of at most pi/4 keep cyclic sweeps convergent.  A pair whose
     entry is at most ``1e-18 ||h||_F`` of its fiber is not rotated.  A fiber
     is done once its off-diagonal Frobenius mass is at most
-    ``off_tol * ||h||_F``; it is then left alone, so its result is the same,
+    ``profile.off_diag_tol * ||h||_F``; it is then left alone, so its result is the same,
     bit for bit, whatever stack it sits in.  A fiber whose largest part lies
     outside ``_UNSCALED``, where the squares of its norms overflow or
     underflow, is decomposed scaled by a power of two, exactly, and its
     eigenvalues are scaled back.  :class:`NoConvergence` names the first
     fiber that is not finite, before any rotation, or the first one not done
-    after ``sweep_budget`` sweeps.
+    after ``profile.sweep_budget`` sweeps.
     """
     a = _as_square(h, "eigensolver input")
     if not np.isfinite(a).all():
@@ -261,11 +259,11 @@ def jacobi_eigh(
             a[far] *= factor[:, None, None]
     a = hermitian_part(a)
     scale = np.sqrt((a.real**2 + a.imag**2).reshape(len(a), n * n).sum(axis=-1))
-    off, bound, skip = _off_diagonal(a), off_tol * scale, 1e-18 * scale
+    off, bound, skip = _off_diagonal(a), profile.off_diag_tol * scale, 1e-18 * scale
     # the basis rides below the matrix, so one column rotation turns both
     au = np.concatenate([a, np.broadcast_to(np.eye(n), a.shape)], axis=1)
     live = np.flatnonzero(off > bound)
-    for _ in range(sweep_budget):
+    for _ in range(profile.sweep_budget):
         if not live.size:
             break
         b = au[live]  # the live fibers, each a above its basis
@@ -289,7 +287,7 @@ def jacobi_eigh(
         au[live] = b
         off[live] = _off_diagonal(a)
         live = live[off[live] > bound[live]]
-    name = f"off-diagonal mass after {sweep_budget} Jacobi sweeps"
+    name = f"off-diagonal mass after {profile.sweep_budget} Jacobi sweeps"
     _gate(name, off.reshape(shape[:-2]), bound.reshape(shape[:-2]), NoConvergence)
     w = np.diagonal(au[:, :n], axis1=-2, axis2=-1).real
     order = np.argsort(w, axis=-1, kind="stable")
@@ -303,7 +301,7 @@ def _eigh_raw(h: np.ndarray, profile: ToleranceProfile) -> EigenSystem:
     """Decompose the Hermitian part of each fiber of ``h``, unchecked;
     :func:`jacobi_eigh` takes that part itself."""
     if profile.method == "jacobi":
-        w, u = jacobi_eigh(h, profile.sweep_budget, profile.off_diag_tol)
+        w, u = jacobi_eigh(h, profile)
     else:
         try:
             w, u = np.linalg.eigh(hermitian_part(h))
@@ -513,7 +511,7 @@ def _norms(
         # real divisions: a complex one overflows on a subnormal scale
         safe = np.where(scale > 0.0, scale, 1.0)[..., None, None]
         b = a.real / safe + 1j * (a.imag / safe)
-        w, _ = jacobi_eigh(adjoint(b) @ b, profile.sweep_budget, profile.off_diag_tol)
+        w, _ = jacobi_eigh(adjoint(b) @ b, profile)
         with np.errstate(over="ignore"):  # an overflow is raised below
             norms = scale * np.sqrt(np.maximum(w[..., -1], 0.0))
     else:

@@ -16,7 +16,8 @@ into :class:`Scale` factors as the parser builds each node.
 Expressions must have no constant term (every relation vanishes on the zero
 assignment), and a function may only be applied where the argument is
 formally self-adjoint (syntactically fixed by the adjoint) and the function
-is continuous with f(0) = 0.
+is continuous.  The functions are the fixed table :data:`FUNCTIONS`, each
+with f(0) = 0, as relations over non-unital algebras need.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import cache
+from types import MappingProxyType
 from typing import Callable, Mapping
 
 import numpy as np
@@ -40,12 +42,13 @@ from .linalg import (
     EigenSystem,
     RealFunction,
     ToleranceProfile,
+    _as_square,
     _calc,
+    _eigh_raw,
     _gate,
     _hermitian_defect,
     _max_norm_above,
     _max_op_norm,
-    herm_eig,
     op_norm,
 )
 from .qc_model import QcTriple, _low_level_defects, canonical_generators
@@ -65,7 +68,7 @@ __all__ = [
     "Scale",
     "FnApp",
     "RelationSet",
-    "default_registry",
+    "FUNCTIONS",
     "is_formally_self_adjoint",
     "parse",
     "parse_expression",
@@ -156,29 +159,14 @@ Expr = Var | Adj | Sum | Diff | Prod | Scale | FnApp
 
 
 # ---------------------------------------------------------------------------
-# registry
+# the scalar functions a relation may apply
 # ---------------------------------------------------------------------------
 
-
-def default_registry() -> dict[str, RealFunction]:
-    """The stock scalar functions, the smooth cutoffs at width theta = 0.25."""
-    fns = [
-        POS,
-        NEG,
-        CLAMP01,
-        STEP_HALF,
-        SQRT0,
-        make_gplus(0.25),
-        make_gminus(0.25),
-        make_qplus(0.25),
-        make_qminus(0.25),
-    ]
-    return {f.name: f for f in fns}
-
-
-def _vanishes_at_zero(f: RealFunction) -> bool:
-    """f(0) = 0, measured: the discipline relations over non-unital inputs need."""
-    return float(f(np.array([0.0]))[0]) == 0.0
+# read-only; every entry has f(0) = 0, and the smooth cutoffs have width 0.25
+_CUTOFFS = [make(0.25) for make in (make_gplus, make_gminus, make_qplus, make_qminus)]
+FUNCTIONS: Mapping[str, RealFunction] = MappingProxyType(
+    {f.name: f for f in (POS, NEG, CLAMP01, STEP_HALF, SQRT0, *_CUTOFFS)}
+)
 
 
 # ---------------------------------------------------------------------------
@@ -294,12 +282,12 @@ class _Parser:
             raise self.error(f"expected {what}, found {tok.text!r}", tok)
         return self.next()
 
-    def validated(self, body, variables: set[str], registry: Mapping[str, RealFunction]) -> Expr:
+    def validated(self, body, variables: set[str]) -> Expr:
         """``body``, once it passes validation: a function met with a
         constant argument fails first, then :func:`_validate` runs."""
         if self.constant_fn is not None:
             raise ValidationError(f"function {self.constant_fn} applied to a constant")
-        _validate(body, variables, registry)
+        _validate(body, variables)
         return body
 
     # expr := term (('+'|'-') term)*
@@ -373,7 +361,7 @@ def _normal(node, adjoint: bool = False) -> Expr:
         factor = np.conj(node.factor) if adjoint else node.factor
         return Scale(factor, _normal(node.arg, adjoint))
     if isinstance(node, FnApp):
-        # registry functions are real-valued, so f(a)* = f(a*)
+        # the functions are real-valued, so f(a)* = f(a*)
         return FnApp(node.fname, _normal(node.arg, adjoint))
     raise TypeError(f"unknown node {node!r}")
 
@@ -403,7 +391,7 @@ def is_formally_self_adjoint(e: Expr) -> bool:
     return _equal_mod_sum(_normal(e), _normal(e, adjoint=True))
 
 
-def _validate(e, variables: set[str], registry: Mapping[str, RealFunction]) -> None:
+def _validate(e, variables: set[str]) -> None:
     if isinstance(e, complex):
         raise ValidationError("constant term (relations must vanish at zero)")
     if isinstance(e, Var):
@@ -411,32 +399,24 @@ def _validate(e, variables: set[str], registry: Mapping[str, RealFunction]) -> N
             raise ValidationError(f"variable {e.name!r} is not declared")
         return
     if isinstance(e, (Adj, Scale)):
-        _validate(e.arg, variables, registry)
+        _validate(e.arg, variables)
         return
     if isinstance(e, (Sum, Diff, Prod)):
-        _validate(e.left, variables, registry)
-        _validate(e.right, variables, registry)
+        _validate(e.left, variables)
+        _validate(e.right, variables)
         return
     if isinstance(e, FnApp):
-        _validate(e.arg, variables, registry)
-        fn = registry.get(e.fname)
+        _validate(e.arg, variables)
+        fn = FUNCTIONS.get(e.fname)
         if fn is None:
             raise ValidationError(f"function {e.fname!r} is not registered")
-        if is_formally_self_adjoint(e.arg):
-            if fn.smoothness not in ("continuous", "smooth"):
-                raise ValidationError(
-                    f"function {e.fname!r} is not continuous; it cannot appear in relations"
-                )
-            if not _vanishes_at_zero(fn):
-                raise ValidationError(
-                    f"function {e.fname!r} does not vanish at 0"
-                )
-        else:
-            # entire-function calculus on non-self-adjoint arguments is an
-            # extension point; the stock registry has no analytic entries
+        if not is_formally_self_adjoint(e.arg):
             raise ValidationError(
-                f"argument of {e.fname!r} is not formally self-adjoint; "
-                "wrap it in sym(...) or supply an analytic function"
+                f"argument of {e.fname!r} is not formally self-adjoint; wrap it in sym(...)"
+            )
+        if fn.smoothness not in ("continuous", "smooth"):
+            raise ValidationError(
+                f"function {e.fname!r} is not continuous; it cannot appear in relations"
             )
         return
     raise TypeError(f"unknown node {e!r}")
@@ -449,22 +429,17 @@ def _validate(e, variables: set[str], registry: Mapping[str, RealFunction]) -> N
 
 @dataclass(frozen=True)
 class RelationSet:
-    """Named relations over declared variables, tied to a function registry."""
+    """Named relations over declared variables."""
 
     variables: tuple[str, ...]
     relations: tuple[tuple[str, Expr], ...]
-    registry: Mapping[str, RealFunction]
 
     def labels(self) -> list[str]:
         return [label for label, _ in self.relations]
 
 
-def parse(
-    source: str, registry: Mapping[str, RealFunction] | None = None
-) -> RelationSet:
+def parse(source: str) -> RelationSet:
     """Parse and validate a relation file."""
-    if registry is None:
-        registry = default_registry()
     p = _Parser(source)
     p.expect("ident", "'vars'", "vars")
     names: list[str] = []
@@ -485,24 +460,18 @@ def parse(
         p.expect("eq", "'='")
         p.expect("zero", "'0'")
         p.expect("semi", "';'")
-        relations[label] = p.validated(body, variables, registry)
-    return RelationSet(tuple(names), tuple(relations.items()), registry)
+        relations[label] = p.validated(body, variables)
+    return RelationSet(tuple(names), tuple(relations.items()))
 
 
-def parse_expression(
-    source: str,
-    variables: tuple[str, ...],
-    registry: Mapping[str, RealFunction] | None = None,
-) -> Expr:
+def parse_expression(source: str, variables: tuple[str, ...]) -> Expr:
     """Parse a single expression in an existing variable context."""
-    if registry is None:
-        registry = default_registry()
     p = _Parser(source)
     body = p.expr()
     tok = p.peek()
     if tok.kind != "eof":
         raise p.error(f"trailing input {tok.text!r}", tok)
-    return p.validated(body, set(variables), registry)
+    return p.validated(body, set(variables))
 
 
 # ---------------------------------------------------------------------------
@@ -548,25 +517,23 @@ def pretty(rs: RelationSet) -> str:
 def evaluate(
     e: Expr,
     env: Mapping[str, np.ndarray],
-    registry: Mapping[str, RealFunction] | None = None,
     profile: ToleranceProfile = DEFAULT_PROFILE,
 ) -> np.ndarray:
     """Evaluate an expression in an environment of matrices.
 
     A function argument that appears more than once, as in
     ``pos(sym(e)) - neg(sym(e))``, is built, checked for its Hermitian
-    defect and decomposed once per call.
+    defect and decomposed once per call.  An argument whose defect exceeds
+    ``hermitian_tol`` raises :class:`NotHermitianAtFnApp`.
     """
-    if registry is None:
-        registry = default_registry()
-    return _evaluate(e, env, registry, profile, {})
+    return _evaluate(e, env, profile, {})
 
 
 # the matrix operation of each binary node
 _BINARY = {Sum: operator.add, Diff: operator.sub, Prod: operator.matmul}
 
 
-def _evaluate(e, env, registry, profile, spectra: dict[Expr, EigenSystem]) -> np.ndarray:
+def _evaluate(e, env, profile, spectra: dict[Expr, EigenSystem]) -> np.ndarray:
     """:func:`evaluate`, with the decompositions of the function arguments met so far."""
     if isinstance(e, Var):
         try:
@@ -574,23 +541,23 @@ def _evaluate(e, env, registry, profile, spectra: dict[Expr, EigenSystem]) -> np
         except KeyError as exc:
             raise UnboundVariable(e.name) from exc
     if isinstance(e, Adj):
-        return _evaluate(e.arg, env, registry, profile, spectra).conj().T
+        return _evaluate(e.arg, env, profile, spectra).conj().T
     if type(e) in _BINARY:
-        left = _evaluate(e.left, env, registry, profile, spectra)
-        return _BINARY[type(e)](left, _evaluate(e.right, env, registry, profile, spectra))
+        left = _evaluate(e.left, env, profile, spectra)
+        return _BINARY[type(e)](left, _evaluate(e.right, env, profile, spectra))
     if isinstance(e, Scale):
-        return e.factor * _evaluate(e.arg, env, registry, profile, spectra)
+        return e.factor * _evaluate(e.arg, env, profile, spectra)
     if isinstance(e, FnApp):
         es = spectra.get(e.arg)
         if es is None:
-            arg = _evaluate(e.arg, env, registry, profile, spectra)
-            defect, bound = _hermitian_defect(arg, 1e-8, profile)
+            arg = _as_square(_evaluate(e.arg, env, profile, spectra), "function argument")
+            defect, bound = _hermitian_defect(arg, profile.hermitian_tol, profile)
             _gate(f"hermitian defect of the argument of {e.fname}", defect, bound, NotHermitianAtFnApp)
-        fn = registry.get(e.fname)
+        fn = FUNCTIONS.get(e.fname)
         if fn is None:
             raise ValidationError(f"function {e.fname!r} is not registered")
         if es is None:
-            es = spectra[e.arg] = herm_eig(arg, profile)
+            es = spectra[e.arg] = _eigh_raw(arg, profile)
         return _calc(es, fn)
     raise TypeError(f"unknown node {e!r}")
 
@@ -602,7 +569,7 @@ def residuals(
 ) -> dict[str, float]:
     """Operator norm of every relation body under the environment."""
     return {
-        label: op_norm(evaluate(body, env, rs.registry, profile), profile)
+        label: op_norm(evaluate(body, env, profile), profile)
         for label, body in rs.relations
     }
 
@@ -624,7 +591,7 @@ _MAX_BISECTION = 60
 
 
 def perturbation_sampler(
-    m: int = 4,
+    m: int,
     profile: ToleranceProfile = DEFAULT_PROFILE,
 ) -> Callable[[float, np.random.Generator], dict[str, np.ndarray]]:
     """Sampler producing environments within a target residual of exactness.
@@ -697,8 +664,8 @@ def delta_eps_sweep(
     consequence: Expr,
     sampler: Callable[[float, np.random.Generator], Mapping[str, np.ndarray]],
     deltas: list[float],
-    samples_per_delta: int = 10,
-    rng: np.random.Generator | None = None,
+    samples_per_delta: int,
+    rng: np.random.Generator,
     profile: ToleranceProfile = DEFAULT_PROFILE,
 ) -> list[tuple[float, float]]:
     """Observed maximum of a consequence relation as the residual budget shrinks.
@@ -708,15 +675,13 @@ def delta_eps_sweep(
     consequence expression.  Only the observed trend is reported; nothing is
     asserted about limits.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     table: list[tuple[float, float]] = []
     for delta in deltas:
         worst_s = 0.0
         for _ in range(samples_per_delta):
             env = sampler(delta, rng)
             _check_sample(rs, env, delta, profile)
-            value = op_norm(evaluate(consequence, env, rs.registry, profile), profile)
+            value = op_norm(evaluate(consequence, env, profile), profile)
             worst_s = max(worst_s, value)
         table.append((delta, worst_s))
     return table
@@ -729,7 +694,7 @@ def _check_sample(
     at most ``delta``.  The largest is measured exactly only to report a
     failure, and a NaN ``delta`` fails."""
     if rs.relations:
-        stack = np.stack([evaluate(body, env, rs.registry, profile) for _, body in rs.relations])
+        stack = np.stack([evaluate(body, env, profile) for _, body in rs.relations])
     else:
         stack = np.zeros((1, 0, 0))  # one empty matrix, of norm 0
     if _max_norm_above(stack, [delta], profile)[0] or math.isnan(delta):

@@ -4,7 +4,8 @@ Matrix:        {"dim": n, "entries": [[re, im], ...]}   row-major, length n*n
 Triple:        {"h": Matrix, "x": Matrix, "k": Matrix}
 
 Writers emit exactly these shapes.  Readers reject ragged, non-finite, or
-mis-sized data with :class:`FormatError`.
+mis-sized data with :class:`FormatError`; a JSON number is an int or a
+float, never a bool, and one past the float range is not finite.
 """
 
 from __future__ import annotations
@@ -31,6 +32,26 @@ class FormatError(ValueError):
     """Raised when serialized data does not match the wire format."""
 
 
+def _is_number(value, kinds=(int, float)) -> bool:
+    """Whether ``value`` is a JSON number of one of ``kinds``; a bool is not."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def _finite_float(value, what: str) -> float:
+    """The JSON number ``value`` as a finite float; :class:`FormatError`,
+    naming ``what``, for anything else: a bool, a NaN or inf, or an integer
+    past the float range."""
+    if not _is_number(value):
+        raise FormatError(f"{what} holds non-numeric data")
+    try:
+        out = float(value)
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        raise FormatError(f"{what} is not finite")
+    return out
+
+
 def matrix_to_obj(m: np.ndarray) -> dict:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -50,7 +71,7 @@ def matrix_from_obj(obj: Any) -> np.ndarray:
         entries = obj["entries"]
     except (KeyError, TypeError) as exc:
         raise FormatError("matrix object needs 'dim' and 'entries'") from exc
-    if not isinstance(dim, int) or dim <= 0:
+    if not _is_number(dim, int) or dim <= 0:
         raise FormatError(f"'dim' must be a positive integer, got {dim!r}")
     if not isinstance(entries, list) or len(entries) != dim * dim:
         raise FormatError(f"'entries' must hold {dim * dim} pairs")
@@ -58,12 +79,7 @@ def matrix_from_obj(obj: Any) -> np.ndarray:
     for i, pair in enumerate(entries):
         if not isinstance(pair, list) or len(pair) != 2:
             raise FormatError(f"entry {i} is not an [re, im] pair")
-        re, im = pair
-        if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
-            raise FormatError(f"entry {i} holds non-numeric data")
-        if not (math.isfinite(re) and math.isfinite(im)):
-            raise FormatError(f"entry {i} is not finite")
-        out[i] = complex(re, im)
+        out[i] = complex(*(_finite_float(part, f"entry {i}") for part in pair))
     return out.reshape(dim, dim)
 
 

@@ -217,14 +217,22 @@ class SmoothingReport:
     s_min: float
     s_max: float
     t2_defect: float
-    t2_within_half_epsilon: bool
     theta: float
-    ramp_width: float
     epsilon: float
     success: bool
     input: QcTriple = field(repr=False, compare=False)
     output: QcTriple = field(repr=False, compare=False)
     profile: ToleranceProfile = field(repr=False, compare=False)
+
+    @property
+    def ramp_width(self) -> float:
+        """The q cutoffs' ramp width, theta^2/4."""
+        return _q_ramp(self.theta)
+
+    @property
+    def t2_within_half_epsilon(self) -> bool:
+        """Whether ``||T2^2 - T2||`` is at most epsilon/2, up to 1e-6."""
+        return self.t2_defect <= self.epsilon / 2.0 + 1e-6
 
     @cached_property
     def input_residuals(self) -> dict[str, float]:
@@ -282,16 +290,22 @@ def _checked_input(
 ) -> QcTriple:
     """A read-only copy of ``triple``, once it meets the preconditions.
 
-    Raises :class:`ResidualTooLarge` when a relation residual exceeds
-    ``delta`` or a component norm exceeds 2.  An infinite ``delta`` (the
-    default) gates no residual.  A finite one is compared with each defect
-    in turn through :func:`linalg._max_norm_above`, exactly; the residuals
-    are measured only to word a failure.  The norm gate reads the bound
-    sqrt(||A||_1 ||A||_inf) >= ||A|| first and takes the exact operator norm
-    only of a component the bound does not settle.  A NaN or inf entry
-    raises :class:`NoConvergence` in either gate.  Nothing here depends on
-    theta, so :func:`auto_theta` checks, and copies, once.
+    Raises :class:`ResidualTooLarge` when a component norm exceeds 2 or a
+    relation residual exceeds ``delta``, in that order.  The norm gate reads
+    the bound sqrt(||A||_1 ||A||_inf) >= ||A|| first and takes the exact
+    operator norm only of a component the bound does not settle; a NaN or
+    inf entry raises :class:`NoConvergence` there, before any product is
+    formed.  An infinite ``delta`` (the default) gates no residual.  A
+    finite one is compared with each defect in turn through
+    :func:`linalg._max_norm_above`, exactly; the residuals are measured only
+    to word a failure.  Nothing here depends on theta, so
+    :func:`auto_theta` checks, and copies, once.
     """
+    for name, a in (("h", triple.h), ("x", triple.x), ("k", triple.k)):
+        mag = np.abs(a)
+        one, inf = mag.sum(axis=0).max(initial=0.0), mag.sum(axis=1).max(initial=0.0)
+        if not (np.sqrt(one * inf) <= 2.0):
+            _gate(f"component norm ||{name}||", op_norm(a, profile), 2.0, ResidualTooLarge)
     if not delta >= np.inf:
         # one defect at a time, as in low_level_residuals; a NaN bound fails
         exceeded = map(
@@ -301,11 +315,6 @@ def _checked_input(
         if np.isnan(delta) or any(exceeded):
             worst = max(low_level_residuals(triple, profile).values())
             _gate("input residual", worst, delta, ResidualTooLarge)
-    for name, a in (("h", triple.h), ("x", triple.x), ("k", triple.k)):
-        mag = np.abs(a)
-        one, inf = mag.sum(axis=0).max(initial=0.0), mag.sum(axis=1).max(initial=0.0)
-        if not (np.sqrt(one * inf) <= 2.0):
-            _gate(f"component norm ||{name}||", op_norm(a, profile), 2.0, ResidualTooLarge)
     copies = [np.array(a) for a in (triple.h, triple.x, triple.k)]
     for a in copies:
         a.flags.writeable = False
@@ -380,9 +389,7 @@ def _smooth_checked(
         s_min=float(lam[0]) if lam.size else 0.0,
         s_max=float(lam[-1]) if lam.size else 0.0,
         t2_defect=t2_defect,
-        t2_within_half_epsilon=t2_defect <= params.epsilon / 2.0 + 1e-6,
         theta=params.theta,
-        ramp_width=params.ramp_width,
         epsilon=params.epsilon,
         success=success,
         input=triple,

@@ -90,16 +90,17 @@ def make_corner_system(
     """Validate positivity and orthogonality, derive the support projections.
 
     A non-Hermitian h or k raises :class:`NotHermitian`, one with an
-    eigenvalue below ``-support_tol`` :class:`NotPositive`.  The support
-    projections come off the spectra the positivity check computed.
+    eigenvalue below ``-clamp_tol`` :class:`NotPositive`, as in
+    :func:`support_projection`.  The support projections come off the
+    spectra the positivity check computed.
     """
     h = np.asarray(h, dtype=complex)
     k = np.asarray(k, dtype=complex)
     if h.shape != k.shape:
         raise DimMismatch(f"h and k differ in shape: {h.shape} vs {k.shape}")
+    hs = _positive_eig(h, profile.clamp_tol, profile, what="h")
+    ks = _positive_eig(k, profile.clamp_tol, profile, what="k")
     tol = profile.support_tol
-    hs = _positive_eig(h, tol, profile, what="h")
-    ks = _positive_eig(k, tol, profile, what="k")
     scale = np.maximum(1.0, op_norm(h, profile) * op_norm(k, profile))
     _gate("||h k||", op_norm(h @ k, profile), tol * scale, SupportViolation)
     p_h = _support_projection(hs, profile)
@@ -190,9 +191,7 @@ def homotopy_theta(
     )
 
 
-def random_corner_quad(
-    sys: CornerSystem, rng: np.random.Generator, scale: float = 1.0
-) -> CornerQuad:
+def random_corner_quad(sys: CornerSystem, rng: np.random.Generator) -> CornerQuad:
     """A random quadruple obeying the support discipline of ``sys``."""
     n = sys.dim
 
@@ -200,10 +199,10 @@ def random_corner_quad(
         return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 
     return CornerQuad(
-        scale * sys.p_h @ rnd() @ sys.p_h,
-        scale * sys.p_h @ rnd() @ sys.p_k,
-        scale * sys.p_k @ rnd() @ sys.p_h,
-        scale * sys.p_k @ rnd() @ sys.p_k,
+        sys.p_h @ rnd() @ sys.p_h,
+        sys.p_h @ rnd() @ sys.p_k,
+        sys.p_k @ rnd() @ sys.p_h,
+        sys.p_k @ rnd() @ sys.p_k,
     )
 
 

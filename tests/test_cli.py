@@ -209,6 +209,33 @@ def test_relations_grid_without_the_canonical_scenario_exits_64(capsys, mode):
     assert "--grid is read only with --scenario canonical" in capsys.readouterr().err
 
 
+# a JSON integer past the float range, which json reads as a Python int
+HUGE = 10**400
+
+
+@pytest.mark.parametrize(
+    "argv, matrix",
+    [
+        (["smooth", "--input", "in.json"], {"dim": 1, "entries": [[HUGE, 0]]}),
+        (["smooth", "--input", "in.json"], {"dim": True, "entries": [[0.0, 0.0]]}),
+        (["relations", "--input", "qc.rel", "--env", "in.json"], {"dim": 1, "entries": [[0, HUGE]]}),
+        (["relations", "--input", "qc.rel", "--sweep", "in.json"], None),
+    ],
+    ids=["smooth-entry", "smooth-dim", "env-entry", "sweep-delta"],
+)
+def test_json_numbers_fail_closed(tmp_path, monkeypatch, capsys, argv, matrix):
+    # malformed input, exit 64, where a traceback (exit 1) was
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "qc.rel").write_text(QC_RELATION_SOURCE)
+    if matrix is None:
+        doc = {"consequence": "x*h - k*x", "deltas": [1e-2, HUGE]}
+    else:
+        doc = dict.fromkeys("hxk", matrix)
+    (tmp_path / "in.json").write_text(json.dumps(doc))
+    assert cli.main(argv) == 64
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("flag", ["--help", "--version"])
 def test_help_and_version_exit_0(capsys, flag):
     with pytest.raises(SystemExit) as info:

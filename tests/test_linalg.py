@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -119,8 +120,9 @@ class TestJacobi:
         np.testing.assert_array_equal(u, np.eye(4))
 
     def test_sweep_budget_exhausted(self, rng):
-        with pytest.raises(NoConvergence):
-            jacobi_eigh(random_hermitian(rng, 8), sweep_budget=1)
+        one_sweep = dataclasses.replace(JACOBI, sweep_budget=1)
+        with pytest.raises(NoConvergence, match="after 1 Jacobi sweeps"):
+            jacobi_eigh(random_hermitian(rng, 8), one_sweep)
 
     def test_profile_backend(self, rng):
         h = random_hermitian(rng, 6)

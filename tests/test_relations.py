@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcwb import cli, linalg, relations
-from qcwb.linalg import PROFILES, RealFunction, func_calc, op_norm
+from qcwb.linalg import PROFILES, func_calc, op_norm
 from qcwb.qc_model import QcTriple, canonical_generators, low_level_residuals
 from qcwb.relations import (
+    FUNCTIONS,
     QC_RELATION_SOURCE,
     Adj,
     FnApp,
@@ -20,7 +21,6 @@ from qcwb.relations import (
     Sum,
     ValidationError,
     Var,
-    default_registry,
     delta_eps_sweep,
     evaluate,
     is_formally_self_adjoint,
@@ -205,7 +205,7 @@ def test_roundtrip_property_random_expressions(seed):
     expr = rand_expr(3)
     from qcwb.relations import RelationSet
 
-    rs = RelationSet(names, (("r", expr),), default_registry())
+    rs = RelationSet(names, (("r", expr),))
     # round-trip stability is stated for parsed trees (parsing normalizes
     # nested scalar factors), so one parse precedes the comparison
     first = parse(pretty(rs))
@@ -235,6 +235,20 @@ class TestEvaluate:
         with pytest.raises(NotHermitianAtFnApp):
             evaluate(FnApp("pos", Var("t")), {"t": random_matrix(rng, 3)})
 
+    @pytest.mark.parametrize("name", sorted(PROFILES))
+    def test_fnapp_gates_its_argument_once_at_hermitian_tol(self, name):
+        # one gate, at the profile's hermitian_tol: a defect above it is
+        # NotHermitianAtFnApp, never the eigensolver's NotHermitian
+        profile = PROFILES[name]
+        tol = profile.hermitian_tol
+        e = FnApp("pos", Var("h"))
+        with pytest.raises(NotHermitianAtFnApp, match="argument of pos = 1.000e-09"):
+            evaluate(e, {"h": np.array([[1.0, 1e-9], [0.0, -1.0]])}, profile=profile)
+        with pytest.raises(NotHermitianAtFnApp):
+            evaluate(e, {"h": np.array([[1.0, 2 * tol], [0.0, -1.0]])}, profile=profile)
+        out = evaluate(e, {"h": np.array([[1.0, 0.5 * tol], [0.0, -1.0]])}, profile=profile)
+        np.testing.assert_allclose(out, np.diag([1.0, 0.0]), atol=1e-9)
+
     def test_shared_argument_is_decomposed_once(self, rng, eigh_shapes):
         # sym(e) appears twice: one eigh, and the value a separate
         # func_calc per application gives, bit for bit
@@ -244,7 +258,7 @@ class TestEvaluate:
         out = evaluate(e, env)
         assert eigh_shapes == [(4, 4)]
         arg = evaluate(parse_expression(f"sym({inner})", ("h", "x")), env)
-        expected = func_calc(arg, default_registry()["pos"]) - func_calc(arg, default_registry()["neg"])
+        expected = func_calc(arg, FUNCTIONS["pos"]) - func_calc(arg, FUNCTIONS["neg"])
         assert out.tobytes() == expected.tobytes()
 
     def test_naturality_under_conjugation(self, rng):
@@ -322,7 +336,7 @@ class TestSweep:
         # empty relation set: a norm-one sampler keeps ||h|| pinned at 1
         from qcwb.relations import RelationSet
 
-        rs = RelationSet(("h",), tuple(), default_registry())
+        rs = RelationSet(("h",), tuple())
         s = parse_expression("h", ("h",))
 
         def sampler(delta, gen):
@@ -485,38 +499,30 @@ def test_sweep_gate_fails_closed_on_a_nan_delta(rng):
 
 class TestRegistry:
     def test_stock_functions_vanish_at_zero(self):
-        # _validate measures f(0) of every function a relation applies: each
-        # stock function gives 0 there, so a relation may apply each one but
-        # the step, which it rejects for its smoothness alone
-        reg = default_registry()
-        for name, fn in reg.items():
+        # every function of the table gives 0 at 0, as relations over
+        # non-unital algebras need, so a relation may apply each one but the
+        # step, which it rejects for its smoothness alone
+        for name, fn in FUNCTIONS.items():
             assert fn(np.array([0.0]))[0] == 0.0, name
             if fn.smoothness == "step":
                 with pytest.raises(ValidationError, match="not continuous"):
-                    parse_expression(f"{name}(sym(h))", ("h",), reg)
+                    parse_expression(f"{name}(sym(h))", ("h",))
             else:
-                parse_expression(f"{name}(sym(h))", ("h",), reg)
+                parse_expression(f"{name}(sym(h))", ("h",))
+
+    def test_table_is_read_only(self):
+        with pytest.raises(TypeError):
+            FUNCTIONS["shift"] = FUNCTIONS["pos"]
 
     def test_cutoff_parameterization(self):
         # the stock cutoffs have width theta = 0.25: g+ is the identity from
         # theta/2 on, q+ is 1 from theta^2/4 on
-        reg = default_registry()
-        g, q = reg["gplus"], reg["qplus"]
+        g, q = FUNCTIONS["gplus"], FUNCTIONS["qplus"]
         assert g(np.array([-1.0]))[0] == 0.0
         assert g(np.array([0.125]))[0] == 0.125
         assert 0.0 < g(np.array([0.0625]))[0] < 0.0625
         assert q(np.array([0.015625]))[0] == 1.0
         assert 0.0 < q(np.array([0.0078]))[0] < 1.0
-
-    def test_function_not_vanishing_at_zero_rejected(self):
-        # f(0) is measured: a registry function with f(0) = 1 would give a
-        # relation that reads 1 on the zero assignment
-        reg = dict(default_registry(), shift=RealFunction("shift", lambda t: t + 1.0))
-        with pytest.raises(ValidationError, match="does not vanish at 0"):
-            parse("vars h;\nrel r: shift(sym(h)) = 0;", reg)
-        with pytest.raises(ValidationError, match="does not vanish at 0"):
-            parse_expression("shift(h'*h)", ("h",), reg)
-        parse("vars h;\nrel r: pos(sym(h)) = 0;", reg)
 
 
 def test_jacobi_sweep_is_self_contained(tmp_path, monkeypatch):

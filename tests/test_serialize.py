@@ -51,6 +51,20 @@ class TestMatrixFormat:
         with pytest.raises(FormatError):
             matrix_from_obj({"dim": 1.5, "entries": [[0.0, 0.0]]})
 
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"dim": True, "entries": [[0.0, 0.0]]},
+            {"dim": 1, "entries": [[True, 0.0]]},
+            {"dim": 1, "entries": [[0.0, 10**400]]},
+            {"dim": 1, "entries": [[-(10**400), 0.0]]},
+        ],
+        ids=["bool-dim", "bool-entry", "huge-entry", "huge-negative-entry"],
+    )
+    def test_rejects_bools_and_integers_past_the_float_range(self, obj):
+        with pytest.raises(FormatError):
+            matrix_from_obj(obj)
+
     def test_rejects_missing_keys(self):
         with pytest.raises(FormatError):
             matrix_from_obj({"entries": []})

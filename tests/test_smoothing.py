@@ -438,6 +438,27 @@ def test_non_finite_input_raises_no_convergence(name, bad, where):
         smooth_representation(trip, SmoothingParams(epsilon=0.1, theta=0.05, profile=profile))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["h", "x", "k"])
+def test_non_finite_input_stops_before_any_product(where, bad):
+    # the norm gate comes first, so no relation defect of a NaN or inf
+    # input is formed, and no matmul warns
+    base = canonical_generators(2)
+    parts = {"h": base.h.copy(), "x": base.x.copy(), "k": base.k.copy()}
+    parts[where][1, 0] = bad
+    with pytest.raises(NoConvergence, match="not finite"):
+        smooth_representation(QcTriple(**parts), SmoothingParams(epsilon=0.1, theta=0.05))
+
+
+def test_input_failing_both_gates_names_the_norm_gate():
+    # 3h has norm 3 > 2 and residuals far above delta = 0.05
+    base = canonical_generators(2)
+    trip = QcTriple(3.0 * base.h, base.x, base.k)
+    with pytest.raises(ResidualTooLarge, match=r"component norm \|\|h\|\|"):
+        smooth_representation(trip, SmoothingParams(epsilon=0.1, theta=0.05))
+
+
 @pytest.mark.parametrize("epsilon", [0.0, -1.0, np.nan, 0.25, 0.3])
 def test_auto_theta_rejects_epsilon_before_any_norm(epsilon, monkeypatch):
     # the check SmoothingParams makes, taken before the input is measured

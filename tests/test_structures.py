@@ -44,6 +44,18 @@ class TestCornerSystem:
         with pytest.raises(NotPositive, match="of k = 5.000e-01"):
             make_corner_system(h, k)
 
+    def test_positivity_gated_at_clamp_tol(self):
+        # under strict, clamp_tol 1e-12 sits below support_tol 1e-10: the
+        # corner system rejects what support_projection rejects
+        strict = PROFILES["strict"]
+        h = np.diag([1.0, -5e-11, 0.0, 0.0]).astype(complex)
+        k = np.diag([0.0, 0.0, 1.0, 0.0]).astype(complex)
+        with pytest.raises(NotPositive, match="of h"):
+            support_projection(h, strict)
+        with pytest.raises(NotPositive, match="of h = 5.000e-11"):
+            make_corner_system(h, k, strict)
+        make_corner_system(h, k)  # within the default clamp_tol
+
     def test_dim_of_stacked_objects_is_the_fiber_dim(self):
         # a 5-point path of 2x2 fibers, as homotopy_collapse builds
         z = np.zeros((5, 2, 2), dtype=complex)
