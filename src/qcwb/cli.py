@@ -165,9 +165,9 @@ def cmd_relations(args) -> int:
     rs = parse(source)
     if args.sweep is not None:
         spec = load_json(args.sweep)
-        if not isinstance(spec, dict) or "consequence" not in spec:
-            raise FormatError("sweep spec must hold a 'consequence' expression")
-        consequence = parse_expression(str(spec["consequence"]), rs.variables)
+        if not isinstance(spec, dict) or not isinstance(spec.get("consequence"), str):
+            raise FormatError("sweep spec must hold a 'consequence' expression as a string")
+        consequence = parse_expression(spec["consequence"], rs.variables)
         deltas = spec.get("deltas", [1e-2, 1e-3, 1e-4, 1e-5])
         if not isinstance(deltas, list):
             raise FormatError(f"sweep spec 'deltas' must be a list of numbers, got {deltas!r}")

@@ -700,6 +700,18 @@ def _max_norm_above(
     return above.tolist()
 
 
+def _norm_gate(
+    name: str, m: np.ndarray, bound: float, error: type[Exception], profile: ToleranceProfile
+) -> None:
+    """``_gate(name, op_norm(m, profile), bound, error)``, with the norms taken only
+    to word a failure: :func:`_max_norm_above` decides, exactly, whether some
+    fiber exceeds ``bound``, and settles a defect far inside it with no SVD.  A
+    NaN or inf entry raises :class:`NoConvergence` naming its fiber, as
+    :func:`op_norm` does."""
+    if _max_norm_above(m, [bound], profile)[0]:
+        _gate(name, op_norm(m, profile), bound, error)
+
+
 def _not_finite(per_fiber: np.ndarray, what: str = "op_norm input is not finite") -> str:
     """The error message ``what``, naming the first fiber whose ``per_fiber``
     value is not finite."""

@@ -28,6 +28,7 @@ from .linalg import (
     _eigh_raw,
     _gate,
     _hermitian_defect,
+    _max_norm_above,
     _positive_eig,
     _support,
     adjoint,
@@ -145,6 +146,17 @@ def low_level_residuals(
     return dict(zip(LOW_LEVEL_LABELS, norms))
 
 
+def _residual_above(triple: QcTriple, level: float, profile: ToleranceProfile) -> bool:
+    """Whether some relation residual of some fiber exceeds ``level``: exactly
+    ``max(low_level_residuals(triple, profile)) > level``, decided one defect at a
+    time by :func:`linalg._max_norm_above`, which settles a defect far from
+    ``level`` with no SVD.  A NaN ``level`` is not exceeded, so a gate that must
+    fail on one tests it first."""
+    # map lets go of each defect once it is decided, as in low_level_residuals
+    exceeded = map(lambda d: _max_norm_above(d, [level], profile)[0], _low_level_defects(triple))
+    return any(exceeded)
+
+
 def high_level_residuals(
     triple: QcTriple, profile: ToleranceProfile = DEFAULT_PROFILE
 ) -> dict[str, float]:
@@ -216,7 +228,9 @@ def _corner_sandwich(
 ) -> np.ndarray:
     """y = k^(-1/8) x h^(-1/8) off the decompositions of h and k, the inverse root on the
     support only; :class:`FactorizationResidualTooLarge` unless k^(1/8) y h^(1/8) gives
-    back x to ``_RECONSTRUCTION_TOL * max(1, ||x||)``."""
+    back x to ``_RECONSTRUCTION_TOL * max(1, ||x||)``.  That bound is at least
+    ``_RECONSTRUCTION_TOL``, so a defect within it passes at once
+    (:func:`linalg._max_norm_above`), and the norms are taken only when it is not."""
 
     def eighth_roots(es: EigenSystem) -> tuple[np.ndarray, np.ndarray]:
         w = np.maximum(es.eigenvalues, 0.0)
@@ -226,10 +240,12 @@ def _corner_sandwich(
     h8, h8_inv = eighth_roots(hs)
     k8, k8_inv = eighth_roots(ks)
     y = k8_inv @ x @ h8_inv
-    _gate(
-        "corner sandwich reconstruction defect",
-        op_norm(k8 @ y @ h8 - x, profile),
-        _RECONSTRUCTION_TOL * np.maximum(1.0, op_norm(x, profile)),
-        FactorizationResidualTooLarge,
-    )
+    defect = k8 @ y @ h8 - x
+    if _max_norm_above(defect, [_RECONSTRUCTION_TOL], profile)[0]:
+        _gate(
+            "corner sandwich reconstruction defect",
+            op_norm(defect, profile),
+            _RECONSTRUCTION_TOL * np.maximum(1.0, op_norm(x, profile)),
+            FactorizationResidualTooLarge,
+        )
     return y

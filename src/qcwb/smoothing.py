@@ -58,7 +58,7 @@ from .linalg import (
     op_norm,
     smooth_step,
 )
-from .qc_model import QcTriple, _low_level_defects, low_level_residuals
+from .qc_model import QcTriple, _residual_above, low_level_residuals
 
 __all__ = [
     "SpectralGapFailure",
@@ -307,12 +307,8 @@ def _checked_input(
         if not (np.sqrt(one * inf) <= 2.0):
             _gate(f"component norm ||{name}||", op_norm(a, profile), 2.0, ResidualTooLarge)
     if not delta >= np.inf:
-        # one defect at a time, as in low_level_residuals; a NaN bound fails
-        exceeded = map(
-            lambda defect: _max_norm_above(defect, [delta], profile)[0],
-            _low_level_defects(triple),
-        )
-        if np.isnan(delta) or any(exceeded):
+        # a NaN bound fails
+        if np.isnan(delta) or _residual_above(triple, delta, profile):
             worst = max(low_level_residuals(triple, profile).values())
             _gate("input residual", worst, delta, ResidualTooLarge)
     copies = [np.array(a) for a in (triple.h, triple.x, triple.k)]
@@ -376,15 +372,10 @@ def _smooth_checked(
     """The pipeline on the copy that :func:`_checked_input` returned."""
     profile = params.profile
     lam, t2_defect, out = _exact_nearby(triple, params.theta, profile)
-    # one difference or defect at a time, as in low_level_residuals; map
-    # holds none of them
+    # one difference at a time, as in low_level_residuals; map holds none of them
     moves = map(np.subtract, (out.h, out.x, out.k), (triple.h, triple.x, triple.k))
     far = map(lambda move: _max_norm_above(move, [params.epsilon], profile)[0], moves)
-    inexact = map(
-        lambda defect: _max_norm_above(defect, [RESIDUAL_SUCCESS_TOL], profile)[0],
-        _low_level_defects(out),
-    )
-    success = not any(far) and not any(inexact)
+    success = not any(far) and not _residual_above(out, RESIDUAL_SUCCESS_TOL, profile)
     report = SmoothingReport(
         s_min=float(lam[0]) if lam.size else 0.0,
         s_max=float(lam[-1]) if lam.size else 0.0,

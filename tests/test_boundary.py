@@ -1,3 +1,4 @@
+import functools
 from collections import Counter
 from dataclasses import replace
 
@@ -7,16 +8,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcwb.linalg import (
+    CLAMP01,
     DEFAULT_PROFILE,
     PROFILES,
     EigenSystem,
+    NoConvergence,
     NotHermitian,
     NotPositive,
+    _calc,
+    _gate,
+    _positive_eig,
+    _support,
     frac_power,
     herm_eig,
     op_norm,
 )
 from qcwb.qc_model import (
+    E21,
     FactorizationResidualTooLarge,
     QcTriple,
     canonical_fiber,
@@ -25,9 +33,10 @@ from qcwb.qc_model import (
     positivity_residuals,
     t_matrix,
 )
-from qcwb import boundary, cli
+from qcwb import boundary, cli, linalg, qc_model
 from qcwb.boundary import (
     BScenarioRep,
+    EndpointDefect,
     GridFunction,
     IntervalModel,
     LiftResidual,
@@ -567,8 +576,9 @@ class TestStackedPipeline:
 
     def test_unitarity_defect_measures_few_fibers(self, rng, monkeypatch):
         # one conjugated eval-at-one at grid 2048: the column and Frobenius
-        # bounds leave the SVD a handful of the 2049 fibers of u_R u_R* - 1,
-        # and the reported defect is the bound that d and e give on u
+        # bounds leave the SVD a handful of the 2049 fibers of u_R u_R* - 1
+        # when the defect is read, and the reported defect is the bound that
+        # d and e give on u
         fibers = []
         svd = np.linalg.svd
 
@@ -579,13 +589,54 @@ class TestStackedPipeline:
         monkeypatch.setattr(np.linalg, "svd", recorded)
         result, _, model = run_scenario(conjugated_copies(rng, 1), grid_size=2048)
         assert model.grid_size == 2048
-        assert max(fibers) < 1025
+        result.unitarity_defect
+        assert 0 < max(fibers) < 1025
         monkeypatch.undo()
         u_r, frame = result.u_r, result.frame
         assert u_r.shape == (2049, 1, 1) and frame.shape == (2, 2)
         d = float(np.max(op_norm(u_r @ u_r.conj().swapaxes(-1, -2) - np.eye(1))))
         e = op_norm(frame.conj().T @ frame - np.eye(2))
         assert result.unitarity_defect == (1.0 + e) * (d + (1.0 + d) * e) + e
+
+    def test_run_takes_no_svd_until_a_figure_is_read(self, rng, monkeypatch):
+        # boundary-wide's shape: 12 conjugated copies of eval-at-one from grid
+        # 64, refined once; every gate passes on bounds, and the defects wait
+        # for their first reading
+        calls = []
+        svd = np.linalg.svd
+
+        def recorded(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recorded)
+        result, lift, model = run_scenario(conjugated_copies(rng, 12), grid_size=64)
+        assert model.grid_size == 128 and result.winding == 12
+        assert calls == []
+        assert result.invariants_hold() and lift.endpoint_defect <= boundary._LIFT_ENDS_TOL
+        assert calls
+
+    @pytest.mark.parametrize("name, k", [("default", 12), ("strict", 5), ("jacobi", 3)])
+    def test_figures_read_later_match_the_measured_formula(self, rng, name, k):
+        # each figure is measured on its first reading, under the lift's
+        # profile, by the formula the run once evaluated itself
+        profile = PROFILES[name]
+        rep = conjugated_copies(rng, k)
+        result, lift, model = run_scenario(rep, grid_size=64, profile=profile)
+        figures = ("unitarity_defect", "endpoint_defect")
+        assert not set(figures) & set(vars(result)) and "endpoint_defect" not in vars(lift)
+        u_r, frame, eye = result.u_r, result.frame, np.eye(lift.c.dim)
+        d = float(np.max(op_norm(u_r @ u_r.conj().swapaxes(-1, -2) - eye, profile)))
+        e = op_norm(frame.conj().T @ frame - np.eye(len(frame)), profile)
+        ends = float(np.max(op_norm(u_r[[0, -1]] - eye, profile)))
+        assert result.unitarity_defect == (1.0 + e) * (d + (1.0 + d) * e) + e
+        assert result.endpoint_defect == (1.0 + e) * ends + e
+        assert lift.endpoint_defect == float(np.max(_end_defects(rep, model, profile)))
+        assert result.to_obj() == {
+            "winding": k,
+            "unitarity_defect": result.unitarity_defect,
+            "endpoint_defect": result.endpoint_defect,
+        }
 
     def test_jacobi_profile_skips_lapack(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -1099,3 +1150,196 @@ def test_views_on_r_match_the_n_by_n_reference(n, grid, seed):
     except WindingIllConditioned:
         return
     np.testing.assert_allclose(out.values, image, rtol=0, atol=1e-12)
+
+
+
+# ---------------------------------------------------------------------------
+# gates decided from bounds, and defects measured on read
+# ---------------------------------------------------------------------------
+
+
+def _outcome(fn):
+    """None when ``fn()`` returns, else the class and message of what it raised."""
+    try:
+        fn()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _conjugated(*blocks):
+    """The direct sum of ``blocks``, conjugated by one fixed unitary."""
+    trip = functools.reduce(QcTriple.direct_sum, blocks)
+    v = random_unitary(np.random.default_rng(7), trip.dim)
+    return QcTriple(*(v @ m @ v.conj().T for m in (trip.h, trip.x, trip.k)))
+
+
+def _below_cut(s):
+    """An exact canonical block whose x has norm s and whose h and k, of norm
+    s^2, lie below the support cut, so the corner sandwich drops its x."""
+    return QcTriple(s * s * E11, s * E21, s * s * E22)
+
+
+def _with_half(block):
+    """``block`` at t = 0 and a zero block at t = 1, each beside canonical_fiber(0.5)."""
+    return BScenarioRep(
+        _conjugated(canonical_fiber(0.5), block),
+        _conjugated(canonical_fiber(0.5), QcTriple(Z2, Z2, Z2)),
+    )
+
+
+def _end_defects(rep, model, profile):
+    """lift_T's ||T' - T|| at the two endpoints, formed and measured as at the
+    parent commit: a clamped T' embedded at both ends, fiber by fiber norms."""
+    ends = boundary._lift_ends(rep, profile)
+    c, b = boundary._lift_fibers(ends, model.points, "linear", profile)
+    t_ends = _calc(boundary._t_system(boundary._first_last(c), boundary._first_last(b)), CLAMP01)
+    return op_norm(boundary._embed(t_ends, ends.w, ends.w_perp, (1, 0)) - ends.t, profile)
+
+
+class _RelationResidual:
+    """_lift_ends at 1e-10: h(0) has a block (1 + d) e11, where h^2 - h is d + d^2."""
+
+    error = LiftResidual
+
+    @staticmethod
+    def rep(level):
+        d = 0.5 * (np.sqrt(1.0 + 4e-10 * level) - 1.0)
+        return _with_half(QcTriple((1.0 + d) * E11, Z2, Z2))
+
+    def run(self, level, profile, monkeypatch):
+        return lambda: boundary._lift_ends(self.rep(level), profile)
+
+    def measured(self, level, profile, monkeypatch):
+        at0, at1 = self.rep(level).at0, self.rep(level).at1
+        trip = QcTriple(*(np.stack([getattr(at0, f), getattr(at1, f)]) for f in "hxk"))
+        worst = np.max(list(low_level_residuals(trip, profile).values()), axis=0)
+        _gate("relation residual at the endpoints (0, 1)", worst, 1e-10, LiftResidual)
+
+
+class _CornerSandwich:
+    """The corner sandwich at 1e-7 max(1, ||x||): a block below the support
+    cut whose x has norm level * 1e-7 is not given back."""
+
+    error = FactorizationResidualTooLarge
+
+    @staticmethod
+    def parts(level, profile):
+        trip = _conjugated(canonical_fiber(0.5), _below_cut(1e-7 * np.nan_to_num(level)))
+        hs, ks = (_positive_eig(m, profile.clamp_tol, profile) for m in (trip.h, trip.k))
+        x = trip.x.copy()
+        x[0, 0] += 0.0 * level  # a NaN level puts a NaN into x
+        return hs, ks, x
+
+    def run(self, level, profile, monkeypatch):
+        return lambda: qc_model._corner_sandwich(*self.parts(level, profile), profile)
+
+    def measured(self, level, profile, monkeypatch):
+        hs, ks, x = self.parts(level, profile)
+
+        def roots(es):
+            w = np.maximum(es.eigenvalues, 0.0)
+            inverse = np.power(w, -0.125, out=np.zeros_like(w), where=_support(w, profile))
+            return es.apply(w**0.125), es.apply(inverse)
+
+        (h8, h8_inv), (k8, k8_inv) = roots(hs), roots(ks)
+        defect = op_norm(k8 @ (k8_inv @ x @ h8_inv) @ h8 - x, profile)
+        bound = qc_model._RECONSTRUCTION_TOL * np.maximum(1.0, op_norm(x, profile))
+        _gate("corner sandwich reconstruction defect", defect, bound, FactorizationResidualTooLarge)
+
+
+class _ClampedEnds:
+    """lift_T's ||T' - T|| at the ends, at 1e-9: the sandwich drops an x of
+    norm level * 1e-9 from a block below the support cut.  A NaN level puts
+    a NaN into T at t = 0 once the endpoint checks have passed."""
+
+    error = LiftResidual
+    model = IntervalModel(8)
+
+    @staticmethod
+    def rep(level, monkeypatch):
+        if np.isnan(level):
+            lift_ends = boundary._lift_ends
+
+            def corrupted(*args):
+                ends = lift_ends(*args)
+                t = ends.t.copy()
+                t[0, 0, 0] = np.nan
+                return replace(ends, t=t)
+
+            monkeypatch.setattr(boundary, "_lift_ends", corrupted)
+            level = 0.0
+        return _with_half(_below_cut(1e-9 * level))
+
+    def run(self, level, profile, monkeypatch):
+        rep = self.rep(level, monkeypatch)
+        return lambda: lift_T(rep, self.model, profile=profile)
+
+    def measured(self, level, profile, monkeypatch):
+        defects = _end_defects(self.rep(level, monkeypatch), self.model, profile)
+        name = "clamped path defect at the endpoints (0, 1)"
+        _gate(name, defects, boundary._LIFT_ENDS_TOL, LiftResidual)
+
+
+class _UnitaryEnds:
+    """boundary_unitary's ||exp(2 pi i T') - 1|| at the ends, at 1e-8: B's top
+    eigenvalue at t = 0 moves from 1 to 1 - delta, 2 sin(pi delta) = level * 1e-8."""
+
+    error = EndpointDefect
+
+    @staticmethod
+    def lift(level, profile):
+        rep = BScenarioRep(
+            _conjugated(QcTriple(E11, Z2, Z2), canonical_fiber(0.5)),
+            _conjugated(QcTriple(Z2, Z2, Z2), canonical_fiber(0.5)),
+        )
+        lift = lift_T(rep, IntervalModel(8), profile=profile)
+        mu = lift.b.eigenvalues.copy()
+        mu[0, -1] -= np.arcsin(0.5e-8 * level) / np.pi
+        return replace(lift, b=EigenSystem(mu, lift.b.basis))
+
+    def run(self, level, profile, monkeypatch):
+        lift = self.lift(level, profile)
+        return lambda: boundary_unitary(lift)
+
+    def measured(self, level, profile, monkeypatch):
+        lift = self.lift(level, profile)
+        ends = boundary._t_system(boundary._first_last(lift.c), boundary._first_last(lift.b))
+        defects = op_norm(boundary._unitary(ends) - np.eye(2 * lift.c.dim), profile)
+        name = "||exp(2 pi i T') - 1|| at the endpoints (0, 1)"
+        _gate(name, defects, boundary._UNIT_ENDS_TOL, EndpointDefect)
+
+
+GATES = {
+    "relation-residual": _RelationResidual(),
+    "corner-sandwich": _CornerSandwich(),
+    "clamped-ends": _ClampedEnds(),
+    "unitary-ends": _UnitaryEnds(),
+}
+
+
+@pytest.mark.parametrize("name", ["default", "jacobi"])
+@pytest.mark.parametrize("gate", list(GATES))
+def test_bounded_gate_decides_as_the_measured_gate(monkeypatch, gate, name):
+    """Each boundary gate is decided from bounds: with its defect far inside
+    the tolerance it takes no exact norm, and with the defect 0.1% below or
+    above the tolerance it passes or raises as the gate that measures every
+    norm does, with the same class and message.  A NaN fails closed."""
+    case, profile = GATES[gate], PROFILES[name]
+    norms = linalg._norms
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an exact norm was taken on a clear pass")
+
+    run = case.run(0.0, profile, monkeypatch)
+    monkeypatch.setattr(linalg, "_norms", forbidden)
+    assert _outcome(run) is None
+    monkeypatch.setattr(linalg, "_norms", norms)
+    assert _outcome(lambda: case.measured(0.0, profile, monkeypatch)) is None
+    for level in (1.0 - 1e-3, 1.0 + 1e-3):
+        got = _outcome(case.run(level, profile, monkeypatch))
+        assert got == _outcome(lambda: case.measured(level, profile, monkeypatch))
+        assert got is None if level < 1.0 else got[0] is case.error, got
+    nan = _outcome(case.run(np.nan, profile, monkeypatch))
+    assert nan is not None and nan[0] in (NoConvergence, case.error), nan
+    assert nan == _outcome(lambda: case.measured(np.nan, profile, monkeypatch))

@@ -393,6 +393,10 @@ class TestRelations:
             {"samples_per_delta": 2.5},
             {"sampler_grid": "4"},
             {"sampler_grid": [3]},
+            # a consequence that is not a JSON string is a malformed spec, not a relation
+            {"consequence": ["x*h"]},
+            {"consequence": 5},
+            {"consequence": None},
         ],
     )
     def test_malformed_sweep_spec_exits_64(self, tmp_path, relation_file, field):
