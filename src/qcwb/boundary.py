@@ -55,8 +55,8 @@ from bounds (:func:`linalg._max_norm_above`), which settle a defect far inside
 its tolerance with no SVD and a close one exactly; a norm is measured only to
 word a failure, so the messages are those of measured gates.  The figures a
 run reports (:attr:`BoundaryResult.unitarity_defect`,
-:attr:`BoundaryResult.endpoint_defect` and :attr:`TLift.endpoint_defect`) are
-measured when first read.
+:attr:`BoundaryResult.endpoint_defect`, :attr:`TLift.endpoint_defect` and
+those of :class:`GridRepresentation`) are measured when first read.
 """
 
 from __future__ import annotations
@@ -93,6 +93,7 @@ from .qc_model import (
     E11,
     QcTriple,
     _corner_sandwich,
+    _low_level_defects,
     _residual_above,
     canonical_fiber,
     low_level_residuals,
@@ -456,10 +457,7 @@ def _lift_ends(rep: BScenarioRep, profile: ToleranceProfile) -> _LiftEnds:
     and y(1) lie in R."""
     a, b = rep.at0, rep.at1
     trip = QcTriple(np.stack([a.h, b.h]), np.stack([a.x, b.x]), np.stack([a.k, b.k]))
-    # the residuals are measured only to word a failure
-    if _residual_above(trip, 1e-10, profile):
-        worst = np.max(list(low_level_residuals(trip, profile).values()), axis=0)
-        _gate("relation residual at the endpoints (0, 1)", worst, 1e-10, LiftResidual)
+    _residual_gate("relation residual at the endpoints (0, 1)", trip, profile)
     es = _positive_eig(
         np.concatenate([trip.h, trip.k]), profile.clamp_tol, profile, NotPositive, "h, k"
     )
@@ -667,13 +665,36 @@ def _check_index(winding: int, lift: TLift) -> None:
 
 @dataclass(frozen=True)
 class GridRepresentation:
-    """An exact representation over the whole grid, one triple per point."""
+    """An exact representation over the whole grid, one triple per point.
+
+    ``data`` holds the input's h, x and k at the two endpoints, ``(2, 3, n, n)``.
+    :attr:`max_residual` and :attr:`endpoint_defect`, which
+    :func:`exact_projection_lift` gated, are measured under ``profile`` when
+    first read.
+    """
 
     h: GridFunction
     x: GridFunction
     k: GridFunction
-    max_residual: float
-    endpoint_defect: float
+    data: np.ndarray = field(repr=False, compare=False)
+    profile: ToleranceProfile = field(repr=False, compare=False)
+
+    @property
+    def _end_defects(self) -> np.ndarray:
+        """The lift less the data, ``(endpoint, block)``: h, x and k at 0 and 1."""
+        got = np.stack([self.h.values, self.x.values, self.k.values], axis=1)[[0, -1]]
+        return got - self.data
+
+    @cached_property
+    def max_residual(self) -> float:
+        """The largest relation residual over the grid."""
+        defects = _low_level_defects(QcTriple(self.h.values, self.x.values, self.k.values))
+        return max(_max_op_norm(d, self.profile) for d in defects)
+
+    @cached_property
+    def endpoint_defect(self) -> float:
+        """The largest defect of h, x and k at the two endpoints."""
+        return _max_op_norm(self._end_defects, self.profile)
 
 
 def exact_projection_lift(
@@ -693,7 +714,9 @@ def exact_projection_lift(
     winding of the boundary pipeline is the obstruction).  Otherwise
     thresholding at 1/2 is continuous in the fibers and the blocks of the
     projection path, embedded once, form an exact representation lifting
-    the input.
+    the input.  Its relation residuals are gated at 1e-10 and its defects
+    at the endpoints at 1e-9 (:class:`LiftResidual`), both from bounds: a
+    norm is measured only to word a failure.
     """
     lift = lift_T(rep, model, scheme, profile)
     n, es = rep.fiber_dim, lift.t
@@ -713,15 +736,22 @@ def exact_projection_lift(
     h = GridFunction(hermitian_part(np.eye(n, dtype=complex) - p[:, :n, :n]))
     x = GridFunction(p[:, n:, :n])
     k = GridFunction(hermitian_part(p[:, n:, n:]))
-    res = low_level_residuals(QcTriple(h.values, x.values, k.values), profile)
-    worst = np.max(list(res.values()), axis=0)
-    # (endpoint, block) stacks: h, x and k at 0 and 1
-    got = np.stack([h.values, x.values, k.values], axis=1)[[0, -1]]
     data = np.array([[at.h, at.x, at.k] for at in (rep.at0, rep.at1)])
-    end_defects = np.max(op_norm(got - data, profile), axis=-1)
-    _gate("thresholded lift residual", worst, 1e-10, LiftResidual)
-    _gate("thresholded lift defect at the endpoints (0, 1)", end_defects, 1e-9, LiftResidual)
-    return GridRepresentation(h, x, k, float(np.max(worst)), float(np.max(end_defects)))
+    out = GridRepresentation(h, x, k, data, profile)
+    _residual_gate("thresholded lift residual", QcTriple(h.values, x.values, k.values), profile)
+    name = "thresholded lift defect of (h, x, k) at the endpoints (0, 1)"
+    _norm_gate(name, out._end_defects, 1e-9, LiftResidual, profile)
+    return out
+
+
+def _residual_gate(name: str, triple: QcTriple, profile: ToleranceProfile) -> None:
+    """:class:`LiftResidual` unless every relation residual of every fiber is at
+    most 1e-10, decided from bounds (:func:`qc_model._residual_above`); the
+    residuals are measured only to word a failure, which names the first
+    failing fiber and its largest residual."""
+    if _residual_above(triple, 1e-10, profile):
+        worst = np.max(list(low_level_residuals(triple, profile).values()), axis=0)
+        _gate(name, worst, 1e-10, LiftResidual)
 
 
 # ---------------------------------------------------------------------------

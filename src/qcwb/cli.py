@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import sys
 from datetime import datetime, timezone
+from functools import cache
 
 import numpy as np
 
@@ -208,9 +209,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_BAD_INPUT, f"{self.prog}: error: {message}\n")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser; each subcommand takes ``--output``, ``--seed`` and
-    ``--tolerance-profile``, and only the other flags that it reads."""
+    """The parser, built once per process; each subcommand takes ``--output``,
+    ``--seed`` and ``--tolerance-profile``, and only the other flags that it
+    reads."""
     parser = _Parser(
         prog="qcwb",
         description="Workbench for quadratic matrix relation systems",

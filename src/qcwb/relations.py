@@ -18,6 +18,11 @@ assignment), and a function may only be applied where the argument is
 formally self-adjoint (syntactically fixed by the adjoint) and the function
 is continuous.  The functions are the fixed table :data:`FUNCTIONS`, each
 with f(0) = 0, as relations over non-unital algebras need.
+
+The evaluator takes one matrix per variable or a stack ``(..., n, n)`` of
+them, and works fiber by fiber, as every kernel of :mod:`qcwb.linalg` does.
+The delta-epsilon sweep calls its sampler once per sample, in order, and
+gates and evaluates each delta's samples in stacked chunks.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from .linalg import (
     POS,
     SQRT0,
     STEP_HALF,
+    _BLOCK_BYTES,
     EigenSystem,
     RealFunction,
     ToleranceProfile,
@@ -49,6 +55,7 @@ from .linalg import (
     _hermitian_defect,
     _max_norm_above,
     _max_op_norm,
+    adjoint,
     op_norm,
 )
 from .qc_model import QcTriple, _low_level_defects, canonical_generators
@@ -521,7 +528,9 @@ def evaluate(
 ) -> np.ndarray:
     """Evaluate an expression in an environment of matrices.
 
-    A function argument that appears more than once, as in
+    Each variable is bound to one matrix or to a stack ``(..., n, n)`` of
+    them, and the result is per fiber: a fiber's value does not depend on the
+    stack it sits in.  A function argument that appears more than once, as in
     ``pos(sym(e)) - neg(sym(e))``, is built, checked for its Hermitian
     defect and decomposed once per call.  An argument whose defect exceeds
     ``hermitian_tol`` raises :class:`NotHermitianAtFnApp`.
@@ -541,7 +550,7 @@ def _evaluate(e, env, profile, spectra: dict[Expr, EigenSystem]) -> np.ndarray:
         except KeyError as exc:
             raise UnboundVariable(e.name) from exc
     if isinstance(e, Adj):
-        return _evaluate(e.arg, env, profile, spectra).conj().T
+        return adjoint(_evaluate(e.arg, env, profile, spectra))
     if type(e) in _BINARY:
         left = _evaluate(e.left, env, profile, spectra)
         return _BINARY[type(e)](left, _evaluate(e.right, env, profile, spectra))
@@ -674,28 +683,57 @@ def delta_eps_sweep(
     relation residuals are at most delta and records the largest norm of the
     consequence expression.  Only the observed trend is reported; nothing is
     asserted about limits.
+
+    The sampler is called once per sample, in order, with ``rng``.  Each
+    delta's samples are stacked in chunks of at most ``linalg._BLOCK_BYTES`` per
+    variable (one sample, if a single one is larger).  Each chunk is gated once
+    (:func:`_check_sample`), and its consequence is evaluated and measured once.
+    A fiber's results do not depend on the stack it sits in, so the table is
+    that of one sample at a time, bit for bit.  A failing gate is worded by
+    the first sample of the chunk that fails it.
     """
     table: list[tuple[float, float]] = []
     for delta in deltas:
-        worst_s = 0.0
-        for _ in range(samples_per_delta):
-            env = sampler(delta, rng)
+        worst_s, left = 0.0, samples_per_delta
+        while left > 0:
+            count, env = _draw_chunk(sampler, delta, rng, left)
+            left -= count
             _check_sample(rs, env, delta, profile)
-            value = op_norm(evaluate(consequence, env, profile), profile)
-            worst_s = max(worst_s, value)
+            values = op_norm(evaluate(consequence, env, profile), profile)
+            worst_s = max(worst_s, float(np.max(values)))
         table.append((delta, worst_s))
     return table
+
+
+def _draw_chunk(
+    sampler: Callable[[float, np.random.Generator], Mapping[str, np.ndarray]],
+    delta: float,
+    rng: np.random.Generator,
+    most: int,
+) -> tuple[int, dict[str, np.ndarray]]:
+    """The number of samples drawn, in order, and each variable's stack of
+    them: at most ``most`` samples, and as many as keep every stack within
+    ``_BLOCK_BYTES`` of complex entries, one at least.  The samples themselves
+    are let go on return."""
+    envs = [sampler(delta, rng)]
+    entries = max((np.size(m) for m in envs[0].values()), default=0)
+    count = min(most, max(1, _BLOCK_BYTES // max(16 * entries, 1)))
+    envs += [sampler(delta, rng) for _ in range(count - 1)]
+    return count, {name: np.stack([e[name] for e in envs]) for name in envs[0]}
 
 
 def _check_sample(
     rs: RelationSet, env: Mapping[str, np.ndarray], delta: float, profile: ToleranceProfile
 ) -> None:
-    """:class:`SamplerExhausted` unless every relation residual of ``env`` is
-    at most ``delta``.  The largest is measured exactly only to report a
-    failure, and a NaN ``delta`` fails."""
+    """:class:`SamplerExhausted` unless every relation residual of ``env``, one
+    sample or a stack of them, is at most ``delta``.  The residuals are
+    measured exactly only to word a failure, by the largest residual of the
+    first sample that fails, and a NaN ``delta`` fails."""
     if rs.relations:
-        stack = np.stack([evaluate(body, env, profile) for _, body in rs.relations])
+        # (..., relations, n, n): the residuals of each sample side by side
+        stack = np.stack([evaluate(body, env, profile) for _, body in rs.relations], axis=-3)
     else:
         stack = np.zeros((1, 0, 0))  # one empty matrix, of norm 0
     if _max_norm_above(stack, [delta], profile)[0] or math.isnan(delta):
-        _gate("sample residual", _max_op_norm(stack, profile), delta, SamplerExhausted)
+        worst = np.max(op_norm(stack, profile), axis=-1).reshape(-1)
+        _gate("sample residual", worst[np.argmax(~(worst <= delta))], delta, SamplerExhausted)

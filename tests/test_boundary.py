@@ -407,6 +407,27 @@ class TestHomotopyCollapse:
 
 
 class TestExactProjectionLift:
+    @pytest.mark.parametrize("name", ["default", "jacobi"])
+    def test_passing_lift_takes_no_norm_until_a_figure_is_read(self, name, monkeypatch):
+        # both gates pass on bounds; each figure is measured on its first
+        # reading, under the lift's profile, as the run once measured it
+        profile, norms = PROFILES[name], linalg._norms
+        rep, model = builtin_scenario("matched-endpoints"), IntervalModel(64)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an exact norm was taken on a pass")
+
+        monkeypatch.setattr(linalg, "_norms", forbidden)
+        grid_rep = exact_projection_lift(rep, model, profile=profile)
+        assert not {"max_residual", "endpoint_defect"} & set(vars(grid_rep))
+        monkeypatch.setattr(linalg, "_norms", norms)
+        h, x, k = grid_rep.h.values, grid_rep.x.values, grid_rep.k.values
+        res = low_level_residuals(QcTriple(h, x, k), profile)
+        got = np.stack([h, x, k], axis=1)[[0, -1]]
+        data = np.array([[at.h, at.x, at.k] for at in (rep.at0, rep.at1)])
+        assert grid_rep.max_residual == float(np.max(list(res.values())))
+        assert grid_rep.endpoint_defect == float(np.max(op_norm(got - data, profile)))
+
     def test_matched_endpoints_lifts(self):
         rep = builtin_scenario("matched-endpoints")
         model = IntervalModel(grid_size=16)
@@ -1310,11 +1331,76 @@ class _UnitaryEnds:
         _gate(name, defects, boundary._UNIT_ENDS_TOL, EndpointDefect)
 
 
+def _measured_projection_lift(rep, profile):
+    """exact_projection_lift's two gates with every norm measured: each
+    relation residual and each endpoint defect of the thresholded lift,
+    which is taken with its own gates switched off."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(boundary, "_residual_gate", lambda *args: None)
+        mp.setattr(boundary, "_norm_gate", lambda *args: None)
+        out = exact_projection_lift(rep, _ThresholdedResidual.model, profile=profile)
+    h, x, k = out.h.values, out.x.values, out.k.values
+    worst = np.max(list(low_level_residuals(QcTriple(h, x, k), profile).values()), axis=0)
+    _gate("thresholded lift residual", worst, 1e-10, LiftResidual)
+    got = np.stack([h, x, k], axis=1)[[0, -1]]
+    data = np.array([[at.h, at.x, at.k] for at in (rep.at0, rep.at1)])
+    name = "thresholded lift defect of (h, x, k) at the endpoints (0, 1)"
+    _gate(name, op_norm(got - data, profile), 1e-9, LiftResidual)
+
+
+class _ThresholdedResidual:
+    """exact_projection_lift's relation residual, at 1e-10: the threshold maps
+    to 1 + d in place of 1, so the projection path p becomes (1 + d) P.  Each
+    relation defect is then d (1 + d) times a block of P (hk gives -P_22), and
+    the (0, 0, 1) block of the input puts a 1 in P_22."""
+
+    error = LiftResidual
+    model = IntervalModel(8)
+    rep = BScenarioRep(*[_conjugated(canonical_fiber(0.5), QcTriple(Z2, Z2, E22))] * 2)
+
+    def patch(self, level, monkeypatch):
+        d = 0.5 * (np.sqrt(1.0 + 4e-10 * level) - 1.0)
+        step = linalg.RealFunction("step_half", lambda t: np.where(t >= 0.5, 1.0 + d, 0.0))
+        monkeypatch.setattr(boundary, "STEP_HALF", step)
+
+    def run(self, level, profile, monkeypatch):
+        self.patch(level, monkeypatch)
+        return lambda: exact_projection_lift(self.rep, self.model, profile=profile)
+
+    def measured(self, level, profile, monkeypatch):
+        self.patch(level, monkeypatch)
+        _measured_projection_lift(self.rep, profile)
+
+
+class _ThresholdedEnds:
+    """exact_projection_lift's endpoint defect, at 1e-9: the path is lifted
+    from the exact data, and the data it is compared with has an entry of x(0)
+    moved by level * 1e-9."""
+
+    error = LiftResidual
+
+    def rep(self, level, monkeypatch):
+        clean = _ThresholdedResidual.rep
+        monkeypatch.setattr(boundary, "lift_T", lambda rep, *args: lift_T(clean, *args))
+        x = clean.at0.x.copy()
+        x[0, 0] += 1e-9 * level
+        return BScenarioRep(replace(clean.at0, x=x), clean.at1)
+
+    def run(self, level, profile, monkeypatch):
+        rep = self.rep(level, monkeypatch)
+        return lambda: exact_projection_lift(rep, _ThresholdedResidual.model, profile=profile)
+
+    def measured(self, level, profile, monkeypatch):
+        _measured_projection_lift(self.rep(level, monkeypatch), profile)
+
+
 GATES = {
     "relation-residual": _RelationResidual(),
     "corner-sandwich": _CornerSandwich(),
     "clamped-ends": _ClampedEnds(),
     "unitary-ends": _UnitaryEnds(),
+    "thresholded-residual": _ThresholdedResidual(),
+    "thresholded-ends": _ThresholdedEnds(),
 }
 
 

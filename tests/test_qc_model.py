@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 
-from qcwb import checks
-from qcwb.linalg import DEFAULT_PROFILE, DimMismatch, herm_eig, hermitian_part, op_norm
+from qcwb import checks, linalg, qc_model
+from qcwb.linalg import (
+    DEFAULT_PROFILE,
+    PROFILES,
+    DimMismatch,
+    _gate,
+    herm_eig,
+    hermitian_part,
+    op_norm,
+)
 from qcwb.qc_model import (
     FactorizationResidualTooLarge,
     QcTriple,
@@ -227,6 +235,58 @@ class TestFactorX:
         trip = QcTriple(Z2, E21, Z2)
         with pytest.raises(ValueError):
             factor_x(trip)
+
+    @pytest.mark.parametrize("name", ["default", "jacobi"])
+    def test_passing_input_takes_no_norm(self, rng, name, monkeypatch):
+        # ||hk|| is decided from bounds, and T's spectrum gives the rest
+        profile = PROFILES[name]
+        trips = [canonical_generators(4), exact_endpoint(rng, 6)]
+        expected = [factor_x(trip, profile) for trip in trips]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an exact norm was taken on a pass")
+
+        monkeypatch.setattr(linalg, "_norms", forbidden)
+        for trip, y in zip(trips, expected):
+            assert factor_x(trip, profile).tobytes() == y.tobytes()
+
+    # 1 x 1 triples whose one weak residual is s: ||hk||, T's eigenvalue
+    # 1 - h below 0, or k above 1
+    PRE_GATE_CASES = {
+        "orthogonality": lambda s: ([[s]], [[0.0]], [[1.0]]),
+        "below-zero": lambda s: ([[1.0 + s]], [[0.0]], [[0.0]]),
+        "above-one": lambda s: ([[0.0]], [[0.0]], [[1.0 + s]]),
+        "nan": lambda s: ([[0.0]], [[np.nan]], [[0.0]]),
+    }
+
+    @pytest.mark.parametrize("name", ["default", "jacobi"])
+    @pytest.mark.parametrize("case", sorted(PRE_GATE_CASES))
+    def test_pre_gate_decides_as_the_measured_gate(self, case, name):
+        # 0.1% below or above _PRE_TOL, factor_x passes or raises as the gate
+        # that measures every weak residual does, with the same class and
+        # message; a NaN fails closed
+        profile, tol = PROFILES[name], qc_model._PRE_TOL
+
+        def outcome(fn):
+            try:
+                fn()
+            except Exception as exc:
+                return type(exc), str(exc)
+            return None
+
+        def measured(trip):
+            worst = np.max(list(positivity_residuals(trip, profile).values()), axis=0)
+            _gate("corner relation residual", worst, tol, ValueError)
+
+        for level in (1.0 - 1e-3, 1.0 + 1e-3):
+            parts = self.PRE_GATE_CASES[case](level * tol)
+            trip = QcTriple(*(np.array(m, dtype=complex) for m in parts))
+            got = outcome(lambda: factor_x(trip, profile))
+            assert got == outcome(lambda: measured(trip))
+            if case == "nan":
+                assert got is not None
+            else:
+                assert got is None if level < 1.0 else got[0] is ValueError, got
 
 
 class TestDirectSum:

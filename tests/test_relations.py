@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcwb import cli, linalg, relations
-from qcwb.linalg import PROFILES, func_calc, op_norm
+from qcwb.linalg import DEFAULT_PROFILE, PROFILES, func_calc, op_norm
 from qcwb.qc_model import QcTriple, canonical_generators, low_level_residuals
 from qcwb.relations import (
     FUNCTIONS,
@@ -15,6 +15,7 @@ from qcwb.relations import (
     FnApp,
     NotHermitianAtFnApp,
     Prod,
+    RelationSet,
     RelationSyntaxError,
     SamplerExhausted,
     Scale,
@@ -157,6 +158,33 @@ class TestRoundTrip:
         assert parse(pretty(rs)).relations == rs.relations
 
 
+def random_source(gen, depth, names=("h", "x", "k")):
+    """Random valid relation text over ``names``: sums, products, adjoints,
+    literals (each scaling a non-constant factor), sym(...) and pos(...)."""
+
+    def literal():
+        re_, im = np.round(gen.standard_normal(2) * 10.0 ** gen.integers(-3, 4, size=2), 4)
+        return f"({re_:g},{im:g})" + "'" * int(gen.integers(0, 2))
+
+    if depth == 0:
+        return names[gen.integers(0, len(names))]
+    a = random_source(gen, depth - 1, names)
+    kind = gen.integers(0, 7)
+    if kind == 0:
+        return f"{a} {'+-'[gen.integers(0, 2)]} {random_source(gen, depth - 1, names)}"
+    if kind == 1:
+        return f"({a})*({random_source(gen, depth - 1, names)})"
+    if kind == 2:
+        return f"({a})'"
+    if kind == 3:
+        return f"{literal()}*({a})"
+    if kind == 4:
+        return f"({a})*{literal()}*{literal()}"
+    if kind == 5:
+        return f"sym({a})"
+    return f"pos(sym({a}))"
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.integers(min_value=0, max_value=2**31))
 def test_roundtrip_property_random_expressions(seed):
@@ -178,40 +206,14 @@ def test_roundtrip_property_random_expressions(seed):
             return Scale(c if c != 0 else 1 + 0j, rand_expr(depth - 1))
         return Sum(rand_expr(depth - 1), Var(names[gen.integers(0, 3)]))
 
-    def literal():
-        re_, im = np.round(gen.standard_normal(2) * 10.0 ** gen.integers(-3, 4, size=2), 4)
-        return f"({re_:g},{im:g})" + "'" * int(gen.integers(0, 2))
-
-    def rand_source(depth):
-        # valid relation text: every literal scales a non-constant factor
-        if depth == 0:
-            return names[gen.integers(0, 3)]
-        a = rand_source(depth - 1)
-        kind = gen.integers(0, 7)
-        if kind == 0:
-            return f"{a} {'+-'[gen.integers(0, 2)]} {rand_source(depth - 1)}"
-        if kind == 1:
-            return f"({a})*({rand_source(depth - 1)})"
-        if kind == 2:
-            return f"({a})'"
-        if kind == 3:
-            return f"{literal()}*({a})"
-        if kind == 4:
-            return f"({a})*{literal()}*{literal()}"
-        if kind == 5:
-            return f"sym({a})"
-        return f"pos(sym({a}))"
-
     expr = rand_expr(3)
-    from qcwb.relations import RelationSet
-
     rs = RelationSet(names, (("r", expr),))
     # round-trip stability is stated for parsed trees (parsing normalizes
     # nested scalar factors), so one parse precedes the comparison
     first = parse(pretty(rs))
     assert parse(pretty(first)).relations == first.relations
     # and for parsed source text, with literals, primes and sym(...)
-    first = parse(f"vars h x k;\nrel r: {rand_source(3)} = 0;\n")
+    first = parse(f"vars h x k;\nrel r: {random_source(gen, 3)} = 0;\n")
     assert parse(pretty(first)).relations == first.relations
 
 
@@ -261,6 +263,11 @@ class TestEvaluate:
         expected = func_calc(arg, FUNCTIONS["pos"]) - func_calc(arg, FUNCTIONS["neg"])
         assert out.tobytes() == expected.tobytes()
 
+    def test_fnapp_gate_on_a_stack_names_the_fiber(self, rng):
+        stack = np.stack([random_hermitian(rng, 3), random_matrix(rng, 3)])
+        with pytest.raises(NotHermitianAtFnApp, match=r"argument of pos = \S+ at fiber 1 exceeds"):
+            evaluate(FnApp("pos", Var("t")), {"t": stack})
+
     def test_naturality_under_conjugation(self, rng):
         # phi(eval(e, env)) == eval(e, phi o env) for a unitary conjugation
         rs = parse(QC_RELATION_SOURCE)
@@ -278,6 +285,23 @@ class TestEvaluate:
         z = np.zeros((4, 4), dtype=complex)
         res = residuals(rs, {"h": z, "x": z, "k": z})
         assert all(v == 0.0 for v in res.values())
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=2**31), st.sampled_from(["default", "jacobi"]))
+def test_evaluate_on_a_stack_matches_each_fiber(seed, name):
+    # a (fibers, n, n) stack gives each fiber the value it has alone, bit for bit
+    gen = np.random.default_rng(seed)
+    profile = PROFILES[name]
+    body = parse(f"vars h x k;\nrel r: {random_source(gen, 3)} = 0;\n").relations[0][1]
+    fibers, n = int(gen.integers(1, 5)), int(gen.integers(1, 5))
+    shape = (fibers, n, n)
+    env = {v: gen.standard_normal(shape) + 1j * gen.standard_normal(shape) for v in "hxk"}
+    out = evaluate(body, env, profile)
+    assert out.shape == (fibers, n, n)
+    for i in range(fibers):
+        alone = evaluate(body, {v: m[i] for v, m in env.items()}, profile)
+        assert out[i].tobytes() == alone.tobytes()
 
 
 class TestResidualOracleEquivalence:
@@ -334,8 +358,6 @@ class TestSweep:
 
     def test_negative_control_unconstrained(self, rng):
         # empty relation set: a norm-one sampler keeps ||h|| pinned at 1
-        from qcwb.relations import RelationSet
-
         rs = RelationSet(("h",), tuple())
         s = parse_expression("h", ("h",))
 
@@ -453,21 +475,26 @@ def test_sampler_matches_a_bisection_on_exact_residuals(name, grids):
 def test_sweep_decomposition_counts(monkeypatch):
     # one sweep of the benchmark's shape: at most two SVD fibers per sample,
     # its reported value and its sampler scale (a bisection and a residual
-    # gate that measure every norm take 16), and one eigh per sample, since
-    # pos and neg share the decomposition of sym(...).  The sampler bounds
-    # each amplitude's defects once for both of its levels, delta and delta/2
+    # gate that measure every norm take 16), and one eigh fiber per sample,
+    # since pos and neg share the decomposition of sym(...).  Each delta's
+    # five samples are one stacked chunk: one residual gate, one eigh call
+    # and one SVD call for the values.  The Gram-power bounds run 64 times:
+    # 40 bisection probes (each amplitude bounded once for both of its
+    # levels, delta and delta/2), 20 sampler scales and 4 chunk gates
     deltas, samples = [1e-2, 1e-3, 1e-4, 1e-5], 5
     rs = parse(QC_RELATION_SOURCE)
     consequence = parse_expression(
         "pos(sym(x'*x - (h - h'*h))) - neg(sym(x'*x - (h - h'*h)))", rs.variables
     )
     counts = {"svd": 0, "eigh": 0}
+    calls = {"svd": 0, "eigh": 0}
 
     def counted(attr):
         call = getattr(np.linalg, attr)
 
         def run(a, *args, **kwargs):
             counts[attr] += int(np.prod(np.shape(a)[:-2]))
+            calls[attr] += 1
             return call(a, *args, **kwargs)
 
         return run
@@ -487,7 +514,93 @@ def test_sweep_decomposition_counts(monkeypatch):
     runs = len(deltas) * samples
     assert counts["svd"] <= 2 * runs
     assert counts["eigh"] == runs
-    assert counts["bounds"] == 80
+    assert counts["bounds"] == 64
+    assert calls == {"svd": 24, "eigh": 4}
+
+
+def sequential_sweep(rs, consequence, sampler, deltas, samples_per_delta, rng, profile):
+    """The sweep one sample at a time: each sample drawn, gated, evaluated and
+    measured alone."""
+    table = []
+    for delta in deltas:
+        worst_s = 0.0
+        for _ in range(samples_per_delta):
+            env = sampler(delta, rng)
+            relations._check_sample(rs, env, delta, profile)
+            worst_s = max(worst_s, op_norm(evaluate(consequence, env, profile), profile))
+        table.append((delta, worst_s))
+    return table
+
+
+SHARED = "pos(sym(x'*x - (h - h'*h))) - neg(sym(x'*x - (h - h'*h)))"
+SWEEP_CONSEQUENCES = [SHARED, "x'*x - (h - h'*h)", "h*k", "clamp01(sym(x)) + sqrt0(sym(h'*h))"]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=0, max_value=2**31),
+    st.sampled_from(["default", "jacobi"]),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=7),
+    st.integers(min_value=1, max_value=8),
+    st.sampled_from(SWEEP_CONSEQUENCES),
+    st.booleans(),
+)
+def test_stacked_sweep_matches_the_sequential_loop(
+    seed, name, grid, samples, chunk, consequence, empty
+):
+    # the budget is set to hold `chunk` samples, so that one delta's samples
+    # make one chunk or several, of one sample or more
+    profile = PROFILES[name]
+    rs = RelationSet(("h", "x", "k"), ()) if empty else parse(QC_RELATION_SOURCE)
+    consequence = parse_expression(consequence, ("h", "x", "k"))
+    sampler = perturbation_sampler(grid, profile)
+    deltas = [1e-2, 1e-3, 1e-5]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(relations, "_BLOCK_BYTES", chunk * 16 * (2 * grid) ** 2)
+        got = delta_eps_sweep(
+            rs, consequence, sampler, deltas, samples, np.random.default_rng(seed), profile
+        )
+    want = sequential_sweep(
+        rs, consequence, sampler, deltas, samples, np.random.default_rng(seed), profile
+    )
+    assert [(d, v.hex()) for d, v in got] == [(d, v.hex()) for d, v in want]
+
+
+def test_sweep_chunks_stay_within_the_byte_budget(monkeypatch):
+    # 200 samples of 32 x 32 at one delta: chunks of 16, none of whose stacks
+    # exceeds the budget, and the sampler drawn once per sample, in order
+    rs = parse(QC_RELATION_SOURCE)
+    consequence = parse_expression(SHARED, rs.variables)
+    sampler = perturbation_sampler(16)
+    drawn, stack_bytes = [], []
+
+    def recording(delta, gen):
+        drawn.append(sampler(delta, gen))
+        return drawn[-1]
+
+    evaluate_ = relations.evaluate
+
+    def measured(e, env, profile=DEFAULT_PROFILE):
+        stack_bytes.append(max(np.asarray(m).nbytes for m in env.values()))
+        return evaluate_(e, env, profile)
+
+    monkeypatch.setattr(relations, "evaluate", measured)
+    table = delta_eps_sweep(rs, consequence, recording, [1e-3], 200, np.random.default_rng(5))
+    assert max(stack_bytes) <= linalg._BLOCK_BYTES
+    # 13 chunks, each with four relation bodies and the consequence
+    assert len(stack_bytes) == 13 * 5
+    gen = np.random.default_rng(5)
+    assert len(drawn) == 200
+    for env in drawn:
+        again = sampler(1e-3, gen)
+        assert all(env[v].tobytes() == again[v].tobytes() for v in "hxk")
+    replay = iter(drawn)
+    monkeypatch.undo()
+    want = sequential_sweep(
+        rs, consequence, lambda d, g: next(replay), [1e-3], 200, None, DEFAULT_PROFILE
+    )
+    assert table == want
 
 
 def test_sweep_gate_fails_closed_on_a_nan_delta(rng):
