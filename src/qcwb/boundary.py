@@ -50,13 +50,12 @@ Hermitian, positive h and k and the corner sandwich (see :func:`_lift_ends`).
 decompositions give directly (det u = e^(2 pi i tau)): it doubles the grid,
 evaluating the decompositions at the new odd points only, until every step of
 tau is below 1/8, and then certifies u_R once, on the final grid.  Every
-certificate takes the lift alone.  Every gate on a defect's norm is decided
-from bounds (:func:`linalg._max_norm_above`), which settle a defect far inside
-its tolerance with no SVD and a close one exactly; a norm is measured only to
-word a failure, so the messages are those of measured gates.  The figures a
-run reports (:attr:`BoundaryResult.unitarity_defect`,
-:attr:`BoundaryResult.endpoint_defect`, :attr:`TLift.endpoint_defect` and
-those of :class:`GridRepresentation`) are measured when first read.
+certificate takes the lift alone.  Every gate on a defect's norm goes through
+the bound-first gate :func:`linalg._norm_gate`, so the messages are those of
+measured gates.  The figures a run reports
+(:attr:`BoundaryResult.unitarity_defect`, :attr:`BoundaryResult.endpoint_defect`,
+:attr:`TLift.endpoint_defect` and those of :class:`GridRepresentation`) are
+measured when first read.
 """
 
 from __future__ import annotations
@@ -94,9 +93,7 @@ from .qc_model import (
     QcTriple,
     _corner_sandwich,
     _low_level_defects,
-    _residual_above,
     canonical_fiber,
-    low_level_residuals,
     t_matrix,
 )
 from .structures import CornerQuad, CornerSystem, homotopy_theta
@@ -457,7 +454,8 @@ def _lift_ends(rep: BScenarioRep, profile: ToleranceProfile) -> _LiftEnds:
     and y(1) lie in R."""
     a, b = rep.at0, rep.at1
     trip = QcTriple(np.stack([a.h, b.h]), np.stack([a.x, b.x]), np.stack([a.k, b.k]))
-    _residual_gate("relation residual at the endpoints (0, 1)", trip, profile)
+    name = "relation residual at the endpoints (0, 1)"
+    _norm_gate(name, lambda: _low_level_defects(trip), 1e-10, LiftResidual, profile)
     es = _positive_eig(
         np.concatenate([trip.h, trip.k]), profile.clamp_tol, profile, NotPositive, "h, k"
     )
@@ -518,9 +516,8 @@ def lift_T(
     the ranges of the endpoint h's and k's, off which T is diag(1, 0).
     T' clamps T's spectrum to [0, 1], and is formed here only at the two
     endpoints, on R + R, and embedded (:func:`_embed`): it must match the
-    uncompressed endpoint block matrices to ``_LIFT_ENDS_TOL``.  Every norm
-    gate here is decided from bounds (:func:`linalg._max_norm_above`), and a
-    norm is taken only to word a failure; :attr:`TLift.endpoint_defect`
+    uncompressed endpoint block matrices to ``_LIFT_ENDS_TOL``, a gate decided
+    from bounds (:func:`linalg._norm_gate`); :attr:`TLift.endpoint_defect`
     measures the clamped end defect when it is first read.
     """
     ends = _lift_ends(rep, profile)
@@ -715,8 +712,8 @@ def exact_projection_lift(
     thresholding at 1/2 is continuous in the fibers and the blocks of the
     projection path, embedded once, form an exact representation lifting
     the input.  Its relation residuals are gated at 1e-10 and its defects
-    at the endpoints at 1e-9 (:class:`LiftResidual`), both from bounds: a
-    norm is measured only to word a failure.
+    at the endpoints at 1e-9 (:class:`LiftResidual`), both from bounds
+    (:func:`linalg._norm_gate`).
     """
     lift = lift_T(rep, model, scheme, profile)
     n, es = rep.fiber_dim, lift.t
@@ -738,20 +735,11 @@ def exact_projection_lift(
     k = GridFunction(hermitian_part(p[:, n:, n:]))
     data = np.array([[at.h, at.x, at.k] for at in (rep.at0, rep.at1)])
     out = GridRepresentation(h, x, k, data, profile)
-    _residual_gate("thresholded lift residual", QcTriple(h.values, x.values, k.values), profile)
+    trip, name = QcTriple(h.values, x.values, k.values), "thresholded lift residual"
+    _norm_gate(name, lambda: _low_level_defects(trip), 1e-10, LiftResidual, profile)
     name = "thresholded lift defect of (h, x, k) at the endpoints (0, 1)"
     _norm_gate(name, out._end_defects, 1e-9, LiftResidual, profile)
     return out
-
-
-def _residual_gate(name: str, triple: QcTriple, profile: ToleranceProfile) -> None:
-    """:class:`LiftResidual` unless every relation residual of every fiber is at
-    most 1e-10, decided from bounds (:func:`qc_model._residual_above`); the
-    residuals are measured only to word a failure, which names the first
-    failing fiber and its largest residual."""
-    if _residual_above(triple, 1e-10, profile):
-        worst = np.max(list(low_level_residuals(triple, profile).values()), axis=0)
-        _gate(name, worst, 1e-10, LiftResidual)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,8 @@ which lie up to ``sqrt(n)`` apart; pass 2 reads the same two norms of
 only on the fibers the bounds cannot settle: those that may hold the
 maximum, or whose bounds straddle a level.
 The answers are those of :func:`op_norm` on the whole stack, bit for bit.
+:func:`_norm_gate`, the one gate on a defect's norm, decides from these
+comparisons and measures a norm only to word a failure.
 
 All operations are pure functions: inputs are never mutated, results are
 freshly allocated.  Numerical thresholds are collected in a
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -701,15 +703,33 @@ def _max_norm_above(
 
 
 def _norm_gate(
-    name: str, m: np.ndarray, bound: float, error: type[Exception], profile: ToleranceProfile
+    name: str,
+    defects: np.ndarray | Callable[[], Iterable[np.ndarray]],
+    bound: float,
+    error: type[Exception],
+    profile: ToleranceProfile,
+    scale: Callable[[], float | np.ndarray] | None = None,
 ) -> None:
-    """``_gate(name, op_norm(m, profile), bound, error)``, with the norms taken only
-    to word a failure: :func:`_max_norm_above` decides, exactly, whether some
-    fiber exceeds ``bound``, and settles a defect far inside it with no SVD.  A
-    NaN or inf entry raises :class:`NoConvergence` naming its fiber, as
+    """``_gate(name, op_norm(m, profile), bound * max(1, scale()), error)``, with
+    the norms taken only to word a failure.
+
+    ``defects`` is one stack ``m``, or a callable that yields defect stacks
+    over the same fibers, whose largest norm per fiber is gated; they are
+    drawn one at a time, and each is let go once it is decided.
+    :func:`_max_norm_above` decides, exactly, whether some fiber exceeds
+    ``bound``, which is at most the bound gated, and settles a defect far
+    inside it with no SVD.  Only when one does, or ``bound`` is NaN, are the
+    defects drawn again and their norms measured, and ``scale()``, a
+    per-fiber scale of the bound, with them; a NaN ``bound`` fails.  A NaN
+    or inf entry raises :class:`NoConvergence` naming its fiber, as
     :func:`op_norm` does."""
-    if _max_norm_above(m, [bound], profile)[0]:
-        _gate(name, op_norm(m, profile), bound, error)
+    draw = defects if callable(defects) else lambda: (defects,)
+    # map lets go of each defect once it is decided; a loop variable would
+    # hold it while the next one is formed
+    exceeded = map(lambda d: _max_norm_above(d, [bound], profile)[0], draw())
+    if math.isnan(bound) or any(exceeded):
+        worst = np.max(list(map(lambda d: op_norm(d, profile), draw())), axis=0)
+        _gate(name, worst, bound if scale is None else bound * np.maximum(1.0, scale()), error)
 
 
 def _not_finite(per_fiber: np.ndarray, what: str = "op_norm input is not finite") -> str:

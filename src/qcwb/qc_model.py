@@ -29,6 +29,7 @@ from .linalg import (
     _gate,
     _hermitian_defect,
     _max_norm_above,
+    _norm_gate,
     _positive_eig,
     _support,
     adjoint,
@@ -146,17 +147,6 @@ def low_level_residuals(
     return dict(zip(LOW_LEVEL_LABELS, norms))
 
 
-def _residual_above(triple: QcTriple, level: float, profile: ToleranceProfile) -> bool:
-    """Whether some relation residual of some fiber exceeds ``level``: exactly
-    ``max(low_level_residuals(triple, profile)) > level``, decided one defect at a
-    time by :func:`linalg._max_norm_above`, which settles a defect far from
-    ``level`` with no SVD.  A NaN ``level`` is not exceeded, so a gate that must
-    fail on one tests it first."""
-    # map lets go of each defect once it is decided, as in low_level_residuals
-    exceeded = map(lambda d: _max_norm_above(d, [level], profile)[0], _low_level_defects(triple))
-    return any(exceeded)
-
-
 def high_level_residuals(
     triple: QcTriple, profile: ToleranceProfile = DEFAULT_PROFILE
 ) -> dict[str, float]:
@@ -225,8 +215,9 @@ def factor_x(triple: QcTriple, profile: ToleranceProfile = DEFAULT_PROFILE) -> n
     Requires the weak relation residuals below ``_PRE_TOL``, so that x lives in the
     k-h corner up to tolerance; h and k are then decomposed once each for
     :func:`_corner_sandwich`.  The spectral residuals are read off T's
-    eigenvalues, and ||hk|| is decided from bounds (:func:`linalg._max_norm_above`):
-    it is measured only to word a failure.
+    eigenvalues, and ||hk|| is decided from bounds, as in :func:`linalg._norm_gate`.
+    The gate keeps its own test: it words a failure with the worst of the norm and
+    the two spectral residuals, which are exact per-fiber values, not norms.
     """
     hk, below_zero, above_one = _weak_defects(triple, profile)
     spectral_ok = np.all(np.maximum(below_zero, above_one) <= _PRE_TOL)  # a NaN fails
@@ -243,9 +234,8 @@ def _corner_sandwich(
 ) -> np.ndarray:
     """y = k^(-1/8) x h^(-1/8) off the decompositions of h and k, the inverse root on the
     support only; :class:`FactorizationResidualTooLarge` unless k^(1/8) y h^(1/8) gives
-    back x to ``_RECONSTRUCTION_TOL * max(1, ||x||)``.  That bound is at least
-    ``_RECONSTRUCTION_TOL``, so a defect within it passes at once
-    (:func:`linalg._max_norm_above`), and the norms are taken only when it is not."""
+    back x to ``_RECONSTRUCTION_TOL * max(1, ||x||)``, a gate decided from bounds
+    (:func:`linalg._norm_gate`)."""
 
     def eighth_roots(es: EigenSystem) -> tuple[np.ndarray, np.ndarray]:
         w = np.maximum(es.eigenvalues, 0.0)
@@ -256,11 +246,6 @@ def _corner_sandwich(
     k8, k8_inv = eighth_roots(ks)
     y = k8_inv @ x @ h8_inv
     defect = k8 @ y @ h8 - x
-    if _max_norm_above(defect, [_RECONSTRUCTION_TOL], profile)[0]:
-        _gate(
-            "corner sandwich reconstruction defect",
-            op_norm(defect, profile),
-            _RECONSTRUCTION_TOL * np.maximum(1.0, op_norm(x, profile)),
-            FactorizationResidualTooLarge,
-        )
+    name, scale = "corner sandwich reconstruction defect", lambda: op_norm(x, profile)
+    _norm_gate(name, defect, _RECONSTRUCTION_TOL, FactorizationResidualTooLarge, profile, scale)
     return y

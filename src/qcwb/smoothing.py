@@ -27,9 +27,8 @@ threshold:
     x_out = U_N Pi_NP U_P* and k_out = U_N Pi_NN U_N*.  Its arrays are made
     read-only.  Whether every distance moved is at most epsilon, and every
     output relation defect at most ``RESIDUAL_SUCCESS_TOL``, is decided from
-    bounds that settle a clear case with no SVD and a close one exactly
-    (:func:`linalg._max_norm_above`).  The report measures the figures
-    themselves when they are first read.
+    bounds, as the bound-first gate :func:`linalg._norm_gate` decides.  The
+    report measures the figures themselves when they are first read.
 
 Support orthogonality of g_plus and g_minus makes the output orthogonality
 exact up to rounding, and the whole construction moves each component only
@@ -53,12 +52,13 @@ from .linalg import (
     _gate,
     _idempotency_defect,
     _max_norm_above,
+    _norm_gate,
     adjoint,
     hermitian_part,
     op_norm,
     smooth_step,
 )
-from .qc_model import QcTriple, _residual_above, low_level_residuals
+from .qc_model import QcTriple, _low_level_defects, low_level_residuals
 
 __all__ = [
     "SpectralGapFailure",
@@ -291,26 +291,23 @@ def _checked_input(
     """A read-only copy of ``triple``, once it meets the preconditions.
 
     Raises :class:`ResidualTooLarge` when a component norm exceeds 2 or a
-    relation residual exceeds ``delta``, in that order.  The norm gate reads
-    the bound sqrt(||A||_1 ||A||_inf) >= ||A|| first and takes the exact
-    operator norm only of a component the bound does not settle; a NaN or
-    inf entry raises :class:`NoConvergence` there, before any product is
-    formed.  An infinite ``delta`` (the default) gates no residual.  A
-    finite one is compared with each defect in turn through
-    :func:`linalg._max_norm_above`, exactly; the residuals are measured only
-    to word a failure.  Nothing here depends on theta, so
-    :func:`auto_theta` checks, and copies, once.
+    relation residual exceeds ``delta``, in that order.  Each component is
+    read first against the O(n^2) bound sqrt(||A||_1 ||A||_inf) >= ||A||;
+    only one that bound does not settle goes through
+    :func:`linalg._norm_gate`, where a NaN or inf entry raises
+    :class:`NoConvergence` before any product is formed.  An infinite
+    ``delta`` (the default) gates no residual; any other goes through the
+    same gate, and a NaN fails.  Nothing
+    here depends on theta, so :func:`auto_theta` checks, and copies, once.
     """
     for name, a in (("h", triple.h), ("x", triple.x), ("k", triple.k)):
         mag = np.abs(a)
         one, inf = mag.sum(axis=0).max(initial=0.0), mag.sum(axis=1).max(initial=0.0)
         if not (np.sqrt(one * inf) <= 2.0):
-            _gate(f"component norm ||{name}||", op_norm(a, profile), 2.0, ResidualTooLarge)
-    if not delta >= np.inf:
-        # a NaN bound fails
-        if np.isnan(delta) or _residual_above(triple, delta, profile):
-            worst = max(low_level_residuals(triple, profile).values())
-            _gate("input residual", worst, delta, ResidualTooLarge)
+            _norm_gate(f"component norm ||{name}||", a, 2.0, ResidualTooLarge, profile)
+    if not delta >= np.inf:  # a NaN delta is gated, and fails
+        name, defects = "input residual", lambda: _low_level_defects(triple)
+        _norm_gate(name, defects, delta, ResidualTooLarge, profile)
     copies = [np.array(a) for a in (triple.h, triple.x, triple.k)]
     for a in copies:
         a.flags.writeable = False
@@ -372,10 +369,13 @@ def _smooth_checked(
     """The pipeline on the copy that :func:`_checked_input` returned."""
     profile = params.profile
     lam, t2_defect, out = _exact_nearby(triple, params.theta, profile)
-    # one difference at a time, as in low_level_residuals; map holds none of them
+    # one difference, then one defect, at a time, as in low_level_residuals;
+    # map holds none of them
     moves = map(np.subtract, (out.h, out.x, out.k), (triple.h, triple.x, triple.k))
     far = map(lambda move: _max_norm_above(move, [params.epsilon], profile)[0], moves)
-    success = not any(far) and not _residual_above(out, RESIDUAL_SUCCESS_TOL, profile)
+    tol = [RESIDUAL_SUCCESS_TOL]
+    loose = map(lambda d: _max_norm_above(d, tol, profile)[0], _low_level_defects(out))
+    success = not any(far) and not any(loose)
     report = SmoothingReport(
         s_min=float(lam[0]) if lam.size else 0.0,
         s_max=float(lam[-1]) if lam.size else 0.0,

@@ -27,7 +27,7 @@ from .linalg import (
     DimMismatch,
     ToleranceProfile,
     _eigh_raw,
-    _gate,
+    _norm_gate,
     _positive_eig,
     _span,
     _support_projection,
@@ -92,7 +92,10 @@ def make_corner_system(
     A non-Hermitian h or k raises :class:`NotHermitian`, one with an
     eigenvalue below ``-clamp_tol`` :class:`NotPositive`, as in
     :func:`support_projection`.  The support projections come off the
-    spectra the positivity check computed.
+    spectra the positivity check computed.  :class:`SupportViolation` unless
+    ``||h k|| <= support_tol * max(1, ||h|| ||k||)`` and
+    ``||p_h p_k|| <= support_tol``, gates decided from bounds
+    (:func:`linalg._norm_gate`).
     """
     h = np.asarray(h, dtype=complex)
     k = np.asarray(k, dtype=complex)
@@ -100,12 +103,11 @@ def make_corner_system(
         raise DimMismatch(f"h and k differ in shape: {h.shape} vs {k.shape}")
     hs = _positive_eig(h, profile.clamp_tol, profile, what="h")
     ks = _positive_eig(k, profile.clamp_tol, profile, what="k")
-    tol = profile.support_tol
-    scale = np.maximum(1.0, op_norm(h, profile) * op_norm(k, profile))
-    _gate("||h k||", op_norm(h @ k, profile), tol * scale, SupportViolation)
+    tol, scale = profile.support_tol, lambda: op_norm(h, profile) * op_norm(k, profile)
+    _norm_gate("||h k||", h @ k, tol, SupportViolation, profile, scale)
     p_h = _support_projection(hs, profile)
     p_k = _support_projection(ks, profile)
-    _gate("support overlap ||p_h p_k||", op_norm(p_h @ p_k, profile), tol, SupportViolation)
+    _norm_gate("support overlap ||p_h p_k||", p_h @ p_k, tol, SupportViolation, profile)
     return CornerSystem(h=h, k=k, p_h=p_h, p_k=p_k)
 
 
@@ -143,7 +145,9 @@ class CornerQuad:
     ) -> None:
         """Raise :class:`SupportViolation` when a component leaks out of its corner.
 
-        On stacks each fiber is held to its own bound; the first failure is named.
+        Each leak ``||p x q - x||`` is gated at ``support_tol * max(1, ||x||)``,
+        from bounds (:func:`linalg._norm_gate`).  On stacks each fiber is held to
+        its own bound; the first failure is named.
         """
         pairs = {
             "x11": (sys.p_h, self.x11, sys.p_h),
@@ -151,10 +155,9 @@ class CornerQuad:
             "x21": (sys.p_k, self.x21, sys.p_h),
             "x22": (sys.p_k, self.x22, sys.p_k),
         }
-        for name, (pl, x, pr) in pairs.items():
-            defect = op_norm(pl @ x @ pr - x, profile)
-            bound = profile.support_tol * np.maximum(1.0, op_norm(x, profile))
-            _gate(f"{name} leak outside its corner", defect, bound, SupportViolation)
+        for corner, (pl, x, pr) in pairs.items():
+            name, scale = f"{corner} leak outside its corner", lambda: op_norm(x, profile)
+            _norm_gate(name, pl @ x @ pr - x, profile.support_tol, SupportViolation, profile, scale)
 
 
 def _theta_frames(s: float) -> tuple[np.ndarray, ...]:

@@ -3,7 +3,8 @@ import functools
 import numpy as np
 import pytest
 
-from qcwb.qc_model import E11, QcTriple, canonical_fiber
+from qcwb.linalg import op_norm
+from qcwb.qc_model import E11, QcTriple, canonical_fiber, canonical_generators
 
 
 @pytest.fixture
@@ -25,6 +26,15 @@ def eigh_shapes(monkeypatch):
     return shapes
 
 
+def outcome(fn):
+    """None when ``fn()`` returns, else the class and message of what it raised."""
+    try:
+        fn()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
 def random_hermitian(rng, n, scale=1.0):
     x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return scale * 0.5 * (x + x.conj().T)
@@ -38,6 +48,21 @@ def random_unitary(rng, n):
     x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(x)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def perturbed_generators(rng, m=8, size=1e-3):
+    """canonical_generators(m) plus perturbations of operator norm ``size``,
+    Hermitian for h and k, general for x; and the unperturbed triple."""
+    base = canonical_generators(m)
+    n = base.dim
+    dh = random_hermitian(rng, n)
+    dk = random_hermitian(rng, n)
+    dx = random_matrix(rng, n)
+    return QcTriple(
+        base.h + size * dh / op_norm(dh),
+        base.x + size * dx / op_norm(dx),
+        base.k + size * dk / op_norm(dk),
+    ), base
 
 
 def hermitian_with_spectrum(rng, eigenvalues):

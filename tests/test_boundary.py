@@ -28,12 +28,13 @@ from qcwb.qc_model import (
     FactorizationResidualTooLarge,
     QcTriple,
     canonical_fiber,
+    canonical_generators,
     factor_x,
     low_level_residuals,
     positivity_residuals,
     t_matrix,
 )
-from qcwb import boundary, cli, linalg, qc_model
+from qcwb import boundary, cli, linalg, qc_model, smoothing, structures
 from qcwb.boundary import (
     BScenarioRep,
     EndpointDefect,
@@ -52,9 +53,16 @@ from qcwb.boundary import (
     run_scenario,
     winding_number,
 )
-from qcwb.structures import CornerQuad, homotopy_theta, support_projection
+from qcwb.smoothing import ResidualTooLarge
+from qcwb.structures import (
+    CornerQuad,
+    SupportViolation,
+    homotopy_theta,
+    make_corner_system,
+    support_projection,
+)
 
-from conftest import exact_endpoint, random_matrix, random_unitary
+from conftest import exact_endpoint, outcome, random_matrix, random_unitary
 
 E11 = np.diag([1.0, 0.0]).astype(complex)
 E22 = np.diag([0.0, 1.0]).astype(complex)
@@ -1179,20 +1187,16 @@ def test_views_on_r_match_the_n_by_n_reference(n, grid, seed):
 # ---------------------------------------------------------------------------
 
 
-def _outcome(fn):
-    """None when ``fn()`` returns, else the class and message of what it raised."""
-    try:
-        fn()
-    except Exception as exc:
-        return type(exc), str(exc)
-    return None
+def _unitary_conjugates(*mats):
+    """Each of ``mats``, a matrix or a stack, conjugated by one fixed unitary."""
+    v = random_unitary(np.random.default_rng(7), mats[0].shape[-1])
+    return [v @ m @ v.conj().T for m in mats]
 
 
 def _conjugated(*blocks):
     """The direct sum of ``blocks``, conjugated by one fixed unitary."""
     trip = functools.reduce(QcTriple.direct_sum, blocks)
-    v = random_unitary(np.random.default_rng(7), trip.dim)
-    return QcTriple(*(v @ m @ v.conj().T for m in (trip.h, trip.x, trip.k)))
+    return QcTriple(*_unitary_conjugates(trip.h, trip.x, trip.k))
 
 
 def _below_cut(s):
@@ -1336,7 +1340,6 @@ def _measured_projection_lift(rep, profile):
     relation residual and each endpoint defect of the thresholded lift,
     which is taken with its own gates switched off."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(boundary, "_residual_gate", lambda *args: None)
         mp.setattr(boundary, "_norm_gate", lambda *args: None)
         out = exact_projection_lift(rep, _ThresholdedResidual.model, profile=profile)
     h, x, k = out.h.values, out.x.values, out.k.values
@@ -1394,6 +1397,121 @@ class _ThresholdedEnds:
         _measured_projection_lift(self.rep(level, monkeypatch), profile)
 
 
+def _measured_corner_system(h, k, profile):
+    """make_corner_system's two gates with every norm measured, as at the
+    parent commit."""
+    scale = np.maximum(1.0, op_norm(h, profile) * op_norm(k, profile))
+    _gate("||h k||", op_norm(h @ k, profile), profile.support_tol * scale, SupportViolation)
+    hs, ks = (_positive_eig(m, profile.clamp_tol, profile) for m in (h, k))
+    p_h, p_k = (structures._support_projection(es, profile) for es in (hs, ks))
+    name = "support overlap ||p_h p_k||"
+    _gate(name, op_norm(p_h @ p_k, profile), profile.support_tol, SupportViolation)
+
+
+class _CornerProduct:
+    """make_corner_system's ||h k|| at support_tol max(1, ||h|| ||k||): h has a
+    third eigenvalue a, below its support cut, where k is 1, so ||h k|| = a
+    against the bound 4e-10.  A NaN level is a NaN support_tol."""
+
+    error = SupportViolation
+
+    @staticmethod
+    def parts(level, profile, monkeypatch):
+        if np.isnan(level):
+            profile, level = replace(profile, support_tol=np.nan), 0.0
+        h, k = _unitary_conjugates(np.diag([4.0, 0.0, 4e-10 * level]), np.diag([0.0, 1.0, 1.0]))
+        return h, k, profile
+
+    def run(self, level, profile, monkeypatch):
+        h, k, profile = self.parts(level, profile, monkeypatch)
+        return lambda: make_corner_system(h, k, profile)
+
+    def measured(self, level, profile, monkeypatch):
+        _measured_corner_system(*self.parts(level, profile, monkeypatch))
+
+
+class _CornerOverlap(_CornerProduct):
+    """make_corner_system's ||p_h p_k|| at support_tol, on a stack of two: at
+    fiber 1, k = v v* / 2 with v at an angle level * 1e-10 off e2, while h = e11,
+    so ||h k|| is half the overlap.  A NaN level puts a NaN into each support
+    projection at fiber 1."""
+
+    @staticmethod
+    def parts(level, profile, monkeypatch):
+        if np.isnan(level):
+
+            def corrupted(es, profile):
+                p = linalg._support_projection(es, profile)
+                p[1, 0, 0] = np.nan
+                return p
+
+            monkeypatch.setattr(structures, "_support_projection", corrupted)
+            level = 0.0
+        s = 1e-10 * level
+        v = np.array([s, np.sqrt(1.0 - s * s)])
+        k = np.stack([np.diag([0.0, 0.5]), 0.5 * np.outer(v, v)])
+        h, k = _unitary_conjugates(np.stack([np.diag([1.0, 0.0])] * 2), k)
+        return h, k, profile
+
+
+class _CornerLeak:
+    """CornerQuad.check_supports at support_tol max(1, ||x||), on a stack of three:
+    x12 = [[0, 2], [d, 0]] at fiber 2 leaks d = level * 2e-10 out of its corner,
+    and ||x12|| = 2.  A NaN level puts a NaN into x12 at fiber 2."""
+
+    error = SupportViolation
+
+    @staticmethod
+    def parts(level, profile):
+        x12 = np.stack([np.array([[0.0, 2.0], [0.0, 0.0]], dtype=complex)] * 3)
+        x12[2, 1, 0] = 2e-10 * level if np.isfinite(level) else level
+        h, k, x12 = _unitary_conjugates(np.stack([E11] * 3), np.stack([E22] * 3), x12)
+        zero = np.zeros_like(x12)
+        return make_corner_system(h, k, profile), CornerQuad(zero, x12, zero, zero)
+
+    def run(self, level, profile, monkeypatch):
+        corners, quad = self.parts(level, profile)
+        return lambda: quad.check_supports(corners, profile)
+
+    def measured(self, level, profile, monkeypatch):
+        corners, quad = self.parts(level, profile)
+        p_h, p_k = corners.p_h, corners.p_k
+        pairs = {
+            "x11": (p_h, quad.x11, p_h),
+            "x12": (p_h, quad.x12, p_k),
+            "x21": (p_k, quad.x21, p_h),
+            "x22": (p_k, quad.x22, p_k),
+        }
+        for name, (pl, x, pr) in pairs.items():
+            defect = op_norm(pl @ x @ pr - x, profile)
+            bound = profile.support_tol * np.maximum(1.0, op_norm(x, profile))
+            _gate(f"{name} leak outside its corner", defect, bound, SupportViolation)
+
+
+class _InputResidual:
+    """smoothing's input residual at delta = 0.05: h has a block (1 + d) e11 beside
+    canonical_generators(3), where h^2 - h is d + d^2 = level * 0.05.  A NaN
+    level is a NaN delta."""
+
+    error = ResidualTooLarge
+
+    @staticmethod
+    def parts(level):
+        delta = 0.05 if np.isfinite(level) else level
+        d = 0.5 * (np.sqrt(1.0 + 0.2 * np.nan_to_num(level)) - 1.0)
+        trip = canonical_generators(3).direct_sum(QcTriple((1.0 + d) * E11, Z2, Z2))
+        return trip, delta
+
+    def run(self, level, profile, monkeypatch):
+        trip, delta = self.parts(level)
+        return lambda: smoothing._checked_input(trip, profile, delta)
+
+    def measured(self, level, profile, monkeypatch):
+        trip, delta = self.parts(level)
+        worst = max(low_level_residuals(trip, profile).values())
+        _gate("input residual", worst, delta, ResidualTooLarge)
+
+
 GATES = {
     "relation-residual": _RelationResidual(),
     "corner-sandwich": _CornerSandwich(),
@@ -1401,16 +1519,22 @@ GATES = {
     "unitary-ends": _UnitaryEnds(),
     "thresholded-residual": _ThresholdedResidual(),
     "thresholded-ends": _ThresholdedEnds(),
+    "corner-product": _CornerProduct(),
+    "corner-overlap": _CornerOverlap(),
+    "corner-leak": _CornerLeak(),
+    "input-residual": _InputResidual(),
 }
 
 
 @pytest.mark.parametrize("name", ["default", "jacobi"])
 @pytest.mark.parametrize("gate", list(GATES))
 def test_bounded_gate_decides_as_the_measured_gate(monkeypatch, gate, name):
-    """Each boundary gate is decided from bounds: with its defect far inside
-    the tolerance it takes no exact norm, and with the defect 0.1% below or
-    above the tolerance it passes or raises as the gate that measures every
-    norm does, with the same class and message.  A NaN fails closed."""
+    """Each bound-first gate, the boundary's and those of make_corner_system,
+    CornerQuad.check_supports and smoothing's input residual, is decided from
+    bounds: with its defect far inside the tolerance it takes no exact norm,
+    and with the defect 0.1% below or above the tolerance it passes or raises
+    as the gate that measures every norm does, with the same class and
+    message.  A NaN fails closed."""
     case, profile = GATES[gate], PROFILES[name]
     norms = linalg._norms
 
@@ -1419,13 +1543,13 @@ def test_bounded_gate_decides_as_the_measured_gate(monkeypatch, gate, name):
 
     run = case.run(0.0, profile, monkeypatch)
     monkeypatch.setattr(linalg, "_norms", forbidden)
-    assert _outcome(run) is None
+    assert outcome(run) is None
     monkeypatch.setattr(linalg, "_norms", norms)
-    assert _outcome(lambda: case.measured(0.0, profile, monkeypatch)) is None
+    assert outcome(lambda: case.measured(0.0, profile, monkeypatch)) is None
     for level in (1.0 - 1e-3, 1.0 + 1e-3):
-        got = _outcome(case.run(level, profile, monkeypatch))
-        assert got == _outcome(lambda: case.measured(level, profile, monkeypatch))
+        got = outcome(case.run(level, profile, monkeypatch))
+        assert got == outcome(lambda: case.measured(level, profile, monkeypatch))
         assert got is None if level < 1.0 else got[0] is case.error, got
-    nan = _outcome(case.run(np.nan, profile, monkeypatch))
+    nan = outcome(case.run(np.nan, profile, monkeypatch))
     assert nan is not None and nan[0] in (NoConvergence, case.error), nan
-    assert nan == _outcome(lambda: case.measured(np.nan, profile, monkeypatch))
+    assert nan == outcome(lambda: case.measured(np.nan, profile, monkeypatch))

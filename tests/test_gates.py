@@ -3,8 +3,13 @@
 Two AST checks keep it that way: the fiber-naming internals of the gate stay
 in ``linalg``, and no certificate exception is raised straight from an ``if``
 that tests a comparison, apart from the checks listed in ``ALLOWED``, which do
-not compare a measured defect with a stated bound.  A third keeps every
-failed winding certificate propagating: no function catches
+not compare a measured defect with a stated bound.  A third keeps every gate
+on a norm bound-first: outside ``linalg``, no ``_gate`` call takes an
+``op_norm(...)`` or ``_max_op_norm(...)`` call among its arguments, and no
+``if`` test calls ``_max_norm_above``, apart from the sites listed in
+``HAND_GATED``; the others go through ``linalg._norm_gate``, so a run on
+data that passes takes no exact norm, which one test checks.  A fourth keeps
+every failed winding certificate propagating: no function catches
 ``WindingIllConditioned`` or its subclasses, apart from the CLI's handler
 that reports it with its exit code.
 """
@@ -12,7 +17,22 @@ that reports it with its exit code.
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from qcwb import linalg
+from qcwb.boundary import (
+    IntervalModel,
+    builtin_scenario,
+    homotopy_collapse,
+    lift_T,
+    run_scenario,
+)
+from qcwb.qc_model import canonical_generators
+from qcwb.smoothing import SmoothingParams, auto_theta, smooth_representation
+from qcwb.structures import homotopy_theta, make_corner_system, random_corner_quad
+
+from conftest import perturbed_generators
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qcwb"
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -135,6 +155,122 @@ def test_every_allowed_site_exists():
         for func, exc, _ in _raises_from_comparisons(tree)
     }
     assert ALLOWED <= seen, f"allowlist entries with no such site: {sorted(ALLOWED - seen)}"
+
+
+# (module, function) that gate a norm by hand on purpose, beside linalg._norm_gate
+HAND_GATED = {
+    # one _max_norm_above call gates a whole stacked chunk of samples; a gate
+    # per relation takes more Gram-power passes than the sweep's counts allow,
+    # and its message would name a fiber of the chunk
+    ("relations.py", "_check_sample"),
+    # the spectral residuals are exact per-fiber values, not norms: as 1 x 1
+    # defects a NaN spectrum would raise NoConvergence, not ValueError
+    ("qc_model.py", "factor_x"),
+}
+
+NORM_CALLS = {"op_norm", "_max_op_norm"}
+
+
+def _callee(call: ast.Call) -> str | None:
+    f = call.func
+    return f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+
+
+def _calls(node: ast.AST, names: set[str]) -> bool:
+    return any(isinstance(n, ast.Call) and _callee(n) in names for n in ast.walk(node))
+
+
+def _hand_gated(tree: ast.Module) -> set[tuple[str, int]]:
+    """(function, line) of each gate that is not bound-first: a ``_gate`` call
+    with an ``op_norm(...)`` or ``_max_op_norm(...)`` call among its arguments,
+    or an ``if`` whose test calls ``_max_norm_above``.  Either counts too when
+    it reads a name the function assigns from such a call (``defect =
+    op_norm(d)``; ``_gate(name, defect, ...)``)."""
+    found = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+
+        def assigned(calls: set[str]) -> set[str]:
+            return {
+                t.id
+                for node in ast.walk(func)
+                if isinstance(node, ast.Assign) and _calls(node.value, calls)
+                for t in node.targets
+                if isinstance(t, ast.Name)
+            }
+
+        def reads(node: ast.AST, calls: set[str], names: set[str]) -> bool:
+            read = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            return _calls(node, calls) or bool(read & names)
+
+        measured, decided = assigned(NORM_CALLS), assigned({"_max_norm_above"})
+        for node in ast.walk(func):
+            if isinstance(node, ast.Call) and _callee(node) == "_gate":
+                args = [*node.args, *(k.value for k in node.keywords)]
+                if any(reads(a, NORM_CALLS, measured) for a in args):
+                    found.add((func.name, node.lineno))
+            elif isinstance(node, ast.If) and reads(node.test, {"_max_norm_above"}, decided):
+                found.add((func.name, node.lineno))
+    return found
+
+
+def test_hand_gated_sites_are_found():
+    code = ast.parse(
+        "def measured(m, x):\n"
+        "    _gate('a', op_norm(m), 1.0, E)\n"
+        "    _gate('b', m, bound=1e-10 * np.maximum(1.0, linalg._max_op_norm(x)), error=E)\n"
+        "def paired(m):\n"
+        "    if _max_norm_above(m, [1.0])[0]:\n        _gate('c', 2.0, 1.0, E)\n"
+        "def tainted(m):\n"
+        "    above = _max_norm_above(m, [1.0])\n"
+        "    if above[0]:\n        _gate('d', 2.0, 1.0, E)\n"
+        "def named(m):\n"
+        "    defect = op_norm(m)\n"
+        "    _gate('e', defect, 1.0, E)\n"
+        "def bound_first(m):\n"
+        "    _norm_gate('f', m, 1.0, E, profile)\n"
+    )
+    expected = {("measured", 2), ("measured", 3), ("paired", 5), ("tainted", 9), ("named", 13)}
+    assert _hand_gated(code) == expected
+
+
+@pytest.mark.parametrize("name", [n for n in TREES if n != "linalg.py"])
+def test_norm_gates_are_bound_first(name):
+    hand = {(func, line) for func, line in _hand_gated(TREES[name]) if (name, func) not in HAND_GATED}
+    assert not hand, (
+        f"{name} gates a norm by hand (function, line): {sorted(hand)}; use linalg._norm_gate"
+    )
+
+
+def test_every_hand_gated_site_exists():
+    seen = {(name, func) for name, tree in TREES.items() for func, _ in _hand_gated(tree)}
+    assert HAND_GATED <= seen, f"allowlist entries with no such site: {sorted(HAND_GATED - seen)}"
+
+
+@pytest.mark.parametrize("name", ["default", "jacobi"])
+def test_passing_data_takes_no_exact_norm(name, monkeypatch):
+    # every gate these runs pass through is decided from bounds, so with the
+    # exact norm switched off each one still passes (factor_x and
+    # exact_projection_lift have their own such tests)
+    profile, trip = linalg.PROFILES[name], canonical_generators(4)
+    noisy, _ = perturbed_generators(np.random.default_rng(8), m=8, size=1e-4)
+    quad = random_corner_quad(make_corner_system(trip.h, trip.k, profile), np.random.default_rng(0))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an exact norm was taken on a pass")
+
+    monkeypatch.setattr(linalg, "_norms", forbidden)
+    assert run_scenario("doubled", profile=profile)[0].winding == 2
+    lift = lift_T(builtin_scenario("doubled"), IntervalModel(64), profile=profile)
+    assert homotopy_collapse(lift)[1:] == (2, 2)
+    corners = make_corner_system(trip.h, trip.k, profile)
+    for s in (0.0, 0.5, 1.0):
+        homotopy_theta(quad, s, corners, profile)
+    assert auto_theta(noisy, epsilon=0.1, profile=profile)[2].success
+    params = SmoothingParams(epsilon=0.1, theta=0.05, profile=profile)
+    assert np.isfinite(params.delta)
+    assert smooth_representation(noisy, params)[1].success
 
 
 # the handler that reports every failure with its exit code, and returns it

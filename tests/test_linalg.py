@@ -27,11 +27,12 @@ from qcwb.linalg import (
     smooth_step,
     unitary_exp,
 )
-from qcwb.linalg import _gate, _max_norm_above, _max_op_norm, _rotate, _span
+from qcwb.linalg import _gate, _max_norm_above, _max_op_norm, _norm_gate, _rotate, _span
 from qcwb.structures import CornerQuad, CornerSystem, SupportViolation, support_projection
 
 from conftest import (
     hermitian_with_spectrum,
+    outcome,
     power_iteration_norm,
     random_hermitian,
     random_matrix,
@@ -496,6 +497,45 @@ def test_max_norm_above_is_the_comparison_property(name, fibers, n, exponent, ki
     assert _max_norm_above(a, levels, profile) == [top > level for level in levels]
     for level in levels:
         assert _max_norm_above(a, [level], profile) == [top > level], level
+
+
+@pytest.mark.parametrize("name", ["default", "jacobi"])
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    fibers=st.integers(min_value=1, max_value=16),
+    n=st.integers(min_value=1, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_norm_gate_is_the_measured_gate_property(name, fibers, n, seed):
+    # three defect stacks over the same fibers, drawn lazily, and a per-fiber
+    # scale: the gate passes or raises as the gate that measures every norm
+    # does, with the same message, at and around the bound that decides
+    profile, gen = PROFILES[name], np.random.default_rng(seed)
+    defects = [norm_stack(gen, fibers, n, 0, "random") for _ in range(3)]
+    x = 4.0 * norm_stack(gen, fibers, n, 0, "random")
+    worst = np.max([op_norm(d, profile) for d in defects], axis=0)
+    ratio = float(np.max(worst / np.maximum(1.0, op_norm(x, profile))))
+    top = float(np.max(worst))
+    levels = [ratio, np.nextafter(ratio, 0.0), ratio * (1 + 1e-9), ratio * (1 - 1e-9), top]
+    for bound in [*levels, 0.0, np.inf, np.nan]:
+        scaled = bound * np.maximum(1.0, op_norm(x, profile))
+        want = outcome(lambda: _gate("defect", worst, scaled, ValueError))
+        got = outcome(
+            lambda: _norm_gate(
+                "defect", lambda: iter(defects), bound, ValueError, profile, lambda: op_norm(x, profile)
+            )
+        )
+        assert got == want, bound
+        want = outcome(lambda: _gate("defect", op_norm(defects[0], profile), bound, ValueError))
+        assert outcome(lambda: _norm_gate("defect", defects[0], bound, ValueError, profile)) == want, bound
+
+
+@pytest.mark.parametrize("name", ["default", "jacobi"])
+def test_norm_gate_fails_a_nan_bound(name):
+    # _max_norm_above exceeds no NaN level, so the gate must test the bound itself
+    m = 5.0 * np.eye(3, dtype=complex)
+    with pytest.raises(ValueError, match=r"\|\|m\|\| = 5\.000e\+00 exceeds the bound nan"):
+        _norm_gate("||m||", m, np.nan, ValueError, PROFILES[name])
 
 
 class TestMaxOpNorm:

@@ -24,7 +24,7 @@ from qcwb.qc_model import (
     t_matrix,
 )
 
-from conftest import exact_endpoint, random_matrix
+from conftest import exact_endpoint, outcome, random_matrix
 
 E11 = np.diag([1.0, 0.0]).astype(complex)
 E22 = np.diag([0.0, 1.0]).astype(complex)
@@ -266,13 +266,6 @@ class TestFactorX:
         # that measures every weak residual does, with the same class and
         # message; a NaN fails closed
         profile, tol = PROFILES[name], qc_model._PRE_TOL
-
-        def outcome(fn):
-            try:
-                fn()
-            except Exception as exc:
-                return type(exc), str(exc)
-            return None
 
         def measured(trip):
             worst = np.max(list(positivity_residuals(trip, profile).values()), axis=0)

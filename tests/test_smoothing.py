@@ -35,20 +35,7 @@ from qcwb.smoothing import (
     smooth_representation,
 )
 
-from conftest import random_hermitian, random_matrix, random_unitary
-
-
-def perturbed_generators(rng, m=8, size=1e-3):
-    base = canonical_generators(m)
-    n = base.dim
-    dh = random_hermitian(rng, n)
-    dk = random_hermitian(rng, n)
-    dx = random_matrix(rng, n)
-    return QcTriple(
-        base.h + size * dh / op_norm(dh),
-        base.x + size * dx / op_norm(dx),
-        base.k + size * dk / op_norm(dk),
-    ), base
+from conftest import perturbed_generators, random_hermitian, random_matrix, random_unitary
 
 
 class TestCutoffs:
