@@ -46,7 +46,6 @@ from .structures import (
     SupportViolation,
     corner_ideal_equality,
     homotopy_theta,
-    linking_adjoint,
     linking_mul,
     linking_to_dense,
     make_corner_system,

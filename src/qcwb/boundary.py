@@ -73,7 +73,6 @@ from .linalg import (
     STEP_HALF,
     DimMismatch,
     EigenSystem,
-    NotPositive,
     ToleranceProfile,
     _calc,
     _gate,
@@ -456,9 +455,7 @@ def _lift_ends(rep: BScenarioRep, profile: ToleranceProfile) -> _LiftEnds:
     trip = QcTriple(np.stack([a.h, b.h]), np.stack([a.x, b.x]), np.stack([a.k, b.k]))
     name = "relation residual at the endpoints (0, 1)"
     _norm_gate(name, lambda: _low_level_defects(trip), 1e-10, LiftResidual, profile)
-    es = _positive_eig(
-        np.concatenate([trip.h, trip.k]), profile.clamp_tol, profile, NotPositive, "h, k"
-    )
+    es = _positive_eig(np.concatenate([trip.h, trip.k]), profile, "h, k")
     w, v = es.eigenvalues, es.basis
     y = _corner_sandwich(EigenSystem(w[:2], v[:2]), EigenSystem(w[2:], v[2:]), trip.x, profile)
     n = v.shape[-1]
@@ -697,7 +694,6 @@ class GridRepresentation:
 def exact_projection_lift(
     rep: BScenarioRep,
     model: IntervalModel,
-    scheme: str = "linear",
     profile: ToleranceProfile = DEFAULT_PROFILE,
 ) -> GridRepresentation:
     """Lift through the spectral threshold when a gap around 1/2 exists.
@@ -715,7 +711,7 @@ def exact_projection_lift(
     at the endpoints at 1e-9 (:class:`LiftResidual`), both from bounds
     (:func:`linalg._norm_gate`).
     """
-    lift = lift_T(rep, model, scheme, profile)
+    lift = lift_T(rep, model, profile=profile)
     n, es = rep.fiber_dim, lift.t
     w = es.eigenvalues
     inside = (w > 0.5 - _GAP) & (w < 0.5 + _GAP)
@@ -784,14 +780,13 @@ def homotopy_collapse(lift: TLift, s: float = 0.0) -> tuple[GridFunction, int, i
 def run_scenario(
     name_or_rep: str | BScenarioRep,
     grid_size: int = 64,
-    scheme: str = "linear",
     profile: ToleranceProfile = DEFAULT_PROFILE,
 ) -> tuple[BoundaryResult, TLift, IntervalModel]:
     """Full pipeline with automatic grid refinement.
 
-    Lifts the representation, doubles the grid while some step of
-    tau = tr T' (:attr:`TLift.tau`) is ``_TAU_STEP`` or more and the grid is
-    below ``_MAX_GRID``, and then certifies the lift once with
+    Lifts the representation along the linear path, doubles the grid while
+    some step of tau = tr T' (:attr:`TLift.tau`) is ``_TAU_STEP`` or more and
+    the grid is below ``_MAX_GRID``, and then certifies the lift once with
     :func:`boundary_unitary`.  Returns the boundary result, the lift, and
     the model actually used.  Since det u = e^(2 pi i tau), steps of tau below
     1/8 keep every det phase step below pi/4, and the winding then counts
@@ -808,11 +803,11 @@ def run_scenario(
     """
     rep = builtin_scenario(name_or_rep) if isinstance(name_or_rep, str) else name_or_rep
     model = IntervalModel(grid_size=grid_size)
-    lift = lift_T(rep, model, scheme, profile)
+    lift = lift_T(rep, model, profile=profile)
     # written "not <" so that a NaN step refines
     while model.grid_size < _MAX_GRID and not np.max(np.abs(np.diff(lift.tau))) < _TAU_STEP:
         model = IntervalModel(grid_size=2 * model.grid_size)
-        c, b = _lift_fibers(lift.ends, model.points[1::2], scheme, profile)
+        c, b = _lift_fibers(lift.ends, model.points[1::2], "linear", profile)
         lift = replace(lift, c=_weave(lift.c, c), b=_weave(lift.b, b))
     return boundary_unitary(lift), lift, model
 

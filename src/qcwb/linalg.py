@@ -15,15 +15,15 @@ positive spectrum.  One decomposition serves every function of the same matrix:
 Norms are values only.  Where a caller needs only the largest norm over a
 stack (:func:`_max_op_norm`) or whether it exceeds given levels
 (:func:`_max_norm_above`), cheap rigorous bounds decide first.  A comparison
-first reads the Frobenius norm of the whole stack, and a level at or above
-it is not exceeded.  Pass 1 reads each fiber's column and Frobenius norms,
-which lie up to ``sqrt(n)`` apart; pass 2 reads the same two norms of
-``(m* m)^4``, whose eighth roots lie within ``n^(1/16)``.  An SVD then runs
-only on the fibers the bounds cannot settle: those that may hold the
-maximum, or whose bounds straddle a level.
-The answers are those of :func:`op_norm` on the whole stack, bit for bit.
-:func:`_norm_gate`, the one gate on a defect's norm, decides from these
-comparisons and measures a norm only to word a failure.
+first tries the Frobenius norm of the whole stack: a level at or above it is
+not exceeded.  Both functions then read the Gram-power bounds of every fiber
+(:func:`_gram_power_bounds`), the column and Frobenius norms of
+``(m* m)^4``, whose eighth roots lie within ``n^(1/16)``.  An SVD runs only
+on the fibers those bounds cannot settle: those that may hold the maximum,
+or whose bounds straddle a level.  The answers are those of :func:`op_norm`
+on the whole stack, bit for bit.  :func:`_norm_gate`, the one gate on a
+defect's norm, decides from these comparisons and measures a norm only to
+word a failure.
 
 All operations are pure functions: inputs are never mutated, results are
 freshly allocated.  Numerical thresholds are collected in a
@@ -312,10 +312,9 @@ def _eigh_raw(h: np.ndarray, profile: ToleranceProfile) -> EigenSystem:
     return EigenSystem(eigenvalues=w, basis=u)
 
 
-def _hermitian_defect(
-    a: np.ndarray, tol: float, profile: ToleranceProfile
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-fiber ``||a - a*||`` and its bound ``tol * max(1, ||a||)``, for :func:`_gate`.
+def _hermitian_defect(a: np.ndarray, profile: ToleranceProfile) -> tuple[np.ndarray, np.ndarray]:
+    """Per-fiber ``||a - a*||`` and its bound ``tol * max(1, ||a||)``, for
+    :func:`_gate`, with ``tol = profile.hermitian_tol``.
 
     Frobenius first: ``||d||_2 <= ||d||_F`` and ``||a||_2 >= ||a||_F / sqrt(n)``,
     so ``||a - a*||_F <= tol * max(1, ||a||_F / sqrt(n))`` accepts a fiber
@@ -324,6 +323,7 @@ def _hermitian_defect(
     operator-norm check accepts; a fiber that is not finite, or whose
     ``a - a*`` overflows, gets a NaN defect, so it fails.
     """
+    tol = profile.hermitian_tol
     with np.errstate(invalid="ignore", over="ignore"):  # NaN, or overflow: settled below
         d = a - adjoint(a)
         defect = np.asarray(np.linalg.norm(d, axis=(-2, -1)))
@@ -349,7 +349,7 @@ def herm_eig(h: np.ndarray, profile: ToleranceProfile = DEFAULT_PROFILE) -> Eige
     decomposition, not three.
     """
     a = _as_square(h, "herm_eig input")
-    _gate("hermitian defect", *_hermitian_defect(a, profile.hermitian_tol, profile), NotHermitian)
+    _gate("hermitian defect", *_hermitian_defect(a, profile), NotHermitian)
     return _eigh_raw(a, profile)
 
 
@@ -395,16 +395,12 @@ def _span(q: np.ndarray, a: np.ndarray, cut: float) -> np.ndarray:
     return out[:, :k]
 
 
-def _positive_eig(
-    h: np.ndarray,
-    tol: float,
-    profile: ToleranceProfile,
-    error: type[Exception] = NotPositive,
-    what: str = "h",
-) -> EigenSystem:
-    """:func:`herm_eig` of ``h``, each fiber's lowest eigenvalue gated at ``-tol``."""
+def _positive_eig(h: np.ndarray, profile: ToleranceProfile, what: str = "h") -> EigenSystem:
+    """:func:`herm_eig` of ``h``, each fiber's lowest eigenvalue gated at
+    ``-profile.clamp_tol`` (:class:`NotPositive`)."""
     es = herm_eig(h, profile)
-    _gate(f"-min eigenvalue of {what}", -es.eigenvalues.min(axis=-1, initial=0.0), tol, error)
+    lowest = -es.eigenvalues.min(axis=-1, initial=0.0)
+    _gate(f"-min eigenvalue of {what}", lowest, profile.clamp_tol, NotPositive)
     return es
 
 
@@ -534,8 +530,8 @@ def _norms(
 # the relative slack on the pruning bounds, far above their rounding error
 _PRUNE_MARGIN = 1e-8
 # parts whose squares, summed over a fiber, neither overflow nor drop bits
-# that matter against the largest one; outside, the norm passes and
-# jacobi_eigh rescale
+# that matter against the largest one; outside, the Frobenius pass of
+# _max_norm_above and jacobi_eigh rescale
 _UNSCALED = (2.0**-400, 2.0**400)
 # bytes of the fibers that one block of the Gram-power pass multiplies: the
 # pass holds a few such blocks at a time, whatever the size of the stack
@@ -553,12 +549,6 @@ def _parts_top(a: np.ndarray) -> tuple[np.ndarray, float]:
     return v, max(hi, -lo)
 
 
-def _column_squares(v: np.ndarray) -> np.ndarray:
-    """Per fiber, the squared norm of each column of the complex stack whose float view is ``v``."""
-    squares = np.einsum("...ij,...ij->...j", v, v)
-    return squares[..., 0::2] + squares[..., 1::2]
-
-
 def _powers_of_two(e: int | np.ndarray) -> tuple:
     """Two factors whose product is ``2**-e``, to scale by in turn: ``2**-e``
     alone overflows when ``e`` belongs to a subnormal number.  ``e`` may be
@@ -567,11 +557,9 @@ def _powers_of_two(e: int | np.ndarray) -> tuple:
     return np.ldexp(1.0, -half), np.ldexp(1.0, half - e)
 
 
-def _gram_power_bounds(
-    a: np.ndarray, keep: np.ndarray, e: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _gram_power_bounds(a: np.ndarray, e: int) -> tuple[np.ndarray, np.ndarray]:
     """Bounds below and above on the computed norm of ``a_i * 2**-e``, for
-    each fiber ``a_i`` that ``keep`` marks, in the order of the marks.
+    each fiber ``a_i`` of ``a``, in the order of the flattened stack.
 
     With ``b = a_i * 2**-e`` and ``P = (b* b)^4``, ``||P|| = ||b||^8``, and the
     largest column norm of ``P`` <= ``||P||`` <= ``||P||_F``: the eighth roots
@@ -595,20 +583,22 @@ def _gram_power_bounds(
     """
     n = a.shape[-1]
     fibers = a.reshape(-1, n, n)
-    rows = np.flatnonzero(keep)
-    lower, upper = np.empty(rows.size), np.empty(rows.size)
+    lower, upper = np.empty(len(fibers)), np.empty(len(fibers))
     step = max(1, _BLOCK_BYTES // (16 * n * n))
-    for start in range(0, rows.size, step):
+    low, high = _powers_of_two(e)
+    for start in range(0, len(fibers), step):
         block = slice(start, start + step)
-        # fancy indexing copies, so the block is scaled in place; each
-        # product replaces the last, which keeps three blocks live at most
-        p = fibers[rows[block]]
-        for factor in _powers_of_two(e):
-            p *= factor
+        # the first scaling copies, the second is in place; each product
+        # replaces the last, which keeps three blocks live at most
+        p = fibers[block] * low
+        p *= high
         p = adjoint(p) @ p
         p = p @ p
         p = p @ p
-        cols = _column_squares(p.view(float))
+        # column j of a fiber of P is columns 2j and 2j + 1 of its float view
+        v = p.view(float)
+        squares = np.einsum("...ij,...ij->...j", v, v)
+        cols = squares[..., 0::2] + squares[..., 1::2]
         lower[block], upper[block] = cols.max(axis=-1), cols.sum(axis=-1)
     margin = max(_PRUNE_MARGIN, 4.0 * n * n * np.finfo(float).eps)
     return lower ** (1.0 / 16.0) * (1.0 - margin), upper ** (1.0 / 16.0) * (1.0 + margin)
@@ -618,32 +608,21 @@ def _max_op_norm(m: np.ndarray, profile: ToleranceProfile = DEFAULT_PROFILE) -> 
     """``float(np.max(op_norm(m, profile)))``, bit for bit, with the norm taken
     only on the fibers that can hold the maximum.
 
-    Pass 1 reads the squared real and imaginary parts of ``m`` (divided by
-    the largest of them when it lies outside ``_UNSCALED``) and bounds each
-    fiber's norm below by its largest column norm and above by its
-    Frobenius norm.  A fiber whose upper bound falls short of the largest
-    lower bound, less a relative margin of ``_PRUNE_MARGIN`` for rounding,
-    cannot hold the maximum.  These bounds lie up to ``sqrt(n)`` apart, so
-    when pass 1 rules out fewer than half the fibers, pass 2 bounds the rest
-    again by :func:`_gram_power_bounds`, which lie within ``n^(1/16)``.  The
-    fibers left keep their per-fiber norms, which do not depend on the stack
-    they sit in.  When the passes rule out fewer than half the fibers, the
-    whole stack is measured, with no copy.  A NaN or inf entry raises
-    :class:`NoConvergence` naming its fiber, before any BLAS call.
+    On a stack of two or more fibers, not all zero, it reads the Gram-power
+    bounds of every fiber (:func:`_gram_power_bounds`, the pass that
+    :func:`_max_norm_above` runs after its Frobenius norm), which lie within
+    ``n^(1/16)`` of each other, and the SVD runs only on the fibers whose
+    upper bound reaches the largest lower bound: those the bounds cannot
+    rule out.  A fiber's norm does not depend on the stack it sits in.  A
+    NaN or inf entry raises :class:`NoConvergence` naming its fiber, before
+    any BLAS call.
     """
     a = _as_square(m, "op_norm input")
-    v, top = _parts_top(a)
-    if top > 0.0:
-        if not _UNSCALED[0] <= top <= _UNSCALED[1]:
-            v = v / top
-        cols = _column_squares(v)
-        upper = np.sqrt(cols.sum(axis=-1))
-        keep = upper >= math.sqrt(float(cols.max())) * (1.0 - _PRUNE_MARGIN)
-        if 2 * np.count_nonzero(keep) > keep.size > 1:
-            lower, upper = _gram_power_bounds(a, keep, math.frexp(top)[1])
-            keep[keep] = upper >= lower.max()
-        if 2 * np.count_nonzero(keep) <= keep.size:
-            return float(np.max(_norms(a[keep], profile, keep)))
+    _, top = _parts_top(a)
+    if top > 0.0 and math.prod(a.shape[:-2]) > 1:
+        lower, upper = _gram_power_bounds(a, math.frexp(top)[1])
+        keep = (upper >= lower.max()).reshape(a.shape[:-2])
+        return float(np.max(_norms(a[keep], profile, keep)))
     return float(np.max(_norms(a, profile)))
 
 
@@ -691,7 +670,7 @@ def _max_norm_above(
     quiet = scaled >= frob * (1.0 + max(_PRUNE_MARGIN, v.size * np.finfo(float).eps))
     if quiet.all():
         return [False] * quiet.size
-    lower, upper = _gram_power_bounds(a, np.ones(a.shape[:-2], dtype=bool), e)
+    lower, upper = _gram_power_bounds(a, e)
     above = lower.max() > scaled
     # a NaN level is neither exceeded nor open
     open_ = ~quiet & ~above & (upper.max() >= scaled)
@@ -753,7 +732,7 @@ def frac_power(
     """
     if p <= 0:
         raise ValueError(f"exponent must be positive, got {p}")
-    es = _positive_eig(h, profile.clamp_tol, profile)
+    es = _positive_eig(h, profile)
     return _calc(es, lambda t: np.power(np.maximum(t, 0.0), p))
 
 

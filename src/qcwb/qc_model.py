@@ -180,7 +180,7 @@ def _weak_defects(
     """h k, and how far T's spectrum reaches below 0 and above 1, per fiber:
     :func:`positivity_residuals` before the norm of h k is taken."""
     for name, m in (("h", triple.h), ("k", triple.k)):
-        defect, bound = _hermitian_defect(m, profile.hermitian_tol, profile)
+        defect, bound = _hermitian_defect(m, profile)
         _gate(f"hermitian defect of {name}", defect, bound, NotHermitian)
     w = _eigh_raw(t_matrix(triple), profile).eigenvalues
     # 0.0 - min(w, 0) rather than max(0, -w), which leaves -0.0 for w = 0
@@ -224,8 +224,8 @@ def factor_x(triple: QcTriple, profile: ToleranceProfile = DEFAULT_PROFILE) -> n
     if not spectral_ok or _max_norm_above(hk, [_PRE_TOL], profile)[0]:
         worst = np.max([op_norm(hk, profile), below_zero, above_one], axis=0)
         _gate("corner relation residual", worst, _PRE_TOL, ValueError)
-    hs = _positive_eig(hermitian_part(triple.h), profile.clamp_tol, profile, what="h")
-    ks = _positive_eig(hermitian_part(triple.k), profile.clamp_tol, profile, what="k")
+    hs = _positive_eig(hermitian_part(triple.h), profile, "h")
+    ks = _positive_eig(hermitian_part(triple.k), profile, "k")
     return _corner_sandwich(hs, ks, triple.x, profile)
 
 

@@ -560,7 +560,7 @@ def _evaluate(e, env, profile, spectra: dict[Expr, EigenSystem]) -> np.ndarray:
         es = spectra.get(e.arg)
         if es is None:
             arg = _as_square(_evaluate(e.arg, env, profile, spectra), "function argument")
-            defect, bound = _hermitian_defect(arg, profile.hermitian_tol, profile)
+            defect, bound = _hermitian_defect(arg, profile)
             _gate(f"hermitian defect of the argument of {e.fname}", defect, bound, NotHermitianAtFnApp)
         fn = FUNCTIONS.get(e.fname)
         if fn is None:

@@ -47,7 +47,6 @@ __all__ = [
     "theta_is_homomorphism",
     "rho",
     "linking_mul",
-    "linking_adjoint",
     "linking_to_dense",
     "corner_ideal_equality",
 ]
@@ -67,7 +66,7 @@ def support_projection(
     not finite, raises :class:`NotHermitian`, and one with an eigenvalue
     below ``-clamp_tol`` raises :class:`NotPositive`; each names the fiber.
     """
-    return _support_projection(_positive_eig(h, profile.clamp_tol, profile), profile)
+    return _support_projection(_positive_eig(h, profile), profile)
 
 
 @dataclass(frozen=True)
@@ -101,8 +100,8 @@ def make_corner_system(
     k = np.asarray(k, dtype=complex)
     if h.shape != k.shape:
         raise DimMismatch(f"h and k differ in shape: {h.shape} vs {k.shape}")
-    hs = _positive_eig(h, profile.clamp_tol, profile, what="h")
-    ks = _positive_eig(k, profile.clamp_tol, profile, what="k")
+    hs = _positive_eig(h, profile, "h")
+    ks = _positive_eig(k, profile, "k")
     tol, scale = profile.support_tol, lambda: op_norm(h, profile) * op_norm(k, profile)
     _norm_gate("||h k||", h @ k, tol, SupportViolation, profile, scale)
     p_h = _support_projection(hs, profile)
@@ -279,17 +278,6 @@ def linking_mul(e: LinkingElement, f: LinkingElement) -> LinkingElement:
         x12=e.alpha * f.x12 + f.beta * e.x12 + e.x11 @ f.x12 + e.x12 @ f.x22,
         x21=e.beta * f.x21 + f.alpha * e.x21 + e.x21 @ f.x11 + e.x22 @ f.x21,
         x22=e.beta * f.x22 + f.beta * e.x22 + e.x21 @ f.x12 + e.x22 @ f.x22,
-    )
-
-
-def linking_adjoint(e: LinkingElement) -> LinkingElement:
-    return LinkingElement(
-        alpha=np.conj(e.alpha),
-        beta=np.conj(e.beta),
-        x11=adjoint(e.x11),
-        x12=adjoint(e.x21),
-        x21=adjoint(e.x12),
-        x22=adjoint(e.x22),
     )
 
 

@@ -604,8 +604,8 @@ class TestStackedPipeline:
         assert counts[0] == counts[1]
 
     def test_unitarity_defect_measures_few_fibers(self, rng, monkeypatch):
-        # one conjugated eval-at-one at grid 2048: the column and Frobenius
-        # bounds leave the SVD a handful of the 2049 fibers of u_R u_R* - 1
+        # one conjugated eval-at-one at grid 2048: the Gram-power bounds
+        # leave the SVD a handful of the 2049 fibers of u_R u_R* - 1
         # when the defect is read, and the reported defect is the bound that
         # d and e give on u
         fibers = []
@@ -1251,7 +1251,7 @@ class _CornerSandwich:
     @staticmethod
     def parts(level, profile):
         trip = _conjugated(canonical_fiber(0.5), _below_cut(1e-7 * np.nan_to_num(level)))
-        hs, ks = (_positive_eig(m, profile.clamp_tol, profile) for m in (trip.h, trip.k))
+        hs, ks = (_positive_eig(m, profile) for m in (trip.h, trip.k))
         x = trip.x.copy()
         x[0, 0] += 0.0 * level  # a NaN level puts a NaN into x
         return hs, ks, x
@@ -1384,7 +1384,7 @@ class _ThresholdedEnds:
 
     def rep(self, level, monkeypatch):
         clean = _ThresholdedResidual.rep
-        monkeypatch.setattr(boundary, "lift_T", lambda rep, *args: lift_T(clean, *args))
+        monkeypatch.setattr(boundary, "lift_T", lambda rep, *args, **kwargs: lift_T(clean, *args, **kwargs))
         x = clean.at0.x.copy()
         x[0, 0] += 1e-9 * level
         return BScenarioRep(replace(clean.at0, x=x), clean.at1)
@@ -1402,7 +1402,7 @@ def _measured_corner_system(h, k, profile):
     parent commit."""
     scale = np.maximum(1.0, op_norm(h, profile) * op_norm(k, profile))
     _gate("||h k||", op_norm(h @ k, profile), profile.support_tol * scale, SupportViolation)
-    hs, ks = (_positive_eig(m, profile.clamp_tol, profile) for m in (h, k))
+    hs, ks = (_positive_eig(m, profile) for m in (h, k))
     p_h, p_k = (structures._support_projection(es, profile) for es in (hs, ks))
     name = "support overlap ||p_h p_k||"
     _gate(name, op_norm(p_h @ p_k, profile), profile.support_tol, SupportViolation)

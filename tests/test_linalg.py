@@ -431,8 +431,8 @@ def norm_stack(gen, fibers, n, exponent, kind):
     fiber scales, an all-zero stack, exactly-zero fibers, one dominant fiber,
     unit-modulus multiples of one fiber (norms tied up to rounding), or
     unitaries whose scales lie within a factor 1.4, about a quarter of them
-    tied with the largest up to rounding (near-tied: the column and
-    Frobenius bounds, sqrt(n) apart, keep every fiber once n >= 2)."""
+    tied with the largest up to rounding (near-tied: the Gram-power bounds,
+    n^(1/16) apart, keep every tied fiber and the others close to them)."""
     a = np.stack([random_matrix(gen, n) for _ in range(fibers)])
     a *= 10.0 ** gen.uniform(-3.0, 0.0, size=(fibers, 1, 1))
     if kind == "zero-stack":
@@ -460,13 +460,14 @@ NORM_STACK_KINDS = ["random", "zero-stack", "zero-fibers", "dominant", "tied", "
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     fibers=st.integers(min_value=1, max_value=64),
-    n=st.integers(min_value=1, max_value=8),
+    n=st.integers(min_value=0, max_value=8),
     exponent=st.integers(min_value=-200, max_value=200),
     kind=st.sampled_from(NORM_STACK_KINDS),
     seed=st.integers(min_value=0, max_value=2**31),
 )
 def test_max_op_norm_is_the_max_of_op_norm_property(name, fibers, n, exponent, kind, seed):
-    # pruning by the column, Frobenius and Gram-power bounds never changes the bits
+    # pruning by the Gram-power bounds never changes the bits; n = 0 is the
+    # zero scenario's empty fibers
     profile = PROFILES[name]
     a = norm_stack(np.random.default_rng(seed), fibers, n, exponent, kind)
     assert _max_op_norm(a, profile) == float(np.max(op_norm(a, profile)))
@@ -553,20 +554,6 @@ class TestMaxOpNorm:
         assert _max_op_norm(a) == float(np.max(op_norm(a)))
         assert shapes[0] == (1, 4, 4)
 
-    def test_measures_the_whole_stack_when_few_fibers_fall(self, rng, monkeypatch):
-        # equal norms: no fiber is ruled out, and the stack goes in uncopied
-        seen = []
-        svd = np.linalg.svd
-
-        def recorded(a, *args, **kwargs):
-            seen.append(a)
-            return svd(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", recorded)
-        a = np.stack([random_unitary(rng, 3) for _ in range(9)])
-        assert _max_op_norm(a) == float(np.max(op_norm(a)))
-        assert seen[0] is a
-
     @pytest.mark.parametrize("scale", [1e307, 1e-300, 1e-310, 5e-324])
     @pytest.mark.parametrize("name", ["default", "jacobi"])
     def test_extreme_scales(self, rng, scale, name):
@@ -575,9 +562,10 @@ class TestMaxOpNorm:
         assert _max_op_norm(a, PROFILES[name]) == float(np.max(op_norm(a, PROFILES[name])))
 
     def test_subnormal_rounding_cannot_prune_the_maximum(self):
-        # the bounds read exact real and imaginary parts: |(5 + 5i) ulp| rounds
-        # to 7 ulps, which would put fiber 0's Frobenius bound (56 ulps) below
-        # fiber 1's column norm (56.2 ulps), though its norm (56.6) is the larger
+        # the bounds scale the stack by a power of two before any product:
+        # unscaled, |(5 + 5i) ulp| rounds to 7 ulps, which would put fiber 0's
+        # Frobenius norm (56 ulps) below fiber 1's column norm (56.2 ulps),
+        # though its norm (56.6) is the larger
         ulp = 5e-324
         a = np.zeros((2, 8, 8), dtype=complex)
         a[0] = (5 + 5j) * ulp

@@ -10,7 +10,6 @@ from qcwb.structures import (
     SupportViolation,
     corner_ideal_equality,
     homotopy_theta,
-    linking_adjoint,
     linking_mul,
     linking_to_dense,
     make_corner_system,
@@ -195,15 +194,6 @@ class TestLinking:
         dense = linking_to_dense(e) @ linking_to_dense(f)
         np.testing.assert_allclose(dense, linking_to_dense(linking_mul(e, f)), atol=1e-12)
 
-    def test_adjoint_matches_dense(self, rng):
-        sys = checks.corner_system(rng)
-        e = self.make_element(rng, sys, 0.5 + 1j, 2.0)
-        np.testing.assert_allclose(
-            linking_to_dense(e).conj().T,
-            linking_to_dense(linking_adjoint(e)),
-            atol=1e-14,
-        )
-
     def test_rho_validates_supports(self, rng):
         sys = checks.corner_system(rng)
         bad = LinkingElement(
@@ -223,14 +213,11 @@ def test_adjoints_of_stacks_are_per_fiber(rng, fibers):
     n = 4
     parts = [np.stack([random_matrix(rng, n) for _ in range(fibers)]) for _ in range(4)]
     quad = CornerQuad(*parts).adjoint()
-    element = linking_adjoint(LinkingElement(0.5 + 1j, 2.0, *parts))
     for i in range(fibers):
         one = CornerQuad(*(p[i] for p in parts))
         want = [m.conj().T for m in (one.x11, one.x21, one.x12, one.x22)]
-        for got in (quad, element):
-            for m, w in zip((got.x11, got.x12, got.x21, got.x22), want):
-                np.testing.assert_array_equal(m[i], w)
-    assert element.alpha == 0.5 - 1j and element.beta == 2.0
+        for m, w in zip((quad.x11, quad.x12, quad.x21, quad.x22), want):
+            np.testing.assert_array_equal(m[i], w)
 
 
 class TestCornerIdealEquality:
