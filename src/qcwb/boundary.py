@@ -7,9 +7,9 @@ quadratic relation system in the quotient (one matrix triple per endpoint),
 the pipeline
 
 0. takes an orthonormal basis W (n x r) of R, the sum of the ranges of
-   h(0), h(1), k(0) and k(1), and a basis W_perp of R-perp, once, from the
-   endpoint data.  The corner factor y of step 2 lies in R too, since it is
-   sandwiched between inverse eighth roots of k and h taken on their
+   h(0), h(1), k(0) and k(1), once, from the endpoint data; R-perp is the
+   range of 1 - WW*.  The corner factor y of step 2 lies in R too, since it
+   is sandwiched between inverse eighth roots of k and h taken on their
    supports.  So c, y and x below vanish on R-perp along the whole path:
    T is the constant projection diag(1, 0) there, U and u are 1, and
    nothing on R-perp is decomposed,
@@ -27,12 +27,12 @@ the pipeline
    at both endpoints, read off the same decompositions (U itself is formed
    only at the endpoints),
 5. collapses the four blocks of U to the single unitary
-   u = -1 + u11 + u12 + u21 + u22 = F diag(u_R, 1) F*, with F = [W, W_perp]
-   and u_R = (VZ) diag(e^(2 pi i clip(mu))) (VZ)* r x r, accumulates the
-   phase of det u_R across the grid, and checks the count against the index
-   tr T(1) - tr T(0).  The defects are taken on u_R and widened by
-   ||F* F - 1|| to bounds on u; they, and u itself, are formed only when
-   they are read.
+   u = -1 + u11 + u12 + u21 + u22 = 1 + W (u_R - 1) W*, 1 plus an element
+   of the ideal, with u_R = (VZ) diag(e^(2 pi i clip(mu))) (VZ)* r x r,
+   accumulates the phase of det u_R across the grid, and checks the count
+   against the index tr T(1) - tr T(0).  The defects are taken on u_R and
+   widened by ||W* W - 1|| to bounds on u when they are first read; u itself
+   is formed on each reading.
 
 The resulting integer winding is the index obstruction carried by the input:
 it vanishes exactly when a spectral gap around 1/2 lets the fiberwise
@@ -267,14 +267,15 @@ def builtin_scenario(name: str) -> BScenarioRep:
 @dataclass(frozen=True)
 class _LiftEnds:
     """The checked endpoint data, stacked over (0, 1): c = h - k, the corner factor y, and T;
-    with orthonormal bases ``w`` (n x r) of R, the sum of the ranges of h(0), h(1), k(0) and
-    k(1), and ``w_perp`` (n x (n - r)) of its complement."""
+    with ``w``, an orthonormal basis W (n x r) of R, the sum of the ranges of h(0), h(1),
+    k(0) and k(1), and the lift's only basis: R-perp is read as 1 - WW*.  With
+    e = ||W* W - 1|| and d = max ||u_R u_R* - 1||, ||u u* - 1|| <= (1 + e)(d + (2 + d)^2 e)
+    and ||u(j) - 1|| <= (1 + e) ||u_R(j) - 1|| (:class:`BoundaryResult`)."""
 
     c: np.ndarray
     y: np.ndarray
     t: np.ndarray
     w: np.ndarray
-    w_perp: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -284,13 +285,14 @@ class TLift:
     ``c`` decomposes the compressed path W* c W of c = h - k and ``b`` the
     corner block B of the unclamped block path T on R (see
     :func:`_lift_fibers`), one fiber per grid point; ``ends`` holds the
-    endpoint data the paths interpolate, checked once, and the bases W of R
-    and W_perp of R-perp.  On R-perp, h, k and x vanish, so T is
-    diag(1, 0) there and u is 1.  T on R + R (:attr:`t`), the supports of h
-    and k on R, the scalar parts of the linking decomposition and
-    :attr:`endpoint_defect` are read under the lift's ``profile``, once per
-    lift, on first reading; T', h and k are embedded (:func:`_embed`) on
-    each reading.
+    endpoint data the paths interpolate, checked once, and the basis W of R.
+    On R-perp, the range of 1 - WW*, h, k and x vanish, so T is diag(1, 0)
+    there and u = 1 + W (u_R - 1) W*, whose defects are at most
+    (1 + e)(d + (2 + d)^2 e) and (1 + e) ||u_R(j) - 1|| (:class:`_LiftEnds`).
+    T on R + R (:attr:`t`), the supports of h and k on R, the scalar parts of
+    the linking decomposition and :attr:`endpoint_defect` are read under the
+    lift's ``profile``, once per lift, on first reading; T', h and k are
+    embedded (:func:`_embed`) on each reading.
     """
 
     c: EigenSystem
@@ -303,7 +305,7 @@ class TLift:
         """T' - T at the two endpoints, 2n x 2n: T' is clamped on R + R off the end
         fibers of c and B, and embedded."""
         t_ends = _calc(_t_system(_first_last(self.c), _first_last(self.b)), CLAMP01)
-        return _embed(t_ends, self.ends.w, self.ends.w_perp, (1, 0)) - self.ends.t
+        return _embed(t_ends, self.ends.w, (1, 0)) - self.ends.t
 
     @cached_property
     def endpoint_defect(self) -> float:
@@ -318,18 +320,15 @@ class TLift:
     @property
     def t_prime(self) -> GridFunction:
         """T', which clamps T's spectrum to [0, 1], 2n x 2n."""
-        ends = self.ends
-        return GridFunction(_embed(_calc(self.t, CLAMP01), ends.w, ends.w_perp, (1, 0)))
+        return GridFunction(_embed(_calc(self.t, CLAMP01), self.ends.w, (1, 0)))
 
     @property
     def h(self) -> GridFunction:
-        ends = self.ends
-        return GridFunction(_embed(_calc(self.c, POS), ends.w, ends.w_perp, (0,)))
+        return GridFunction(_embed(_calc(self.c, POS), self.ends.w, (0,)))
 
     @property
     def k(self) -> GridFunction:
-        ends = self.ends
-        return GridFunction(_embed(_calc(self.c, NEG), ends.w, ends.w_perp, (0,)))
+        return GridFunction(_embed(_calc(self.c, NEG), self.ends.w, (0,)))
 
     @property
     def tau(self) -> np.ndarray:
@@ -337,8 +336,9 @@ class TLift:
         lam <= 0 of c and a 0 for each lam > 0 (see :func:`_t_system`), and
         a 1 and a 0 for each dimension of R-perp."""
         mu, lam = self.b.eigenvalues, self.c.eigenvalues
+        n, r = self.ends.w.shape
         # one reduction, as a matmul: numpy sums a short last axis slowly on long paths
-        return (CLAMP01(mu) + (lam <= 0.0)) @ np.ones(mu.shape[-1]) + self.ends.w_perp.shape[1]
+        return (CLAMP01(mu) + (lam <= 0.0)) @ np.ones(mu.shape[-1]) + (n - r)
 
     @cached_property
     def _supports(self) -> tuple[np.ndarray, np.ndarray]:
@@ -380,14 +380,15 @@ def _t_system(c: EigenSystem, b: EigenSystem) -> EigenSystem:
     )
 
 
-def _embed(a: np.ndarray, w: np.ndarray, w_perp: np.ndarray, units: tuple[int, ...]) -> np.ndarray:
+def _embed(a: np.ndarray, w: np.ndarray, units: tuple[int, ...]) -> np.ndarray:
     """The path ``a`` on copies of R, one per entry of ``units``, on as many copies of
-    the whole space: W a_ij W* in block (i, j), plus W_perp W_perp* in block (i, i) where
-    ``units[i]`` is 1.  Every n x n path of a lift is formed here."""
+    the whole space: W a_ij W* in block (i, j), plus 1 - WW*, formed once, in block (i, i)
+    where ``units[i]`` is 1.  Every n x n path of a lift is formed here."""
     (n, r), k, stack = w.shape, len(units), a.shape[:-2]
     out = w @ a.reshape(stack + (k, r, k, r)).swapaxes(-3, -2) @ adjoint(w)
+    perp = np.eye(n) - w @ adjoint(w)
     for i in np.flatnonzero(units):
-        out[..., i, i, :, :] += w_perp @ adjoint(w_perp)
+        out[..., i, i, :, :] += perp
     return out.swapaxes(-3, -2).reshape(stack + (k * n, k * n))
 
 
@@ -414,15 +415,15 @@ def _scalar_parts(lift: TLift) -> tuple[tuple[complex, complex], float]:
     """
     t_prime = _calc(lift.t, CLAMP01)
     ph, pk = lift._supports
-    r, perp = ph.shape[-1], lift.ends.w_perp.shape[1]
+    n, r = lift.ends.w.shape
 
     def compressed(p: np.ndarray, block: np.ndarray, unit: float) -> np.ndarray:
         compl = np.eye(r, dtype=complex) - p
-        rank = np.rint(np.trace(compl, axis1=-2, axis2=-1).real) + perp
+        rank = np.rint(np.trace(compl, axis1=-2, axis2=-1).real) + (n - r)
         has = rank > 0
         vals = np.full(rank.shape, np.nan)
         # tr(compl @ block) without the product: O(r^2) per fiber
-        trace = np.einsum("...ij,...ji->...", compl[has], block[has]).real + unit * perp
+        trace = np.einsum("...ij,...ji->...", compl[has], block[has]).real + unit * (n - r)
         vals[has] = trace / rank[has]
         return vals
 
@@ -449,8 +450,8 @@ def _lift_ends(rep: BScenarioRep, profile: ToleranceProfile) -> _LiftEnds:
 
     One decomposition of [h(0), h(1), k(0), k(1)] serves the gates on h and k, the corner
     sandwich of :func:`qc_model.factor_x`, and the basis W of R: the eigenvectors on the
-    supports the sandwich inverts on, made orthonormal by :func:`linalg._span`.  So y(0)
-    and y(1) lie in R."""
+    supports the sandwich inverts on, at most 4n columns, made orthonormal by one call of
+    :func:`linalg._span`.  So y(0) and y(1) lie in R.  No basis of R-perp is formed."""
     a, b = rep.at0, rep.at1
     trip = QcTriple(np.stack([a.h, b.h]), np.stack([a.x, b.x]), np.stack([a.k, b.k]))
     name = "relation residual at the endpoints (0, 1)"
@@ -458,13 +459,9 @@ def _lift_ends(rep: BScenarioRep, profile: ToleranceProfile) -> _LiftEnds:
     es = _positive_eig(np.concatenate([trip.h, trip.k]), profile, "h, k")
     w, v = es.eigenvalues, es.basis
     y = _corner_sandwich(EigenSystem(w[:2], v[:2]), EigenSystem(w[2:], v[2:]), trip.x, profile)
-    n = v.shape[-1]
     # column j of fiber i, for each eigenvalue on its support
     support = v.swapaxes(0, 1)[:, _support(np.maximum(w, 0.0), profile)]
-    basis = _span(np.zeros((n, 0), dtype=complex), support, profile.rank_tol)
-    frame = _span(basis, np.eye(n, dtype=complex), profile.rank_tol)
-    r = basis.shape[1]
-    return _LiftEnds(trip.h - trip.k, y, t_matrix(trip), frame[:, :r], frame[:, r:])
+    return _LiftEnds(trip.h - trip.k, y, t_matrix(trip), _span(support, profile.rank_tol))
 
 
 def _lift_fibers(
@@ -556,46 +553,47 @@ def winding_number(mats: list[np.ndarray] | np.ndarray) -> tuple[int, float, flo
 class BoundaryResult:
     """The collapsed unitary path and its index certificates.
 
-    ``u_r`` is the r x r path u_R and ``frame`` is F = [W, W_perp]; the
-    defects bound the n x n u = F diag(u_R, 1) F*, which :attr:`u` forms on
-    first reading.  The defects are measured under the lift's ``profile``
-    when first read, with e = ||F* F - 1|| the frame's defect: with d the
-    largest ||u_R u_R* - 1|| over the fibers (:func:`linalg._max_op_norm`),
-    :attr:`unitarity_defect` is the bound (1 + e)(d + (1 + d) e) + e on
-    ||u u* - 1||, and :attr:`endpoint_defect` is (1 + e) ||u_R(j) - 1|| + e,
-    a bound on ||u(j) - 1||, at the worse end j.  A frame that is not finite
-    makes both NaN, so :meth:`invariants_hold` fails.
+    ``u_r`` is the r x r path u_R and ``w`` the basis W (n x r) of R; the
+    defects bound the n x n u = 1 + W (u_R - 1) W*, which :attr:`u` forms on
+    each reading and does not keep.  They are measured under the lift's
+    ``profile`` when first read, from e = ||W* W - 1|| and d, the largest
+    ||u_R u_R* - 1|| over the fibers (:func:`linalg._max_op_norm`).  As
+    u u* - 1 = W [(u_R u_R* - 1) + (u_R - 1)(W* W - 1)(u_R - 1)*] W*, ||W||^2 <= 1 + e
+    and ||u_R - 1|| <= 2 + d, :attr:`unitarity_defect` is the bound
+    (1 + e)(d + (2 + d)^2 e) on ||u u* - 1||; as u(j) - 1 = W (u_R(j) - 1) W*,
+    :attr:`endpoint_defect` is the bound (1 + e) ||u_R(j) - 1|| on
+    ||u(j) - 1|| at the worse end j.  A basis that is not finite makes both
+    NaN, so :meth:`invariants_hold` fails.
     """
 
     u_r: np.ndarray
-    frame: np.ndarray
+    w: np.ndarray
     winding: int
     phase_step_max: float
     profile: ToleranceProfile = field(repr=False, compare=False)
 
-    @cached_property
+    @property
     def u(self) -> GridFunction:
-        """u = W u_R W* + W_perp W_perp*, the (m+1, n, n) path."""
-        w, perp = np.split(self.frame, [self.u_r.shape[-1]], axis=1)
-        return GridFunction(_embed(self.u_r, w, perp, (1,)))
+        """u = W u_R W* + (1 - WW*), the (m+1, n, n) path, formed on each reading."""
+        return GridFunction(_embed(self.u_r, self.w, (1,)))
 
     @cached_property
-    def _frame_defect(self) -> float:
-        """e = ||F* F - 1||, NaN for a frame that is not finite."""
-        gram = adjoint(self.frame) @ self.frame - np.eye(len(self.frame))
+    def _basis_defect(self) -> float:
+        """e = ||W* W - 1|| (r x r), NaN for a basis that is not finite."""
+        gram = adjoint(self.w) @ self.w - np.eye(self.w.shape[1])
         return op_norm(gram, self.profile) if np.isfinite(gram).all() else np.nan
 
     @cached_property
     def unitarity_defect(self) -> float:
-        u_r, e = self.u_r, self._frame_defect
+        u_r, e = self.u_r, self._basis_defect
         d = _max_op_norm(u_r @ adjoint(u_r) - np.eye(u_r.shape[-1]), self.profile)
-        return (1.0 + e) * (d + (1.0 + d) * e) + e
+        return (1.0 + e) * (d + (2.0 + d) ** 2 * e)
 
     @cached_property
     def endpoint_defect(self) -> float:
-        u_r, e = self.u_r, self._frame_defect
+        u_r, e = self.u_r, self._basis_defect
         ends = op_norm(u_r[[0, -1]] - np.eye(u_r.shape[-1]), self.profile)
-        return (1.0 + e) * float(np.max(ends)) + e
+        return (1.0 + e) * float(np.max(ends))
 
     def to_obj(self) -> dict:
         return {
@@ -622,21 +620,21 @@ def boundary_unitary(lift: TLift) -> BoundaryResult:
     (T' is diag(1, 0) on R-perp, where U is 1), and u comes off the lift's
     c = V diag(lam) V* and B = Z diag(mu) Z*.  Summing the halves of T's
     eigenvectors (:func:`_t_system`), the eigenvalues 0 and 1 give V at
-    phase 1, which cancels the -1 of u, and B gives VZ: u = F diag(u_R, 1) F*
-    with u_R = (VZ) diag(e^(2 pi i clip(mu))) (VZ)* and F = [W, W_perp].
-    So det u = det u_R det(F F*), and u_R is wound.  No norm is taken on a
-    pass: the result measures its defects, the bounds on u that
-    :class:`BoundaryResult` states, when they are first read.
+    phase 1, which cancels the -1 of u, and B gives VZ: u = 1 + W (u_R - 1) W*
+    with u_R = (VZ) diag(e^(2 pi i clip(mu))) (VZ)*.  So det u = det u_R for
+    an orthonormal W, and u_R is wound.  No norm is taken on a pass: the
+    result measures its defects when they are first read, the bounds
+    (1 + e)(d + (2 + d)^2 e) and (1 + e) ||u_R(j) - 1|| on u with
+    e = ||W* W - 1|| (:class:`BoundaryResult`).
     """
-    profile, ends = lift.profile, lift.ends
+    profile = lift.profile
     u_ends = _unitary(_t_system(_first_last(lift.c), _first_last(lift.b)))
     name = "||exp(2 pi i T') - 1|| at the endpoints (0, 1)"
     _norm_gate(name, u_ends - np.eye(2 * lift.c.dim), _UNIT_ENDS_TOL, EndpointDefect, profile)
     u_r = _unitary(EigenSystem(lift.b.eigenvalues, lift.c.basis @ lift.b.basis))
-    frame = np.concatenate([ends.w, ends.w_perp], axis=1)
     winding, _, step_max = winding_number(u_r)
     _check_index(winding, lift)
-    return BoundaryResult(u_r, frame, winding, step_max, profile)
+    return BoundaryResult(u_r, lift.ends.w, winding, step_max, profile)
 
 
 def _unitary(t: EigenSystem) -> np.ndarray:
@@ -725,7 +723,7 @@ def exact_projection_lift(
     rank = np.count_nonzero(w >= 0.5, axis=-1)
     name = "change of the thresholded rank from grid point 0"
     _gate(name, np.abs(rank - rank[0]), 0, NoSpectralGap)
-    p = _embed(_calc(es, STEP_HALF), lift.ends.w, lift.ends.w_perp, (1, 0))
+    p = _embed(_calc(es, STEP_HALF), lift.ends.w, (1, 0))
     h = GridFunction(hermitian_part(np.eye(n, dtype=complex) - p[:, :n, :n]))
     x = GridFunction(p[:, n:, :n])
     k = GridFunction(hermitian_part(p[:, n:, n:]))
@@ -756,13 +754,13 @@ def homotopy_collapse(lift: TLift, s: float = 0.0) -> tuple[GridFunction, int, i
     U is 1 on R-perp, and so is the image, which is embedded once; its
     unitarity gate and det winding read the returned 2n x 2n image.
     """
-    profile, ends, r = lift.profile, lift.ends, lift.c.dim
+    profile, r = lift.profile, lift.c.dim
     eye = np.eye(r, dtype=complex)
     v = _unitary(lift.t)
     quad = CornerQuad(v[:, :r, :r] - eye, v[:, :r, r:], v[:, r:, :r], v[:, r:, r:] - eye)
     corners = CornerSystem(_calc(lift.c, POS), _calc(lift.c, NEG), *lift._supports)
     image = np.eye(2 * r) + homotopy_theta(quad, s, corners, profile)
-    out = GridFunction(_embed(image, ends.w, ends.w_perp, (1, 1)))
+    out = GridFunction(_embed(image, lift.ends.w, (1, 1)))
     defect = out.values @ adjoint(out.values) - np.eye(out.fiber_dim)
     _norm_gate("homotopy image unitarity defect", defect, 1e-8, WindingIllConditioned, profile)
     w_out, _, _ = winding_number(out.values)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DEFAULT_PROFILE, ToleranceProfile, _span, func_calc, op_norm
+from .linalg import DEFAULT_PROFILE, ToleranceProfile, _gaussian, _span, func_calc, op_norm
 from .qc_model import (
     QcTriple,
     canonical_generators,
@@ -33,11 +33,6 @@ def _record(label: str, values, threshold: float) -> dict:
     A NaN among them is the largest, so it fails; the builtin ``max`` would drop it."""
     worst = float(np.max(list(values), initial=0.0))
     return {"label": label, "residual": worst, "threshold": threshold, "pass": worst <= threshold}
-
-
-def _gaussian(rng: np.random.Generator, n: int) -> np.ndarray:
-    """An n×n complex Gaussian matrix, its real part drawn first."""
-    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 
 
 def canonical_exactness(m: int, profile: ToleranceProfile = DEFAULT_PROFILE) -> list[dict]:
@@ -107,7 +102,7 @@ def ideal_equality(
 
     def pos_block(size):
         # the unitary comes off _span, which keeps the jacobi profile off LAPACK
-        q = _span(np.empty((size, 0), dtype=complex), _gaussian(rng, size), 0.0)
+        q = _span(_gaussian(rng, size), 0.0)
         return (q * rng.uniform(0.05, 1.0, size)) @ q.conj().T
 
     gaps = []

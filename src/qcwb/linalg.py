@@ -365,21 +365,22 @@ def _support_projection(es: EigenSystem, profile: ToleranceProfile) -> np.ndarra
     return hermitian_part(es.apply(_support(es.eigenvalues, profile)))
 
 
-def _span(q: np.ndarray, a: np.ndarray, cut: float) -> np.ndarray:
-    """The orthonormal columns ``q`` extended by orthonormal columns until they span
-    the columns of ``a`` up to residuals of norm ``cut``, or the whole space.
+def _span(a: np.ndarray, cut: float) -> np.ndarray:
+    """Orthonormal columns spanning the columns of ``a`` up to residuals of norm
+    ``cut``, or the whole space.
 
-    Gram-Schmidt with column pivoting: each step takes the largest residual
-    left as a new column, projects it once more off the columns taken so
-    far, and projects it off the other residuals.  A residual is a
-    difference of vectors, accurate to rounding, so a unit column at an angle
-    theta to the span is kept for sin(theta) above ``cut``; a decomposition
-    of the sum of the projections onto the columns would see theta^2.
+    Gram-Schmidt with column pivoting on a C-ordered copy of ``a``: each step
+    takes the largest residual left as a new column, projects it once more
+    off the columns taken so far, and projects it off the other residuals.  A
+    residual is a difference of vectors, accurate to rounding, so a unit
+    column at an angle theta to the span is kept for sin(theta) above
+    ``cut``; a decomposition of the sum of the projections onto the columns
+    would see theta^2.  The copy's layout fixes the rounding, so ``a`` and
+    its C-ordered copy give the same columns, bit for bit.
     """
-    n, k = q.shape
-    out = np.empty((n, min(n, k + a.shape[1])), dtype=complex)
-    out[:, :k] = q
-    e = a - q @ (adjoint(q) @ a)
+    e = np.array(a, dtype=complex, order="C")
+    out = np.empty((len(e), min(e.shape)), dtype=complex)
+    k = 0
     while k < out.shape[1]:
         squares = np.einsum("ij,ij->j", e.conj(), e).real
         j = np.argmax(squares)
@@ -393,6 +394,11 @@ def _span(q: np.ndarray, a: np.ndarray, cut: float) -> np.ndarray:
         k += 1
         e -= np.outer(col, col.conj() @ e)
     return out[:, :k]
+
+
+def _gaussian(rng: np.random.Generator, n: int) -> np.ndarray:
+    """An n x n complex Gaussian matrix, its real part drawn first."""
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 
 
 def _positive_eig(h: np.ndarray, profile: ToleranceProfile, what: str = "h") -> EigenSystem:
@@ -736,10 +742,16 @@ def frac_power(
     return _calc(es, lambda t: np.power(np.maximum(t, 0.0), p))
 
 
-def _idempotency_defect(es: EigenSystem) -> np.ndarray:
-    """Per-fiber max |w^2 - w| over the eigenvalues: ``||a^2 - a||`` for the Hermitian ``a``."""
+def _threshold(es: EigenSystem, name: str, error: type[Exception]) -> tuple[np.ndarray, np.ndarray]:
+    """The per-fiber defect ``||a^2 - a||`` of the Hermitian ``a`` that ``es``
+    decomposes, read off its eigenvalues w as max|w^2 - w|, and the projection
+    that thresholds the same spectrum at 1/2 (eigenvalues below go to 0, the
+    rest to 1).  The defect is gated below 1/4, which keeps the spectrum clear
+    of 1/2 (``error``, naming ``name``, otherwise)."""
     w = es.eigenvalues
-    return np.max(np.abs(w * w - w), axis=-1, initial=0.0)
+    defect = np.max(np.abs(w * w - w), axis=-1, initial=0.0)
+    _gate(name, defect, np.nextafter(0.25, 0.0), error)
+    return defect, _calc(es, STEP_HALF)
 
 
 def nearest_projection(
@@ -749,11 +761,9 @@ def nearest_projection(
     """Exact projection nearest to an almost-idempotent Hermitian ``p``.
 
     Requires ``eta = ||p^2 - p|| < 1/4`` (so the spectrum stays clear of 1/2);
-    otherwise :class:`GapTooSmall` is raised.  ``p`` is decomposed once:
-    ``eta = max|w^2 - w|`` is read off its eigenvalues ``w``, and the result
-    thresholds the same spectrum at 1/2 (eigenvalues below go to 0, the rest
-    to 1).
+    otherwise :class:`GapTooSmall` is raised.  ``p`` is decomposed once, and
+    :func:`_threshold` reads eta off its eigenvalues and thresholds the same
+    spectrum at 1/2.
     """
     es = herm_eig(_as_square(p, "nearest_projection input"), profile)
-    _gate("||p^2 - p||", _idempotency_defect(es), np.nextafter(0.25, 0.0), GapTooSmall)
-    return _calc(es, STEP_HALF)
+    return _threshold(es, "||p^2 - p||", GapTooSmall)[1]

@@ -52,6 +52,7 @@ from .linalg import (
     _calc,
     _eigh_raw,
     _gate,
+    _gaussian,
     _hermitian_defect,
     _max_norm_above,
     _max_op_norm,
@@ -615,15 +616,11 @@ def perturbation_sampler(
 
     def sample(delta: float, rng: np.random.Generator) -> dict[str, np.ndarray]:
         n = base.dim
-
-        def rnd():
-            return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-
-        dh = rnd()
+        dh = _gaussian(rng, n)
         dh = 0.5 * (dh + dh.conj().T)
-        dk = rnd()
+        dk = _gaussian(rng, n)
         dk = 0.5 * (dk + dk.conj().T)
-        dx = rnd()
+        dx = _gaussian(rng, n)
         scale = _max_op_norm(np.stack([dh, dk, dx]), profile)
         dh, dk, dx = dh / scale, dk / scale, dx / scale
 

@@ -44,15 +44,12 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_PROFILE,
-    STEP_HALF,
     RealFunction,
     ToleranceProfile,
-    _calc,
     _eigh_raw,
-    _gate,
-    _idempotency_defect,
     _max_norm_above,
     _norm_gate,
+    _threshold,
     adjoint,
     hermitian_part,
     op_norm,
@@ -349,9 +346,7 @@ def _exact_nearby(
         profile,
     )
     del y
-    t2_defect = float(_idempotency_defect(b_sys))
-    _gate("||T2^2 - T2||", t2_defect, np.nextafter(0.25, 0.0), SpectralGapFailure)
-    pi = _calc(b_sys, STEP_HALF)
+    t2_defect, pi = _threshold(b_sys, "||T2^2 - T2||", SpectralGapFailure)
     del b_sys
     p = lam_p.size
 
@@ -360,7 +355,7 @@ def _exact_nearby(
     k_out = hermitian_part(u_n @ pi[p:, p:] @ adjoint(u_n))
     for a in (h_out, x_out, k_out):
         a.flags.writeable = False
-    return lam, t2_defect, QcTriple(h_out, x_out, k_out)
+    return lam, float(t2_defect), QcTriple(h_out, x_out, k_out)
 
 
 def _smooth_checked(

@@ -27,6 +27,7 @@ from .linalg import (
     DimMismatch,
     ToleranceProfile,
     _eigh_raw,
+    _gaussian,
     _norm_gate,
     _positive_eig,
     _span,
@@ -196,15 +197,11 @@ def homotopy_theta(
 def random_corner_quad(sys: CornerSystem, rng: np.random.Generator) -> CornerQuad:
     """A random quadruple obeying the support discipline of ``sys``."""
     n = sys.dim
-
-    def rnd():
-        return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-
     return CornerQuad(
-        sys.p_h @ rnd() @ sys.p_h,
-        sys.p_h @ rnd() @ sys.p_k,
-        sys.p_k @ rnd() @ sys.p_h,
-        sys.p_k @ rnd() @ sys.p_k,
+        sys.p_h @ _gaussian(rng, n) @ sys.p_h,
+        sys.p_h @ _gaussian(rng, n) @ sys.p_k,
+        sys.p_k @ _gaussian(rng, n) @ sys.p_h,
+        sys.p_k @ _gaussian(rng, n) @ sys.p_k,
     )
 
 
@@ -332,7 +329,7 @@ def corner_ideal_equality(
         cols = sandwich[:, units]
         scale = np.linalg.norm(cols, axis=0)
         scale[scale == 0.0] = 1.0
-        return _span(np.zeros((n * n, 0), dtype=complex), cols / scale[None, :], profile.rank_tol)
+        return _span(cols / scale[None, :], profile.rank_tol)
 
     u_kah = sandwich_span(np.kron(first, first) | np.kron(~first, ~first))
     u_kih = sandwich_span(ideal_units)

@@ -381,7 +381,7 @@ class TestHomotopyCollapse:
         # the same image, embedded
         assert images[0].shape == (33, 2, 2)
         ends = lift.ends
-        out = boundary._embed(np.eye(2) + images[0], ends.w, ends.w_perp, (1, 1))
+        out = boundary._embed(np.eye(2) + images[0], ends.w, (1, 1))
         eye2 = np.eye(4, dtype=complex)
         with pytest.raises(WindingIllConditioned) as expected:
             boundary._gate(
@@ -621,11 +621,11 @@ class TestStackedPipeline:
         result.unitarity_defect
         assert 0 < max(fibers) < 1025
         monkeypatch.undo()
-        u_r, frame = result.u_r, result.frame
-        assert u_r.shape == (2049, 1, 1) and frame.shape == (2, 2)
+        u_r, w = result.u_r, result.w
+        assert u_r.shape == (2049, 1, 1) and w.shape == (2, 1)
         d = float(np.max(op_norm(u_r @ u_r.conj().swapaxes(-1, -2) - np.eye(1))))
-        e = op_norm(frame.conj().T @ frame - np.eye(2))
-        assert result.unitarity_defect == (1.0 + e) * (d + (1.0 + d) * e) + e
+        e = op_norm(w.conj().T @ w - np.eye(1))
+        assert result.unitarity_defect == (1.0 + e) * (d + (2.0 + d) ** 2 * e)
 
     def test_run_takes_no_svd_until_a_figure_is_read(self, rng, monkeypatch):
         # boundary-wide's shape: 12 conjugated copies of eval-at-one from grid
@@ -654,12 +654,12 @@ class TestStackedPipeline:
         result, lift, model = run_scenario(rep, grid_size=64, profile=profile)
         figures = ("unitarity_defect", "endpoint_defect")
         assert not set(figures) & set(vars(result)) and "endpoint_defect" not in vars(lift)
-        u_r, frame, eye = result.u_r, result.frame, np.eye(lift.c.dim)
+        u_r, w, eye = result.u_r, result.w, np.eye(lift.c.dim)
         d = float(np.max(op_norm(u_r @ u_r.conj().swapaxes(-1, -2) - eye, profile)))
-        e = op_norm(frame.conj().T @ frame - np.eye(len(frame)), profile)
+        e = op_norm(w.conj().T @ w - eye, profile)
         ends = float(np.max(op_norm(u_r[[0, -1]] - eye, profile)))
-        assert result.unitarity_defect == (1.0 + e) * (d + (1.0 + d) * e) + e
-        assert result.endpoint_defect == (1.0 + e) * ends + e
+        assert result.unitarity_defect == (1.0 + e) * (d + (2.0 + d) ** 2 * e)
+        assert result.endpoint_defect == (1.0 + e) * ends
         assert lift.endpoint_defect == float(np.max(_end_defects(rep, model, profile)))
         assert result.to_obj() == {
             "winding": k,
@@ -921,8 +921,8 @@ def _index(rep):
 )
 def test_lift_decomposes_on_the_range_of_the_endpoints(n, grid, seed):
     """The path stacks are r x r, r = dim R for R the sum of the ranges of the
-    endpoint h's and k's; W is an orthonormal basis of R, completed to a
-    unitary by W_perp; the winding is the index and tau is tr T'."""
+    endpoint h's and k's; W is an orthonormal basis of R, so W*W = 1 and WW*
+    fixes the ranges; the winding is the index and tau is tr T'."""
     gen = np.random.default_rng(seed)
     rep = BScenarioRep(exact_endpoint(gen, n), exact_endpoint(gen, n))
     ranges = np.hstack([rep.at0.h, rep.at1.h, rep.at0.k, rep.at1.k])
@@ -931,10 +931,10 @@ def test_lift_decomposes_on_the_range_of_the_endpoints(n, grid, seed):
     for es in (lift.c, lift.b):
         assert es.eigenvalues.shape == (grid + 1, r)
         assert es.basis.shape == (grid + 1, r, r)
-    frame = np.hstack([lift.ends.w, lift.ends.w_perp])
-    assert lift.ends.w.shape == (n, r)
-    np.testing.assert_allclose(frame.conj().T @ frame, np.eye(n), rtol=0, atol=1e-12)
-    off_range = lift.ends.w_perp.conj().T @ ranges
+    w = lift.ends.w
+    assert w.shape == (n, r)
+    np.testing.assert_allclose(w.conj().T @ w, np.eye(r), rtol=0, atol=1e-12)
+    off_range = ranges - w @ (w.conj().T @ ranges)
     assert np.max(np.abs(off_range), initial=0.0) <= 1e-12
     traces = np.trace(lift.t_prime.values, axis1=-2, axis2=-1)
     np.testing.assert_allclose(lift.tau, traces.real, rtol=0, atol=1e-12)
@@ -1002,10 +1002,10 @@ def check_corner_block(rep):
     w_adj = ends.w.conj().T
     y = w_adj @ boundary._interpolate(ends.y, model.points) @ ends.w
     x_r = root(np.maximum(-lam, 0.0)) @ y @ root(np.maximum(lam, 0.0))
-    x = boundary._embed(x_r, ends.w, ends.w_perp, (0,))
+    x = boundary._embed(x_r, ends.w, (0,))
     t = t_matrix(QcTriple(lift.h.values, x, lift.k.values))
     assert np.max(op_norm(basis.conj().swapaxes(-1, -2) @ basis - np.eye(2 * r))) <= 1e-12
-    t_embedded = boundary._embed(es.apply(w), ends.w, ends.w_perp, (1, 0))
+    t_embedded = boundary._embed(es.apply(w), ends.w, (1, 0))
     assert np.max(op_norm(t_embedded - t)) <= 1e-12
     # T' clamps T's spectrum: it moves T by the largest clamp distance
     clamp = np.max(np.abs(np.clip(w, 0.0, 1.0) - w), axis=-1, initial=0.0)
@@ -1016,7 +1016,7 @@ def check_corner_block(rep):
     assert np.all(np.count_nonzero(w == 1.0, axis=-1) >= (~top).sum(axis=-1))
     blocks = basis[:, :r, :] + basis[:, r:, :]
     u_r = EigenSystem(w, blocks).apply(np.exp(2j * np.pi * np.clip(w, 0.0, 1.0))) - np.eye(r)
-    u = boundary._embed(u_r, ends.w, ends.w_perp, (1,))
+    u = boundary._embed(u_r, ends.w, (1,))
     np.testing.assert_allclose(result.u.values, u, rtol=0, atol=1e-12)
 
 
@@ -1034,8 +1034,8 @@ def test_corner_block_on_conjugated_copies(rng, k):
 
 def check_certificates_bound_u(rep, grid):
     """run_scenario never forms the n x n u; the defects it reports, taken on
-    u_R and widened by the frame term, bound those measured on u once it is
-    formed, less 4 n eps; and det u recounts the winding."""
+    u_R and widened by the basis term, bound those measured on u once it is
+    formed, less 4 n eps; and det u recounts the winding.  Returns the result."""
     result, _, model = run_scenario(rep, grid_size=grid)
     assert "u" not in result.__dict__
     u = result.u.values
@@ -1047,6 +1047,7 @@ def check_certificates_bound_u(rep, grid):
     assert result.endpoint_defect >= np.max(op_norm(u[[0, -1]] - eye)) - slack
     phase = np.unwrap(np.angle(np.linalg.det(u)))
     assert np.rint((phase[-1] - phase[0]) / (2 * np.pi)) == result.winding
+    return result
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -1070,6 +1071,43 @@ def test_certificates_bound_u_on_conjugated_copies(k, grid, seed):
     check_certificates_bound_u(conjugated_copies(np.random.default_rng(seed), k), grid)
 
 
+def test_certificates_bound_u_far_below_the_fiber_dimension(rng):
+    """One conjugated eval-at-one block padded to n = 128: r = 1, so u is 1 on
+    a 127-dimensional R-perp that the lift reads as 1 - WW*."""
+    n, v = 128, random_unitary(rng, 128)
+    h0 = np.zeros((n, n), dtype=complex)
+    h0[:2, :2] = conjugated_copies(rng, 1).at0.h
+    z = np.zeros((n, n), dtype=complex)
+    rep = BScenarioRep(QcTriple(v @ h0 @ v.conj().T, z, z), QcTriple(z, z, z))
+    result = check_certificates_bound_u(rep, 64)
+    assert abs(result.winding) == 1 and result.w.shape == (n, 1)
+    # u is formed on each reading: after every figure is read, the result
+    # still holds nothing n x n
+    result.to_obj()
+    assert max(np.size(a) for a in vars(result).values() if isinstance(a, np.ndarray)) < n * n
+
+
+@pytest.mark.parametrize("k", [1, 3, 12])
+def test_one_span_per_run(rng, monkeypatch, k):
+    """A run spans R once, from the at most 4n support columns of the endpoint
+    h's and k's, and never completes a basis of the whole space."""
+    calls = []
+    span = boundary._span
+
+    def recorded(a, cut):
+        calls.append(np.array(a))
+        return span(a, cut)
+
+    monkeypatch.setattr(boundary, "_span", recorded)
+    rep = conjugated_copies(rng, k)
+    n = rep.fiber_dim
+    result, _, _ = run_scenario(rep)
+    assert result.winding == k and len(calls) == 1
+    (cols,) = calls
+    assert cols.shape[0] == n and cols.shape[1] <= 4 * n
+    assert not (cols.shape == (n, n) and np.array_equal(cols, np.eye(n)))
+
+
 def _with_nan(frame):
     out = frame.copy()
     out[0, 0] = np.nan
@@ -1083,17 +1121,17 @@ def _stretched(frame):
 
 
 @pytest.mark.parametrize("corrupt", [_with_nan, _stretched])
-@pytest.mark.parametrize("field", ["w", "w_perp"])
+@pytest.mark.parametrize("field", ["w"])
 def test_a_corrupted_frame_fails_closed(monkeypatch, capsys, field, corrupt):
-    """The certificates cover the embedding of R: a frame with a NaN, or with a
+    """The certificates cover the embedding of R: a basis W with a NaN, or with a
     column off unit length by 1e-6, fails invariants_hold and the CLI exits 1,
     though u_R still winds as the index."""
     lift_T = boundary.lift_T
 
     def corrupted(*args, **kwargs):
         lift = lift_T(*args, **kwargs)
-        frame = corrupt(getattr(lift.ends, field))
-        return replace(lift, ends=replace(lift.ends, **{field: frame}))
+        w = corrupt(getattr(lift.ends, field))
+        return replace(lift, ends=replace(lift.ends, **{field: w}))
 
     result = boundary_unitary(corrupted(builtin_scenario("doubled"), IntervalModel(64)))
     assert result.winding == 2
@@ -1219,7 +1257,7 @@ def _end_defects(rep, model, profile):
     ends = boundary._lift_ends(rep, profile)
     c, b = boundary._lift_fibers(ends, model.points, "linear", profile)
     t_ends = _calc(boundary._t_system(boundary._first_last(c), boundary._first_last(b)), CLAMP01)
-    return op_norm(boundary._embed(t_ends, ends.w, ends.w_perp, (1, 0)) - ends.t, profile)
+    return op_norm(boundary._embed(t_ends, ends.w, (1, 0)) - ends.t, profile)
 
 
 class _RelationResidual:

@@ -894,7 +894,25 @@ def test_span_is_sized_by_its_columns_property(rows, rank, extra, seed):
     base = gen.standard_normal((rows, rank)) + 1j * gen.standard_normal((rows, rank))
     mix = gen.standard_normal((rank, extra))
     a = np.hstack([base, base @ mix])
-    q = _span(np.zeros((rows, 0), dtype=complex), a, DEFAULT_PROFILE.rank_tol)
+    q = _span(a, DEFAULT_PROFILE.rank_tol)
     assert q.shape == (rows, rank)
     np.testing.assert_allclose(q.conj().T @ q, np.eye(rank), rtol=0, atol=1e-12)
     assert np.linalg.norm(a - q @ (q.conj().T @ a)) <= 1e-10 * max(1.0, np.linalg.norm(a))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=1, max_value=30),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=2**31),
+)
+def test_span_does_not_depend_on_the_layout_property(rows, cols, seed):
+    """_span of an F-ordered array is that of its C-ordered copy, bit for bit,
+    and the array itself is left as it was."""
+    gen = np.random.default_rng(seed)
+    a = gen.standard_normal((rows, cols)) + 1j * gen.standard_normal((rows, cols))
+    a = np.asfortranarray(a)
+    before = a.copy()
+    q = _span(a, DEFAULT_PROFILE.rank_tol)
+    assert a.flags.f_contiguous and np.array_equal(a, before)
+    assert np.array_equal(q, _span(np.ascontiguousarray(a), DEFAULT_PROFILE.rank_tol))
