@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DEFAULT_PROFILE, ToleranceProfile, _gaussian, _span, func_calc, op_norm
+from .linalg import DEFAULT_PROFILE, ToleranceProfile, _calc, _gaussian, _span, herm_eig, op_norm
 from .qc_model import (
     QcTriple,
     canonical_generators,
@@ -127,7 +127,8 @@ def cutoff_orthogonality(
     for _ in range(trials):
         m = _gaussian(rng, 6)
         s = 0.5 * (m + m.conj().T)
-        norms.append(op_norm(func_calc(s, gp, profile) @ func_calc(s, gm, profile), profile))
+        es = herm_eig(s, profile)
+        norms.append(op_norm(_calc(es, gp) @ _calc(es, gm), profile))
     return [_record("smooth cutoffs have orthogonal supports", norms, 1e-12)]
 
 

@@ -23,7 +23,8 @@ on the fibers those bounds cannot settle: those that may hold the maximum,
 or whose bounds straddle a level.  The answers are those of :func:`op_norm`
 on the whole stack, bit for bit.  :func:`_norm_gate`, the one gate on a
 defect's norm, decides from these comparisons and measures a norm only to
-word a failure.
+word a failure; it also decides the Hermitian precondition
+(:func:`_hermitian_gate`).
 
 All operations are pure functions: inputs are never mutated, results are
 freshly allocated.  Numerical thresholds are collected in a
@@ -312,31 +313,18 @@ def _eigh_raw(h: np.ndarray, profile: ToleranceProfile) -> EigenSystem:
     return EigenSystem(eigenvalues=w, basis=u)
 
 
-def _hermitian_defect(a: np.ndarray, profile: ToleranceProfile) -> tuple[np.ndarray, np.ndarray]:
-    """Per-fiber ``||a - a*||`` and its bound ``tol * max(1, ||a||)``, for
-    :func:`_gate`, with ``tol = profile.hermitian_tol``.
-
-    Frobenius first: ``||d||_2 <= ||d||_F`` and ``||a||_2 >= ||a||_F / sqrt(n)``,
-    so ``||a - a*||_F <= tol * max(1, ||a||_F / sqrt(n))`` accepts a fiber
-    without a decomposition.  Only the other fibers whose ``a - a*`` is
-    finite get the two operator norms, which accept exactly what the
-    operator-norm check accepts; a fiber that is not finite, or whose
-    ``a - a*`` overflows, gets a NaN defect, so it fails.
-    """
-    tol = profile.hermitian_tol
-    with np.errstate(invalid="ignore", over="ignore"):  # NaN, or overflow: settled below
+def _hermitian_gate(
+    a: np.ndarray, name: str, error: type[Exception], profile: ToleranceProfile
+) -> None:
+    """Gate ``||a - a*|| <= tol * max(1, ||a||)`` per fiber through
+    :func:`_norm_gate`, with ``tol = profile.hermitian_tol``.  A fiber whose
+    ``a - a*`` is not finite (a NaN or inf in ``a``, or an overflow) fails
+    first, as a NaN defect."""
+    with np.errstate(invalid="ignore", over="ignore"):  # NaN, or overflow: failed here
         d = a - adjoint(a)
-        defect = np.asarray(np.linalg.norm(d, axis=(-2, -1)))
-        scale = np.linalg.norm(a, axis=(-2, -1)) / math.sqrt(max(a.shape[-1], 1))
-    bound = np.asarray(tol * np.maximum(1.0, scale))
-    exact = ~((defect <= bound) & np.isfinite(defect))
-    if np.any(exact):
-        # a non-finite entry of a leaves one in a - a* too
-        finite = exact & np.isfinite(d).all(axis=(-2, -1))
-        defect[exact & ~finite] = np.nan
-        defect[finite] = _norms(d[finite], profile, finite)
-        bound[finite] = tol * np.maximum(1.0, _norms(a[finite], profile, finite))
-    return defect, bound
+    finite = np.isfinite(d).all(axis=(-2, -1))
+    _gate(name, np.where(finite, 0.0, np.nan), profile.hermitian_tol, error)
+    _norm_gate(name, d, profile.hermitian_tol, error, profile, lambda: op_norm(a, profile))
 
 
 def herm_eig(h: np.ndarray, profile: ToleranceProfile = DEFAULT_PROFILE) -> EigenSystem:
@@ -344,12 +332,10 @@ def herm_eig(h: np.ndarray, profile: ToleranceProfile = DEFAULT_PROFILE) -> Eige
 
     Raises :class:`NotHermitian`, naming the first failing fiber, when
     ``||h - h*||`` exceeds ``hermitian_tol * max(1, ||h||)`` in operator norm
-    or when ``h`` is not finite.  The precondition is decided by Frobenius
-    norms whenever they settle it, so a Hermitian input costs one
-    decomposition, not three.
+    or when ``h`` is not finite.
     """
     a = _as_square(h, "herm_eig input")
-    _gate("hermitian defect", *_hermitian_defect(a, profile), NotHermitian)
+    _hermitian_gate(a, "hermitian defect", NotHermitian, profile)
     return _eigh_raw(a, profile)
 
 

@@ -25,9 +25,10 @@ from .linalg import (
     EigenSystem,
     NotHermitian,
     ToleranceProfile,
+    _as_square,
     _eigh_raw,
     _gate,
-    _hermitian_defect,
+    _hermitian_gate,
     _max_norm_above,
     _norm_gate,
     _positive_eig,
@@ -85,19 +86,11 @@ class QcTriple:
     k: np.ndarray
 
     def __post_init__(self):
-        h = np.asarray(self.h, dtype=complex)
-        x = np.asarray(self.x, dtype=complex)
-        k = np.asarray(self.k, dtype=complex)
-        for name, m in (("h", h), ("x", x), ("k", k)):
-            if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-                raise DimMismatch(f"{name} must be square, got shape {m.shape}")
+        h, x, k = (_as_square(getattr(self, name), name) for name in "hxk")
         if not (h.shape == x.shape == k.shape):
-            raise DimMismatch(
-                f"components differ in size: {h.shape}, {x.shape}, {k.shape}"
-            )
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "k", k)
+            raise DimMismatch(f"components differ in size: {h.shape}, {x.shape}, {k.shape}")
+        for name, m in zip("hxk", (h, x, k)):
+            object.__setattr__(self, name, m)
 
     @property
     def dim(self) -> int:
@@ -180,8 +173,7 @@ def _weak_defects(
     """h k, and how far T's spectrum reaches below 0 and above 1, per fiber:
     :func:`positivity_residuals` before the norm of h k is taken."""
     for name, m in (("h", triple.h), ("k", triple.k)):
-        defect, bound = _hermitian_defect(m, profile)
-        _gate(f"hermitian defect of {name}", defect, bound, NotHermitian)
+        _hermitian_gate(m, f"hermitian defect of {name}", NotHermitian, profile)
     w = _eigh_raw(t_matrix(triple), profile).eigenvalues
     # 0.0 - min(w, 0) rather than max(0, -w), which leaves -0.0 for w = 0
     below_zero, above_one = 0.0 - np.minimum(w[..., 0], 0.0), np.maximum(0.0, w[..., -1] - 1.0)

@@ -53,7 +53,7 @@ from .linalg import (
     _eigh_raw,
     _gate,
     _gaussian,
-    _hermitian_defect,
+    _hermitian_gate,
     _max_norm_above,
     _max_op_norm,
     adjoint,
@@ -533,8 +533,9 @@ def evaluate(
     them, and the result is per fiber: a fiber's value does not depend on the
     stack it sits in.  A function argument that appears more than once, as in
     ``pos(sym(e)) - neg(sym(e))``, is built, checked for its Hermitian
-    defect and decomposed once per call.  An argument whose defect exceeds
-    ``hermitian_tol`` raises :class:`NotHermitianAtFnApp`.
+    defect and decomposed once per call.  An argument whose defect
+    ``||arg - arg*||`` exceeds ``hermitian_tol * max(1, ||arg||)`` raises
+    :class:`NotHermitianAtFnApp`.
     """
     return _evaluate(e, env, profile, {})
 
@@ -561,8 +562,8 @@ def _evaluate(e, env, profile, spectra: dict[Expr, EigenSystem]) -> np.ndarray:
         es = spectra.get(e.arg)
         if es is None:
             arg = _as_square(_evaluate(e.arg, env, profile, spectra), "function argument")
-            defect, bound = _hermitian_defect(arg, profile)
-            _gate(f"hermitian defect of the argument of {e.fname}", defect, bound, NotHermitianAtFnApp)
+            name = f"hermitian defect of the argument of {e.fname}"
+            _hermitian_gate(arg, name, NotHermitianAtFnApp, profile)
         fn = FUNCTIONS.get(e.fname)
         if fn is None:
             raise ValidationError(f"function {e.fname!r} is not registered")

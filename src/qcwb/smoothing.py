@@ -127,12 +127,7 @@ def make_gplus(theta: float) -> RealFunction:
 
 
 def make_gminus(theta: float) -> RealFunction:
-    g = make_gplus(theta)
-
-    def fn(t: np.ndarray) -> np.ndarray:
-        return g(-np.asarray(t, dtype=float))
-
-    return RealFunction("gminus", fn, smoothness="smooth")
+    return _mirror(make_gplus(theta), "gminus")
 
 
 def make_qplus(theta: float) -> RealFunction:
@@ -153,12 +148,12 @@ def make_qplus(theta: float) -> RealFunction:
 
 
 def make_qminus(theta: float) -> RealFunction:
-    q = make_qplus(theta)
+    return _mirror(make_qplus(theta), "qminus")
 
-    def fn(t: np.ndarray) -> np.ndarray:
-        return q(-np.asarray(t, dtype=float))
 
-    return RealFunction("qminus", fn, smoothness="smooth")
+def _mirror(f: RealFunction, name: str) -> RealFunction:
+    """``t -> f(-t)``, named ``name``."""
+    return RealFunction(name, lambda t: f(-t), f.smoothness)
 
 
 # ---------------------------------------------------------------------------

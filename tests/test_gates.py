@@ -8,7 +8,9 @@ on a norm bound-first: outside ``linalg``, no ``_gate`` call takes an
 ``op_norm(...)`` or ``_max_op_norm(...)`` call among its arguments, and no
 ``if`` test calls ``_max_norm_above``, apart from the sites listed in
 ``HAND_GATED``; the others go through ``linalg._norm_gate``, so a run on
-data that passes takes no exact norm, which one test checks.  A fourth keeps
+data that passes takes no exact norm, which one test checks; the Hermitian
+precondition's callers are checked against the gate that measures both
+norms.  A fourth keeps
 every failed winding certificate propagating: no function catches
 ``WindingIllConditioned`` or its subclasses, apart from the CLI's handler
 that reports it with its exit code.
@@ -19,6 +21,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcwb import linalg
 from qcwb.boundary import (
@@ -28,11 +32,12 @@ from qcwb.boundary import (
     lift_T,
     run_scenario,
 )
-from qcwb.qc_model import canonical_generators
+from qcwb.qc_model import QcTriple, _weak_defects, canonical_generators, factor_x
+from qcwb.relations import FnApp, NotHermitianAtFnApp, Var, evaluate
 from qcwb.smoothing import SmoothingParams, auto_theta, smooth_representation
 from qcwb.structures import homotopy_theta, make_corner_system, random_corner_quad
 
-from conftest import perturbed_generators
+from conftest import outcome, perturbed_generators, random_hermitian
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qcwb"
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -271,6 +276,98 @@ def test_passing_data_takes_no_exact_norm(name, monkeypatch):
     params = SmoothingParams(epsilon=0.1, theta=0.05, profile=profile)
     assert np.isfinite(params.delta)
     assert smooth_representation(noisy, params)[1].success
+
+
+# each caller of the Hermitian gate: how it runs on a, the quantity it names
+# and the class it raises
+HERMITIAN_CALLERS = {
+    "herm_eig": (linalg.herm_eig, "hermitian defect", linalg.NotHermitian),
+    "weak h": (
+        lambda a, p: _weak_defects(QcTriple(a, np.zeros_like(a), np.zeros_like(a)), p),
+        "hermitian defect of h",
+        linalg.NotHermitian,
+    ),
+    "weak k": (
+        lambda a, p: _weak_defects(QcTriple(np.zeros_like(a), np.zeros_like(a), a), p),
+        "hermitian defect of k",
+        linalg.NotHermitian,
+    ),
+    "fnapp": (
+        lambda a, p: evaluate(FnApp("pos", Var("h")), {"h": a}, p),
+        "hermitian defect of the argument of pos",
+        NotHermitianAtFnApp,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ["default", "jacobi"])
+def test_hermitian_gate_settles_a_frobenius_excess_from_bounds(name, monkeypatch):
+    # a - a* has operator norm 0.9e-10, below hermitian_tol = 1e-10, but
+    # Frobenius norm 1.27e-10 above it; with ||a|| = 1 the Gram-power bounds
+    # settle the gate, and no caller takes an exact norm
+    profile, trip = linalg.PROFILES[name], canonical_generators(2)
+    skew = np.zeros((4, 4), dtype=complex)
+    skew[0, 1] = skew[1, 0] = 0.45e-10j
+    a = np.diag([1.0, 0.5, 0.25, 0.0]) + skew
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an exact norm was taken on a pass")
+
+    monkeypatch.setattr(linalg, "_norms", forbidden)
+    linalg.herm_eig(a, profile)
+    evaluate(FnApp("pos", Var("h")), {"h": a}, profile)
+    factor_x(QcTriple(trip.h + skew, trip.x, trip.k), profile)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(sorted(HERMITIAN_CALLERS)),
+    st.sampled_from(["default", "strict", "jacobi"]),
+    st.integers(min_value=1, max_value=6),
+    st.lists(
+        st.tuples(st.sampled_from([0.999, 1.001]), st.floats(min_value=-3.0, max_value=6.0)),
+        min_size=1,
+        max_size=3,
+    ),
+    st.booleans(),
+    st.integers(min_value=0, max_value=2**31),
+)
+def test_hermitian_gate_decides_as_the_measured_gate_property(caller, name, n, fibers, stacked, seed):
+    # each fiber is h plus a skew part whose norm is 0.999 or 1.001 times
+    # tol * max(1, ||h||), with ||h|| from 1e-3 to 1e6; each caller passes or
+    # raises as the gate that measures both norms, with its class and message
+    run, quantity, error = HERMITIAN_CALLERS[caller]
+    profile, gen = linalg.PROFILES[name], np.random.default_rng(seed)
+    tol = profile.hermitian_tol
+    stack = []
+    for level, log_norm in fibers:
+        h = random_hermitian(gen, n)
+        h *= 10.0**log_norm / np.linalg.norm(h, 2)
+        skew = 1j * random_hermitian(gen, n)
+        skew /= np.linalg.norm(skew, 2)
+        stack.append(h + 0.5 * level * tol * max(1.0, 10.0**log_norm) * skew)
+    a = np.stack(stack) if stacked or len(stack) > 1 else stack[0]
+    defect = linalg.op_norm(a - linalg.adjoint(a), profile)
+    bound = tol * np.maximum(1.0, linalg.op_norm(a, profile))
+    got = outcome(lambda: run(a, profile))
+    assert got == outcome(lambda: linalg._gate(quantity, defect, bound, error))
+    assert got is None or got[0] is error, got
+
+
+@pytest.mark.parametrize("name", ["default", "jacobi"])
+@pytest.mark.parametrize("caller", sorted(HERMITIAN_CALLERS))
+@pytest.mark.parametrize("bad", ["nan", "inf", "overflow"])
+def test_hermitian_gate_fails_a_fiber_that_is_not_finite(bad, caller, name):
+    # fibers 1 and 2 of three hold a NaN, an inf, or parts whose a - a*
+    # overflows; the gate fails closed and names fiber 1
+    run, quantity, error = HERMITIAN_CALLERS[caller]
+    a = np.stack([np.eye(3, dtype=complex)] * 3)
+    if bad == "overflow":
+        a[1:, 0, 1], a[1:, 1, 0] = 1.5e308, -1.5e308
+    else:
+        a[1:, 2, 2] = float(bad)
+    with pytest.raises(error, match=f"^{quantity} = nan at fiber 1 exceeds the bound"):
+        run(a, linalg.PROFILES[name])
 
 
 # the handler that reports every failure with its exit code, and returns it

@@ -703,8 +703,8 @@ class TestSpectralKernel:
             raise AssertionError("LAPACK reached under the jacobi profile")
 
         # skew parts c (E12 - E21) of the identity: ||d||_2 = 2c but
-        # ||d||_F = 2c sqrt(2), so the Frobenius bound cannot decide and the
-        # exact operator-norm check runs, accepting c = 0.4 tol, not 0.6 tol
+        # ||d||_F = 2c sqrt(2), so the Frobenius norm cannot decide; the gate
+        # accepts c = 0.4 tol, not 0.6 tol, as the operator norm does
         tol = JACOBI.hermitian_tol
         skew = np.zeros((6, 6), dtype=complex)
         skew[0, 1], skew[1, 0] = 1.0, -1.0
