@@ -34,9 +34,10 @@ the pipeline
    widened by ||W* W - 1|| to bounds on u when they are first read; u itself
    is formed on each reading.
 
-The resulting integer winding is the index obstruction carried by the input:
-it vanishes exactly when a spectral gap around 1/2 lets the fiberwise
-threshold produce an exact lift of the representation.
+The resulting integer winding is the index obstruction carried by the input: it
+is 0 where a spectral gap around 1/2 lets the threshold lift exactly
+(:func:`exact_projection_lift`), but not only there: (1, 0, 0) + (0, 0, 0) to
+(0, 0, 0) + (1, 0, 0) winds 0, yet its T crosses 1/2 and has no such lift.
 
 Every path is one stacked array on R, or on R + R, and each step is one call
 of the stacked kernel in :mod:`qcwb.linalg` on the whole path; the n x n paths
@@ -304,8 +305,12 @@ class TLift:
     def _end_defects(self) -> np.ndarray:
         """T' - T at the two endpoints, 2n x 2n: T' is clamped on R + R off the end
         fibers of c and B, and embedded."""
-        t_ends = _calc(_t_system(_first_last(self.c), _first_last(self.b)), CLAMP01)
-        return _embed(t_ends, self.ends.w, (1, 0)) - self.ends.t
+        return _embed(_calc(self._t_ends, CLAMP01), self.ends.w, (1, 0)) - self.ends.t
+
+    @cached_property
+    def _t_ends(self) -> EigenSystem:
+        """T's decomposition on R + R at the two endpoints, read by both endpoint gates."""
+        return _t_system(_first_last(self.c), _first_last(self.b))
 
     @cached_property
     def endpoint_defect(self) -> float:
@@ -372,7 +377,8 @@ def _t_system(c: EigenSystem, b: EigenSystem) -> EigenSystem:
     B leaves out of each j is an eigenvector for 0 (bottom, lam_j > 0) or 1 (top)."""
     top = c.eigenvalues > 0.0
     v_top, v_bottom = c.basis * top[..., None, :], c.basis * ~top[..., None, :]
-    basis = np.block([[v_top @ b.basis, v_bottom], [v_bottom @ b.basis, v_top]])
+    top_half = np.concatenate([v_top @ b.basis, v_bottom], axis=-1)
+    basis = np.concatenate([top_half, np.concatenate([v_bottom @ b.basis, v_top], -1)], -2)
     w = np.concatenate([b.eigenvalues, 1.0 - top], axis=-1)
     order = np.argsort(w, axis=-1, kind="stable")
     return EigenSystem(
@@ -628,7 +634,7 @@ def boundary_unitary(lift: TLift) -> BoundaryResult:
     e = ||W* W - 1|| (:class:`BoundaryResult`).
     """
     profile = lift.profile
-    u_ends = _unitary(_t_system(_first_last(lift.c), _first_last(lift.b)))
+    u_ends = _unitary(lift._t_ends)
     name = "||exp(2 pi i T') - 1|| at the endpoints (0, 1)"
     _norm_gate(name, u_ends - np.eye(2 * lift.c.dim), _UNIT_ENDS_TOL, EndpointDefect, profile)
     u_r = _unitary(EigenSystem(lift.b.eigenvalues, lift.c.basis @ lift.b.basis))

@@ -640,26 +640,31 @@ def _max_norm_above(
     parts too, when they lie outside ``_UNSCALED``); where that leaves the
     float range, a level saturates at 0 (far below the largest lower bound)
     or inf (far above every upper bound), and each comparison keeps its
-    answer.  A NaN or inf entry raises :class:`NoConvergence` naming its
-    fiber, before any BLAS call.
+    answer; so with the parts in ``_UNSCALED``, the Frobenius test is taken
+    first, unscaled, in plain floats.  A NaN or inf entry raises
+    :class:`NoConvergence` naming its fiber, before any BLAS call.
     """
     a = _as_square(m, "op_norm input")
     v, top = _parts_top(a)
     if top == 0.0:
         return [0.0 > level for level in levels]
+    v = v.reshape(-1)
+    margin = 1.0 + max(_PRUNE_MARGIN, v.size * np.finfo(float).eps)
+    # in range, frob lies in [2**-400, 2**400 sqrt(N)], where scaling by 2**-e is exact
+    frob = math.sqrt(v @ v) if _UNSCALED[0] <= top <= _UNSCALED[1] else None
+    if frob is not None and all(level >= frob * margin for level in levels):
+        return [False] * len(levels)
     e = math.frexp(top)[1]
     low, high = _powers_of_two(e)
     levels = np.array(levels, dtype=float)
     scaled = levels * low * high
-    v = v.reshape(-1)
-    if _UNSCALED[0] <= top <= _UNSCALED[1]:
-        # exact: the norm lies in [2**-401, 2**400 sqrt(N)]
-        frob = math.sqrt(v @ v) * low * high
-    else:
+    if frob is None:
         v = v * low
         v *= high
         frob = math.sqrt(v @ v)
-    quiet = scaled >= frob * (1.0 + max(_PRUNE_MARGIN, v.size * np.finfo(float).eps))
+    else:
+        frob = frob * low * high
+    quiet = scaled >= frob * margin
     if quiet.all():
         return [False] * quiet.size
     lower, upper = _gram_power_bounds(a, e)

@@ -114,7 +114,8 @@ def t_matrix(triple: QcTriple) -> np.ndarray:
     h and k are Hermitian."""
     h, x, k = triple.h, triple.x, triple.k
     eye = np.eye(triple.dim, dtype=complex)
-    return np.block([[eye - h, adjoint(x)], [x, k]])
+    top = np.concatenate([eye - h, adjoint(x)], axis=-1)
+    return np.concatenate([top, np.concatenate([x, k], axis=-1)], axis=-2)
 
 
 def _low_level_defects(triple: QcTriple) -> Iterator[np.ndarray]:

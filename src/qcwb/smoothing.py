@@ -113,15 +113,19 @@ def _q_ramp(theta: float) -> float:
 def make_gplus(theta: float) -> RealFunction:
     """Smooth positive-part ramp: 0 on t <= 0, identity above theta/2.
 
-    On [0, theta/2] it is t * step(2t/theta), so t - theta/2 <= g(t) <= t
-    pointwise on the positive axis.
+    On [0, theta/2] it is t * step(2t/theta), evaluated there only (an
+    infinite t meets no inf * 0), so t - theta/2 <= g(t) <= t pointwise on
+    the positive axis.
     """
     _check_theta(theta)
     half = 0.5 * theta
 
     def fn(t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        return np.where(t <= 0.0, 0.0, np.where(t >= half, t, t * smooth_step(t / half)))
+        out = np.where(t <= 0.0, 0.0, t)
+        ramp = (0.0 < t) & (t < half)
+        out[ramp] = t[ramp] * smooth_step(t[ramp] / half)
+        return out
 
     return RealFunction("gplus", fn, smoothness="smooth")
 

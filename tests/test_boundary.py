@@ -249,6 +249,26 @@ class TestLiftT:
         assert lift.t is lift.t
         assert calls == {"_t_system": 1, "_support_projection": 2}
 
+    def test_endpoint_t_is_built_once_per_lift(self, rng, monkeypatch):
+        # both endpoint gates read one T system; a refined run lifts twice
+        def forbidden(*args, **kwargs):
+            raise AssertionError("np.block reached")
+
+        calls = Counter()
+
+        def counted(*args, fn=boundary._t_system):
+            calls["_t_system"] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(np, "block", forbidden)
+        monkeypatch.setattr(boundary, "_t_system", counted)
+        result, _, model = run_scenario(conjugated_copies(rng, 3), grid_size=64)
+        assert (model.grid_size, result.winding, calls["_t_system"]) == (64, 3, 1)
+        calls.clear()
+        result, _, model = run_scenario(conjugated_copies(rng, 12), grid_size=64)
+        assert model.grid_size == 128 and result.winding == 12
+        assert 1 <= calls["_t_system"] <= 2
+
     def test_rejects_inexact_endpoint(self, rng):
         bad = QcTriple(0.5 * E11 + 0.1 * E22, Z2, Z2)  # violates h^2 + ... = h
         rep = BScenarioRep(bad, QcTriple(Z2, Z2, Z2))
@@ -460,6 +480,15 @@ class TestExactProjectionLift:
         model = IntervalModel(grid_size=16)
         with pytest.raises(NoSpectralGap):
             exact_projection_lift(rep, model)
+
+    def test_winding_zero_does_not_give_a_gap(self):
+        # (1, 0, 0) + (0, 0, 0) to (0, 0, 0) + (1, 0, 0): index 0 and winding 0,
+        # but T's eigenvalues cross 1/2 on the linear path, so no threshold lift
+        rep = BScenarioRep(QcTriple(E11, Z2, Z2), QcTriple(E22, Z2, Z2))
+        result, _, model = run_scenario(rep, grid_size=64)
+        assert (result.winding, model.grid_size) == (0, 64)
+        with pytest.raises(NoSpectralGap, match=r"^fiber 29 has spectrum \[0.4531, 0.5469\]"):
+            exact_projection_lift(rep, IntervalModel(64))
 
     def test_obstruction_certified_by_winding(self):
         # the same scenario that fails to lift carries winding 1

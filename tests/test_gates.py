@@ -319,13 +319,19 @@ def test_hermitian_gate_settles_a_frobenius_excess_from_bounds(name, monkeypatch
     factor_x(QcTriple(trip.h + skew, trip.x, trip.k), profile)
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
+@settings(max_examples=140, deadline=None, derandomize=True)
 @given(
     st.sampled_from(sorted(HERMITIAN_CALLERS)),
     st.sampled_from(["default", "strict", "jacobi"]),
-    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=8),
     st.lists(
-        st.tuples(st.sampled_from([0.999, 1.001]), st.floats(min_value=-3.0, max_value=6.0)),
+        st.tuples(
+            st.one_of(
+                st.sampled_from([0.999, 1.001]),
+                st.floats(min_value=-1.0, max_value=1.0).map(lambda d: 2.0 * 10.0**d),
+            ),
+            st.floats(min_value=-3.0, max_value=6.0),
+        ),
         min_size=1,
         max_size=3,
     ),
@@ -333,9 +339,11 @@ def test_hermitian_gate_settles_a_frobenius_excess_from_bounds(name, monkeypatch
     st.integers(min_value=0, max_value=2**31),
 )
 def test_hermitian_gate_decides_as_the_measured_gate_property(caller, name, n, fibers, stacked, seed):
-    # each fiber is h plus a skew part whose norm is 0.999 or 1.001 times
-    # tol * max(1, ||h||), with ||h|| from 1e-3 to 1e6; each caller passes or
-    # raises as the gate that measures both norms, with its class and message
+    # each fiber is h plus a skew part whose a - a* has norm level * tol *
+    # max(1, ||h||), with ||h|| from 1e-3 to 1e6 and level 0.999 or 1.001,
+    # or from 0.2 to 20 (a skew part 0.1 to 10 times the bound); each caller
+    # passes or raises as the gate that measures both norms, with its class
+    # and message
     run, quantity, error = HERMITIAN_CALLERS[caller]
     profile, gen = linalg.PROFILES[name], np.random.default_rng(seed)
     tol = profile.hermitian_tol

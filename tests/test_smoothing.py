@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -72,6 +73,23 @@ class TestCutoffs:
         t01 = np.linspace(0.0, 1.0, 10_001)
         slack = np.sqrt(t01 - t01 * t01) * (1.0 - q(t01) ** 2)
         assert np.max(slack) <= theta / 2 + 1e-12
+
+    @pytest.mark.parametrize("theta", [0.5, 0.05, 1e-3])
+    def test_g_cutoffs_take_infinite_and_nan_arguments_quietly(self, theta):
+        # the ramp formula runs on the ramp alone: +-inf warn nowhere, a NaN
+        # stays NaN, and every finite value keeps the bits of the formula
+        # that evaluated the ramp everywhere
+        half = 0.5 * theta
+        tiny = np.finfo(float).smallest_subnormal
+        grid = np.concatenate([np.linspace(-2.0, 2.0, 40_001), [0.0, -0.0, tiny, -tiny, half]])
+        for sign, make, ends in ((1.0, make_gplus, [np.inf, 0.0]), (-1.0, make_gminus, [0.0, np.inf])):
+            t = sign * grid
+            want = np.where(t <= 0.0, 0.0, np.where(t >= half, t, t * linalg.smooth_step(t / half)))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert make(theta)(grid).tobytes() == want.tobytes()
+                out = make(theta)(np.array([np.inf, -np.inf, np.nan]))
+            np.testing.assert_array_equal(out, [*ends, np.nan])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -0.1])
     def test_non_finite_widths_fail_closed(self, bad):
