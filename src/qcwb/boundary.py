@@ -46,7 +46,10 @@ of the stacked kernel in :mod:`qcwb.linalg` on the whole path; the n x n paths
 endpoint data are checked once per run, as one stacked ``(2, n, n)`` triple,
 and each precondition once: the exact relations to 1e-10, which imply the
 weaker ones (hk = 0, 0 <= T <= 1) of the projective algebra, and then
-Hermitian, positive h and k and the corner sandwich (see :func:`_lift_ends`).
+Hermitian, positive h and k, the corner sandwich, and the Hermitian defect of
+W* c W at the two endpoints, which decides that of every fiber of the path of
+c, a convex combination of them; the paths of c and of T's corner block are
+decomposed unchecked (see :func:`_lift_ends` and :func:`_lift_fibers`).
 :func:`run_scenario` chooses the grid from tau = tr T', which the two
 decompositions give directly (det u = e^(2 pi i tau)): it doubles the grid,
 evaluating the decompositions at the new odd points only, until every step of
@@ -74,8 +77,10 @@ from .linalg import (
     STEP_HALF,
     DimMismatch,
     EigenSystem,
+    NotHermitian,
     ToleranceProfile,
     _calc,
+    _eigh_raw,
     _gate,
     _max_op_norm,
     _norm_gate,
@@ -84,7 +89,6 @@ from .linalg import (
     _support,
     _support_projection,
     adjoint,
-    herm_eig,
     hermitian_part,
     op_norm,
 )
@@ -271,12 +275,15 @@ class _LiftEnds:
     with ``w``, an orthonormal basis W (n x r) of R, the sum of the ranges of h(0), h(1),
     k(0) and k(1), and the lift's only basis: R-perp is read as 1 - WW*.  With
     e = ||W* W - 1|| and d = max ||u_R u_R* - 1||, ||u u* - 1|| <= (1 + e)(d + (2 + d)^2 e)
-    and ||u(j) - 1|| <= (1 + e) ||u_R(j) - 1|| (:class:`BoundaryResult`)."""
+    and ||u(j) - 1|| <= (1 + e) ||u_R(j) - 1|| (:class:`BoundaryResult`).  ``c_r`` and
+    ``y_r`` are W* c W and W* y W, r x r, the endpoint values the paths interpolate."""
 
     c: np.ndarray
     y: np.ndarray
     t: np.ndarray
     w: np.ndarray
+    c_r: np.ndarray
+    y_r: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -457,7 +464,15 @@ def _lift_ends(rep: BScenarioRep, profile: ToleranceProfile) -> _LiftEnds:
     One decomposition of [h(0), h(1), k(0), k(1)] serves the gates on h and k, the corner
     sandwich of :func:`qc_model.factor_x`, and the basis W of R: the eigenvectors on the
     supports the sandwich inverts on, at most 4n columns, made orthonormal by one call of
-    :func:`linalg._span`.  So y(0) and y(1) lie in R.  No basis of R-perp is formed."""
+    :func:`linalg._span`.  So y(0) and y(1) lie in R.  No basis of R-perp is formed.
+
+    The Hermitian precondition of the paths is decided here too, once per run: C_j = W* c(j) W,
+    which the path of c interpolates, has ||C_j - C_j*|| at most ``hermitian_tol``, unscaled
+    (:class:`NotHermitian`, naming the endpoint j).  The anti-Hermitian part of
+    (1 - t) C_0 + t C_1 is the same combination of the endpoints' parts, up to the rounding
+    of the interpolation, so every fiber of the path meets this bound, and with it the
+    per-fiber bound of :func:`herm_eig`, ``hermitian_tol * max(1, ||C(t)||)``, which is never
+    lower.  :func:`_lift_fibers` therefore decomposes the path unchecked."""
     a, b = rep.at0, rep.at1
     trip = QcTriple(np.stack([a.h, b.h]), np.stack([a.x, b.x]), np.stack([a.k, b.k]))
     name = "relation residual at the endpoints (0, 1)"
@@ -467,18 +482,25 @@ def _lift_ends(rep: BScenarioRep, profile: ToleranceProfile) -> _LiftEnds:
     y = _corner_sandwich(EigenSystem(w[:2], v[:2]), EigenSystem(w[2:], v[2:]), trip.x, profile)
     # column j of fiber i, for each eigenvalue on its support
     support = v.swapaxes(0, 1)[:, _support(np.maximum(w, 0.0), profile)]
-    return _LiftEnds(trip.h - trip.k, y, t_matrix(trip), _span(support, profile.rank_tol))
+    c, w = trip.h - trip.k, _span(support, profile.rank_tol)
+    c_r, y_r = (adjoint(w) @ end @ w for end in (c, y))
+    name = "hermitian defect of W* c W at the endpoints (0, 1)"
+    _norm_gate(name, c_r - adjoint(c_r), profile.hermitian_tol, NotHermitian, profile)
+    return _LiftEnds(c, y, t_matrix(trip), w, c_r, y_r)
 
 
 def _lift_fibers(
     ends: _LiftEnds, ts: np.ndarray, scheme: str, profile: ToleranceProfile
 ) -> tuple[EigenSystem, EigenSystem]:
     """The path half of :func:`lift_T`: the decompositions of c and of T's corner
-    block B on R, r x r, at the points ``ts``; both pass :func:`herm_eig`'s
-    per-fiber gate.
+    block B on R, r x r, at the points ``ts``, unchecked (:func:`linalg._eigh_raw`).
+    c's path is Hermitian to ``hermitian_tol`` since its endpoints are, which
+    :func:`_lift_ends` gated; B is Hermitian bit for bit, as below, and finite
+    since c's decomposition and y are.
 
     c and y interpolate their endpoint values, which vanish on R-perp; so
-    only W* c W and W* y W are interpolated, and V below is r x r.
+    only W* c W and W* y W, which :func:`_lift_ends` formed, are interpolated,
+    and V below is r x r.
     With c = V diag(lam) V*, h and k are V diag(lam+) V* and V diag(lam-) V*,
     so in the basis V, T = [[1 - diag(lam+), X*], [X, diag(lam-)]] with
     X = V* x V = diag((lam-)^(1/8)) V* y V diag((lam+)^(1/8)), which vanishes
@@ -488,15 +510,14 @@ def _lift_fibers(
     or 1.  On R-perp, c is 0, its slot is the bottom one with d = 0, and T
     is diag(1, 0).
     """
-    w, w_adj = ends.w, adjoint(ends.w)
-    c = herm_eig(_interpolate(w_adj @ ends.c @ w, ts), profile)
+    c = _eigh_raw(_interpolate(ends.c_r, ts), profile)
     hw, kw = (part.eigenvalues for part in _parts(c))
-    vyv = adjoint(c.basis) @ _interpolate(w_adj @ ends.y @ w, ts, scheme) @ c.basis
+    vyv = adjoint(c.basis) @ _interpolate(ends.y_r, ts, scheme) @ c.basis
     x = kw[..., :, None] ** 0.125 * vyv * hw[..., None, :] ** 0.125
     b = x + adjoint(x)
-    # d onto the diagonal, through einsum's writable view of it
+    # d onto the diagonal, through einsum's writable view of it; real, so B stays Hermitian
     np.einsum("...jj->...j", b)[...] += np.where(c.eigenvalues > 0.0, 1.0 - hw, kw)
-    return c, herm_eig(b, profile)
+    return c, _eigh_raw(b, profile)
 
 
 def lift_T(
@@ -800,19 +821,23 @@ def run_scenario(
     The points i/m of grid m are the even points 2i/2m of grid 2m, bit for
     bit, so a refinement evaluates the decompositions of c and of T's
     corner block at the m new odd points only, and weaves them into the
-    coarse paths.  Every per-fiber gate runs on every new fiber; the
-    endpoint gates and factorization run once, since both grids share their
-    endpoints.  The result is that of :func:`boundary_unitary` on the lift
-    :func:`lift_T` gives directly on the final grid.
+    coarse paths.  The endpoint gates, the factorization and the endpoint T
+    system (:attr:`TLift._t_ends`) are taken once, since every grid shares
+    its end fibers, bit for bit.  The result is that of
+    :func:`boundary_unitary` on the lift :func:`lift_T` gives directly on
+    the final grid.
     """
     rep = builtin_scenario(name_or_rep) if isinstance(name_or_rep, str) else name_or_rep
     model = IntervalModel(grid_size=grid_size)
     lift = lift_T(rep, model, profile=profile)
+    t_ends = lift._t_ends
     # written "not <" so that a NaN step refines
     while model.grid_size < _MAX_GRID and not np.max(np.abs(np.diff(lift.tau))) < _TAU_STEP:
         model = IntervalModel(grid_size=2 * model.grid_size)
         c, b = _lift_fibers(lift.ends, model.points[1::2], "linear", profile)
         lift = replace(lift, c=_weave(lift.c, c), b=_weave(lift.b, b))
+        # the woven paths keep the end fibers bit for bit, so the cached T system holds
+        vars(lift)["_t_ends"] = t_ends
     return boundary_unitary(lift), lift, model
 
 

@@ -420,13 +420,14 @@ def smooth_step(u: np.ndarray) -> np.ndarray:
     """C-infinity step: 0 for u <= 0, 1 for u >= 1, strictly rising between.
 
     The standard bump quotient sigma(u) / (sigma(u) + sigma(1-u)) with
-    sigma(u) = exp(-1/u) on u > 0.
+    sigma(u) = exp(-1/u) on u > 0.  A NaN maps to NaN, with no warning.
     """
     u = np.asarray(u, dtype=float)
-    with np.errstate(divide="ignore", over="ignore", under="ignore"):
+    # su + sv > 0 for every u but a NaN, whose 0/0 is the NaN returned
+    with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
         su = np.where(u > 0.0, np.exp(-1.0 / np.where(u > 0.0, u, 1.0)), 0.0)
         sv = np.where(u < 1.0, np.exp(-1.0 / np.where(u < 1.0, 1.0 - u, 1.0)), 0.0)
-    return su / (su + sv)
+        return su / (su + sv)
 
 
 POS = RealFunction("pos", lambda t: np.maximum(t, 0.0))

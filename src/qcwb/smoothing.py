@@ -320,8 +320,9 @@ def _exact_nearby(
     are held at a time.
     """
     h, x, k = triple.h, triple.x, triple.k
-    # one decomposition of s serves its extreme eigenvalues and all four cutoffs
-    s_sys = _eigh_raw(hermitian_part(0.5 * (h + h.conj().T - k - k.conj().T)), profile)
+    # one decomposition of s (_eigh_raw takes its Hermitian part) serves its
+    # extreme eigenvalues and all four cutoffs
+    s_sys = _eigh_raw(0.5 * (h + h.conj().T - k - k.conj().T), profile)
     lam = s_sys.eigenvalues
     pos, neg = lam > 0.0, lam < 0.0
     u_p, u_n = s_sys.basis[:, pos], s_sys.basis[:, neg]

@@ -250,7 +250,8 @@ class TestLiftT:
         assert calls == {"_t_system": 1, "_support_projection": 2}
 
     def test_endpoint_t_is_built_once_per_lift(self, rng, monkeypatch):
-        # both endpoint gates read one T system; a refined run lifts twice
+        # both endpoint gates read one T system, which a refined run keeps:
+        # every grid shares the end fibers
         def forbidden(*args, **kwargs):
             raise AssertionError("np.block reached")
 
@@ -267,7 +268,7 @@ class TestLiftT:
         calls.clear()
         result, _, model = run_scenario(conjugated_copies(rng, 12), grid_size=64)
         assert model.grid_size == 128 and result.winding == 12
-        assert 1 <= calls["_t_system"] <= 2
+        assert calls["_t_system"] == 1
 
     def test_rejects_inexact_endpoint(self, rng):
         bad = QcTriple(0.5 * E11 + 0.1 * E22, Z2, Z2)  # violates h^2 + ... = h
@@ -277,6 +278,52 @@ class TestLiftT:
 
         with pytest.raises(LiftResidual):
             lift_T(rep, model)
+
+
+def _planted(delta):
+    """h = E11 + delta A and k = E22 - delta A at t = 0, with A = [[0, 1], [-1, 0]], and
+    zero at t = 1: an exact representation up to delta^2, whose h and k each have the
+    Hermitian defect 2 delta, and c = h - k has 4 delta."""
+    a = delta * np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
+    return BScenarioRep(QcTriple(E11 + a, Z2, E22 - a), QcTriple(Z2, Z2, Z2))
+
+
+class TestPathHermitianGate:
+    """The Hermitian precondition of the paths of c and of T's corner block is
+    decided once, on W* c W at the two endpoints, at hermitian_tol unscaled."""
+
+    @pytest.mark.parametrize("name", ["default", "jacobi"])
+    def test_planted_defect_fails_at_the_endpoint_gate(self, name, eigh_shapes):
+        rep, profile = _planted(4e-11), PROFILES[name]
+        herm_eig(np.stack([rep.at0.h, rep.at0.k]), profile)  # each passes its own gate
+        eigh_shapes.clear()
+        message = r"W\* c W at the endpoints \(0, 1\) = 1\.600e-10 at fiber 0 exceeds the bound 1\.000e-10"
+        with pytest.raises(NotHermitian, match=message):
+            run_scenario(rep, profile=profile)
+        # no path was decomposed: only [h(0), h(1), k(0), k(1)], under lapack
+        assert eigh_shapes == ([(4, 2, 2)] if name == "default" else [])
+
+    @pytest.mark.parametrize("name", ["default", "jacobi"])
+    def test_planted_defect_below_the_bound_passes(self, name):
+        result, _, model = run_scenario(_planted(2e-11), profile=PROFILES[name])
+        assert (model.grid_size, result.winding) == (64, 0)
+
+    def test_paths_are_decomposed_unchecked(self, rng, eigh_shapes, monkeypatch):
+        # 12 conjugated copies refine 64 -> 128: the Hermitian gate sees the
+        # endpoint stack alone, and the decompositions are those of the gated paths
+        gated = []
+        gate = linalg._hermitian_gate
+
+        def recorded(a, *args):
+            gated.append(a.shape)
+            return gate(a, *args)
+
+        monkeypatch.setattr(linalg, "_hermitian_gate", recorded)
+        result, _, model = run_scenario(conjugated_copies(rng, 12), grid_size=64)
+        assert (model.grid_size, result.winding) == (128, 12)
+        assert gated and all(np.prod(shape[:-2]) <= 4 for shape in gated)
+        want = {(4, 24, 24): 1, (65, 12, 12): 2, (64, 12, 12): 2}
+        assert Counter(eigh_shapes) == want
 
 
 class TestBoundaryUnitary:

@@ -91,6 +91,32 @@ class TestCutoffs:
                 out = make(theta)(np.array([np.inf, -np.inf, np.nan]))
             np.testing.assert_array_equal(out, [*ends, np.nan])
 
+    @pytest.mark.parametrize("theta", [0.5, 0.05, 1e-3])
+    def test_q_cutoffs_take_infinite_and_nan_arguments_quietly(self, theta):
+        # smooth_step's 0/0 at a NaN warns nowhere, a NaN stays NaN, and every
+        # finite value keeps the bits of the unguarded quotient
+        def step(u):
+            with np.errstate(divide="ignore", over="ignore", under="ignore"):
+                su = np.where(u > 0.0, np.exp(-1.0 / np.where(u > 0.0, u, 1.0)), 0.0)
+                sv = np.where(u < 1.0, np.exp(-1.0 / np.where(u < 1.0, 1.0 - u, 1.0)), 0.0)
+            return su / (su + sv)
+
+        width = theta**2 / 4.0
+        tiny = np.finfo(float).smallest_subnormal
+        grid = np.concatenate([np.linspace(-2.0, 2.0, 40_001), [0.0, -0.0, tiny, -tiny, width]])
+        wide = np.concatenate([grid, [1.0, 1e308, -1e308]])
+        special = np.array([np.inf, -np.inf, np.nan])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert linalg.smooth_step(wide).tobytes() == step(wide).tobytes()
+            for sign, make in ((1.0, make_qplus), (-1.0, make_qminus)):
+                t = sign * grid
+                want = np.where(t <= 0.0, 0.0, np.where(t >= width, 1.0, step(t / width)))
+                assert make(theta)(grid).tobytes() == want.tobytes()
+            outs = [f(special) for f in (linalg.smooth_step, make_qplus(theta), make_qminus(theta))]
+        for out, want in zip(outs, ([1.0, 0.0, np.nan], [1.0, 0.0, np.nan], [0.0, 1.0, np.nan])):
+            np.testing.assert_array_equal(out, want)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -0.1])
     def test_non_finite_widths_fail_closed(self, bad):
         # every cutoff width goes through one check, which a NaN fails
