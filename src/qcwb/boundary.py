@@ -271,15 +271,14 @@ def builtin_scenario(name: str) -> BScenarioRep:
 
 @dataclass(frozen=True)
 class _LiftEnds:
-    """The checked endpoint data, stacked over (0, 1): c = h - k, the corner factor y, and T;
-    with ``w``, an orthonormal basis W (n x r) of R, the sum of the ranges of h(0), h(1),
-    k(0) and k(1), and the lift's only basis: R-perp is read as 1 - WW*.  With
-    e = ||W* W - 1|| and d = max ||u_R u_R* - 1||, ||u u* - 1|| <= (1 + e)(d + (2 + d)^2 e)
-    and ||u(j) - 1|| <= (1 + e) ||u_R(j) - 1|| (:class:`BoundaryResult`).  ``c_r`` and
-    ``y_r`` are W* c W and W* y W, r x r, the endpoint values the paths interpolate."""
+    """The checked endpoint data, stacked over (0, 1): T; ``w``, an orthonormal basis
+    W (n x r) of R, the sum of the ranges of h(0), h(1), k(0) and k(1), and the lift's
+    only basis: R-perp is read as 1 - WW*; and ``c_r`` and ``y_r``, W* c W and W* y W
+    for c = h - k and the corner factor y, r x r, the endpoint values the paths
+    interpolate.  With e = ||W* W - 1|| and d = max ||u_R u_R* - 1||,
+    ||u u* - 1|| <= (1 + e)(d + (2 + d)^2 e) and ||u(j) - 1|| <= (1 + e) ||u_R(j) - 1||
+    (:class:`BoundaryResult`)."""
 
-    c: np.ndarray
-    y: np.ndarray
     t: np.ndarray
     w: np.ndarray
     c_r: np.ndarray
@@ -486,7 +485,7 @@ def _lift_ends(rep: BScenarioRep, profile: ToleranceProfile) -> _LiftEnds:
     c_r, y_r = (adjoint(w) @ end @ w for end in (c, y))
     name = "hermitian defect of W* c W at the endpoints (0, 1)"
     _norm_gate(name, c_r - adjoint(c_r), profile.hermitian_tol, NotHermitian, profile)
-    return _LiftEnds(c, y, t_matrix(trip), w, c_r, y_r)
+    return _LiftEnds(t_matrix(trip), w, c_r, y_r)
 
 
 def _lift_fibers(

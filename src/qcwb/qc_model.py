@@ -34,7 +34,6 @@ from .linalg import (
     _positive_eig,
     _support,
     adjoint,
-    hermitian_part,
     op_norm,
 )
 
@@ -217,8 +216,8 @@ def factor_x(triple: QcTriple, profile: ToleranceProfile = DEFAULT_PROFILE) -> n
     if not spectral_ok or _max_norm_above(hk, [_PRE_TOL], profile)[0]:
         worst = np.max([op_norm(hk, profile), below_zero, above_one], axis=0)
         _gate("corner relation residual", worst, _PRE_TOL, ValueError)
-    hs = _positive_eig(hermitian_part(triple.h), profile, "h")
-    ks = _positive_eig(hermitian_part(triple.k), profile, "k")
+    hs = _positive_eig(triple.h, profile, "h")
+    ks = _positive_eig(triple.k, profile, "k")
     return _corner_sandwich(hs, ks, triple.x, profile)
 
 

@@ -15,9 +15,10 @@ into :class:`Scale` factors as the parser builds each node.
 
 Expressions must have no constant term (every relation vanishes on the zero
 assignment), and a function may only be applied where the argument is
-formally self-adjoint (syntactically fixed by the adjoint) and the function
-is continuous.  The functions are the fixed table :data:`FUNCTIONS`, each
-with f(0) = 0, as relations over non-unital algebras need.
+formally self-adjoint (its normal form is fixed by the adjoint, up to the
+order of each sum's operands) and the function is continuous.  The
+functions are the fixed table :data:`FUNCTIONS`, each with f(0) = 0, as
+relations over non-unital algebras need.
 
 The evaluator takes one matrix per variable or a stack ``(..., n, n)`` of
 them, and works fiber by fiber, as every kernel of :mod:`qcwb.linalg` does.
@@ -30,7 +31,7 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 from types import MappingProxyType
 from typing import Callable, Mapping
@@ -354,67 +355,54 @@ class _Parser:
 # ---------------------------------------------------------------------------
 
 
+# the operand fields of each node, left to right
+_OPERANDS = {Var: (), Adj: ("arg",), Scale: ("arg",), FnApp: ("arg",)}
+_OPERANDS |= dict.fromkeys((Sum, Diff, Prod), ("left", "right"))
+
+
+def _operands(e) -> dict[str, Expr]:
+    """The operands of node ``e`` by field name, left to right."""
+    names = _OPERANDS.get(type(e))
+    if names is None:
+        raise TypeError(f"unknown node {e!r}")
+    return {name: getattr(e, name) for name in names}
+
+
 def _normal(node, adjoint: bool = False) -> Expr:
-    """Normal form of ``node``, or of its adjoint, with adjoints applied only to variables."""
+    """Canonical form of ``node``, or of its adjoint: adjoints apply only to
+    variables, each Scale factor is a Python complex with no negative zero,
+    and the two operands of each Sum come in the order of their reprs.  Two
+    expressions that differ only in the order of sums' operands have equal
+    forms."""
     if isinstance(node, Var):
         return Adj(node) if adjoint else node
     if isinstance(node, Adj):
         return _normal(node.arg, not adjoint)
-    if isinstance(node, (Sum, Diff)):
-        return type(node)(_normal(node.left, adjoint), _normal(node.right, adjoint))
-    if isinstance(node, Prod):
-        left, right = (node.right, node.left) if adjoint else (node.left, node.right)
-        return Prod(_normal(left, adjoint), _normal(right, adjoint))
-    if isinstance(node, Scale):
-        factor = np.conj(node.factor) if adjoint else node.factor
-        return Scale(factor, _normal(node.arg, adjoint))
-    if isinstance(node, FnApp):
-        # the functions are real-valued, so f(a)* = f(a*)
-        return FnApp(node.fname, _normal(node.arg, adjoint))
-    raise TypeError(f"unknown node {node!r}")
-
-
-def _equal_mod_sum(a: Expr, b: Expr) -> bool:
-    """Structural equality, allowing the two operands of a Sum to swap."""
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, Var):
-        return a.name == b.name
-    if isinstance(a, Adj):
-        return _equal_mod_sum(a.arg, b.arg)
-    if isinstance(a, Sum):
-        return (
-            _equal_mod_sum(a.left, b.left) and _equal_mod_sum(a.right, b.right)
-        ) or (_equal_mod_sum(a.left, b.right) and _equal_mod_sum(a.right, b.left))
-    if isinstance(a, (Diff, Prod)):
-        return _equal_mod_sum(a.left, b.left) and _equal_mod_sum(a.right, b.right)
-    if isinstance(a, Scale):
-        return a.factor == b.factor and _equal_mod_sum(a.arg, b.arg)
-    if isinstance(a, FnApp):
-        return a.fname == b.fname and _equal_mod_sum(a.arg, b.arg)
-    return False
+    ops = {name: _normal(arg, adjoint) for name, arg in _operands(node).items()}
+    if isinstance(node, Sum):
+        ops["left"], ops["right"] = sorted(ops.values(), key=repr)
+    elif isinstance(node, Prod) and adjoint:
+        ops["left"], ops["right"] = ops["right"], ops["left"]
+    elif isinstance(node, Scale):
+        # np.conj of a real factor has imaginary part -0.0, which would
+        # change its repr; adding 0j clears both parts' negative zeros
+        ops["factor"] = complex(np.conj(node.factor) if adjoint else node.factor) + 0j
+    # a FnApp keeps its function: each is real-valued, so f(a)* = f(a*)
+    return replace(node, **ops)
 
 
 def is_formally_self_adjoint(e: Expr) -> bool:
-    return _equal_mod_sum(_normal(e), _normal(e, adjoint=True))
+    return _normal(e) == _normal(e, adjoint=True)
 
 
 def _validate(e, variables: set[str]) -> None:
     if isinstance(e, complex):
         raise ValidationError("constant term (relations must vanish at zero)")
-    if isinstance(e, Var):
-        if e.name not in variables:
-            raise ValidationError(f"variable {e.name!r} is not declared")
-        return
-    if isinstance(e, (Adj, Scale)):
-        _validate(e.arg, variables)
-        return
-    if isinstance(e, (Sum, Diff, Prod)):
-        _validate(e.left, variables)
-        _validate(e.right, variables)
-        return
+    for operand in _operands(e).values():
+        _validate(operand, variables)
+    if isinstance(e, Var) and e.name not in variables:
+        raise ValidationError(f"variable {e.name!r} is not declared")
     if isinstance(e, FnApp):
-        _validate(e.arg, variables)
         fn = FUNCTIONS.get(e.fname)
         if fn is None:
             raise ValidationError(f"function {e.fname!r} is not registered")
@@ -426,8 +414,6 @@ def _validate(e, variables: set[str]) -> None:
             raise ValidationError(
                 f"function {e.fname!r} is not continuous; it cannot appear in relations"
             )
-        return
-    raise TypeError(f"unknown node {e!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -139,14 +139,19 @@ def make_qplus(theta: float) -> RealFunction:
     width theta^2/4 (:attr:`SmoothingParams.ramp_width`).
 
     That width keeps sqrt(t - t^2) * (1 - q(t)^2) below theta/2 on [0, 1],
-    which is the slack the squeezing step needs.
+    which is the slack the squeezing step needs.  The ramp formula runs on
+    the ramp alone, so a large t meets no overflowing t / width; a NaN lies
+    on the ramp and maps to NaN.
     """
     _check_theta(theta)
     width = _q_ramp(theta)
 
     def fn(t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        return np.where(t <= 0.0, 0.0, np.where(t >= width, 1.0, smooth_step(t / width)))
+        out = np.where(t <= 0.0, 0.0, 1.0)
+        ramp = ~(t <= 0.0) & ~(t >= width)
+        out[ramp] = smooth_step(t[ramp] / width)
+        return out
 
     return RealFunction("qplus", fn, smoothness="smooth")
 

@@ -19,6 +19,7 @@ from qcwb.linalg import (
     _gate,
     _positive_eig,
     _support,
+    adjoint,
     frac_power,
     herm_eig,
     op_norm,
@@ -850,13 +851,15 @@ class TestStackedPipeline:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_endpoint_factor_is_factor_x(self, n):
-        # the stacked endpoint sandwich gives what the public factor_x gives
+        # the stacked endpoint sandwich gives what the public factor_x gives,
+        # and both endpoint values are compressed to R as W* (.) W, bit for bit
         gen = np.random.default_rng(n)
         for _ in range(5):
             rep = BScenarioRep(exact_endpoint(gen, n), exact_endpoint(gen, n))
-            lift = lift_T(rep, IntervalModel(grid_size=4))
-            np.testing.assert_array_equal(lift.ends.y[0], factor_x(rep.at0))
-            np.testing.assert_array_equal(lift.ends.y[1], factor_x(rep.at1))
+            ends = lift_T(rep, IntervalModel(grid_size=4)).ends
+            for j, (c, y) in enumerate(zip(*_endpoint_c_y(rep))):
+                np.testing.assert_array_equal(ends.y_r[j], adjoint(ends.w) @ y @ ends.w)
+                np.testing.assert_array_equal(ends.c_r[j], adjoint(ends.w) @ c @ ends.w)
 
     def test_exact_projection_lift_decomposes_t_once(self, eigh_shapes):
         # r = n = 2 here: two r x r stacks, and none on R + R
@@ -1057,6 +1060,12 @@ def test_near_aligned_ranges_wind_or_raise(exponent, grid, pad, seed):
     assert lift.endpoint_defect <= boundary._LIFT_ENDS_TOL
 
 
+def _endpoint_c_y(rep):
+    """c = h - k and the corner factor y (:func:`factor_x`) at the two endpoints, stacked."""
+    ends = (rep.at0, rep.at1)
+    return np.stack([t.h - t.k for t in ends]), np.stack([factor_x(t) for t in ends])
+
+
 def check_corner_block(rep):
     """The system a lift assembles from its two r x r decompositions is T on
     R + R, 2r x 2r; embedded, it is T = [[1 - h, x*], [x, k]] with
@@ -1076,7 +1085,7 @@ def check_corner_block(rep):
         return (v * vals[:, None, :] ** 0.125) @ v.conj().swapaxes(-1, -2)
 
     w_adj = ends.w.conj().T
-    y = w_adj @ boundary._interpolate(ends.y, model.points) @ ends.w
+    y = w_adj @ boundary._interpolate(_endpoint_c_y(rep)[1], model.points) @ ends.w
     x_r = root(np.maximum(-lam, 0.0)) @ y @ root(np.maximum(lam, 0.0))
     x = boundary._embed(x_r, ends.w, (0,))
     t = t_matrix(QcTriple(lift.h.values, x, lift.k.values))
@@ -1238,19 +1247,19 @@ def test_projection_lift_returns_only_at_index_zero(n, grid, seed):
     assert _index(rep) == 0
 
 
-def _reference(lift, model):
+def _reference(rep, model):
     """T', h, k, rho, the corner leak and the homotopy image at s = 0, each
     built n x n from the interpolated c = h - k and y, with fresh
     decompositions of c and T."""
-    n, ends = len(lift.ends.w), lift.ends
-    lam, v = np.linalg.eigh(boundary._interpolate(ends.c, model.points))
+    n, (c, y) = rep.fiber_dim, _endpoint_c_y(rep)
+    lam, v = np.linalg.eigh(boundary._interpolate(c, model.points))
 
     def func(vals):
         return (v * vals[:, None, :]) @ v.conj().swapaxes(-1, -2)
 
     pos, neg = np.maximum(lam, 0.0), np.maximum(-lam, 0.0)
     h, k = func(pos), func(neg)
-    x = func(neg**0.125) @ boundary._interpolate(ends.y, model.points) @ func(pos**0.125)
+    x = func(neg**0.125) @ boundary._interpolate(y, model.points) @ func(pos**0.125)
     mu, z = np.linalg.eigh(t_matrix(QcTriple(h, x, k)))
     t_prime = (z * np.clip(mu, 0.0, 1.0)[:, None, :]) @ z.conj().swapaxes(-1, -2)
     ph, pk = support_projection(h), support_projection(k)
@@ -1282,7 +1291,7 @@ def test_views_on_r_match_the_n_by_n_reference(n, grid, seed):
     rep = BScenarioRep(exact_endpoint(gen, n), exact_endpoint(gen, n))
     model = IntervalModel(grid)
     lift = lift_T(rep, model)
-    t_prime, h, k, slots, leak, image = _reference(lift, model)
+    t_prime, h, k, slots, leak, image = _reference(rep, model)
     for got, want in ((lift.t_prime, t_prime), (lift.h, h), (lift.k, k)):
         assert got.values.shape == want.shape
         np.testing.assert_allclose(got.values, want, rtol=0, atol=1e-12)

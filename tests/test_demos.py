@@ -1,4 +1,5 @@
-"""Each demo script runs to completion against the package in ``src/``."""
+"""Each demo script runs to completion against the package in ``src/``, with a
+numpy ``RuntimeWarning`` raised as an error."""
 
 import os
 import pathlib
@@ -16,6 +17,10 @@ def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
-        [sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=300
+        [sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
     )
     assert proc.returncode == 0, proc.stderr

@@ -1,7 +1,7 @@
 """Every certificate in ``src/qcwb`` compares its defect with its bound through ``linalg._gate``.
 
-Two AST checks keep it that way: the fiber-naming internals of the gate stay
-in ``linalg``, and no certificate exception is raised straight from an ``if``
+Two AST checks keep it that way: the norm and gate internals of ``linalg``
+stay in ``linalg``, and no certificate exception is raised straight from an ``if``
 that tests a comparison, apart from the checks listed in ``ALLOWED``, which do
 not compare a measured defect with a stated bound.  A third keeps every gate
 on a norm bound-first: outside ``linalg``, no ``_gate`` call takes an
@@ -43,7 +43,8 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qcwb"
 MODULES = sorted(PACKAGE.glob("*.py"))
 TREES = {p.name: ast.parse(p.read_text()) for p in MODULES}
 
-GATE_INTERNALS = {"_first_fiber", "_at_fiber"}
+# linalg's norm and gate internals, which no other module reaches into
+GATE_INTERNALS = {"_norms", "_parts_top", "_gram_power_bounds", "_powers_of_two", "_not_finite"}
 
 # exceptions for malformed input, not for a failed certificate
 INPUT_ERRORS = {
@@ -137,6 +138,12 @@ def test_gate_internals_stay_in_linalg(name):
         if isinstance(n, (ast.Name, ast.Attribute, ast.alias))
     }
     assert not used & GATE_INTERNALS, f"{name} uses {sorted(used & GATE_INTERNALS)}"
+
+
+def test_every_gate_internal_exists():
+    # a name linalg does not define would check nothing
+    defined = {n.name for n in ast.walk(TREES["linalg.py"]) if isinstance(n, ast.FunctionDef)}
+    assert GATE_INTERNALS <= defined, f"no such linalg function: {sorted(GATE_INTERNALS - defined)}"
 
 
 @pytest.mark.parametrize("name", sorted(TREES))

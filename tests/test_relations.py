@@ -1,4 +1,7 @@
+import itertools
 import json
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from qcwb.relations import (
     FUNCTIONS,
     QC_RELATION_SOURCE,
     Adj,
+    Diff,
     FnApp,
     NotHermitianAtFnApp,
     Prod,
@@ -143,6 +147,113 @@ class TestSelfAdjointAnalysis:
     def test_scale_needs_real_factor(self):
         e = Scale(1j, Sum(Var("h"), Adj(Var("h"))))
         assert not is_formally_self_adjoint(e)
+
+    def test_signed_zero_factor_is_real(self):
+        # complex(1, -0.0) == 1, though its repr differs from that of 1 + 0j
+        x = Var("x")
+        e = Sum(Scale(1 + 0j, Prod(Adj(x), x)), Scale(complex(1, -0.0), Prod(x, Adj(x))))
+        assert is_formally_self_adjoint(e)
+        assert is_formally_self_adjoint(Sum(e.right, e.left))
+        assert parse_expression("pos((1,0)*(x'*x) + (1,-0)*(x*x'))", ("x",)) == FnApp("pos", e)
+
+
+# the normal form and Sum-swapping equality that is_formally_self_adjoint
+# once compared with; the property below holds the canonical form to them
+
+
+def _oracle_normal(node, adjoint=False):
+    if isinstance(node, Var):
+        return Adj(node) if adjoint else node
+    if isinstance(node, Adj):
+        return _oracle_normal(node.arg, not adjoint)
+    if isinstance(node, (Sum, Diff)):
+        return type(node)(_oracle_normal(node.left, adjoint), _oracle_normal(node.right, adjoint))
+    if isinstance(node, Prod):
+        left, right = (node.right, node.left) if adjoint else (node.left, node.right)
+        return Prod(_oracle_normal(left, adjoint), _oracle_normal(right, adjoint))
+    if isinstance(node, Scale):
+        factor = np.conj(node.factor) if adjoint else node.factor
+        return Scale(factor, _oracle_normal(node.arg, adjoint))
+    if isinstance(node, FnApp):
+        return FnApp(node.fname, _oracle_normal(node.arg, adjoint))
+    raise TypeError(f"unknown node {node!r}")
+
+
+def _oracle_equal(a, b):
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, Var):
+        return a.name == b.name
+    if isinstance(a, Adj):
+        return _oracle_equal(a.arg, b.arg)
+    if isinstance(a, Sum):
+        return (_oracle_equal(a.left, b.left) and _oracle_equal(a.right, b.right)) or (
+            _oracle_equal(a.left, b.right) and _oracle_equal(a.right, b.left)
+        )
+    if isinstance(a, (Diff, Prod)):
+        return _oracle_equal(a.left, b.left) and _oracle_equal(a.right, b.right)
+    if isinstance(a, Scale):
+        return a.factor == b.factor and _oracle_equal(a.arg, b.arg)
+    if isinstance(a, FnApp):
+        return a.fname == b.fname and _oracle_equal(a.arg, b.arg)
+    return False
+
+
+_PARTS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5])
+# Python and numpy factors, and numpy conjugates, whose zero imaginary parts are -0.0
+_FACTORS = st.builds(complex, _PARTS, _PARTS).flatmap(
+    lambda c: st.sampled_from([c, np.complex128(c), np.conj(c)])
+)
+_SIGNS = st.sampled_from([1.0, -1.0])
+
+
+def _spelled_adjoint(c, a, signs):
+    """c a + c* a*, with the zero parts of c* given the signs ``signs``."""
+    re_, im = (p or math.copysign(0.0, s) for p, s in zip((c.real, -c.imag), signs))
+    return Sum(Scale(c, a), Scale(complex(re_, im), Adj(a)))
+
+
+def _trees(depth):
+    """Expressions over h, x and k of depth at most ``depth``: every node
+    kind, and two self-adjoint shapes, one with its adjoint spelled out."""
+    leaf = st.builds(Var, st.sampled_from("hxk"))
+    if depth == 0:
+        return leaf
+    sub = _trees(depth - 1)
+    return st.one_of(
+        leaf,
+        st.builds(Adj, sub),
+        st.builds(Sum, sub, sub),
+        st.builds(Diff, sub, sub),
+        st.builds(Prod, sub, sub),
+        st.builds(Scale, _FACTORS, sub),
+        st.builds(FnApp, st.sampled_from(sorted(FUNCTIONS)), sub),
+        st.builds(lambda a: Prod(Adj(a), a), sub),
+        st.builds(_spelled_adjoint, _FACTORS, sub, st.tuples(_SIGNS, _SIGNS)),
+    )
+
+
+def _swap_sums(e, flips):
+    """``e`` with the operands of each Sum swapped where the next of ``flips`` is true."""
+    if isinstance(e, Var):
+        return e
+    names = ("left", "right") if isinstance(e, (Sum, Diff, Prod)) else ("arg",)
+    ops = {name: _swap_sums(getattr(e, name), flips) for name in names}
+    if isinstance(e, Sum) and next(flips, False):
+        ops["left"], ops["right"] = ops["right"], ops["left"]
+    return replace(e, **ops)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_trees(5), st.lists(st.booleans(), max_size=64))
+def test_self_adjointness_is_the_sum_swapping_equality_property(e, flips):
+    # == on the canonical forms decides as the Sum-swapping equality above,
+    # does not see the order of any Sum's operands, and takes every sym(e)
+    got = is_formally_self_adjoint(e)
+    assert got == _oracle_equal(_oracle_normal(e), _oracle_normal(e, adjoint=True))
+    assert is_formally_self_adjoint(_swap_sums(e, iter(flips))) == got
+    assert is_formally_self_adjoint(_swap_sums(e, itertools.repeat(True))) == got
+    assert is_formally_self_adjoint(Scale(0.5 + 0j, Sum(e, Adj(e))))
 
 
 class TestRoundTrip:

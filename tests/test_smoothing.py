@@ -93,8 +93,9 @@ class TestCutoffs:
 
     @pytest.mark.parametrize("theta", [0.5, 0.05, 1e-3])
     def test_q_cutoffs_take_infinite_and_nan_arguments_quietly(self, theta):
-        # smooth_step's 0/0 at a NaN warns nowhere, a NaN stays NaN, and every
-        # finite value keeps the bits of the unguarded quotient
+        # smooth_step's 0/0 at a NaN warns nowhere, nor the q cutoffs' t / width
+        # at +-1e308, a NaN stays NaN, and every finite value keeps the bits of
+        # the unguarded quotient
         def step(u):
             with np.errstate(divide="ignore", over="ignore", under="ignore"):
                 su = np.where(u > 0.0, np.exp(-1.0 / np.where(u > 0.0, u, 1.0)), 0.0)
@@ -110,9 +111,10 @@ class TestCutoffs:
             warnings.simplefilter("error")
             assert linalg.smooth_step(wide).tobytes() == step(wide).tobytes()
             for sign, make in ((1.0, make_qplus), (-1.0, make_qminus)):
-                t = sign * grid
-                want = np.where(t <= 0.0, 0.0, np.where(t >= width, 1.0, step(t / width)))
-                assert make(theta)(grid).tobytes() == want.tobytes()
+                t = sign * wide
+                with np.errstate(over="ignore"):  # t / width off the ramp, at +-1e308
+                    want = np.where(t <= 0.0, 0.0, np.where(t >= width, 1.0, step(t / width)))
+                assert make(theta)(wide).tobytes() == want.tobytes()
             outs = [f(special) for f in (linalg.smooth_step, make_qplus(theta), make_qminus(theta))]
         for out, want in zip(outs, ([1.0, 0.0, np.nan], [1.0, 0.0, np.nan], [0.0, 1.0, np.nan])):
             np.testing.assert_array_equal(out, want)
