@@ -15,7 +15,8 @@ the pipeline
    nothing on R-perp is decomposed,
 1. lifts h and k to orthogonal positive contractions over the grid
    (positive/negative parts of a linear interpolant c of h - k, decomposed
-   as the r x r path W* c W),
+   as the r x r path W* c W; where its two endpoint values commute, their one
+   joint eigenbasis serves the whole path, and it is not decomposed),
 2. lifts x through the corner factorization x = k^(1/8) y h^(1/8), with y
    interpolated between its endpoint values; h, k and both eighth roots are
    read off the one decomposition of c,
@@ -51,9 +52,11 @@ W* c W at the two endpoints, which decides that of every fiber of the path of
 c, a convex combination of them; the paths of c and of T's corner block are
 decomposed unchecked (see :func:`_lift_ends` and :func:`_lift_fibers`).
 :func:`run_scenario` chooses the grid from tau = tr T', which the two
-decompositions give directly (det u = e^(2 pi i tau)): it doubles the grid,
-evaluating the decompositions at the new odd points only, until every step of
-tau is below 1/8, and then certifies u_R once, on the final grid.  Every
+decompositions give directly (det u = e^(2 pi i tau)): it starts from the
+first doubling of the grid that the index tr T(1) - tr T(0), read off the
+endpoint traces, does not rule out, doubles the grid, evaluating the
+decompositions at the new odd points only, until every step of tau is below
+1/8, and then certifies u_R once, on the final grid.  Every
 certificate takes the lift alone.  Every gate on a defect's norm goes through
 the bound-first gate :func:`linalg._norm_gate`, so the messages are those of
 measured gates.  The figures a run reports
@@ -64,6 +67,7 @@ measured when first read.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -82,6 +86,7 @@ from .linalg import (
     _calc,
     _eigh_raw,
     _gate,
+    _max_norm_above,
     _max_op_norm,
     _norm_gate,
     _positive_eig,
@@ -158,6 +163,8 @@ _MAX_STEP = np.pi / 2
 # det phase step of u (2 pi times it) is below pi/4, or the grid reaches _MAX_GRID
 _TAU_STEP = 1 / 8
 _MAX_GRID = 4096
+# _joint_eig's weight of C_1, far from every ratio of small integers
+_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # exact_projection_lift rejects an eigenvalue of T within this of 1/2
 _GAP = 0.05
 
@@ -204,7 +211,8 @@ class GridFunction:
 
 
 def _interpolate(ends: np.ndarray, ts: np.ndarray, scheme: str = "linear") -> np.ndarray:
-    """A path joining the endpoint values ``ends[0]``, ``ends[1]`` at the points ``ts``, stacked.
+    """A path joining the endpoint values ``ends[0]``, ``ends[1]`` (arrays of any shape)
+    at the points ``ts``, stacked.
 
     ``linear`` uses straight-line weights; ``cosine`` uses the smoothed
     weights (1 + cos(pi t))/2, which agree at the endpoints but differ in
@@ -216,7 +224,7 @@ def _interpolate(ends: np.ndarray, ts: np.ndarray, scheme: str = "linear") -> np
         w0 = 0.5 * (1.0 + np.cos(np.pi * ts))
     else:
         raise ValueError(f"unknown interpolation scheme {scheme!r}")
-    w0 = w0[:, None, None]
+    w0 = w0.reshape(w0.shape + (1,) * (ends.ndim - 1))
     return w0 * ends[0] + (1.0 - w0) * ends[1]
 
 
@@ -275,7 +283,8 @@ class _LiftEnds:
     W (n x r) of R, the sum of the ranges of h(0), h(1), k(0) and k(1), and the lift's
     only basis: R-perp is read as 1 - WW*; and ``c_r`` and ``y_r``, W* c W and W* y W
     for c = h - k and the corner factor y, r x r, the endpoint values the paths
-    interpolate.  With e = ||W* W - 1|| and d = max ||u_R u_R* - 1||,
+    interpolate; ``joint``, their eigenbasis V when they commute (:func:`_joint_eig`),
+    else None.  With e = ||W* W - 1|| and d = max ||u_R u_R* - 1||,
     ||u u* - 1|| <= (1 + e)(d + (2 + d)^2 e) and ||u(j) - 1|| <= (1 + e) ||u_R(j) - 1||
     (:class:`BoundaryResult`)."""
 
@@ -283,6 +292,7 @@ class _LiftEnds:
     w: np.ndarray
     c_r: np.ndarray
     y_r: np.ndarray
+    joint: EigenSystem | None
 
 
 @dataclass(frozen=True)
@@ -471,7 +481,8 @@ def _lift_ends(rep: BScenarioRep, profile: ToleranceProfile) -> _LiftEnds:
     (1 - t) C_0 + t C_1 is the same combination of the endpoints' parts, up to the rounding
     of the interpolation, so every fiber of the path meets this bound, and with it the
     per-fiber bound of :func:`herm_eig`, ``hermitian_tol * max(1, ||C(t)||)``, which is never
-    lower.  :func:`_lift_fibers` therefore decomposes the path unchecked."""
+    lower.  :func:`_lift_fibers` therefore decomposes the path unchecked, or not at all
+    where C_0 and C_1 commute (:func:`_joint_eig`)."""
     a, b = rep.at0, rep.at1
     trip = QcTriple(np.stack([a.h, b.h]), np.stack([a.x, b.x]), np.stack([a.k, b.k]))
     name = "relation residual at the endpoints (0, 1)"
@@ -485,7 +496,29 @@ def _lift_ends(rep: BScenarioRep, profile: ToleranceProfile) -> _LiftEnds:
     c_r, y_r = (adjoint(w) @ end @ w for end in (c, y))
     name = "hermitian defect of W* c W at the endpoints (0, 1)"
     _norm_gate(name, c_r - adjoint(c_r), profile.hermitian_tol, NotHermitian, profile)
-    return _LiftEnds(t_matrix(trip), w, c_r, y_r)
+    return _LiftEnds(t_matrix(trip), w, c_r, y_r, _joint_eig(c_r, profile))
+
+
+def _joint_eig(c_r: np.ndarray, profile: ToleranceProfile) -> EigenSystem | None:
+    """C_j = V diag(lam_j) V* (``c_r``, r x r) with one basis V for j = 0, 1, or None.
+
+    Commuting Hermitian matrices share an eigenbasis (Horn and Johnson, *Matrix
+    Analysis*, 2nd ed., section 2.5), which for a generic weight phi is that of
+    C_0 + phi C_1.  V serves when :func:`linalg._max_norm_above` finds the
+    off-diagonal parts of V* C_j V at most ``hermitian_tol``, unscaled; their
+    diagonals, paired column by column and so not ascending, are the eigenvalues.  A
+    C_j that is not finite fails."""
+    if not np.isfinite(c_r).all():
+        return None
+    if c_r.shape[-1] <= 1:  # 1 x 1 values commute, with the basis 1
+        return EigenSystem(np.diagonal(c_r, axis1=-2, axis2=-1).real, np.eye(c_r.shape[-1]) + 0j)
+    v = _eigh_raw(c_r[0] + _PHI * c_r[1], profile).basis
+    d = adjoint(v) @ c_r @ v
+    lam = np.diagonal(d, axis1=-2, axis2=-1).real.copy()
+    np.einsum("...jj->...j", d)[...] = 0.0
+    if _max_norm_above(d, [profile.hermitian_tol], profile)[0]:
+        return None
+    return EigenSystem(lam, v)
 
 
 def _lift_fibers(
@@ -499,7 +532,10 @@ def _lift_fibers(
 
     c and y interpolate their endpoint values, which vanish on R-perp; so
     only W* c W and W* y W, which :func:`_lift_ends` formed, are interpolated,
-    and V below is r x r.
+    and V below is r x r.  Where those values of c commute, V is their joint
+    eigenbasis (``ends.joint``) along the whole path, with its columns reordered
+    per fiber so that lam = (1 - t) lam_0 + t lam_1 ascends, and V* y V
+    interpolates its endpoint values; otherwise c is decomposed per fiber.
     With c = V diag(lam) V*, h and k are V diag(lam+) V* and V diag(lam-) V*,
     so in the basis V, T = [[1 - diag(lam+), X*], [X, diag(lam-)]] with
     X = V* x V = diag((lam-)^(1/8)) V* y V diag((lam+)^(1/8)), which vanishes
@@ -509,11 +545,21 @@ def _lift_fibers(
     or 1.  On R-perp, c is 0, its slot is the bottom one with d = 0, and T
     is diag(1, 0).
     """
-    c = _eigh_raw(_interpolate(ends.c_r, ts), profile)
+    if ends.joint is None:
+        c = _eigh_raw(_interpolate(ends.c_r, ts), profile)
+        vyv = adjoint(c.basis) @ _interpolate(ends.y_r, ts, scheme) @ c.basis
+    else:
+        v, lam = ends.joint.basis, _interpolate(ends.joint.eigenvalues, ts)
+        order = np.argsort(lam, axis=-1, kind="stable")
+        vyv = _interpolate(adjoint(v) @ ends.y_r @ v, ts, scheme)
+        vyv = vyv[np.arange(len(ts))[:, None, None], order[..., :, None], order[..., None, :]]
+        c = EigenSystem(np.take_along_axis(lam, order, -1), v[:, order].swapaxes(0, 1))
     hw, kw = (part.eigenvalues for part in _parts(c))
-    vyv = adjoint(c.basis) @ _interpolate(ends.y_r, ts, scheme) @ c.basis
     x = kw[..., :, None] ** 0.125 * vyv * hw[..., None, :] ** 0.125
+    # each (m+1, r, r) temporary goes before B is decomposed, which holds a few more
+    del vyv
     b = x + adjoint(x)
+    del x
     # d onto the diagonal, through einsum's writable view of it; real, so B stays Hermitian
     np.einsum("...jj->...j", b)[...] += np.where(c.eigenvalues > 0.0, 1.0 - hw, kw)
     return c, _eigh_raw(b, profile)
@@ -817,6 +863,12 @@ def run_scenario(
     tau(1) - tau(0), the index.  A certificate that fails on the final grid
     (a grid capped at ``_MAX_GRID`` included) raises.
 
+    The grid first doubles, with nothing decomposed, while it is below
+    (|index| - 1/2) / ``_TAU_STEP`` (:func:`_start_grid`): the steps of tau sum
+    to tau(1) - tau(0), which the endpoint gates of :func:`lift_T` (T' within
+    1e-9 of T, a projection to 1e-10) hold far within 1/2 of the index, so
+    some step of such a grid is above ``_TAU_STEP``, and the refinement would
+    reject it.  :func:`lift_T` then runs once, on the grid reached.
     The points i/m of grid m are the even points 2i/2m of grid 2m, bit for
     bit, so a refinement evaluates the decompositions of c and of T's
     corner block at the m new odd points only, and weaves them into the
@@ -827,7 +879,7 @@ def run_scenario(
     the final grid.
     """
     rep = builtin_scenario(name_or_rep) if isinstance(name_or_rep, str) else name_or_rep
-    model = IntervalModel(grid_size=grid_size)
+    model = IntervalModel(grid_size=_start_grid(rep, grid_size))
     lift = lift_T(rep, model, profile=profile)
     t_ends = lift._t_ends
     # written "not <" so that a NaN step refines
@@ -838,6 +890,20 @@ def run_scenario(
         # the woven paths keep the end fibers bit for bit, so the cached T system holds
         vars(lift)["_t_ends"] = t_ends
     return boundary_unitary(lift), lift, model
+
+
+def _start_grid(rep: BScenarioRep, grid_size: int) -> int:
+    """``grid_size`` doubled, up to ``_MAX_GRID``, while below (|index| - 1/2) / ``_TAU_STEP``,
+    with the index tr T(1) - tr T(0) read off the endpoint traces (tr T = n - tr h + tr k);
+    an index that is not finite skips nothing, and so does a grid below 1, which
+    :class:`IntervalModel` rejects."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        tr0, tr1 = (np.trace(at.k - at.h).real for at in (rep.at0, rep.at1))
+        index = abs(tr1 - tr0)
+    limit = (index - 0.5) / _TAU_STEP if math.isfinite(index) else 0.0
+    while 0 < grid_size < _MAX_GRID and grid_size < limit:
+        grid_size *= 2
+    return grid_size
 
 
 def _weave(coarse, odd):

@@ -388,9 +388,13 @@ def _gaussian(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def _positive_eig(h: np.ndarray, profile: ToleranceProfile, what: str = "h") -> EigenSystem:
-    """:func:`herm_eig` of ``h``, each fiber's lowest eigenvalue gated at
+    """:func:`herm_eig` of ``h``, gated by :func:`_positive`."""
+    return _positive(herm_eig(h, profile), profile, what)
+
+
+def _positive(es: EigenSystem, profile: ToleranceProfile, what: str) -> EigenSystem:
+    """``es``, the decomposition of ``what``, each fiber's lowest eigenvalue gated at
     ``-profile.clamp_tol`` (:class:`NotPositive`)."""
-    es = herm_eig(h, profile)
     lowest = -es.eigenvalues.min(axis=-1, initial=0.0)
     _gate(f"-min eigenvalue of {what}", lowest, profile.clamp_tol, NotPositive)
     return es

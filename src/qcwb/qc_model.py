@@ -31,7 +31,7 @@ from .linalg import (
     _hermitian_gate,
     _max_norm_above,
     _norm_gate,
-    _positive_eig,
+    _positive,
     _support,
     adjoint,
     op_norm,
@@ -216,8 +216,9 @@ def factor_x(triple: QcTriple, profile: ToleranceProfile = DEFAULT_PROFILE) -> n
     if not spectral_ok or _max_norm_above(hk, [_PRE_TOL], profile)[0]:
         worst = np.max([op_norm(hk, profile), below_zero, above_one], axis=0)
         _gate("corner relation residual", worst, _PRE_TOL, ValueError)
-    hs = _positive_eig(triple.h, profile, "h")
-    ks = _positive_eig(triple.k, profile, "k")
+    # _weak_defects gated h and k Hermitian: each is decomposed unchecked
+    hs = _positive(_eigh_raw(triple.h, profile), profile, "h")
+    ks = _positive(_eigh_raw(triple.k, profile), profile, "k")
     return _corner_sandwich(hs, ks, triple.x, profile)
 
 

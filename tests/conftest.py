@@ -12,10 +12,8 @@ def rng():
     return np.random.default_rng(20240817)
 
 
-@pytest.fixture
-def eigh_shapes(monkeypatch):
-    """The input shape of every numpy.linalg.eigh call made during the test."""
-    shapes = []
+def record_eigh(monkeypatch, shapes):
+    """Append the input shape of every numpy.linalg.eigh call to ``shapes``."""
     eigh = np.linalg.eigh
 
     def counted(a, *args, **kwargs):
@@ -23,6 +21,13 @@ def eigh_shapes(monkeypatch):
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
+
+
+@pytest.fixture
+def eigh_shapes(monkeypatch):
+    """The input shape of every numpy.linalg.eigh call made during the test."""
+    shapes = []
+    record_eigh(monkeypatch, shapes)
     return shapes
 
 
@@ -72,12 +77,14 @@ def hermitian_with_spectrum(rng, eigenvalues):
     return (u * np.asarray(eigenvalues, dtype=float)) @ u.conj().T
 
 
-def exact_endpoint(rng, n):
+def exact_endpoint(rng, n, u=None):
     """A Haar-conjugated exact representation of dimension n.
 
     A direct sum of canonical fibers canonical_fiber(t) with t in (0, 1], E11
     blocks (E11, 0, 0) and 1x1 zero blocks, in random order, conjugated by
-    one random unitary.
+    one random unitary, drawn after the blocks, or by ``u`` when given.  Every
+    such sum has a diagonal h - k, so two of them conjugated by one ``u`` give
+    commuting values of h - k.
     """
     z1, z2 = np.zeros((1, 1), dtype=complex), np.zeros((2, 2), dtype=complex)
     blocks, size = [], 0
@@ -91,7 +98,7 @@ def exact_endpoint(rng, n):
             blocks.append(QcTriple(z1, z1, z1))
         size += blocks[-1].dim
     trip = functools.reduce(QcTriple.direct_sum, blocks)
-    u = random_unitary(rng, n)
+    u = random_unitary(rng, n) if u is None else u
     return QcTriple(*(u @ m @ u.conj().T for m in (trip.h, trip.x, trip.k)))
 
 

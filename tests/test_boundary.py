@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qcwb.linalg import (
@@ -63,7 +63,7 @@ from qcwb.structures import (
     support_projection,
 )
 
-from conftest import exact_endpoint, outcome, random_matrix, random_unitary
+from conftest import exact_endpoint, outcome, random_matrix, random_unitary, record_eigh
 
 E11 = np.diag([1.0, 0.0]).astype(complex)
 E22 = np.diag([0.0, 1.0]).astype(complex)
@@ -310,8 +310,10 @@ class TestPathHermitianGate:
         assert (model.grid_size, result.winding) == (64, 0)
 
     def test_paths_are_decomposed_unchecked(self, rng, eigh_shapes, monkeypatch):
-        # 12 conjugated copies refine 64 -> 128: the Hermitian gate sees the
-        # endpoint stack alone, and the decompositions are those of the gated paths
+        # 12 conjugated copies, index 12, start at grid 128, not 64: the Hermitian
+        # gate sees the endpoint stack alone, and the decompositions are those of
+        # the endpoint stack, of the joint basis of W* c W at the two ends, and of
+        # T's corner block, once, on the final grid
         gated = []
         gate = linalg._hermitian_gate
 
@@ -323,7 +325,7 @@ class TestPathHermitianGate:
         result, _, model = run_scenario(conjugated_copies(rng, 12), grid_size=64)
         assert (model.grid_size, result.winding) == (128, 12)
         assert gated and all(np.prod(shape[:-2]) <= 4 for shape in gated)
-        want = {(4, 24, 24): 1, (65, 12, 12): 2, (64, 12, 12): 2}
+        want = {(4, 24, 24): 1, (12, 12): 1, (129, 12, 12): 1}
         assert Counter(eigh_shapes) == want
 
 
@@ -672,10 +674,12 @@ class TestStackedPipeline:
             model = IntervalModel(grid_size=m)
             boundary_unitary(lift_T(rep, model))
             counts.append(sorted(name for name, _ in calls))
-            # h, k, their eighth roots and supports share one decomposition,
-            # and T, T' and u share another, of T's corner block; both are
-            # r x r on the range R of the endpoint data, here r = 1 of n = 2
-            assert calls.count(("eigh", (m + 1, 1, 1))) == 2
+            # h, k, their eighth roots and supports share the joint eigenbasis
+            # of c's two endpoint values, and T, T' and u share the decomposition
+            # of T's corner block; both are r x r on the range R of the endpoint
+            # data, here r = 1 of n = 2, where the joint basis is 1, undecomposed
+            assert ("eigh", (1, 1)) not in calls
+            assert calls.count(("eigh", (m + 1, 1, 1))) == 1
             assert ("eigh", (m + 1, 2, 2)) not in calls
             assert ("eigh", (m + 1, 4, 4)) not in calls
         assert counts[0] == counts[1]
@@ -783,17 +787,16 @@ class TestStackedPipeline:
         assert shapes.count((2, 6, 6)) >= 1 and block_paths == []
 
     def test_refinement_decomposes_only_the_new_points(self, rng, eigh_shapes):
-        # grid 64 -> 128: the 65 coarse fibers are kept, the 64 odd ones added
-        result, _, model = run_scenario(conjugated_copies(rng, 12), grid_size=64)
-        assert model.grid_size == 128 and result.winding == 12
+        # 16 copies, index 16: grid 64 is skipped, and 128 refines to 256: the
+        # 129 coarse fibers are kept, the 128 odd ones added
+        result, _, model = run_scenario(conjugated_copies(rng, 16), grid_size=64)
+        assert model.grid_size == 256 and result.winding == 16
         stacks = Counter(shape for shape in eigh_shapes if len(shape) == 3)
-        # the path stacks are r x r: R, the range of h(0), has r = 12 of n = 24
-        for fibers in (65, 64):
-            assert stacks[(fibers, 12, 12)] == 2
-            assert stacks[(fibers, 24, 24)] == 0
-        assert not any(shape[0] == 129 for shape in stacks)
-        # nothing wider than n = 24 is decomposed
-        assert eigh_shapes and all(shape[-1] <= 24 for shape in eigh_shapes)
+        # the path stacks are r x r: R, the range of h(0), has r = 16 of n = 32;
+        # c's endpoints commute, so only T's corner block is decomposed along the path
+        assert stacks == {(4, 32, 32): 1, (129, 16, 16): 1, (128, 16, 16): 1}
+        # nothing wider than n = 32 is decomposed
+        assert eigh_shapes and all(shape[-1] <= 32 for shape in eigh_shapes)
 
     def test_endpoint_factorization_runs_once(self, rng, monkeypatch):
         # both endpoints share one corner sandwich, and refinement reuses it
@@ -862,9 +865,10 @@ class TestStackedPipeline:
                 np.testing.assert_array_equal(ends.c_r[j], adjoint(ends.w) @ c @ ends.w)
 
     def test_exact_projection_lift_decomposes_t_once(self, eigh_shapes):
-        # r = n = 2 here: two r x r stacks, and none on R + R
+        # r = n = 2 here: one r x r stack, of T's corner block, since c's equal
+        # endpoint values share one eigenbasis, and none on R + R
         exact_projection_lift(builtin_scenario("matched-endpoints"), IntervalModel(8))
-        assert eigh_shapes.count((9, 2, 2)) == 2
+        assert eigh_shapes.count((9, 2, 2)) == 1 and eigh_shapes.count((2, 2)) == 1
         assert (9, 4, 4) not in eigh_shapes
 
 
@@ -949,6 +953,175 @@ def test_winding_is_the_index_or_raises(k, grid, seed):
     result, _, model = run_scenario(rep, grid_size=grid)
     assert result.winding == k
     assert model.grid_size <= 512
+
+
+def _zero_triple(n):
+    return QcTriple(*[np.zeros((n, n), dtype=complex)] * 3)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=0, max_value=2**31),
+    st.sampled_from([None, 0, 1]),
+    st.sampled_from(["default", "strict", "jacobi"]),
+    st.sampled_from([4, 32, 64]),
+)
+def test_commuting_endpoints_lift_in_one_eigenbasis(n, seed, zero_end, name, grid):
+    """Exact endpoints conjugated by one shared unitary, one of them zero or
+    neither, have commuting values of c: the lift reads the path of c off their
+    joint eigenbasis, and gives the winding, the final grid and the figures of
+    the per-fiber decomposition, to 1e-12."""
+    gen = np.random.default_rng(seed)
+    u = random_unitary(gen, n)
+    ends = [exact_endpoint(gen, n, u) for _ in range(2)]
+    if zero_end is not None:
+        ends[zero_end] = _zero_triple(n)
+    rep, profile = BScenarioRep(*ends), PROFILES[name]
+    result, lift, model = run_scenario(rep, grid_size=grid, profile=profile)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(boundary, "_joint_eig", lambda c_r, profile: None)
+        plain, plain_lift, plain_model = run_scenario(rep, grid_size=grid, profile=profile)
+    assert lift.ends.joint is not None and plain_lift.ends.joint is None
+    assert (result.winding, model.grid_size) == (plain.winding, plain_model.grid_size)
+    assert result.winding == _index(rep)
+    for figure in ("unitarity_defect", "endpoint_defect", "phase_step_max"):
+        assert abs(getattr(result, figure) - getattr(plain, figure)) <= 1e-12, figure
+    # the joint decomposition is one of the path of c, eigenvalues ascending
+    c = lift.c
+    assert np.all(np.diff(c.eigenvalues, axis=-1) >= 0.0)
+    path = boundary._interpolate(lift.ends.c_r, model.points)
+    np.testing.assert_allclose(c.apply(c.eigenvalues), path, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=2, max_value=8),
+    st.integers(min_value=0, max_value=2**31),
+    st.sampled_from([4, 32]),
+)
+def test_noncommuting_endpoints_decompose_the_path_of_c(n, seed, grid):
+    """Exact endpoints conjugated by independent unitaries: where the values
+    of c on R do not commute, the path of c is decomposed, an (m+1, r, r)
+    stack beside that of T's corner block."""
+    gen = np.random.default_rng(seed)
+    rep = BScenarioRep(exact_endpoint(gen, n), exact_endpoint(gen, n))
+    c0, c1 = boundary._lift_ends(rep, DEFAULT_PROFILE).c_r
+    assume(op_norm(c0 @ c1 - c1 @ c0) > 1e-6)
+    shapes = []
+    with pytest.MonkeyPatch.context() as mp:
+        record_eigh(mp, shapes)
+        lift = lift_T(rep, IntervalModel(grid))
+    r = lift.c.dim
+    assert lift.ends.joint is None
+    # the joint basis was tried, once, r x r, and then the path decomposed
+    assert shapes.count((r, r)) == 1 and shapes.count((grid + 1, r, r)) == 2
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=2, max_value=8),
+    st.integers(min_value=0, max_value=2**31),
+    st.integers(min_value=-2, max_value=2),
+    st.sampled_from(["default", "strict", "jacobi"]),
+)
+def test_off_diagonal_residual_at_the_tolerance_picks_the_branch(r, seed, ulps, name):
+    """C_1 = diag(b) + E and C_0 = diag(a) - phi E, E = e (E_pq + E_qp): C_0 + phi C_1
+    is diagonal, bit for bit, so its eigenbasis V permutes the coordinates, and the
+    off-diagonal residual of V* C_j V is |e|, ``ulps`` steps from hermitian_tol.  At
+    or below it the path of c is read off V; above it, decomposed per fiber."""
+    gen, profile = np.random.default_rng(seed), PROFILES[name]
+    e = profile.hermitian_tol
+    for _ in range(abs(ulps)):
+        e = np.nextafter(e, ulps * np.inf)
+    p, q = gen.choice(r, 2, replace=False)
+    off = np.zeros((r, r), dtype=complex)
+    off[p, q] = off[q, p] = e
+    a, b = gen.uniform(-1.0, 1.0, (2, r))
+    c_r = np.stack([np.diag(a) - boundary._PHI * off, np.diag(b) + off])
+    joint = boundary._joint_eig(c_r, profile)
+    assert (joint is None) == (ulps > 0)
+    ends = boundary._LiftEnds(None, None, c_r, np.zeros_like(c_r), joint)
+    ts, shapes = IntervalModel(16).points, []
+    eigh_raw = boundary._eigh_raw
+
+    def recorded(h, profile):
+        shapes.append(h.shape)
+        return eigh_raw(h, profile)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(boundary, "_eigh_raw", recorded)
+        c, _ = boundary._lift_fibers(ends, ts, "linear", profile)
+    # T's corner block, and c's path unless it has the joint basis
+    assert shapes == [(17, r, r)] * (1 if joint else 2)
+    if joint is None:
+        return
+    # V* C_j V is C_j with its coordinates permuted: the diagonals pair a and b
+    assert sorted(zip(*joint.eigenvalues)) == sorted(zip(a, b))
+    np.testing.assert_allclose(c.apply(c.eigenvalues), boundary._interpolate(c_r, ts), rtol=0, atol=2 * e)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(st.integers(min_value=1, max_value=32), st.integers(min_value=0, max_value=2**31))
+@example(1, 0)
+@example(12, 0)
+@example(16, 0)
+@example(32, 0)
+def test_index_skips_only_grids_the_refinement_rejects(k, seed):
+    """k conjugated copies of eval-at-one from grid 64: the run that starts
+    from the grid the index gives ends where plain doubling from 64 ends, with
+    the same path, bit for bit; every grid it skips steps tau by 1/8 or more,
+    and nothing is decomposed on one."""
+    rep = conjugated_copies(np.random.default_rng(seed), k)
+    start = boundary._start_grid(rep, 64)
+    shapes = []
+    with pytest.MonkeyPatch.context() as mp:
+        record_eigh(mp, shapes)
+        result, _, model = run_scenario(rep, grid_size=64)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(boundary, "_start_grid", lambda rep, grid_size: grid_size)
+        plain, _, plain_model = run_scenario(rep, grid_size=64)
+    assert (model.grid_size, result.winding) == (plain_model.grid_size, plain.winding)
+    assert result.winding == k and start <= model.grid_size
+    np.testing.assert_array_equal(result.u_r, plain.u_r)
+    skipped = [64 * 2**i for i in range(6) if 64 * 2**i < start]
+    assert start == 64 * 2 ** len(skipped)
+    for m in skipped:
+        assert np.max(np.abs(np.diff(lift_T(rep, IntervalModel(m)).tau))) >= 1 / 8
+        # neither the lift on grid m nor the odd points that refine it to 2m
+        assert not any(shape[0] in (m + 1, m) for shape in shapes if len(shape) == 3)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=0, max_value=2**31),
+    st.sampled_from([0, 1]),
+    st.sampled_from("hxk"),
+    st.sampled_from(["default", "jacobi"]),
+)
+def test_a_nan_entry_raises_at_the_endpoint_gate(n, seed, end, part, name):
+    """A NaN entry in any part of either endpoint of a commuting pair raises the
+    relation residual gate's NoConvergence, naming the endpoint, before the
+    joint basis or any path is formed; a C_j that is not finite takes the
+    per-fiber path."""
+    gen = np.random.default_rng(seed)
+    u = random_unitary(gen, n)
+    trips = [exact_endpoint(gen, n, u) for _ in range(2)]
+    parts = {m: getattr(trips[end], m).copy() for m in "hxk"}
+    i, j = gen.integers(n, size=2)
+    parts[part][i, j] = np.nan
+    trips[end] = QcTriple(parts["h"], parts["x"], parts["k"])
+    def forbidden(*args):
+        raise AssertionError("the joint basis was formed")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(boundary, "_joint_eig", forbidden)
+        with pytest.raises(NoConvergence, match=f"^op_norm input is not finite at fiber {end}$"):
+            run_scenario(BScenarioRep(*trips), profile=PROFILES[name])
+    c_r = np.stack([np.eye(n, dtype=complex)] * 2)
+    c_r[end, i, j] = np.nan
+    assert boundary._joint_eig(c_r, PROFILES[name]) is None
 
 
 def check_tau(rep, grid):

@@ -222,6 +222,32 @@ class TestFactorX:
         factor_x(exact_endpoint(rng, 6))
         assert eigh_shapes == [(12, 12), (6, 6), (6, 6)]
 
+    def test_hermitian_gates_run_once_per_part(self, monkeypatch):
+        # the weak residuals gate h and k Hermitian; their decompositions for
+        # the sandwich are not gated again
+        names = []
+        gate = linalg._hermitian_gate
+
+        def recorded(a, name, *args):
+            names.append(name)
+            return gate(a, name, *args)
+
+        for module in (linalg, qc_model):
+            monkeypatch.setattr(module, "_hermitian_gate", recorded)
+        factor_x(canonical_generators(4))
+        assert names == ["hermitian defect of h", "hermitian defect of k"]
+
+    @pytest.mark.parametrize("name", ["default", "jacobi"])
+    @pytest.mark.parametrize("part", ["h", "k"])
+    def test_negative_part_fails_the_positivity_gate(self, part, name):
+        # an eigenvalue -1e-9 of h or k in fiber 1 passes the weak residuals
+        # (1e-9 <= 1e-8) but not the positivity gate (clamp_tol = 1e-10)
+        parts = {m: np.zeros((2, 1, 1), dtype=complex) for m in "hxk"}
+        parts[part][1] = -1e-9
+        message = rf"^-min eigenvalue of {part} = 1\.000e-09 at fiber 1 exceeds the bound 1\.000e-10$"
+        with pytest.raises(linalg.NotPositive, match=message):
+            factor_x(QcTriple(parts["h"], parts["x"], parts["k"]), PROFILES[name])
+
     def test_sandwich_decomposes_nothing(self, rng, eigh_shapes):
         # the sandwich reads the decompositions of h and k it is given
         trip = exact_endpoint(rng, 6)
