@@ -15,8 +15,8 @@ the pipeline
    nothing on R-perp is decomposed,
 1. lifts h and k to orthogonal positive contractions over the grid
    (positive/negative parts of a linear interpolant c of h - k, decomposed
-   as the r x r path W* c W; where its two endpoint values commute, their one
-   joint eigenbasis serves the whole path, and it is not decomposed),
+   as the r x r path W* c W; where one of its two endpoint values is zero,
+   the other's eigenbasis serves the whole path, and it is not decomposed),
 2. lifts x through the corner factorization x = k^(1/8) y h^(1/8), with y
    interpolated between its endpoint values; h, k and both eighth roots are
    read off the one decomposition of c,
@@ -67,7 +67,6 @@ measured when first read.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -86,7 +85,6 @@ from .linalg import (
     _calc,
     _eigh_raw,
     _gate,
-    _max_norm_above,
     _max_op_norm,
     _norm_gate,
     _positive_eig,
@@ -163,8 +161,6 @@ _MAX_STEP = np.pi / 2
 # det phase step of u (2 pi times it) is below pi/4, or the grid reaches _MAX_GRID
 _TAU_STEP = 1 / 8
 _MAX_GRID = 4096
-# _joint_eig's weight of C_1, far from every ratio of small integers
-_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # exact_projection_lift rejects an eigenvalue of T within this of 1/2
 _GAP = 0.05
 
@@ -283,8 +279,8 @@ class _LiftEnds:
     W (n x r) of R, the sum of the ranges of h(0), h(1), k(0) and k(1), and the lift's
     only basis: R-perp is read as 1 - WW*; and ``c_r`` and ``y_r``, W* c W and W* y W
     for c = h - k and the corner factor y, r x r, the endpoint values the paths
-    interpolate; ``joint``, their eigenbasis V when they commute (:func:`_joint_eig`),
-    else None.  With e = ||W* W - 1|| and d = max ||u_R u_R* - 1||,
+    interpolate; ``joint``, one eigenbasis V of both values of c where one of them is
+    zero (:func:`_joint_eig`), else None.  With e = ||W* W - 1|| and d = max ||u_R u_R* - 1||,
     ||u u* - 1|| <= (1 + e)(d + (2 + d)^2 e) and ||u(j) - 1|| <= (1 + e) ||u_R(j) - 1||
     (:class:`BoundaryResult`)."""
 
@@ -455,6 +451,12 @@ def _scalar_parts(lift: TLift) -> tuple[tuple[complex, complex], float]:
     return (alpha, beta), _max_op_norm(t12 - ph @ t12 @ pk, lift.profile)
 
 
+def _stacked(rep: BScenarioRep) -> QcTriple:
+    """The endpoint triples of ``rep`` as one stacked ``(2, n, n)`` triple."""
+    a, b = rep.at0, rep.at1
+    return QcTriple(np.stack([a.h, b.h]), np.stack([a.x, b.x]), np.stack([a.k, b.k]))
+
+
 def _lift_ends(rep: BScenarioRep, profile: ToleranceProfile) -> _LiftEnds:
     """The endpoint half of :func:`lift_T`: each endpoint precondition checked once, on
     both endpoints stacked.  The relation residual is gated at 1e-10
@@ -482,9 +484,8 @@ def _lift_ends(rep: BScenarioRep, profile: ToleranceProfile) -> _LiftEnds:
     of the interpolation, so every fiber of the path meets this bound, and with it the
     per-fiber bound of :func:`herm_eig`, ``hermitian_tol * max(1, ||C(t)||)``, which is never
     lower.  :func:`_lift_fibers` therefore decomposes the path unchecked, or not at all
-    where C_0 and C_1 commute (:func:`_joint_eig`)."""
-    a, b = rep.at0, rep.at1
-    trip = QcTriple(np.stack([a.h, b.h]), np.stack([a.x, b.x]), np.stack([a.k, b.k]))
+    where C_0 or C_1 is zero (:func:`_joint_eig`)."""
+    trip = _stacked(rep)
     name = "relation residual at the endpoints (0, 1)"
     _norm_gate(name, lambda: _low_level_defects(trip), 1e-10, LiftResidual, profile)
     es = _positive_eig(np.concatenate([trip.h, trip.k]), profile, "h, k")
@@ -500,25 +501,19 @@ def _lift_ends(rep: BScenarioRep, profile: ToleranceProfile) -> _LiftEnds:
 
 
 def _joint_eig(c_r: np.ndarray, profile: ToleranceProfile) -> EigenSystem | None:
-    """C_j = V diag(lam_j) V* (``c_r``, r x r) with one basis V for j = 0, 1, or None.
+    """C_j = V diag(lam_j) V* (``c_r``, r x r) with one basis V for j = 0, 1, where one C_j
+    is zero, bit for bit, or None.
 
-    Commuting Hermitian matrices share an eigenbasis (Horn and Johnson, *Matrix
-    Analysis*, 2nd ed., section 2.5), which for a generic weight phi is that of
-    C_0 + phi C_1.  V serves when :func:`linalg._max_norm_above` finds the
-    off-diagonal parts of V* C_j V at most ``hermitian_tol``, unscaled; their
-    diagonals, paired column by column and so not ascending, are the eigenvalues.  A
-    C_j that is not finite fails."""
-    if not np.isfinite(c_r).all():
-        return None
-    if c_r.shape[-1] <= 1:  # 1 x 1 values commute, with the basis 1
-        return EigenSystem(np.diagonal(c_r, axis1=-2, axis2=-1).real, np.eye(c_r.shape[-1]) + 0j)
-    v = _eigh_raw(c_r[0] + _PHI * c_r[1], profile).basis
-    d = adjoint(v) @ c_r @ v
-    lam = np.diagonal(d, axis1=-2, axis2=-1).real.copy()
-    np.einsum("...jj->...j", d)[...] = 0.0
-    if _max_norm_above(d, [profile.hermitian_tol], profile)[0]:
-        return None
-    return EigenSystem(lam, v)
+    Any basis serves a zero C_j, so V is the other's, from one r x r decomposition, and
+    its lam_j is 0.  Along the path, lam = (1 - t) lam_0 + t lam_1 is then a nonnegative
+    multiple of the ascending eigenvalues of the nonzero end, and ascends too."""
+    for j in (0, 1):
+        if not c_r[1 - j].any():
+            es = _eigh_raw(c_r[j], profile)
+            lam = np.zeros((2, c_r.shape[-1]))
+            lam[j] = es.eigenvalues
+            return EigenSystem(lam, es.basis)
+    return None
 
 
 def _lift_fibers(
@@ -532,10 +527,10 @@ def _lift_fibers(
 
     c and y interpolate their endpoint values, which vanish on R-perp; so
     only W* c W and W* y W, which :func:`_lift_ends` formed, are interpolated,
-    and V below is r x r.  Where those values of c commute, V is their joint
-    eigenbasis (``ends.joint``) along the whole path, with its columns reordered
-    per fiber so that lam = (1 - t) lam_0 + t lam_1 ascends, and V* y V
-    interpolates its endpoint values; otherwise c is decomposed per fiber.
+    and V below is r x r.  Where one of those values of c is zero, V is the
+    other's eigenbasis (``ends.joint``) along the whole path, with the ascending
+    eigenvalues lam = (1 - t) lam_0 + t lam_1, and V* y V interpolates its
+    endpoint values; otherwise c is decomposed per fiber.
     With c = V diag(lam) V*, h and k are V diag(lam+) V* and V diag(lam-) V*,
     so in the basis V, T = [[1 - diag(lam+), X*], [X, diag(lam-)]] with
     X = V* x V = diag((lam-)^(1/8)) V* y V diag((lam+)^(1/8)), which vanishes
@@ -549,11 +544,9 @@ def _lift_fibers(
         c = _eigh_raw(_interpolate(ends.c_r, ts), profile)
         vyv = adjoint(c.basis) @ _interpolate(ends.y_r, ts, scheme) @ c.basis
     else:
-        v, lam = ends.joint.basis, _interpolate(ends.joint.eigenvalues, ts)
-        order = np.argsort(lam, axis=-1, kind="stable")
+        v = ends.joint.basis
         vyv = _interpolate(adjoint(v) @ ends.y_r @ v, ts, scheme)
-        vyv = vyv[np.arange(len(ts))[:, None, None], order[..., :, None], order[..., None, :]]
-        c = EigenSystem(np.take_along_axis(lam, order, -1), v[:, order].swapaxes(0, 1))
+        c = EigenSystem(_interpolate(ends.joint.eigenvalues, ts), np.broadcast_to(v, vyv.shape))
     hw, kw = (part.eigenvalues for part in _parts(c))
     x = kw[..., :, None] ** 0.125 * vyv * hw[..., None, :] ** 0.125
     # each (m+1, r, r) temporary goes before B is decomposed, which holds a few more
@@ -714,10 +707,15 @@ def _unitary(t: EigenSystem) -> np.ndarray:
     return t.apply(np.exp(2j * np.pi * CLAMP01(t.eigenvalues)))
 
 
+def _index(t_ends: np.ndarray) -> float:
+    """The index tr T(1) - tr T(0) of the endpoint block matrices ``t_ends``, ``(2, 2n, 2n)``."""
+    tr = np.trace(t_ends, axis1=-2, axis2=-1).real
+    return tr[1] - tr[0]
+
+
 def _check_index(winding: int, lift: TLift) -> None:
     """Gate a winding against the index tr T(1) - tr T(0) of the lift's endpoint blocks."""
-    tr = np.trace(lift.ends.t, axis1=-2, axis2=-1).real
-    index = int(np.rint(tr[1] - tr[0]))
+    index = int(np.rint(_index(lift.ends.t)))
     name = f"distance of the winding {winding} from the index {index}"
     _gate(name, abs(winding - index), 0, WindingIndexMismatch)
 
@@ -894,13 +892,12 @@ def run_scenario(
 
 def _start_grid(rep: BScenarioRep, grid_size: int) -> int:
     """``grid_size`` doubled, up to ``_MAX_GRID``, while below (|index| - 1/2) / ``_TAU_STEP``,
-    with the index tr T(1) - tr T(0) read off the endpoint traces (tr T = n - tr h + tr k);
+    with the index (:func:`_index`) read off the endpoint block matrices, before any gate;
     an index that is not finite skips nothing, and so does a grid below 1, which
     :class:`IntervalModel` rejects."""
     with np.errstate(over="ignore", invalid="ignore"):
-        tr0, tr1 = (np.trace(at.k - at.h).real for at in (rep.at0, rep.at1))
-        index = abs(tr1 - tr0)
-    limit = (index - 0.5) / _TAU_STEP if math.isfinite(index) else 0.0
+        index = abs(_index(t_matrix(_stacked(rep))))
+    limit = (index - 0.5) / _TAU_STEP if np.isfinite(index) else 0.0
     while 0 < grid_size < _MAX_GRID and grid_size < limit:
         grid_size *= 2
     return grid_size

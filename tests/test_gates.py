@@ -178,9 +178,6 @@ HAND_GATED = {
     # the spectral residuals are exact per-fiber values, not norms: as 1 x 1
     # defects a NaN spectrum would raise NoConvergence, not ValueError
     ("qc_model.py", "factor_x"),
-    # a branch, not a gate: the answer picks the joint eigenbasis of the path of
-    # c or its per-fiber decomposition, and nothing is raised either way
-    ("boundary.py", "_joint_eig"),
 }
 
 NORM_CALLS = {"op_norm", "_max_op_norm"}
